@@ -44,6 +44,7 @@ from .morphisms import (
     orbit_morphism,
 )
 from .odometer import (
+    SWEEP_BUDGET,
     Cylinder,
     OdometerSpace,
     bijectivity_check_at_depth,
@@ -228,6 +229,11 @@ def odometer_cmd(matrix, p, depth, samples, window, tol, seed, as_json, out):
         space = OdometerSpace((p,) * d, depth)
         if not linalg.is_integral(a) or abs(linalg.det(a)) != 1:
             raise ValueError("odometer automorphisms need an integer matrix with det +-1")
+        count = space.point_count()
+        if count > SWEEP_BUDGET:
+            raise ValueError(
+                f"depth sweeps need {p}^({depth}*{d}) = {count} points, over budget {SWEEP_BUDGET}"
+            )
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -5,14 +5,23 @@ the homeomorphism acts as x -> x + g_i on A_i.  Construction validates both
 that the domains partition the space and that the translated images do
 (which is exactly bijectivity).  Elements are normalized by merging pieces
 with equal labels and canonically coarsening cylinder unions, so equality is
-a plain comparison.
+a plain comparison.  Evaluating an element reads its label from a lookup
+keyed by residues, built on first use.
 """
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .odometer import ClopenSet, Cylinder, DigitPoint, OdometerSpace, odometer_add
+from .odometer import (
+    SWEEP_BUDGET,
+    ClopenSet,
+    Cylinder,
+    DigitPoint,
+    OdometerSpace,
+    odometer_add,
+)
 
 
 def _coerce_label(label, dimension: int) -> tuple[int, ...]:
@@ -57,11 +66,12 @@ def _coarsen(cylinders: Iterable[Cylinder], space: OdometerSpace) -> tuple[Cylin
 class FullGroupElement:
     """A piecewise translation; ``pieces`` maps clopen sets to label vectors."""
 
-    __slots__ = ("space", "pieces")
+    __slots__ = ("space", "pieces", "_lookup")
 
     def __init__(self, space: OdometerSpace, pieces: Sequence[tuple[ClopenSet, tuple[int, ...]]]):
         self.space = space
         self.pieces = tuple(pieces)
+        self._lookup = None
 
     @classmethod
     def make(cls, space: OdometerSpace, pieces) -> "FullGroupElement":
@@ -103,16 +113,22 @@ class FullGroupElement:
         return cls.make(space, [(space.whole_space(), vector)])
 
     def apply(self, x: DigitPoint) -> DigitPoint:
-        for clopen, label in self.pieces:
-            if clopen.contains(x):
-                return odometer_add(x, label, self.space)
-        raise ValueError("point escaped the partition (corrupt element)")
+        return odometer_add(x, self.label_at(x), self.space)
 
     def label_at(self, x: DigitPoint) -> tuple[int, ...]:
-        for clopen, label in self.pieces:
-            if clopen.contains(x):
-                return label
-        raise ValueError("point escaped the partition (corrupt element)")
+        """The label of the first piece containing x."""
+        lookup = self._lookup
+        if lookup is None:
+            lookup = self._lookup = _label_lookup(self.pieces, self.space)
+        residues = x.residues
+        best = None
+        for moduli, table in lookup:
+            hit = table.get(tuple([r % m for r, m in zip(residues, moduli)]))
+            if hit is not None and (best is None or hit < best):
+                best = hit
+        if best is None:
+            raise ValueError("point escaped the partition (corrupt element)")
+        return best[1]
 
     def inverse(self) -> "FullGroupElement":
         pieces = [
@@ -144,6 +160,30 @@ class FullGroupElement:
             for clopen, label in self.pieces
             for cyl in clopen.cylinders
         ]
+
+
+def _label_lookup(pieces, space: OdometerSpace):
+    """Where each piece's cylinders lie, keyed by residues.
+
+    Cylinders are grouped by their prefix lengths k_i; a group maps the
+    prefix values (residues mod p_i^k_i) to (piece index, label).  A point
+    finds its piece with one dict probe per group, and the lowest index wins
+    when pieces overlap, as in a scan of the pieces in order.  The size is
+    linear in the number of cylinders, where one table keyed mod the deepest
+    prefix of every coordinate could grow to p^(N d) entries.  A malformed
+    cylinder (wrong dimension, too deep, digit out of range) contains no
+    depth-N point and is left out.
+    """
+    groups: dict = {}
+    for index, (clopen, label) in enumerate(pieces):
+        for cyl in clopen.cylinders:
+            try:
+                cyl.validate(space)
+            except ValueError:
+                continue
+            moduli, values = cyl.residue_class(space)
+            groups.setdefault(moduli, {}).setdefault(values, (index, label))
+    return tuple((moduli, MappingProxyType(table)) for moduli, table in groups.items())
 
 
 def _normalize(pieces, space: OdometerSpace):
@@ -195,7 +235,7 @@ def spatial_realization_gap(
     t: FullGroupElement,
     vector,
     space: OdometerSpace,
-    budget: int = 1 << 20,
+    budget: int = SWEEP_BUDGET,
 ):
     """First depth-N point where ``conjugated`` fails to act like t shifted by
     ``vector``; None when the translation realizes the conjugation everywhere.

@@ -18,6 +18,7 @@ from . import linalg
 from .groups import LatticeGroup
 from .mapspace import CheckResult, CocycleTable
 from .morphisms import Morphism, compose_morphisms
+from .odometer import DigitPoint
 
 
 class ExteriorElement:
@@ -244,7 +245,7 @@ def recover_invariant_matrix(
     # are sampled Haar-uniformly, germ samples carry no canonical measure.
     measure = (
         "haar-uniform-sample-average"
-        if all(hasattr(x, "digits") for x in samples)
+        if all(isinstance(x, DigitPoint) for x in samples)
         else "sample-average"
     )
     return InvariantMatrix(

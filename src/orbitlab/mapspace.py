@@ -587,7 +587,7 @@ def constant_matrix_cocycle_table(
         evaluator=evaluate,
         point_action=lambda g, x: odometer_add(x, g.coords, space),
         radius=radius,
-        point_key=lambda x: x.digits,
+        point_key=lambda x: x.residues,
         meta={"matrix": mat, "constant": 0},
     )
 

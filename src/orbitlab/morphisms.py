@@ -23,7 +23,7 @@ from .mapspace import (
     constant_matrix_cocycle_table,
     forward_cocycle_table,
 )
-from .odometer import OdometerSpace, matrix_act, odometer_add
+from .odometer import DigitPoint, OdometerSpace, matrix_act, odometer_add
 from .shears import FloorMap
 
 
@@ -100,8 +100,8 @@ def _lattice_dim(system: ActionSystem) -> int:
 def _default_point_key(x):
     if isinstance(x, MapGerm):
         return x.key()
-    if hasattr(x, "digits"):
-        return x.digits
+    if isinstance(x, DigitPoint):
+        return x.residues
     return x
 
 

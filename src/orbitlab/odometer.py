@@ -1,26 +1,36 @@
-"""Product p-adic odometers with exact digit arithmetic.
+"""Product p-adic odometers with exact residue arithmetic.
 
 A space is a product of d odometers with bases p_1..p_d, truncated at depth
-N.  A point stores N digits per coordinate, least-significant first, so a
-depth-N point is the cylinder of all its extensions; adding an integer
-vector and acting by a unimodular integer matrix are both well defined on
-truncations because they only depend on the value mod p^N.
+N.  A point stores one residue mod p_i^N per coordinate; its N base-p_i
+digits (least-significant first) are those of the residue, so a depth-N
+point is the cylinder of all its extensions.  Adding an integer vector and
+acting by a unimodular integer matrix are both well defined on truncations
+because they only depend on the value mod p^N, so each is integer
+arithmetic followed by one ``%`` per coordinate.  Digits are computed only
+where they are the data: cylinder prefixes and JSON.
 
 Clopen sets are finite disjoint unions of cylinders (per-coordinate digit
-prefixes) and carry an exact rational Haar measure.
+prefixes) and carry an exact rational Haar measure.  A point lies in a
+cylinder when its residue mod p^k equals the value of each length-k prefix.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
 
+# The most depth-N points (or depth-k cylinders) an exhaustive sweep visits.
+SWEEP_BUDGET = 1 << 20
+
+_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
 
 class OdometerSpace:
-    __slots__ = ("bases", "depth")
+    __slots__ = ("bases", "depth", "moduli", "_actions")
 
     def __init__(self, bases: Sequence[int], depth: int):
         bases = tuple(int(p) for p in bases)
@@ -30,14 +40,13 @@ class OdometerSpace:
             raise ValueError("depth must be >= 1")
         self.bases = bases
         self.depth = depth
+        self.moduli = tuple(p**depth for p in bases)
+        # Integer rows of each matrix validated for this space, keyed by entries.
+        self._actions: dict = {}
 
     @property
     def dimension(self) -> int:
         return len(self.bases)
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(p**self.depth for p in self.bases)
 
     def __eq__(self, other):
         return (
@@ -66,16 +75,15 @@ class OdometerSpace:
     def point_from_values(self, values: Sequence[int]) -> "DigitPoint":
         if len(values) != self.dimension:
             raise ValueError("value vector has wrong dimension")
-        return DigitPoint(tuple(self.digits_of(v, i) for i, v in enumerate(values)))
-
-    def values_of(self, point: "DigitPoint") -> tuple[int, ...]:
-        return tuple(
-            sum(d * p**k for k, d in enumerate(digits))
-            for p, digits in zip(self.bases, point.digits)
+        return DigitPoint(
+            tuple([operator.index(v) % m for v, m in zip(values, self.moduli)]), self
         )
 
+    def values_of(self, point: "DigitPoint") -> tuple[int, ...]:
+        return point.residues
+
     def zero(self) -> "DigitPoint":
-        return self.point_from_values((0,) * self.dimension)
+        return DigitPoint((0,) * self.dimension, self)
 
     def point_count(self) -> int:
         n = 1
@@ -83,51 +91,99 @@ class OdometerSpace:
             n *= m
         return n
 
-    def all_points(self, budget: int = 1 << 20):
+    def all_points(self, budget: int = SWEEP_BUDGET):
         """Iterate every depth-N point; refuses spaces larger than the budget."""
         if self.point_count() > budget:
             raise ValueError(f"space has {self.point_count()} points, over budget {budget}")
         for values in itertools.product(*(range(m) for m in self.moduli)):
-            yield self.point_from_values(values)
+            yield DigitPoint(values, self)
 
     def random_point(self, rng) -> "DigitPoint":
-        return self.point_from_values([rng.randrange(m) for m in self.moduli])
+        return DigitPoint(tuple([rng.randrange(m) for m in self.moduli]), self)
 
     def validate_point(self, point: "DigitPoint") -> None:
-        if len(point.digits) != self.dimension:
+        if point.space is not self and point.space != self:
+            raise ValueError(f"point belongs to {point.space!r}, not {self!r}")
+        residues = point.residues
+        if len(residues) != len(self.moduli):
             raise ValueError("point has wrong dimension")
-        for digits, p in zip(point.digits, self.bases):
-            if len(digits) != self.depth:
-                raise ValueError("point has wrong depth")
-            if any(not 0 <= d < p for d in digits):
-                raise ValueError("digit out of range")
+        for r, m in zip(residues, self.moduli):
+            if not 0 <= r < m:
+                raise ValueError(f"residue {r} out of range mod {m}")
 
     def whole_space(self) -> "ClopenSet":
         return ClopenSet((Cylinder(((),) * self.dimension),))
 
     def depth_cylinder(self, point: "DigitPoint", k: int) -> "Cylinder":
         """The depth-k cylinder containing a point."""
-        return Cylinder(tuple(digits[:k] for digits in point.digits))
+        if not 0 <= k <= self.depth:
+            raise ValueError("depth k must lie in [0, N]")
+        return Cylinder(tuple(self.digits_of(r, i, k) for i, r in enumerate(point.residues)))
 
 
-@dataclass(frozen=True)
 class DigitPoint:
-    """Digit strings per coordinate, least-significant first."""
+    """A depth-N point: its residue mod p_i^N in each coordinate.
 
-    digits: tuple[tuple[int, ...], ...]
+    Build points through the space (``point_from_values``, ``zero``,
+    ``random_point``); every operation range-checks the residues it reads.
+    Points are values: nothing mutates one after it is built, and they
+    compare by residues and space.
+    """
+
+    __slots__ = ("residues", "space")
+
+    def __init__(self, residues: tuple[int, ...], space: OdometerSpace):
+        self.residues = residues
+        self.space = space
+
+    def __eq__(self, other):
+        if not isinstance(other, DigitPoint):
+            return NotImplemented
+        return self.residues == other.residues and (
+            self.space is other.space or self.space == other.space
+        )
+
+    def __hash__(self):
+        return hash(self.residues)
+
+    def __repr__(self):
+        return f"DigitPoint(residues={self.residues}, moduli={self.space.moduli})"
 
     def to_json(self):
-        return ["".join(_digit_char(d) for d in coord) for coord in self.digits]
+        """One string of N base-36 digits per coordinate, least-significant first."""
+        space = self.space
+        out = []
+        for coord, r in enumerate(self.residues):
+            _check_serializable(space.bases[coord])
+            out.append("".join(_DIGIT_CHARS[d] for d in space.digits_of(r, coord)))
+        return out
 
     @staticmethod
-    def from_json(data) -> "DigitPoint":
-        return DigitPoint(tuple(tuple(int(ch, 36) for ch in coord) for coord in data))
+    def from_json(data, space: OdometerSpace) -> "DigitPoint":
+        if len(data) != space.dimension:
+            raise ValueError("point has wrong dimension")
+        residues = []
+        for text, p in zip(data, space.bases):
+            _check_serializable(p)
+            if len(text) != space.depth:
+                raise ValueError(f"point needs {space.depth} digits per coordinate")
+            digits = [int(ch, 36) for ch in text]
+            if any(d >= p for d in digits):
+                raise ValueError(f"digit out of range for base {p}: {text!r}")
+            residues.append(_prefix_value(digits, p))
+        point = DigitPoint(tuple(residues), space)
+        space.validate_point(point)
+        return point
 
 
-def _digit_char(d: int) -> str:
-    if d > 9:
-        raise ValueError("digit serialization supports bases up to 10")
-    return str(d)
+def _check_serializable(p: int) -> None:
+    if p > len(_DIGIT_CHARS):
+        raise ValueError(f"digit serialization supports bases up to 36, not {p}")
+
+
+def _prefix_value(digits: Sequence[int], p: int) -> int:
+    """The value of a least-significant-first digit string."""
+    return sum(d * p**k for k, d in enumerate(digits))
 
 
 @dataclass(frozen=True)
@@ -137,9 +193,15 @@ class Cylinder:
     prefixes: tuple[tuple[int, ...], ...]
 
     def contains(self, point: DigitPoint) -> bool:
-        return all(
-            digits[: len(prefix)] == prefix
-            for prefix, digits in zip(self.prefixes, point.digits)
+        moduli, values = self.residue_class(point.space)
+        return all(r % m == v for r, m, v in zip(point.residues, moduli, values))
+
+    def residue_class(self, space: OdometerSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(moduli, values): the cylinder holds the points whose residue mod
+        p_i^k_i equals the value of the length-k_i prefix, in each coordinate."""
+        return (
+            tuple(p ** len(prefix) for prefix, p in zip(self.prefixes, space.bases)),
+            tuple(_prefix_value(prefix, p) for prefix, p in zip(self.prefixes, space.bases)),
         )
 
     def intersect(self, other: "Cylinder") -> "Cylinder | None":
@@ -167,8 +229,7 @@ class Cylinder:
             if not prefix:
                 out.append(())
                 continue
-            value = sum(d * p**k for k, d in enumerate(prefix))
-            out.append(space.digits_of(value + int(v), coord, len(prefix)))
+            out.append(space.digits_of(_prefix_value(prefix, p) + int(v), coord, len(prefix)))
         return Cylinder(tuple(out))
 
     def validate(self, space: OdometerSpace) -> None:
@@ -250,11 +311,13 @@ def measure_from_json(text: str) -> Fraction:
 
 def odometer_add(x: DigitPoint, vector: Sequence[int], space: OdometerSpace) -> DigitPoint:
     """Add an integer vector coordinatewise, with carry, exactly mod p^N."""
-    if len(vector) != space.dimension:
+    moduli = space.moduli
+    if len(vector) != len(moduli):
         raise ValueError("vector has wrong dimension")
     space.validate_point(x)
-    values = space.values_of(x)
-    return space.point_from_values([v + int(g) for v, g in zip(values, vector)])
+    return DigitPoint(
+        tuple([(r + int(g)) % m for r, g, m in zip(x.residues, vector, moduli)]), space
+    )
 
 
 def haar_measure(clopen: ClopenSet, space: OdometerSpace) -> Fraction:
@@ -293,24 +356,44 @@ def refine_common(partitions: Sequence[Sequence[ClopenSet]], space: OdometerSpac
     return atoms
 
 
+def _integer_rows(matrix, space: OdometerSpace) -> tuple[tuple[int, ...], ...]:
+    """The rows of a det +-1 integer matrix acting on ``space``.
+
+    The matrix is validated once per (matrix, space) pair: equal bases,
+    dimension, integer entries and determinant.  The rows are cached on the
+    space under the matrix entries, so a matrix that fails is rejected on
+    every call before any point is acted on.
+    """
+    key = tuple(map(tuple, matrix))
+    rows = space._actions.get(key)
+    if rows is None:
+        mat = linalg.as_matrix(key)
+        if len(set(space.bases)) != 1:
+            raise ValueError("matrix action needs equal bases in all coordinates")
+        if len(mat) != space.dimension:
+            raise ValueError("matrix dimension mismatch")
+        if not linalg.is_integral(mat):
+            raise ValueError("matrix must have integer entries")
+        determinant = linalg.det(mat)
+        if abs(determinant) != 1:
+            raise ValueError(f"matrix determinant {determinant} is not +-1")
+        rows = tuple(tuple(int(v) for v in row) for row in mat)
+        space._actions[key] = rows
+    return rows
+
+
 def matrix_act(matrix, x: DigitPoint, space: OdometerSpace) -> DigitPoint:
     """Act by a det +-1 integer matrix on truncated values, mod p^N.
 
     Requires a single base across coordinates, since the matrix mixes them.
     """
-    mat = linalg.as_matrix(matrix)
-    if len(set(space.bases)) != 1:
-        raise ValueError("matrix action needs equal bases in all coordinates")
-    if len(mat) != space.dimension:
-        raise ValueError("matrix dimension mismatch")
-    if not linalg.is_integral(mat):
-        raise ValueError("matrix must have integer entries")
-    if abs(linalg.det(mat)) != 1:
-        raise ValueError(f"matrix determinant {linalg.det(mat)} is not +-1")
+    rows = _integer_rows(matrix, space)
     space.validate_point(x)
-    values = space.values_of(x)
-    image = linalg.mat_vec(mat, values)
-    return space.point_from_values([int(v) for v in image])
+    modulus = space.moduli[0]
+    residues = x.residues
+    return DigitPoint(
+        tuple([sum([a * r for a, r in zip(row, residues)]) % modulus for row in rows]), space
+    )
 
 
 @dataclass(frozen=True)
@@ -329,24 +412,17 @@ class Verdict:
         return {"pass": self.passed, "detail": self.detail, "witness": witness}
 
 
-def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = 1 << 20) -> Verdict:
+def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = SWEEP_BUDGET) -> Verdict:
     """Verify the matrix action permutes all p^(N d) depth-N points.
 
     A permutation at depth N means every depth-k cylinder pulls back to a set
     of equal Haar measure, which is the truncated form of measure preservation.
     """
-    mat = linalg.as_matrix(matrix)
-    if not linalg.is_integral(mat):
-        raise ValueError("matrix must have integer entries")
-    if abs(linalg.det(mat)) != 1:
-        raise ValueError(f"matrix determinant {linalg.det(mat)} is not +-1")
+    rows = _integer_rows(matrix, space)
     count = space.point_count()
     if count > budget:
         raise ValueError(f"depth sweep needs {count} points, over budget {budget}")
-    if len(set(space.bases)) != 1:
-        raise ValueError("matrix action needs equal bases in all coordinates")
     modulus = space.moduli[0]
-    rows = [[int(v) for v in row] for row in mat]
     seen = set()
     for values in itertools.product(range(modulus), repeat=space.dimension):
         image = tuple(
@@ -358,11 +434,12 @@ def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = 1 << 
     return Verdict(True, f"permutation of {count} depth-{space.depth} points")
 
 
-def minimality_witness(space: OdometerSpace, k: int, budget: int = 1 << 20) -> Verdict:
+def minimality_witness(space: OdometerSpace, k: int, budget: int = SWEEP_BUDGET) -> Verdict:
     """Walk the orbit of zero and confirm every depth-k cylinder is visited.
 
     The odometer orbit is a full cyclic group mod p_i^k in each coordinate, so
-    prod p_i^k steps per coordinate suffice.
+    prod p_i^k steps per coordinate suffice.  A depth-k cylinder is a residue
+    class mod p_i^k in each coordinate.
     """
     if k < 0 or k > space.depth:
         raise ValueError("depth k must lie in [0, N]")
@@ -378,7 +455,7 @@ def minimality_witness(space: OdometerSpace, k: int, budget: int = 1 << 20) -> V
     visited = set()
     for steps in itertools.product(*(range(r) for r in ranges)):
         point = odometer_add(zero, steps, space)
-        visited.add(tuple(digits[:k] for digits in point.digits))
+        visited.add(tuple([r % m for r, m in zip(point.residues, ranges)]))
     if len(visited) != total:
         return Verdict(False, f"only {len(visited)} of {total} depth-{k} cylinders visited")
     return Verdict(True, f"all {total} depth-{k} cylinders visited")

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from orbitlab import cli
 from orbitlab.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -80,6 +84,25 @@ class TestOdometer:
         result = runner.invoke(main, ["odometer", "--matrix", "1 1; 1 1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--depth", "9"], "3^(9*2) = 387420489 points, over budget 1048576"),
+            (["--p", "1"], "all bases must be >= 2"),
+            (["--depth", "0"], "depth must be >= 1"),
+            (["--matrix", "2 0; 0 1"], "integer matrix with det +-1"),
+        ],
+    )
+    def test_invalid_configuration_exits_2_before_any_sweep(self, runner, monkeypatch, args, message):
+        def sweep_started(*_args, **_kwargs):
+            raise AssertionError("a sweep started before the preconditions were checked")
+
+        monkeypatch.setattr(cli, "bijectivity_check_at_depth", sweep_started)
+        result = runner.invoke(main, ["odometer", *args])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert message in result.stderr
+
 
 class TestFunctoriality:
     def test_constant_mode(self, runner):
@@ -112,6 +135,27 @@ class TestReports:
         assert runner.invoke(main, args + ["--out", str(first)]).exit_code == 0
         assert runner.invoke(main, args + ["--out", str(second)]).exit_code == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "fixture, args",
+        [
+            (
+                "odometer_p2_d3_s20_seed5.json",
+                ["odometer", "--p", "2", "--depth", "3", "--samples", "20", "--seed", "5"],
+            ),
+            (
+                "functoriality_constant_p2_d3_n64.json",
+                ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1",
+                 "--p", "2", "--depth", "3", "--n", "64"],
+            ),
+        ],
+    )
+    def test_report_matches_golden(self, runner, fixture, args):
+        # The fixtures pin the report bytes, including every value drawn from
+        # the seeded random stream.
+        result = runner.invoke(main, args + ["--json"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
 
     def test_schema_fields(self, runner):
         result = runner.invoke(

@@ -213,6 +213,18 @@ class TestRecovery:
         inv = recover_invariant_matrix(table, 256, constant=cert.exact_constant)
         assert inv.cohomology_side == linalg.transpose(inv.matrix)
 
+    def test_measure_label_of_odometer_samples(self):
+        space = OdometerSpace((3, 3), 2)
+        pts = [space.zero(), space.point_from_values((4, 5))]
+        table = constant_matrix_cocycle_table([[1, 1], [0, 1]], space, pts)
+        inv = recover_invariant_matrix(table, 9)
+        assert inv.provenance["measure"] == "haar-uniform-sample-average"
+
+    def test_measure_label_of_germ_samples(self):
+        table, cert, _ = realized_table(HALF_SHEAR)
+        inv = recover_invariant_matrix(table, 64, constant=cert.exact_constant)
+        assert inv.provenance["measure"] == "sample-average"
+
     def test_needs_lattice_source(self):
         from orbitlab.groups import FreeGroup
 
