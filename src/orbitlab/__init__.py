@@ -9,8 +9,8 @@ and the exterior-algebra invariant recovered from cocycle growth
 (``invariants``).  The ``cli`` module drives batch verification runs.
 """
 
+from .checks import CheckResult
 from .groups import (
-    BiLipschitzReport,
     BudgetExceeded,
     FreeGroup,
     GeneratingSet,
@@ -23,7 +23,6 @@ from .odometer import (
     DigitPoint,
     OdometerSpace,
     bijectivity_check_at_depth,
-    haar_measure,
     matrix_act,
     minimality_witness,
     odometer_add,
@@ -38,7 +37,6 @@ from .shears import (
     bounded_distance_constant,
     decompose_unimodular,
     extract_bilipschitz_from_cocycle,
-    floor_shear_apply,
     injectivity_check_on_box,
     realize_bilipschitz,
 )

@@ -8,6 +8,7 @@ byte-identical report.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
@@ -17,12 +18,13 @@ import click
 
 from . import linalg
 from .fullgroup import FullGroupElement, ad_realization_check
-from .groups import LatticeGroup
+from .groups import BALL_BUDGET, BudgetExceeded, LatticeGroup
 from .invariants import (
     check_det_pm1,
     functoriality_check,
     multiplicativity_check,
     recover_invariant_matrix,
+    recovery_check,
 )
 from .mapspace import (
     FloorMapSeed,
@@ -48,17 +50,13 @@ from .odometer import (
     Cylinder,
     OdometerSpace,
     bijectivity_check_at_depth,
-    matrix_act,
+    haar_invariance_check,
+    matrix_equivariance_check,
     minimality_witness,
-    odometer_add,
 )
 from .shears import bounded_distance_constant, decompose_unimodular, realize_bilipschitz
 
-SCHEMA = "orbitlab-report/1"
-
-
-class CheckFailure(Exception):
-    pass
+SCHEMA = "orbitlab-report/2"
 
 
 def _emit(report: dict, out, as_json: bool) -> int:
@@ -71,13 +69,13 @@ def _emit(report: dict, out, as_json: bool) -> int:
     else:
         for check in report["checks"]:
             status = "PASS" if check["pass"] else "FAIL"
-            click.echo(f"{status}  {check['id']}  {check.get('notes', '')}".rstrip())
+            click.echo(f"{status}  {check['id']}  {check['notes']}".rstrip())
         click.echo(("all checks passed" if report["pass"] else "FAILURES present"))
     return 0 if report["pass"] else 1
 
 
 def _report(command: str, config: dict, checks: list) -> dict:
-    entries = [c.to_json() if hasattr(c, "to_json") else c for c in checks]
+    entries = [c.to_json() for c in checks]
     return {
         "schema": SCHEMA,
         "command": command,
@@ -87,12 +85,34 @@ def _report(command: str, config: dict, checks: list) -> dict:
     }
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValueError(message)
+
+
+def _refusals_exit_2(fn):
+    """Report a configuration or precondition error as exit 2 with an
+    ``error:`` line, wherever in the run it is raised: ``ValueError`` (which
+    includes ``TruncationError``) or ``BudgetExceeded``."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ValueError, BudgetExceeded) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+    return run
+
+
 @click.group()
 def main():
     """Verification experiments for orbit equivalence at desk scale."""
 
 
 def _common(fn):
+    fn = _refusals_exit_2(fn)
     fn = click.option("--out", type=click.Path(), default=None, help="write the JSON report here")(fn)
     fn = click.option("--json", "as_json", is_flag=True, help="print the JSON report to stdout")(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True, help="random seed")(fn)
@@ -112,33 +132,25 @@ def realize(matrix, n, samples, radius, tol, seed, as_json, out):
         "matrix": matrix, "n": n, "samples": samples, "radius": radius,
         "tol": tol, "seed": seed,
     }
-    try:
-        a = linalg.parse_matrix(matrix)
-        d = len(a)
-        ops = decompose_unimodular(a, Fraction(tol))
-        floor_map = realize_bilipschitz(a, Fraction(tol))
-        cert = bounded_distance_constant(floor_map, a, radius)
-        space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-        table = forward_cocycle_table(space, 2, constant=cert.exact_constant)
-        points = space.slice_members[:samples]
-        invariant = recover_invariant_matrix(table, n, points, constant=cert.exact_constant)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    _require(samples >= 1, "samples must be >= 1")
+    _require(n >= 1, "growth scale n must be >= 1")
+    _require(radius >= 0, "radius must be >= 0")
+    a = linalg.parse_matrix(matrix)
+    d = len(a)
+    ops = decompose_unimodular(a, Fraction(tol))
+    floor_map = realize_bilipschitz(a, Fraction(tol))
+    cert = bounded_distance_constant(floor_map, a, radius)
+    space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
+    table = forward_cocycle_table(space, 2, constant=cert.exact_constant)
+    points = space.slice_members[:samples]
+    invariant = recover_invariant_matrix(table, n, points, constant=cert.exact_constant)
 
-    gap = linalg.max_abs_diff(invariant.matrix, a)
-    bound = cert.exact_constant / n
-    recovery = {
-        "id": "matrix-recovery",
-        "pass": gap <= bound,
-        "gap": float(gap),
-        "bound": float(bound),
-        "notes": f"|M - A|max = {float(gap):.3g} <= C/n = {float(bound):.3g}",
-    }
     det_tol = Fraction(10 * d) * cert.exact_constant / n
-    det_check = check_det_pm1(invariant, det_tol if det_tol > 0 else Fraction(tol))
-    mult = multiplicativity_check(invariant)
-    checks = [recovery, det_check, mult]
+    checks = [
+        recovery_check(invariant, a, cert.exact_constant / n),
+        check_det_pm1(invariant, det_tol if det_tol > 0 else Fraction(tol)),
+        multiplicativity_check(invariant),
+    ]
     report = _report("realize", config, checks)
     report["decomposition"] = [op.to_json() for op in ops]
     report["certificate"] = cert.to_json()
@@ -162,25 +174,27 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
         "translate_radius": translate_radius, "window": window,
         "inject_corruption": inject_corruption, "tol": tol, "seed": seed,
     }
-    try:
-        if matrix is None:
-            seed_map = IdentitySeed(LatticeGroup(dimension))
-        else:
-            a = linalg.parse_matrix(matrix)
-            seed_map = FloorMapSeed(realize_bilipschitz(a, Fraction(tol)))
-        space = build_translate_space(
-            seed_map, radius, translate_radius, offset_radius=window
-        )
-        table = forward_cocycle_table(space, 2 * window)
-        if inject_corruption:
-            corrupt_g = next(g for g in space.source_gens.ball(window) if not g.is_identity())
-            wrong = space.forward_cocycle(corrupt_g, space.slice_members[0]) * _offset_element(space)
-            table = table.with_override(corrupt_g, space.slice_members[0], wrong)
-        eta = orbit_morphism(space, radius=window)
-        d_src = space.source_gens.group.dimension if isinstance(space.source_gens.group, LatticeGroup) else None
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    _require(window >= 0, "window must be >= 0")
+    _require(window <= radius, f"window {window} exceeds the germ radius {radius}")
+    _require(
+        radius + translate_radius <= BALL_BUDGET,
+        f"radius + translate radius = {radius + translate_radius} exceeds the ball budget {BALL_BUDGET}",
+    )
+    if matrix is None:
+        seed_map = IdentitySeed(LatticeGroup(dimension))
+    else:
+        a = linalg.parse_matrix(matrix)
+        seed_map = FloorMapSeed(realize_bilipschitz(a, Fraction(tol)))
+    space = build_translate_space(
+        seed_map, radius, translate_radius, offset_radius=window
+    )
+    table = forward_cocycle_table(space, 2 * window)
+    if inject_corruption:
+        corrupt_g = next(g for g in space.source_gens.ball(window) if not g.is_identity())
+        psi = space.slice_members[0]
+        wrong = space.forward_cocycle(corrupt_g, psi) * space.target_gens.elements[0]
+        table = table.with_override(corrupt_g, psi, wrong)
+    eta = orbit_morphism(space, radius=window)
 
     checks = [
         check_lipschitz_closure(space),
@@ -195,18 +209,12 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
     checks.append(check_inverse_identities(eta, eta.inverse(), window))
     checks.append(check_equivariance(eta, window))
     checks.append(check_inverse_equivariance(eta, window))
-    if d_src is not None:
-        odo = OdometerSpace((2,) * (2 * d_src), 3)
-        _, freeness = force_freeness(space, odo, window)
-        checks.append(freeness)
+    odo = OdometerSpace((2,) * (2 * space.source_gens.group.dimension), 3)
+    _, freeness = force_freeness(space, odo, window)
+    checks.append(freeness)
     report = _report("gromov-check", config, checks)
     report["space"] = space.to_json()
     sys.exit(_emit(report, out, as_json))
-
-
-def _offset_element(space):
-    gens = space.target_gens
-    return gens.elements[0]
 
 
 @main.command(name="odometer")
@@ -223,106 +231,44 @@ def odometer_cmd(matrix, p, depth, samples, window, tol, seed, as_json, out):
         "matrix": matrix, "p": p, "depth": depth, "samples": samples,
         "window": window, "tol": tol, "seed": seed,
     }
-    try:
-        a = linalg.parse_matrix(matrix)
-        d = len(a)
-        space = OdometerSpace((p,) * d, depth)
-        if not linalg.is_integral(a) or abs(linalg.det(a)) != 1:
-            raise ValueError("odometer automorphisms need an integer matrix with det +-1")
-        count = space.point_count()
-        if count > SWEEP_BUDGET:
-            raise ValueError(
-                f"depth sweeps need {p}^({depth}*{d}) = {count} points, over budget {SWEEP_BUDGET}"
-            )
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    _require(samples >= 1, "samples must be >= 1")
+    _require(0 <= window <= BALL_BUDGET, f"window must lie in [0, {BALL_BUDGET}]")
+    a = linalg.parse_matrix(matrix)
+    d = len(a)
+    space = OdometerSpace((p,) * d, depth)
+    _require(
+        linalg.is_integral(a) and abs(linalg.det(a)) == 1,
+        "odometer automorphisms need an integer matrix with det +-1",
+    )
+    count = space.point_count()
+    _require(
+        count <= SWEEP_BUDGET,
+        f"depth sweeps need {p}^({depth}*{d}) = {count} points, over budget {SWEEP_BUDGET}",
+    )
 
+    # The golden reports pin the seeded stream, drawn in this order: sample
+    # points, Haar cylinders, full-group elements.
     rng = random.Random(seed)
-    group = LatticeGroup(d)
-    gens = group.standard_generators()
-    checks = [bijectivity_check_at_depth(a, space).to_json() | {"id": "depth-bijectivity"}]
-
-    witnesses = []
-    tested = 0
     points = [space.random_point(rng) for _ in range(samples)]
-    for g in gens.ball(window):
-        image_g = [int(v) for v in linalg.mat_vec(a, g.coords)]
-        for x in points:
-            lhs = matrix_act(a, odometer_add(x, g.coords, space), space)
-            rhs = odometer_add(matrix_act(a, x, space), image_g, space)
-            tested += 1
-            if lhs != rhs:
-                witnesses.append((g, x))
-    checks.append({
-        "id": "equivariance",
-        "pass": not witnesses,
-        "checked": tested,
-        "witnesses": [repr(w) for w in witnesses[:5]],
-    })
-
-    checks.append(minimality_witness(space, min(2, depth)).to_json() | {"id": "minimality"})
-
-    invariant_witnesses = []
-    swept = 0
     k = min(2, depth)
-    for g in gens.ball(window):
-        for values in _depth_k_reps(space, k, rng, cap=40):
-            cyl = space.depth_cylinder(space.point_from_values(values), k)
-            before = cyl.measure(space)
-            after = cyl.translate(g.coords, space).measure(space)
-            swept += 1
-            if before != after:
-                invariant_witnesses.append((g, values))
-    checks.append({
-        "id": "haar-invariance",
-        "pass": not invariant_witnesses,
-        "checked": swept,
-        "witnesses": [repr(w) for w in invariant_witnesses[:5]],
-    })
-
+    checks = [
+        bijectivity_check_at_depth(a, space),
+        matrix_equivariance_check(a, points, window, space),
+        minimality_witness(space, k),
+        haar_invariance_check(space, window, k, rng),
+    ]
     elements = [_first_coordinate_shuffle(space, rng) for _ in range(6)]
-    ad_vectors = [v for i in range(d) for v in (_basis(d, i, 1), _basis(d, i, -1))][:4]
-    ad_witnesses = []
-    for vec in ad_vectors:
-        ok, witness = ad_realization_check(vec, elements, space)
-        if not ok:
-            ad_witnesses.append((vec, witness))
-    checks.append({
-        "id": "ad-realization",
-        "pass": not ad_witnesses,
-        "checked": len(ad_vectors) * len(elements),
-        "witnesses": [repr(w) for w in ad_witnesses[:5]],
-    })
+    group = LatticeGroup(d)
+    ad_vectors = [group.basis_vector(i, s) for i in range(d) for s in (1, -1)][:4]
+    checks.append(ad_realization_check(ad_vectors, elements, space))
 
-    morphism = matrix_morphism(a, space, points[: max(1, min(8, len(points)))])
-    invariant = recover_invariant_matrix(morphism, 81)
-    exact = invariant.matrix == a
-    checks.append({
-        "id": "constant-invariant-exact",
-        "pass": exact,
-        "notes": "invariant of the constant cocycle equals the matrix exactly",
-    })
+    invariant = recover_invariant_matrix(matrix_morphism(a, space, points[:8]), 81)
+    exact = recovery_check(invariant, a)
+    exact.name = "constant-invariant-exact"
+    checks.append(exact)
     report = _report("odometer", config, checks)
     report["invariant"] = invariant.to_json()
     sys.exit(_emit(report, out, as_json))
-
-
-def _basis(d, i, s):
-    v = [0] * d
-    v[i] = s
-    return tuple(v)
-
-
-def _depth_k_reps(space, k, rng, cap):
-    full = 1
-    for p in space.bases:
-        full *= p**k
-    if full <= cap:
-        import itertools
-
-        return list(itertools.product(*(range(p**k) for p in space.bases)))
-    return [tuple(rng.randrange(p**k) for p in space.bases) for _ in range(cap)]
 
 
 def _first_coordinate_shuffle(space, rng):
@@ -358,32 +304,27 @@ def functoriality(matrices, p, depth, n, samples, tol, seed, as_json, out):
         "matrices": list(matrices), "p": p, "depth": depth, "n": n,
         "samples": samples, "tol": tol, "seed": seed,
     }
-    if len(matrices) != 2:
-        click.echo("error: give --matrix exactly twice", err=True)
-        sys.exit(2)
-    try:
-        first = linalg.parse_matrix(matrices[0])
-        second = linalg.parse_matrix(matrices[1])
-        if len(first) != len(second):
-            raise ValueError("matrices must share a dimension")
-        constant_mode = (
-            linalg.is_integral(first)
-            and linalg.is_integral(second)
-            and abs(linalg.det(first)) == 1
-            and abs(linalg.det(second)) == 1
-        )
-        rng = random.Random(seed)
-        if constant_mode:
-            space = OdometerSpace((p,) * len(first), depth)
-            points = [space.random_point(rng) for _ in range(max(1, samples))]
-            eta = matrix_morphism(first, space, points)
-            theta = matrix_morphism(second, space, points)
-        else:
-            eta = _realized_morphism(first, Fraction(tol))
-            theta = _realized_morphism(second, Fraction(tol))
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    _require(len(matrices) == 2, "give --matrix exactly twice")
+    _require(samples >= 1, "samples must be >= 1")
+    _require(n >= 1, "growth scale n must be >= 1")
+    first = linalg.parse_matrix(matrices[0])
+    second = linalg.parse_matrix(matrices[1])
+    _require(len(first) == len(second), "matrices must share a dimension")
+    constant_mode = (
+        linalg.is_integral(first)
+        and linalg.is_integral(second)
+        and abs(linalg.det(first)) == 1
+        and abs(linalg.det(second)) == 1
+    )
+    rng = random.Random(seed)
+    if constant_mode:
+        space = OdometerSpace((p,) * len(first), depth)
+        points = [space.random_point(rng) for _ in range(samples)]
+        eta = matrix_morphism(first, space, points)
+        theta = matrix_morphism(second, space, points)
+    else:
+        eta = _realized_morphism(first, Fraction(tol))
+        theta = _realized_morphism(second, Fraction(tol))
 
     result = functoriality_check(eta, theta, n)
     checks = [result]

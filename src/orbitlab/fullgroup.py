@@ -14,6 +14,7 @@ import itertools
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
+from .checks import CheckResult
 from .odometer import (
     SWEEP_BUDGET,
     ClopenSet,
@@ -248,17 +249,27 @@ def spatial_realization_gap(
     return None
 
 
-def ad_realization_check(vector, sample: Sequence[FullGroupElement], space: OdometerSpace):
+def ad_realization_check(vectors, sample: Sequence[FullGroupElement], space: OdometerSpace) -> CheckResult:
     """Check that conjugation by a group element is spatially realized by the
     corresponding translation: (g t g^-1)(x + g) == t(x) + g on all depth-N
-    points, for every sampled t.  Returns (passed, witness) where the witness
-    names the failing element and point.
+    points, for every vector g and every sampled t.  ``checked`` counts the
+    (vector, element) pairs; a witness names the vector, the element and the
+    first point where the two sides differ.
     """
     for t in sample:
         if t.space != space:
             raise ValueError("sample element lives on a different space")
-        conjugated = conjugate_by_translation(t, vector)
-        gap = spatial_realization_gap(conjugated, t, vector, space)
-        if gap is not None:
-            return False, (t, gap)
-    return True, None
+    witnesses = []
+    for vector in vectors:
+        for t in sample:
+            conjugated = conjugate_by_translation(t, vector)
+            gap = spatial_realization_gap(conjugated, t, vector, space)
+            if gap is not None:
+                witnesses.append((vector, t, gap))
+    return CheckResult(
+        name="ad-realization",
+        passed=not witnesses,
+        checked=len(vectors) * len(sample),
+        witnesses=witnesses,
+        coverage={"vectors": len(vectors), "elements": len(sample), "points": space.point_count()},
+    )

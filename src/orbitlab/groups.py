@@ -7,15 +7,19 @@ balls by breadth-first search, memoizes word lengths, and certifies
 bi-Lipschitz behaviour of maps on those balls.
 
 All values are immutable; the only mutable state is the per-generating-set
-BFS memo, which is guarded by a lock.
+BFS memo.
 """
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable, Iterable
 
+from .checks import CheckResult
+
 _SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
+
+# The largest ball radius a generating set enumerates by default.
+BALL_BUDGET = 32
 
 
 class BudgetExceeded(RuntimeError):
@@ -199,12 +203,6 @@ class FreeWord:
         )
 
 
-def element_from_json(group, data):
-    if isinstance(group, LatticeGroup):
-        return group.element(data)
-    return group.word(data)
-
-
 class GeneratingSet:
     """A finite symmetric generating set with BFS word metrics.
 
@@ -216,7 +214,7 @@ class GeneratingSet:
     and the two are cross-checked in the test suite.
     """
 
-    def __init__(self, elements, *, ball_budget: int = 32, generation_check_radius: int = 2):
+    def __init__(self, elements, *, ball_budget: int = BALL_BUDGET, generation_check_radius: int = 2):
         elements = tuple(elements)
         if not elements:
             raise ValueError("generating set must be nonempty")
@@ -232,7 +230,6 @@ class GeneratingSet:
         self.elements = tuple(sorted(pool, key=lambda e: e.sort_key()))
         self.ball_budget = ball_budget
         self._is_standard = self._detect_standard()
-        self._lock = threading.Lock()
         self._lengths: dict = {group.identity(): 0}
         self._frontier: list = [group.identity()]
         self._explored = 0
@@ -270,18 +267,17 @@ class GeneratingSet:
 
     def _expand(self, radius: int):
         """Grow the BFS memo to the given radius; returns the memo dict."""
-        with self._lock:
-            while self._explored < radius and self._frontier:
-                next_frontier = []
-                for g in self._frontier:
-                    for s in self.elements:
-                        h = g * s
-                        if h not in self._lengths:
-                            self._lengths[h] = self._explored + 1
-                            next_frontier.append(h)
-                self._frontier = next_frontier
-                self._explored += 1
-            return self._lengths
+        while self._explored < radius and self._frontier:
+            next_frontier = []
+            for g in self._frontier:
+                for s in self.elements:
+                    h = g * s
+                    if h not in self._lengths:
+                        self._lengths[h] = self._explored + 1
+                        next_frontier.append(h)
+            self._frontier = next_frontier
+            self._explored += 1
+        return self._lengths
 
     def ball(self, radius: int) -> tuple:
         """All elements of word length <= radius, in deterministic (lexicographic) order."""
@@ -329,56 +325,20 @@ class GeneratingSet:
         return [e.to_json() for e in self.elements]
 
 
-class BiLipschitzReport:
-    """Outcome of a two-sided Lipschitz sweep over a ball.
-
-    ``lower``/``upper`` are the tightest empirical constants: the min and max
-    of d(f(g), f(h)) / d(g, h) over distinct pairs.  ``witness`` is a pair
-    violating one of the two inequalities for the requested constant.
-    """
-
-    __slots__ = ("passed", "radius", "constant", "lower", "upper", "witness")
-
-    def __init__(self, passed, radius, constant, lower, upper, witness):
-        self.passed = passed
-        self.radius = radius
-        self.constant = constant
-        self.lower = lower
-        self.upper = upper
-        self.witness = witness
-
-    def __bool__(self):
-        return self.passed
-
-    def __repr__(self):
-        status = "pass" if self.passed else f"fail at {self.witness}"
-        return f"BiLipschitzReport({status}, lower={self.lower}, upper={self.upper})"
-
-    def to_json(self):
-        return {
-            "pass": self.passed,
-            "radius": self.radius,
-            "constant": float(self.constant),
-            "lower": self.lower,
-            "upper": self.upper,
-            "witness": None
-            if self.witness is None
-            else [self.witness[0].to_json(), self.witness[1].to_json()],
-        }
-
-
 def is_bilipschitz_on_ball(
     f: Callable,
     radius: int,
     constant: float,
     source: GeneratingSet,
     target: GeneratingSet,
-) -> BiLipschitzReport:
+) -> CheckResult:
     """Check C^-1 d(g,h) <= d(f g, f h) <= C d(g,h) for all pairs in the ball.
 
-    Returns a report carrying the first witness pair on failure and the
-    empirical distortion range either way.  Raises ValueError if ``f`` is
-    undefined on some ball element.
+    ``checked`` counts the pairs of distinct ball elements.  The first pair
+    violating one of the two inequalities is the witness.  ``coverage``
+    holds the radius, the constant and the empirical distortion range:
+    ``lower``/``upper`` are the min and max of d(f(g), f(h)) / d(g, h).
+    Raises ValueError if ``f`` is undefined on some ball element.
     """
     if constant <= 0:
         raise ValueError("Lipschitz constant must be positive")
@@ -391,15 +351,21 @@ def is_bilipschitz_on_ball(
             raise ValueError(f"map undefined on ball element {g!r}: {exc}") from exc
     lower = None
     upper = None
-    witness = None
-    passed = True
+    witnesses = []
+    checked = 0
     for a, b in itertools.combinations(members, 2):
         d_src = source.word_metric(a, b)
         d_tgt = target.word_metric(images[a], images[b])
         ratio = d_tgt / d_src
         lower = ratio if lower is None else min(lower, ratio)
         upper = ratio if upper is None else max(upper, ratio)
-        if passed and not (d_src <= constant * d_tgt and d_tgt <= constant * d_src):
-            passed = False
-            witness = (a, b)
-    return BiLipschitzReport(passed, radius, constant, lower, upper, witness)
+        checked += 1
+        if not witnesses and not (d_src <= constant * d_tgt and d_tgt <= constant * d_src):
+            witnesses.append((a, b))
+    return CheckResult(
+        name="bilipschitz",
+        passed=not witnesses,
+        checked=checked,
+        witnesses=witnesses,
+        coverage={"R": radius, "constant": float(constant), "lower": lower, "upper": upper},
+    )

@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
+from .checks import CheckResult
 from .groups import LatticeGroup
-from .mapspace import CheckResult, CocycleTable
+from .mapspace import CocycleTable
 from .morphisms import Morphism, compose_morphisms
 from .odometer import DigitPoint
 
@@ -258,6 +259,32 @@ def recover_invariant_matrix(
             "cocycle": cocycle.kind,
             "measure": measure,
         },
+    )
+
+
+def recovery_check(invariant: InvariantMatrix, matrix, bound=0) -> CheckResult:
+    """The recovered invariant lies within ``bound`` of ``matrix`` entrywise.
+
+    One matrix comparison; each entry off by more than the bound is a
+    witness.  The default bound 0 asks for exact recovery, as a constant
+    cocycle gives; a cocycle within distance C of the matrix gets C/n.
+    """
+    a = linalg.as_matrix(matrix)
+    bound = linalg.as_scalar(bound)
+    gap = linalg.max_abs_diff(invariant.matrix, a)
+    witnesses = [
+        ((i, j), str(m), str(x))
+        for i, (m_row, a_row) in enumerate(zip(invariant.matrix, a))
+        for j, (m, x) in enumerate(zip(m_row, a_row))
+        if abs(m - x) > bound
+    ]
+    return CheckResult(
+        name="matrix-recovery",
+        passed=not witnesses,
+        checked=1,
+        witnesses=witnesses,
+        coverage={"gap": float(gap), "bound": float(bound)},
+        notes=f"|M - A|max = {float(gap):.3g} {'>' if witnesses else '<='} C/n = {float(bound):.3g}",
     )
 
 

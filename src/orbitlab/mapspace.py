@@ -16,10 +16,10 @@ raises :class:`TruncationError` instead of extrapolating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .checks import CheckResult
 from .groups import GeneratingSet, LatticeGroup, is_bilipschitz_on_ball
 from .odometer import OdometerSpace, odometer_add
 from .shears import FloorMap
@@ -171,29 +171,6 @@ class MapGerm:
             "table": [[g.to_json(), v.to_json()] for g, v in sorted(
                 self.table.items(), key=lambda kv: kv[0].sort_key()
             )],
-        }
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    checked: int
-    witnesses: list = field(default_factory=list)
-    coverage: dict = field(default_factory=dict)
-    notes: str = ""
-
-    def __bool__(self):
-        return self.passed
-
-    def to_json(self):
-        return {
-            "id": self.name,
-            "pass": self.passed,
-            "checked": self.checked,
-            "witnesses": [repr(w) for w in self.witnesses[:5]],
-            "coverage": self.coverage,
-            "notes": self.notes,
         }
 
 
@@ -684,7 +661,7 @@ def check_lipschitz_closure(space: TruncatedMapSpace) -> CheckResult:
             germ.value, germ.radius, constant, space.source_gens, space.target_gens
         )
         if not report.passed:
-            witnesses.append((germ, report.witness))
+            witnesses.append((germ, report.witnesses[0]))
     return CheckResult(
         name="lipschitz-closure",
         passed=not witnesses,

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import linalg
+from .checks import CheckResult
 from .groups import GeneratingSet, LatticeGroup
 from .mapspace import (
-    CheckResult,
     CocycleTable,
     MapGerm,
     TruncatedMapSpace,

@@ -16,12 +16,15 @@ cylinder when its residue mod p^k equals the value of each length-k prefix.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
+from .checks import CheckResult
+from .groups import LatticeGroup
 
 # The most depth-N points (or depth-k cylinders) an exhaustive sweep visits.
 SWEEP_BUDGET = 1 << 20
@@ -301,14 +304,6 @@ class ClopenSet:
         return [c.to_json() for c in self.cylinders]
 
 
-def measure_to_json(measure: Fraction) -> str:
-    return f"{measure.numerator}/{measure.denominator}"
-
-
-def measure_from_json(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def odometer_add(x: DigitPoint, vector: Sequence[int], space: OdometerSpace) -> DigitPoint:
     """Add an integer vector coordinatewise, with carry, exactly mod p^N."""
     moduli = space.moduli
@@ -318,11 +313,6 @@ def odometer_add(x: DigitPoint, vector: Sequence[int], space: OdometerSpace) -> 
     return DigitPoint(
         tuple([(r + int(g)) % m for r, g, m in zip(x.residues, vector, moduli)]), space
     )
-
-
-def haar_measure(clopen: ClopenSet, space: OdometerSpace) -> Fraction:
-    clopen.validate(space)
-    return clopen.measure(space)
 
 
 def _check_partition(parts: Sequence[ClopenSet], space: OdometerSpace) -> None:
@@ -396,27 +386,12 @@ def matrix_act(matrix, x: DigitPoint, space: OdometerSpace) -> DigitPoint:
     )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    detail: str
-    witness: object = None
-
-    def __bool__(self):
-        return self.passed
-
-    def to_json(self):
-        witness = self.witness
-        if witness is not None and hasattr(witness, "to_json"):
-            witness = witness.to_json()
-        return {"pass": self.passed, "detail": self.detail, "witness": witness}
-
-
-def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = SWEEP_BUDGET) -> Verdict:
+def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = SWEEP_BUDGET) -> CheckResult:
     """Verify the matrix action permutes all p^(N d) depth-N points.
 
     A permutation at depth N means every depth-k cylinder pulls back to a set
     of equal Haar measure, which is the truncated form of measure preservation.
+    ``checked`` counts the points swept; a collision stops the sweep.
     """
     rows = _integer_rows(matrix, space)
     count = space.point_count()
@@ -424,27 +399,41 @@ def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = SWEEP
         raise ValueError(f"depth sweep needs {count} points, over budget {budget}")
     modulus = space.moduli[0]
     seen = set()
+    witnesses = []
     for values in itertools.product(range(modulus), repeat=space.dimension):
         image = tuple(
             sum(r * v for r, v in zip(row, values)) % modulus for row in rows
         )
         if image in seen:
-            return Verdict(False, "collision at depth-N image", witness=values)
+            witnesses.append(values)
+            break
         seen.add(image)
-    return Verdict(True, f"permutation of {count} depth-{space.depth} points")
+    return CheckResult(
+        name="depth-bijectivity",
+        passed=not witnesses,
+        checked=len(seen) + len(witnesses),
+        witnesses=witnesses,
+        coverage={"N": space.depth},
+        notes="collision at depth-N image" if witnesses
+        else f"permutation of {count} depth-{space.depth} points",
+    )
 
 
-def minimality_witness(space: OdometerSpace, k: int, budget: int = SWEEP_BUDGET) -> Verdict:
+def minimality_witness(space: OdometerSpace, k: int, budget: int = SWEEP_BUDGET) -> CheckResult:
     """Walk the orbit of zero and confirm every depth-k cylinder is visited.
 
     The odometer orbit is a full cyclic group mod p_i^k in each coordinate, so
     prod p_i^k steps per coordinate suffice.  A depth-k cylinder is a residue
-    class mod p_i^k in each coordinate.
+    class mod p_i^k in each coordinate.  ``checked`` counts the orbit steps
+    walked; the witnesses of a failure are the residue classes not visited.
     """
     if k < 0 or k > space.depth:
         raise ValueError("depth k must lie in [0, N]")
     if k == 0:
-        return Verdict(True, "depth 0 has a single cylinder")
+        return CheckResult(
+            name="minimality", passed=True, checked=0, coverage={"k": 0},
+            notes="depth 0 has a single cylinder",
+        )
     ranges = [p**k for p in space.bases]
     total = 1
     for r in ranges:
@@ -456,9 +445,78 @@ def minimality_witness(space: OdometerSpace, k: int, budget: int = SWEEP_BUDGET)
     for steps in itertools.product(*(range(r) for r in ranges)):
         point = odometer_add(zero, steps, space)
         visited.add(tuple([r % m for r, m in zip(point.residues, ranges)]))
-    if len(visited) != total:
-        return Verdict(False, f"only {len(visited)} of {total} depth-{k} cylinders visited")
-    return Verdict(True, f"all {total} depth-{k} cylinders visited")
+    missing = [] if len(visited) == total else [
+        c for c in itertools.product(*(range(r) for r in ranges)) if c not in visited
+    ]
+    return CheckResult(
+        name="minimality",
+        passed=not missing,
+        checked=total,
+        witnesses=missing,
+        coverage={"k": k},
+        notes=f"only {len(visited)} of {total} depth-{k} cylinders visited" if missing
+        else f"all {total} depth-{k} cylinders visited",
+    )
+
+
+def matrix_equivariance_check(
+    matrix, points: Sequence[DigitPoint], radius: int, space: OdometerSpace
+) -> CheckResult:
+    """A (x + g) == A x + A g, exactly mod p^N, for every sampled point x and
+    every g in the radius ball of the standard generators of Z^d."""
+    mat = linalg.as_matrix(matrix)
+    checked = 0
+    witnesses = []
+    for g in LatticeGroup(space.dimension).standard_generators().ball(radius):
+        image_g = [int(v) for v in linalg.mat_vec(mat, g.coords)]
+        for x in points:
+            lhs = matrix_act(matrix, odometer_add(x, g.coords, space), space)
+            rhs = odometer_add(matrix_act(matrix, x, space), image_g, space)
+            checked += 1
+            if lhs != rhs:
+                witnesses.append((g, x))
+    return CheckResult(
+        name="equivariance",
+        passed=not witnesses,
+        checked=checked,
+        witnesses=witnesses,
+        coverage={"W": radius, "points": len(points)},
+    )
+
+
+# Depth-k cylinders drawn per group element when there are more than this.
+_HAAR_SAMPLE = 40
+
+
+def haar_invariance_check(space: OdometerSpace, radius: int, k: int, rng) -> CheckResult:
+    """Translating a depth-k cylinder by g keeps its Haar measure, for every g
+    in the radius ball of the standard generators of Z^d.
+
+    Each g sweeps every depth-k cylinder when there are at most
+    ``_HAAR_SAMPLE`` of them, and otherwise that many drawn from ``rng``.
+    """
+    full = math.prod(p**k for p in space.bases)
+    checked = 0
+    witnesses = []
+    for g in LatticeGroup(space.dimension).standard_generators().ball(radius):
+        if full <= _HAAR_SAMPLE:
+            reps = itertools.product(*(range(p**k) for p in space.bases))
+        else:
+            reps = [tuple(rng.randrange(p**k) for p in space.bases) for _ in range(_HAAR_SAMPLE)]
+        for values in reps:
+            cyl = space.depth_cylinder(space.point_from_values(values), k)
+            before = cyl.measure(space)
+            after = cyl.translate(g.coords, space).measure(space)
+            checked += 1
+            if before != after:
+                witnesses.append((g, values))
+    return CheckResult(
+        name="haar-invariance",
+        passed=not witnesses,
+        checked=checked,
+        witnesses=witnesses,
+        coverage={"W": radius, "k": k},
+    )
 
 
 def wandering_check(clopen: ClopenSet, radius: int, space: OdometerSpace):

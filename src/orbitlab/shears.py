@@ -13,6 +13,7 @@ reconstruction check compares matrices entrywise over the rationals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
+from .checks import CheckResult
 from .groups import GeneratingSet, is_bilipschitz_on_ball
 
 _PIVOT_FLOOR = Fraction(1, 10**12)
@@ -105,10 +107,6 @@ def product_matrix(ops: Sequence[ElementaryOp], d: int) -> linalg.Matrix:
     for op in ops:
         out = linalg.mat_mul(out, op.matrix(d))
     return out
-
-
-def floor_shear_apply(op: Shear, v: Sequence[int]) -> tuple[int, ...]:
-    return op.apply_int(tuple(int(c) for c in v))
 
 
 def decompose_unimodular(matrix, tol=1e-9) -> list[ElementaryOp]:
@@ -299,7 +297,7 @@ def bounded_distance_constant(
     common_den = 1
     for row in a:
         for x in row:
-            common_den = common_den * x.denominator // _gcd(common_den, x.denominator)
+            common_den = common_den * x.denominator // math.gcd(common_den, x.denominator)
     int_a = [[int(x * common_den) for x in row] for row in a]
     max_entry = max((abs(e) for row in int_a for e in row), default=0)
 
@@ -337,34 +335,13 @@ def bounded_distance_constant(
     )
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-@dataclass(frozen=True)
-class InjectivityReport:
-    passed: bool
-    radius: int
-    witness: tuple | None
-
-    def __bool__(self):
-        return self.passed
-
-    def to_json(self):
-        return {
-            "pass": self.passed,
-            "R": self.radius,
-            "witness": None if self.witness is None else [list(v) for v in self.witness],
-        }
-
-
-def injectivity_check_on_box(f, radius: int, dimension: int | None = None) -> InjectivityReport:
+def injectivity_check_on_box(f, radius: int, dimension: int | None = None) -> CheckResult:
     """Exhaustively check injectivity of an integer map on [-R, R]^d.
 
     Accepts a FloorMap or any callable on integer tuples (the falsifiable
-    route; FloorMaps are bijective by construction).
+    route; FloorMaps are bijective by construction).  ``checked`` counts the
+    points swept; a collision stops the sweep, and its witness is the pair
+    of points with one image.
     """
     if dimension is None:
         if not isinstance(f, FloorMap):
@@ -376,11 +353,19 @@ def injectivity_check_on_box(f, radius: int, dimension: int | None = None) -> In
     else:
         images = [tuple(int(c) for c in f(tuple(row))) for row in points.tolist()]
     seen: dict[tuple, tuple] = {}
+    witnesses = []
     for row, image in zip(points.tolist(), images):
         if image in seen:
-            return InjectivityReport(False, radius, (seen[image], tuple(row)))
+            witnesses.append((seen[image], tuple(row)))
+            break
         seen[image] = tuple(row)
-    return InjectivityReport(True, radius, None)
+    return CheckResult(
+        name="injectivity",
+        passed=not witnesses,
+        checked=len(seen) + len(witnesses),
+        witnesses=witnesses,
+        coverage={"R": radius, "dimension": dimension},
+    )
 
 
 @dataclass(frozen=True)
@@ -389,7 +374,7 @@ class ExtractedMap:
 
     mapping: dict
     constant: int
-    report: object
+    report: CheckResult
 
     def __call__(self, g):
         return self.mapping[g]

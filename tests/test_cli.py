@@ -6,8 +6,45 @@ from click.testing import CliRunner
 
 from orbitlab import cli
 from orbitlab.cli import main
+from orbitlab.groups import BudgetExceeded
+from orbitlab.mapspace import TruncationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+GOLDEN = [
+    (
+        "odometer_p2_d3_s20_seed5.json",
+        ["odometer", "--p", "2", "--depth", "3", "--samples", "20", "--seed", "5"],
+    ),
+    (
+        "functoriality_constant_p2_d3_n64.json",
+        ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1",
+         "--p", "2", "--depth", "3", "--n", "64"],
+    ),
+    (
+        "gromov_shear_r4_t3_w1.json",
+        ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "4",
+         "--translate-radius", "3", "--window", "1"],
+    ),
+    (
+        "realize_half_shear_n1024_r25.json",
+        ["realize", "--matrix", "1 0.5; 0 1", "--n", "1024", "--radius", "25"],
+    ),
+]
+
+
+def invoke_refused(runner, monkeypatch, argv):
+    """Run a command with every entry point of real work patched to fail."""
+
+    def work_started(*_args, **_kwargs):
+        raise AssertionError("work started before the preconditions were checked")
+
+    for name in (
+        "bijectivity_check_at_depth", "bounded_distance_constant", "build_translate_space",
+        "decompose_unimodular", "matrix_morphism",
+    ):
+        monkeypatch.setattr(cli, name, work_started)
+    return runner.invoke(main, argv)
 
 
 @pytest.fixture
@@ -91,14 +128,12 @@ class TestOdometer:
             (["--p", "1"], "all bases must be >= 2"),
             (["--depth", "0"], "depth must be >= 1"),
             (["--matrix", "2 0; 0 1"], "integer matrix with det +-1"),
+            (["--samples", "0"], "samples must be >= 1"),
+            (["--window", "-1"], "window must lie in [0, 32]"),
         ],
     )
     def test_invalid_configuration_exits_2_before_any_sweep(self, runner, monkeypatch, args, message):
-        def sweep_started(*_args, **_kwargs):
-            raise AssertionError("a sweep started before the preconditions were checked")
-
-        monkeypatch.setattr(cli, "bijectivity_check_at_depth", sweep_started)
-        result = runner.invoke(main, ["odometer", *args])
+        result = invoke_refused(runner, monkeypatch, ["odometer", *args])
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: ")
         assert message in result.stderr
@@ -127,6 +162,53 @@ class TestFunctoriality:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gromov-check", "--radius", "2", "--window", "3"], "window 3 exceeds the germ radius 2"),
+        (["gromov-check", "--window", "-1"], "window must be >= 0"),
+        (
+            ["gromov-check", "--radius", "40", "--translate-radius", "2", "--window", "1"],
+            "radius + translate radius = 42 exceeds the ball budget 32",
+        ),
+        (
+            ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1", "--samples", "0"],
+            "samples must be >= 1",
+        ),
+        (
+            ["functoriality", "--matrix", "1 0.5; 0 1", "--matrix", "1 0; 0.25 1", "--samples", "0"],
+            "samples must be >= 1",
+        ),
+        (
+            ["functoriality", "--matrix", "1 0.5; 0 1", "--matrix", "1 0; 0.25 1", "--n", "0"],
+            "growth scale n must be >= 1",
+        ),
+        (["realize", "--matrix", "1 0.5; 0 1", "--samples", "0"], "samples must be >= 1"),
+        (["realize", "--matrix", "1 0.5; 0 1", "--n", "0"], "growth scale n must be >= 1"),
+        (["realize", "--matrix", "1 0.5; 0 1", "--radius", "-1"], "radius must be >= 0"),
+    ],
+)
+def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, argv, message):
+    result = invoke_refused(runner, monkeypatch, argv)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("error", [TruncationError, BudgetExceeded])
+def test_error_raised_mid_run_exits_2(runner, monkeypatch, error):
+    def refuse(*_args, **_kwargs):
+        raise error("refused mid-run")
+
+    monkeypatch.setattr(cli, "check_fundamental_domain", refuse)
+    result = runner.invoke(
+        main,
+        ["gromov-check", "--radius", "1", "--translate-radius", "1", "--window", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: refused mid-run\n"
+
+
 class TestReports:
     def test_byte_identical_given_seed(self, runner, tmp_path):
         args = ["odometer", "--p", "2", "--depth", "3", "--samples", "20", "--seed", "5"]
@@ -136,20 +218,7 @@ class TestReports:
         assert runner.invoke(main, args + ["--out", str(second)]).exit_code == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize(
-        "fixture, args",
-        [
-            (
-                "odometer_p2_d3_s20_seed5.json",
-                ["odometer", "--p", "2", "--depth", "3", "--samples", "20", "--seed", "5"],
-            ),
-            (
-                "functoriality_constant_p2_d3_n64.json",
-                ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1",
-                 "--p", "2", "--depth", "3", "--n", "64"],
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("fixture, args", GOLDEN)
     def test_report_matches_golden(self, runner, fixture, args):
         # The fixtures pin the report bytes, including every value drawn from
         # the seeded random stream.
@@ -162,7 +231,15 @@ class TestReports:
             main, ["odometer", "--p", "2", "--depth", "3", "--samples", "10", "--json"]
         )
         report = json.loads(result.output)
-        assert report["schema"] == "orbitlab-report/1"
+        assert report["schema"] == "orbitlab-report/2"
         assert report["command"] == "odometer"
         assert isinstance(report["config"], dict)
         assert all("id" in c and "pass" in c for c in report["checks"])
+
+    @pytest.mark.parametrize("fixture, args", GOLDEN, ids=[args[0] for _, args in GOLDEN])
+    def test_every_check_entry_has_one_shape(self, runner, fixture, args):
+        result = runner.invoke(main, args + ["--json"])
+        report = json.loads(result.output)
+        assert report["checks"]
+        for entry in report["checks"]:
+            assert set(entry) == {"id", "pass", "checked", "witnesses", "coverage", "notes"}, entry

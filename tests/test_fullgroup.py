@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orbitlab import fullgroup
 from orbitlab.fullgroup import (
     FullGroupElement,
     ad_realization_check,
@@ -126,23 +127,22 @@ class TestAlgebra:
 
 class TestAdRealization:
     def test_identity_element_trivial(self):
-        ok, witness = ad_realization_check((0,), [FullGroupElement.identity(SPACE)], SPACE)
-        assert ok and witness is None
+        result = ad_realization_check([(0,)], [FullGroupElement.identity(SPACE)], SPACE)
+        assert result.passed and not result.witnesses
 
     def test_swap_conjugated_by_one(self):
         sp = OdometerSpace((2,), 3)
         swap = FullGroupElement.make(
             sp, [(Cylinder(((0,),)), (1,)), (Cylinder(((1,),)), (-1,))]
         )
-        ok, _ = ad_realization_check((1,), [swap], sp)
-        assert ok
+        assert ad_realization_check([(1,)], [swap], sp).passed
 
     def test_random_sample_all_small_shifts(self):
         rng = random.Random(11)
         sample = [random_residue_element(rng, SPACE) for _ in range(5)]
         for vec in ((1,), (-1,), (2,), (-2,)):
-            ok, witness = ad_realization_check(vec, sample, SPACE)
-            assert ok, (vec, witness)
+            result = ad_realization_check([vec], sample, SPACE)
+            assert result.passed, (vec, result.witnesses)
 
     def test_corrupted_conjugate_fails(self):
         rng = random.Random(12)
@@ -152,6 +152,26 @@ class TestAdRealization:
             SPACE, tuple((cl, (label[0] + 4,)) for cl, label in conj.pieces)
         )
         assert spatial_realization_gap(corrupted, t, (1,), SPACE) is not None
+
+
+    def test_corrupted_conjugate_fails_the_check_with_witness(self, monkeypatch):
+        rng = random.Random(12)
+        sample = [random_residue_element(rng, SPACE) for _ in range(3)]
+        honest = fullgroup.conjugate_by_translation
+
+        def corrupted(t, vector):
+            conj = honest(t, vector)
+            return FullGroupElement(
+                SPACE, tuple((cl, (label[0] + 4,)) for cl, label in conj.pieces)
+            )
+
+        monkeypatch.setattr(fullgroup, "conjugate_by_translation", corrupted)
+        result = ad_realization_check([(1,), (-2,)], sample, SPACE)
+        assert not result.passed
+        assert result.checked == 2 * 3
+        assert len(result.witnesses) == 2 * 3
+        vector, t, x = result.witnesses[0]
+        assert vector == (1,) and t is sample[0] and x in POINTS
 
 
 class TestSerialization:

@@ -13,6 +13,7 @@ from orbitlab.invariants import (
     functoriality_check,
     multiplicativity_check,
     recover_invariant_matrix,
+    recovery_check,
     wedge,
 )
 from orbitlab.mapspace import (
@@ -181,6 +182,17 @@ class TestRecovery:
         gap = linalg.max_abs_diff(inv.matrix, floor_map.target)
         assert gap <= cert.exact_constant / 1024
         assert inv.error_bound == float(cert.exact_constant / 1024)
+
+    def test_recovery_check_wrong_matrix_fails_with_witness(self):
+        space = OdometerSpace((3, 3), 4)
+        table = constant_matrix_cocycle_table([[1, 1], [0, 1]], space, [space.zero()])
+        inv = recover_invariant_matrix(table, 81)
+        assert recovery_check(inv, [[1, 1], [0, 1]]).passed
+        result = recovery_check(inv, [[1, 0], [0, 1]])
+        assert not result.passed
+        assert result.witnesses == [((0, 1), "1", "0")]
+        assert result.coverage["gap"] == 1
+        assert result.notes == "|M - A|max = 1 > C/n = 0"
 
     def test_error_envelope_decays(self):
         # single shears keep the cocycle gap one-signed, so the C/n envelope

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitlab import linalg
+from orbitlab import linalg, odometer
 from orbitlab.fullgroup import FullGroupElement, compose
 from orbitlab.odometer import (
     ClopenSet,
@@ -13,8 +13,9 @@ from orbitlab.odometer import (
     DigitPoint,
     OdometerSpace,
     bijectivity_check_at_depth,
-    haar_measure,
+    haar_invariance_check,
     matrix_act,
+    matrix_equivariance_check,
     minimality_witness,
     odometer_add,
     refine_common,
@@ -100,35 +101,43 @@ class TestAdd:
             odometer_add(sp.zero(), (1, 1), sp)
 
     def test_measure_serialization(self):
-        from orbitlab.odometer import measure_from_json, measure_to_json
-
         sp = OdometerSpace((3, 3), 4)
         cyl = ClopenSet((Cylinder(((0, 1), (2, 2))),))
-        text = measure_to_json(haar_measure(cyl, sp))
+        text = str(cyl.measure(sp))
         assert text == "1/81"
-        assert measure_from_json(text) == Fraction(1, 81)
+        assert Fraction(text) == Fraction(1, 81)
 
 
 class TestMeasure:
     def test_whole_space(self):
         sp = OdometerSpace((3, 3), 4)
-        assert haar_measure(sp.whole_space(), sp) == 1
+        assert sp.whole_space().measure(sp) == 1
 
     def test_depth_two_prefix_both_coords(self):
         sp = OdometerSpace((3, 3), 4)
         cyl = ClopenSet((Cylinder(((0, 1), (2, 2))),))
-        assert haar_measure(cyl, sp) == Fraction(1, 81)
+        assert cyl.measure(sp) == Fraction(1, 81)
 
     def test_additivity(self):
         sp = OdometerSpace((2,), 3)
         one = Cylinder(((0,),))
         other = Cylinder(((1, 0),))
         union = ClopenSet((one, other))
-        assert haar_measure(union, sp) == one.measure(sp) + other.measure(sp)
+        assert union.measure(sp) == one.measure(sp) + other.measure(sp)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             ClopenSet((Cylinder(((0,),)), Cylinder(((0, 1),))))
+
+    def test_validate_rejects_prefix_longer_than_depth(self):
+        sp = OdometerSpace((2,), 3)
+        with pytest.raises(ValueError, match="longer than truncation depth"):
+            ClopenSet((Cylinder(((0, 1, 0, 1),)),)).validate(sp)
+
+    def test_validate_rejects_digit_out_of_range(self):
+        sp = OdometerSpace((3, 3), 2)
+        with pytest.raises(ValueError, match="digit out of range"):
+            ClopenSet((Cylinder(((0, 3), ())),)).validate(sp)
 
     def test_translation_preserves_depth_k_measures(self):
         sp = OdometerSpace((2, 3), 3)
@@ -153,7 +162,7 @@ class TestRefine:
         split2 = [ClopenSet((Cylinder(((), (d,))),)) for d in range(2)]
         atoms = refine_common([split1, split2], sp)
         assert len(atoms) == 4
-        assert all(haar_measure(a, sp) == Fraction(1, 4) for a in atoms)
+        assert all(a.measure(sp) == Fraction(1, 4) for a in atoms)
 
     def test_idempotence(self):
         sp = OdometerSpace((2,), 3)
@@ -231,6 +240,40 @@ class TestDepthBijectivity:
         with pytest.raises(ValueError, match="budget"):
             bijectivity_check_at_depth([[1, 0], [0, 1]], OdometerSpace((2, 2), 3), budget=10)
 
+    def test_collision_fails_with_witness(self, monkeypatch):
+        # det +-1 integer matrices always permute, so a singular action is
+        # injected under the validation
+        monkeypatch.setattr(odometer, "_integer_rows", lambda matrix, space: ((3, 0), (0, 1)))
+        result = bijectivity_check_at_depth([[1, 0], [0, 1]], OdometerSpace((3, 3), 2))
+        assert not result.passed
+        assert result.witnesses == [(3, 0)]
+        assert result.checked == 3 * 9 + 1
+        assert result.notes == "collision at depth-N image"
+
+
+class TestEquivariance:
+    def test_off_by_one_action_fails_with_witness(self, monkeypatch):
+        sp = OdometerSpace((3, 3), 3)
+        points = [sp.random_point(random.Random(8)) for _ in range(30)]
+        bad = points[7]
+        honest = odometer.matrix_act
+
+        def off_by_one(matrix, x, space):
+            image = honest(matrix, x, space)
+            return odometer_add(image, (1, 0), space) if x == bad else image
+
+        monkeypatch.setattr(odometer, "matrix_act", off_by_one)
+        result = matrix_equivariance_check([[1, 1], [0, 1]], points, 2, sp)
+        assert not result.passed
+        assert bad in [x for _, x in result.witnesses]
+
+
+class TestHaarInvariance:
+    def test_sampled_cylinders(self):
+        sp = OdometerSpace((3, 3), 4)
+        result = haar_invariance_check(sp, 1, 2, random.Random(0))
+        assert result.passed and result.checked == 5 * 40
+
 
 class TestMinimality:
     def test_cyclic_mod8(self):
@@ -239,10 +282,18 @@ class TestMinimality:
     def test_product_sweep(self):
         verdict = minimality_witness(OdometerSpace((3, 3), 4), 2)
         assert verdict.passed
-        assert "81" in verdict.detail
+        assert "81" in verdict.notes
 
     def test_depth_zero(self):
         assert minimality_witness(OdometerSpace((5,), 2), 0).passed
+
+    def test_stuck_orbit_fails_with_witness(self, monkeypatch):
+        monkeypatch.setattr(odometer, "odometer_add", lambda x, vector, space: space.zero())
+        result = minimality_witness(OdometerSpace((3, 3), 4), 2)
+        assert not result.passed
+        assert result.checked == 81
+        assert result.witnesses[0] == (0, 1) and len(result.witnesses) == 80
+        assert result.notes == "only 1 of 81 depth-2 cylinders visited"
 
 
 class TestWandering:
@@ -466,7 +517,7 @@ class TestResidueMatchesDigitReference:
         space = data.draw(spaces(max_depth=2))
         k = data.draw(st.integers(0, space.depth))
         verdict = minimality_witness(space, k)
-        assert (verdict.passed, verdict.detail) == ref_minimality(space.bases, space.depth, k)
+        assert (verdict.passed, verdict.notes) == ref_minimality(space.bases, space.depth, k)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
