@@ -41,7 +41,6 @@ from .shears import (
     realize_bilipschitz,
 )
 from .mapspace import (
-    CocycleTable,
     FloorMapSeed,
     IdentitySeed,
     MapGerm,

@@ -36,7 +36,6 @@ from .mapspace import (
     check_lipschitz_closure,
     check_orbit_equality,
     force_freeness,
-    forward_cocycle_table,
 )
 from .morphisms import (
     check_equivariance,
@@ -54,7 +53,7 @@ from .odometer import (
     matrix_equivariance_check,
     minimality_witness,
 )
-from .shears import bounded_distance_constant, decompose_unimodular, realize_bilipschitz
+from .shears import bounded_distance_constant, realize_bilipschitz
 
 SCHEMA = "orbitlab-report/2"
 
@@ -137,13 +136,12 @@ def realize(matrix, n, samples, radius, tol, seed, as_json, out):
     _require(radius >= 0, "radius must be >= 0")
     a = linalg.parse_matrix(matrix)
     d = len(a)
-    ops = decompose_unimodular(a, Fraction(tol))
     floor_map = realize_bilipschitz(a, Fraction(tol))
     cert = bounded_distance_constant(floor_map, a, radius)
     space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-    table = forward_cocycle_table(space, 2, constant=cert.exact_constant)
+    eta = orbit_morphism(space, radius=2, constant=cert.exact_constant)
     points = space.slice_members[:samples]
-    invariant = recover_invariant_matrix(table, n, points, constant=cert.exact_constant)
+    invariant = recover_invariant_matrix(eta, n, points)
 
     det_tol = Fraction(10 * d) * cert.exact_constant / n
     checks = [
@@ -152,7 +150,7 @@ def realize(matrix, n, samples, radius, tol, seed, as_json, out):
         multiplicativity_check(invariant),
     ]
     report = _report("realize", config, checks)
-    report["decomposition"] = [op.to_json() for op in ops]
+    report["decomposition"] = [op.to_json() for op in floor_map.ops]
     report["certificate"] = cert.to_json()
     report["invariant"] = invariant.to_json()
     sys.exit(_emit(report, out, as_json))
@@ -188,18 +186,18 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
     space = build_translate_space(
         seed_map, radius, translate_radius, offset_radius=window
     )
-    table = forward_cocycle_table(space, 2 * window)
+    eta = orbit_morphism(space, radius=2 * window)
+    cocycle = eta
     if inject_corruption:
         corrupt_g = next(g for g in space.source_gens.ball(window) if not g.is_identity())
         psi = space.slice_members[0]
         wrong = space.forward_cocycle(corrupt_g, psi) * space.target_gens.elements[0]
-        table = table.with_override(corrupt_g, psi, wrong)
-    eta = orbit_morphism(space, radius=window)
+        cocycle = eta.with_override(corrupt_g, psi, wrong)
 
     checks = [
         check_lipschitz_closure(space),
         check_action_law(space, window),
-        check_cocycle_identity(space, table, window),
+        check_cocycle_identity(space, cocycle, window),
         check_fundamental_domain(space, window),
     ]
     for index, psi in enumerate(space.slice_members):

@@ -17,7 +17,6 @@ from typing import Sequence
 from . import linalg
 from .checks import CheckResult
 from .groups import LatticeGroup
-from .mapspace import CocycleTable
 from .morphisms import Morphism, compose_morphisms
 from .odometer import DigitPoint
 
@@ -51,11 +50,6 @@ class ExteriorElement:
 
     def coefficient(self, indices) -> Fraction:
         return self.coeffs.get(frozenset(indices), Fraction(0))
-
-    def degree_part(self, k: int) -> "ExteriorElement":
-        return ExteriorElement(
-            self.dimension, {s: c for s, c in self.coeffs.items() if len(s) == k}
-        )
 
     def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
         out = dict(self.coeffs)
@@ -203,12 +197,12 @@ class InvariantMatrix:
 
 
 def recover_invariant_matrix(
-    cocycle: CocycleTable | Morphism,
+    morphism: Morphism,
     n: int,
     samples: Sequence | None = None,
     constant=None,
 ) -> InvariantMatrix:
-    """Recover the linear part of a cocycle from its growth at scale n.
+    """Recover the linear part of a morphism's cocycle from its growth at scale n.
 
     Column i is the average over sample points x of
     cocycle(n e_i, (n e_i)^-1 . x) / n, computed in exact rational
@@ -216,27 +210,25 @@ def recover_invariant_matrix(
     map, every entry is within C/n of that map; the attached error bound is
     C/n with C the supplied or recorded constant.
     """
-    if isinstance(cocycle, Morphism):
-        cocycle = cocycle.cocycle
     if n < 1:
         raise ValueError("growth scale n must be >= 1")
-    group = cocycle.source_gens.group
+    group = morphism.source.group
     if not isinstance(group, LatticeGroup):
         raise ValueError("invariant recovery needs a lattice source group")
     d = group.dimension
-    samples = tuple(samples) if samples is not None else cocycle.points()
+    samples = tuple(samples) if samples is not None else morphism.source.points
     if not samples:
         raise ValueError("need at least one sample point")
     if constant is None:
-        constant = cocycle.meta.get("constant")
+        constant = morphism.meta.get("constant")
 
     columns = []
     for i in range(d):
         step = group.basis_vector(i, n)
         total = [Fraction(0)] * d
         for x in samples:
-            moved = cocycle.act(step.inverse(), x)
-            value = cocycle.evaluate(step, moved)
+            moved = morphism.source.act(step.inverse(), x)
+            value = morphism.evaluate(step, moved)
             for k, coord in enumerate(value.coords):
                 total[k] += Fraction(coord, n)
         columns.append([t / len(samples) for t in total])
@@ -256,7 +248,7 @@ def recover_invariant_matrix(
             "n": n,
             "samples": len(samples),
             "constant": None if constant is None else float(constant),
-            "cocycle": cocycle.kind,
+            "cocycle": morphism.kind,
             "measure": measure,
         },
     )

@@ -10,14 +10,15 @@ maps fixing the identity is explicit.
 Germs act under three actions: the raw translate action, the normalized
 source-group action (which preserves the slice), and the normalized
 target-group action.  The two orbit cocycles read off values of the germ
-tables; every operation tracks the remaining reliable domain radius and
-raises :class:`TruncationError` instead of extrapolating.
+tables, and each normalized action is the raw translate by a cocycle value;
+every operation tracks the remaining reliable domain radius and raises
+:class:`TruncationError` instead of extrapolating.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .checks import CheckResult
 from .groups import GeneratingSet, LatticeGroup, is_bilipschitz_on_ball
@@ -144,12 +145,6 @@ class MapGerm:
             )
         return self._key
 
-    def restricted(self, radius: int) -> "MapGerm":
-        if radius > self.radius:
-            raise TruncationError("cannot grow a germ by restriction")
-        table = {g: self.table[g] for g in self.gens.ball(radius)}
-        return MapGerm(self.gens, radius, table, self.provenance)
-
     def matches(self, other: "MapGerm") -> bool:
         """Agreement on the common ball (the truncated notion of equality)."""
         r = min(self.radius, other.radius)
@@ -164,14 +159,6 @@ class MapGerm:
     def __repr__(self):
         prov = "" if self.provenance is None else f", from translate {self.provenance[0]!r}"
         return f"MapGerm(radius={self.radius}{prov})"
-
-    def to_json(self):
-        return {
-            "radius": self.radius,
-            "table": [[g.to_json(), v.to_json()] for g, v in sorted(
-                self.table.items(), key=lambda kv: kv[0].sort_key()
-            )],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +175,6 @@ class TruncatedMapSpace:
         self.target_gens = target_gens
         self.members: tuple[MapGerm, ...] = ()
         self.slice_members: tuple[MapGerm, ...] = ()
-        self._by_key: dict = {}
         self._seed_values: dict = {}
         self._lipschitz: Fraction | None = None
 
@@ -223,7 +209,6 @@ class TruncatedMapSpace:
         by_key = {}
         for germ in germs:
             by_key.setdefault(germ.key(), germ)
-        self._by_key = by_key
         self.members = tuple(sorted(by_key.values(), key=MapGerm.key))
         self.slice_members = tuple(m for m in self.members if m.is_normalized())
         if not self.slice_members:
@@ -256,36 +241,13 @@ class TruncatedMapSpace:
         Shrinks the reliable domain by the word length of g; the result
         fixes the identity, so the slice is closed under this action.
         """
-        step = self.source_gens.word_length(g)
-        if step > germ.radius:
+        if self.source_gens.word_length(g) > germ.radius:
             raise TruncationError(f"domain exhausted acting by {g!r}")
-        prefix = germ.value(g.inverse()).inverse()
-        table = {
-            h: prefix * germ.value(g.inverse() * h)
-            for h in self.source_gens.ball(germ.radius - step)
-        }
-        provenance = None
-        if germ.provenance is not None:
-            provenance = (g * germ.provenance[0], self.target_gens.group.identity())
-        return MapGerm(self.source_gens, germ.radius - step, table, provenance)
+        return self.raw_translate(g, self.forward_cocycle(g, germ), germ)
 
     def act_target(self, lam, germ: MapGerm) -> MapGerm:
         """Normalized target action (lam . psi)(h) = lam psi(psi^-1(lam^-1) h)."""
-        anchor = self.partial_inverse(germ, lam.inverse())
-        step = self.source_gens.word_length(anchor)
-        if step > germ.radius:
-            raise TruncationError(f"domain exhausted acting by {lam!r}")
-        table = {}
-        for h in self.source_gens.ball(germ.radius - step):
-            arg = anchor * h
-            table[h] = lam * germ.value(arg)
-        provenance = None
-        if germ.provenance is not None:
-            provenance = (
-                anchor.inverse() * germ.provenance[0],
-                self.target_gens.group.identity(),
-            )
-        return MapGerm(self.source_gens, germ.radius - step, table, provenance)
+        return self.raw_translate(self.backward_cocycle(lam, germ), lam, germ)
 
     def raw_translate(self, g, lam, germ: MapGerm) -> MapGerm:
         """The raw translate action ((g, lam) psi)(h) = lam psi(g^-1 h)."""
@@ -342,16 +304,6 @@ class TruncatedMapSpace:
             table,
             provenance=(new_g0, self.target_gens.group.identity()),
         )
-
-    def find_member(self, germ: MapGerm) -> MapGerm | None:
-        """Locate a stored germ agreeing with ``germ`` on the common ball."""
-        exact = self._by_key.get(germ.key())
-        if exact is not None:
-            return exact
-        for member in self.members:
-            if member.matches(germ):
-                return member
-        return None
 
     def find_slice_match(self, germ: MapGerm) -> MapGerm | None:
         for member in self.slice_members:
@@ -417,238 +369,6 @@ def build_translate_space(
 
 
 # ---------------------------------------------------------------------------
-# cocycle tables
-
-
-class CocycleTable:
-    """A finite exact table of a cocycle, with optional exact extension.
-
-    Entries are cached per (group element, point key).  ``evaluate`` consults
-    corruption overrides first (negative controls), then the cache, then the
-    exact evaluator; a missing entry with no evaluator is a truncation error.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        source_gens: GeneratingSet,
-        target_gens: GeneratingSet,
-        points: Sequence,
-        evaluator: Callable | None,
-        point_action: Callable | None,
-        radius: int,
-        point_key: Callable = lambda x: x,
-        meta: dict | None = None,
-    ):
-        self.kind = kind
-        self.source_gens = source_gens
-        self.target_gens = target_gens
-        self._points = tuple(points)
-        self._evaluator = evaluator
-        self._point_action = point_action
-        self.radius = radius
-        self._point_key = point_key
-        self.meta = dict(meta or {})
-        self._entries: dict = {}
-        self._overrides: dict = {}
-
-    def points(self) -> tuple:
-        return self._points
-
-    def materialize(self, radius: int | None = None) -> "CocycleTable":
-        radius = self.radius if radius is None else radius
-        for g in self.source_gens.ball(radius):
-            for x in self._points:
-                self.evaluate(g, x)
-        return self
-
-    def evaluate(self, g, x):
-        key = (g, self._point_key(x))
-        if key in self._overrides:
-            return self._overrides[key]
-        if key in self._entries:
-            return self._entries[key]
-        if self._evaluator is None:
-            raise TruncationError(f"cocycle table has no entry for {key!r}")
-        value = self._evaluator(g, x)
-        self._entries[key] = value
-        return value
-
-    def act(self, g, x):
-        if self._point_action is None:
-            raise TruncationError("cocycle table has no point action")
-        return self._point_action(g, x)
-
-    def with_override(self, g, x, value) -> "CocycleTable":
-        clone = CocycleTable(
-            self.kind + "+corrupted",
-            self.source_gens,
-            self.target_gens,
-            self._points,
-            self._evaluator,
-            self._point_action,
-            self.radius,
-            self._point_key,
-            self.meta,
-        )
-        clone._entries = dict(self._entries)
-        clone._overrides = dict(self._overrides)
-        clone._overrides[(g, self._point_key(x))] = value
-        return clone
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "radius": self.radius,
-            "points": len(self._points),
-            "entries": len(self._entries),
-            "corrupted": bool(self._overrides),
-        }
-
-
-class TrivialPoint:
-    """The single point of the trivial one-point system."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "<point>"
-
-    def to_json(self):
-        return "point"
-
-
-def trivial_cocycle_table(gens: GeneratingSet, radius: int = 8) -> CocycleTable:
-    point = TrivialPoint()
-    return CocycleTable(
-        kind="trivial",
-        source_gens=gens,
-        target_gens=gens,
-        points=(point,),
-        evaluator=lambda g, x: g,
-        point_action=lambda g, x: x,
-        radius=radius,
-        meta={"constant": 0},
-    )
-
-
-def constant_matrix_cocycle_table(
-    matrix, space: OdometerSpace, points: Sequence, radius: int = 8
-) -> CocycleTable:
-    """The cocycle of a matrix automorphism of the odometer: g -> A g, exactly."""
-    from . import linalg
-
-    mat = linalg.as_matrix(matrix)
-    if not linalg.is_integral(mat):
-        raise ValueError("constant odometer cocycle needs an integer matrix")
-    if abs(linalg.det(mat)) != 1:
-        raise ValueError("matrix determinant must be +-1")
-    d = space.dimension
-    group = LatticeGroup(d)
-    gens = group.standard_generators()
-
-    def evaluate(g, x):
-        image = linalg.mat_vec(mat, g.coords)
-        return group.element(int(v) for v in image)
-
-    return CocycleTable(
-        kind="constant",
-        source_gens=gens,
-        target_gens=gens,
-        points=tuple(points),
-        evaluator=evaluate,
-        point_action=lambda g, x: odometer_add(x, g.coords, space),
-        radius=radius,
-        point_key=lambda x: x.residues,
-        meta={"matrix": mat, "constant": 0},
-    )
-
-
-def source_point_action(space: TruncatedMapSpace):
-    """Source action on germs: exact through provenance for global seeds,
-    truncated (with promotion back to a stored full-radius slice member when
-    one matches) otherwise."""
-
-    def act(g, germ):
-        if space.seed.is_global and germ.provenance is not None:
-            return space.global_act_source(g, germ)
-        moved = space.act_source(g, germ)
-        match = space.find_slice_match(moved)
-        return match if match is not None else moved
-
-    return act
-
-
-def forward_cocycle_table(space: TruncatedMapSpace, radius: int, constant=None) -> CocycleTable:
-    """Source-to-target orbit cocycle over the slice, exact on the stated ball
-    and extended exactly through translate provenance beyond it."""
-
-    def evaluate(g, germ):
-        if space.source_gens.word_length(g) <= germ.radius:
-            return space.forward_cocycle(g, germ)
-        return space.global_forward_cocycle(g, germ)
-
-    meta = {"constant": constant}
-    if isinstance(space.seed, FloorMapSeed):
-        meta["matrix"] = space.seed.floor_map.target
-    return CocycleTable(
-        kind="orbit-forward",
-        source_gens=space.source_gens,
-        target_gens=space.target_gens,
-        points=space.slice_members,
-        evaluator=evaluate,
-        point_action=source_point_action(space),
-        radius=radius,
-        point_key=MapGerm.key,
-        meta=meta,
-    )
-
-
-def backward_cocycle_table(space: TruncatedMapSpace, radius: int, constant=None) -> CocycleTable:
-    """Target-to-source orbit cocycle over the slice."""
-
-    def evaluate(lam, germ):
-        try:
-            return space.backward_cocycle(lam, germ)
-        except TruncationError:
-            if germ.provenance is None or not space.seed.is_global:
-                raise
-            g0, delta = germ.provenance
-            if not delta.is_identity():
-                raise
-            # psi^-1(mu) = g0 * seed^-1(seed(g0^-1) * mu); cocycle inverts it.
-            mu = lam.inverse()
-            anchor = g0 * space.seed.invert_value(
-                space._seed_value(g0.inverse()) * mu
-            )
-            return anchor.inverse()
-
-    meta = {"constant": constant}
-    forward_act = source_point_action(space)
-
-    def act(lam, germ):
-        # lam . psi equals b . psi for b the backward cocycle value.
-        return forward_act(evaluate(lam, germ), germ)
-
-    return CocycleTable(
-        kind="orbit-backward",
-        source_gens=space.target_gens,
-        target_gens=space.source_gens,
-        points=space.slice_members,
-        evaluator=evaluate,
-        point_action=act,
-        radius=radius,
-        point_key=MapGerm.key,
-        meta=meta,
-    )
-
-
-# ---------------------------------------------------------------------------
 # checks
 
 
@@ -695,13 +415,15 @@ def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
     )
 
 
-def check_cocycle_identity(
-    space: TruncatedMapSpace, table: CocycleTable, radius: int
-) -> CheckResult:
-    """cocycle(g h, psi) == cocycle(g, h . psi) * cocycle(h, psi), exhaustively."""
-    if table.radius < 2 * radius:
+def check_cocycle_identity(space: TruncatedMapSpace, cocycle, radius: int) -> CheckResult:
+    """cocycle(g h, psi) == cocycle(g, h . psi) * cocycle(h, psi), exhaustively.
+
+    ``cocycle`` is an orbit morphism of the space (anything with ``radius``
+    and ``evaluate``); its radius must cover the products g h.
+    """
+    if cocycle.radius < 2 * radius:
         raise TruncationError(
-            f"table covers radius {table.radius}, identity sweep needs {2 * radius}"
+            f"table covers radius {cocycle.radius}, identity sweep needs {2 * radius}"
         )
     ball = space.source_gens.ball(radius)
     checked = 0
@@ -709,8 +431,8 @@ def check_cocycle_identity(
     for psi in space.slice_members:
         for g, h in itertools.product(ball, repeat=2):
             acted = space.act_source(h, psi)
-            lhs = table.evaluate(g * h, psi)
-            rhs = table.evaluate(g, acted) * table.evaluate(h, psi)
+            lhs = cocycle.evaluate(g * h, psi)
+            rhs = cocycle.evaluate(g, acted) * cocycle.evaluate(h, psi)
             checked += 1
             if lhs != rhs:
                 witnesses.append((g, h, psi))
@@ -719,7 +441,7 @@ def check_cocycle_identity(
         passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
-        coverage={"R": radius, "table_radius": table.radius},
+        coverage={"R": radius, "table_radius": cocycle.radius},
     )
 
 

@@ -9,19 +9,18 @@ morphism to its inverse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import linalg
 from .checks import CheckResult
 from .groups import GeneratingSet, LatticeGroup
 from .mapspace import (
-    CocycleTable,
+    FloorMapSeed,
     MapGerm,
     TruncatedMapSpace,
-    backward_cocycle_table,
-    constant_matrix_cocycle_table,
-    forward_cocycle_table,
+    TruncationError,
+    build_translate_space,
 )
 from .odometer import DigitPoint, OdometerSpace, matrix_act, odometer_add
 from .shears import FloorMap
@@ -31,6 +30,16 @@ def _points_agree(a, b) -> bool:
     if isinstance(a, MapGerm) and isinstance(b, MapGerm):
         return a.matches(b)
     return a == b
+
+
+def _point_key(x):
+    """The key a cocycle value is cached under: a germ by its table, an
+    odometer point by its residues, any other point by itself."""
+    if isinstance(x, MapGerm):
+        return x.key()
+    if isinstance(x, DigitPoint):
+        return x.residues
+    return x
 
 
 @dataclass
@@ -49,13 +58,24 @@ class ActionSystem:
 
 @dataclass
 class Morphism:
+    """A point map and the cocycle that intertwines the two actions.
+
+    ``kind`` names the cocycle.  ``evaluator`` computes cocycle values
+    exactly; ``evaluate`` caches them per (group element, point key) and
+    consults corruption overrides first (negative controls).  ``radius`` is
+    the ball of group elements the cocycle is stated on.
+    """
+
     kind: str
     source: ActionSystem
     target: ActionSystem
     point_map: Callable
-    cocycle: CocycleTable
+    evaluator: Callable
+    radius: int
     meta: dict = field(default_factory=dict)
     _inverse: "Morphism | None" = None
+    _entries: dict = field(default_factory=dict, init=False, repr=False)
+    _overrides: dict = field(default_factory=dict, init=False, repr=False)
 
     def inverse(self) -> "Morphism":
         if self._inverse is None:
@@ -63,46 +83,31 @@ class Morphism:
         return self._inverse
 
     def evaluate(self, g, x):
-        return self.cocycle.evaluate(g, x)
+        key = (g, _point_key(x))
+        if key in self._overrides:
+            return self._overrides[key]
+        if key not in self._entries:
+            self._entries[key] = self.evaluator(g, x)
+        return self._entries[key]
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "source": self.source.key,
-            "target": self.target.key,
-            "cocycle": self.cocycle.to_json(),
-        }
+    def with_override(self, g, x, value) -> "Morphism":
+        """A copy whose cocycle reads ``value`` at (g, x); the original keeps
+        its values and its cache."""
+        clone = replace(
+            self, kind=self.kind + "+corrupted", meta=dict(self.meta), _inverse=None
+        )
+        clone._entries = dict(self._entries)
+        clone._overrides = {**self._overrides, (g, _point_key(x)): value}
+        return clone
 
 
 def identity_morphism(system: ActionSystem) -> Morphism:
-    table = CocycleTable(
-        kind="trivial",
-        source_gens=system.gens,
-        target_gens=system.gens,
-        points=system.points,
-        evaluator=lambda g, x: g,
-        point_action=system.act,
-        radius=8,
-        point_key=_default_point_key,
-        meta={"constant": 0, "matrix": linalg.identity(_lattice_dim(system))}
-        if isinstance(system.group, LatticeGroup)
-        else {"constant": 0},
-    )
-    morphism = Morphism("identity", system, system, lambda x: x, table)
+    meta = {"constant": 0}
+    if isinstance(system.group, LatticeGroup):
+        meta["matrix"] = linalg.identity(system.group.dimension)
+    morphism = Morphism("trivial", system, system, lambda x: x, lambda g, x: g, 8, meta)
     morphism._inverse = morphism
     return morphism
-
-
-def _lattice_dim(system: ActionSystem) -> int:
-    return system.group.dimension
-
-
-def _default_point_key(x):
-    if isinstance(x, MapGerm):
-        return x.key()
-    if isinstance(x, DigitPoint):
-        return x.residues
-    return x
 
 
 def odometer_translation_system(space: OdometerSpace, points: Sequence) -> ActionSystem:
@@ -117,27 +122,31 @@ def odometer_translation_system(space: OdometerSpace, points: Sequence) -> Actio
 
 def matrix_morphism(matrix, space: OdometerSpace, points: Sequence, radius: int = 8) -> Morphism:
     """The matrix automorphism of the odometer: point map is multiplication
-    by the matrix, the cocycle is the constant g -> A g."""
+    by the matrix, the cocycle is the constant g -> A g, exactly."""
     mat = linalg.as_matrix(matrix)
+    if not linalg.is_integral(mat):
+        raise ValueError("constant odometer cocycle needs an integer matrix")
+    if abs(linalg.det(mat)) != 1:
+        raise ValueError("matrix determinant must be +-1")
     system = odometer_translation_system(space, points)
-    table = constant_matrix_cocycle_table(mat, space, points, radius)
-    morphism = Morphism(
-        "matrix",
-        system,
-        system,
-        lambda x: matrix_act(mat, x, space),
-        table,
-        meta={"matrix": mat, "constant": 0, "odometer": space},
-    )
-    inv = linalg.inverse(mat)
-    inverse = Morphism(
-        "matrix",
-        system,
-        system,
-        lambda x: matrix_act(inv, x, space),
-        constant_matrix_cocycle_table(inv, space, points, radius),
-        meta={"matrix": inv, "constant": 0, "odometer": space},
-    )
+    group = system.group
+
+    def automorphism(m) -> Morphism:
+        def evaluate(g, x):
+            return group.element(int(v) for v in linalg.mat_vec(m, g.coords))
+
+        return Morphism(
+            "constant",
+            system,
+            system,
+            lambda x: matrix_act(m, x, space),
+            evaluate,
+            radius,
+            meta={"matrix": m, "constant": 0, "odometer": space},
+        )
+
+    morphism = automorphism(mat)
+    inverse = automorphism(linalg.inverse(mat))
     morphism._inverse = inverse
     inverse._inverse = morphism
     return morphism
@@ -146,76 +155,103 @@ def matrix_morphism(matrix, space: OdometerSpace, points: Sequence, radius: int 
 def orbit_morphism(space: TruncatedMapSpace, radius: int | None = None, constant=None) -> Morphism:
     """The orbit equivalence of a translate space, as a morphism from the
     source action to the target action on the slice; the point map is the
-    identity of the slice and the cocycle carries the translation data."""
+    identity of the slice and the cocycle carries the translation data.
+
+    The forward cocycle is exact on the stated ball and extended exactly
+    through translate provenance beyond it; its inverse carries the
+    backward cocycle.
+    """
     radius = space.radius if radius is None else radius
-    forward = forward_cocycle_table(space, radius, constant=constant)
-    backward = backward_cocycle_table(space, radius, constant=constant)
+
+    def act_source(g, germ):
+        # Exact through provenance for global seeds; otherwise truncated,
+        # promoted back to a stored full-radius slice member when one matches.
+        if space.seed.is_global and germ.provenance is not None:
+            return space.global_act_source(g, germ)
+        moved = space.act_source(g, germ)
+        match = space.find_slice_match(moved)
+        return match if match is not None else moved
+
+    def forward(g, germ):
+        if space.source_gens.word_length(g) <= germ.radius:
+            return space.forward_cocycle(g, germ)
+        return space.global_forward_cocycle(g, germ)
+
+    def backward(lam, germ):
+        try:
+            return space.backward_cocycle(lam, germ)
+        except TruncationError:
+            if germ.provenance is None or not space.seed.is_global:
+                raise
+            g0, delta = germ.provenance
+            if not delta.is_identity():
+                raise
+            # psi^-1(mu) = g0 * seed^-1(seed(g0^-1) * mu); cocycle inverts it.
+            mu = lam.inverse()
+            anchor = g0 * space.seed.invert_value(
+                space._seed_value(g0.inverse()) * mu
+            )
+            return anchor.inverse()
+
+    def act_target(lam, germ):
+        # lam . psi equals b . psi for b the backward cocycle value.
+        return act_source(backward(lam, germ), germ)
+
     source_system = ActionSystem(
         key=f"translate-space-{id(space)}-source",
         gens=space.source_gens,
-        act=forward._point_action,
+        act=act_source,
         points=space.slice_members,
     )
     target_system = ActionSystem(
         key=f"translate-space-{id(space)}-target",
         gens=space.target_gens,
-        act=backward._point_action,
+        act=act_target,
         points=space.slice_members,
     )
     meta = {"space": space, "constant": constant}
-    if "matrix" in forward.meta:
-        meta["matrix"] = forward.meta["matrix"]
-    seed = getattr(space.seed, "floor_map", None)
-    if seed is not None:
-        meta["floor_map"] = seed
-    morphism = Morphism("orbit", source_system, target_system, lambda x: x, forward, meta)
-    inverse_meta = {"space": space, "constant": constant}
+    if isinstance(space.seed, FloorMapSeed):
+        meta["matrix"] = space.seed.floor_map.target
+        meta["floor_map"] = space.seed.floor_map
+    morphism = Morphism(
+        "orbit-forward", source_system, target_system, lambda x: x, forward, radius, meta
+    )
     inverse = Morphism(
-        "orbit-inverse", target_system, source_system, lambda x: x, backward, inverse_meta
+        "orbit-backward",
+        target_system,
+        source_system,
+        lambda x: x,
+        backward,
+        radius,
+        {"space": space, "constant": constant},
     )
     morphism._inverse = inverse
     inverse._inverse = morphism
     return morphism
 
 
-def compose_morphisms(
-    eta: Morphism,
-    theta: Morphism,
-    space_builder: Callable | None = None,
-    _build_inverse: bool = True,
-) -> Morphism:
+def compose_morphisms(eta: Morphism, theta: Morphism, _build_inverse: bool = True) -> Morphism:
     """eta after theta.
 
     When theta lands in eta's system the composite is computed pointwise:
     the point maps compose and the cocycle is
-    eta.cocycle(theta.cocycle(g, x), theta.point_map(x)).  Two floor-map
-    orbit morphisms live on different slices, so their composite is realized
-    by composing the underlying lattice bijections and rebuilding the orbit
-    morphism of the composite seed (``space_builder`` maps a FloorMap to a
-    TruncatedMapSpace and defaults to the parameters of eta's space).
+    eta(theta(g, x), theta.point_map(x)).  Two floor-map orbit morphisms
+    live on different slices, so their composite is realized by composing
+    the underlying lattice bijections and rebuilding the orbit morphism of
+    the composite seed with the parameters of eta's space.
     """
     if theta.target.key == eta.source.key:
         def evaluate(g, x):
-            return eta.cocycle.evaluate(theta.cocycle.evaluate(g, x), theta.point_map(x))
+            return eta.evaluate(theta.evaluate(g, x), theta.point_map(x))
 
-        table = CocycleTable(
-            kind="composed",
-            source_gens=theta.cocycle.source_gens,
-            target_gens=eta.cocycle.target_gens,
-            points=theta.source.points,
-            evaluator=evaluate,
-            point_action=theta.source.act,
-            radius=min(eta.cocycle.radius, theta.cocycle.radius),
-            point_key=theta.cocycle._point_key,
-            meta=_composed_meta(eta, theta),
-        )
         composed = Morphism(
             "composed",
             theta.source,
             eta.target,
             lambda x: eta.point_map(theta.point_map(x)),
-            table,
-            meta=_composed_meta(eta, theta),
+            evaluate,
+            min(eta.radius, theta.radius),
+            _composed_meta(eta, theta),
         )
         if _build_inverse and eta._inverse is not None and theta._inverse is not None:
             try:
@@ -235,20 +271,13 @@ def compose_morphisms(
             eta_map.dimension,
             target=linalg.mat_mul(eta_map.target, theta_map.target),
         )
-        if space_builder is None:
-            template = eta.meta["space"]
-
-            def space_builder(fm):
-                from .mapspace import FloorMapSeed, build_translate_space
-
-                return build_translate_space(
-                    FloorMapSeed(fm),
-                    template.radius,
-                    template.translate_radius,
-                    offset_radius=template.offset_radius,
-                )
-
-        new_space = space_builder(composite)
+        template = eta.meta["space"]
+        new_space = build_translate_space(
+            FloorMapSeed(composite),
+            template.radius,
+            template.translate_radius,
+            offset_radius=template.offset_radius,
+        )
         composed = orbit_morphism(new_space)
         composed.kind = "composed-seed"
         return composed

@@ -388,7 +388,7 @@ class ExtractedMap:
 
 
 def extract_bilipschitz_from_cocycle(
-    cocycle,
+    morphism,
     basepoint,
     radius: int,
     source: GeneratingSet | None = None,
@@ -396,17 +396,18 @@ def extract_bilipschitz_from_cocycle(
 ) -> ExtractedMap:
     """Recover g -> cocycle(g^-1, basepoint)^-1 on a ball and certify it.
 
-    The certificate constant is the longest target word the cocycle assigns
-    to a source generator anywhere on its tabled points; the returned report
-    is a two-sided Lipschitz sweep with that constant.
+    The cocycle is that of ``morphism``.  The certificate constant is the
+    longest target word the cocycle assigns to a source generator anywhere on
+    the morphism's source points; the returned report is a two-sided
+    Lipschitz sweep with that constant.
     """
-    source = source if source is not None else cocycle.source_gens
-    target = target if target is not None else cocycle.target_gens
-    mapping = {g: cocycle.evaluate(g.inverse(), basepoint).inverse() for g in source.ball(radius)}
+    source = source if source is not None else morphism.source.gens
+    target = target if target is not None else morphism.target.gens
+    mapping = {g: morphism.evaluate(g.inverse(), basepoint).inverse() for g in source.ball(radius)}
     constant = 0
     for s in source.elements:
-        for x in cocycle.points():
-            constant = max(constant, target.word_length(cocycle.evaluate(s, x)))
+        for x in morphism.source.points:
+            constant = max(constant, target.word_length(morphism.evaluate(s, x)))
     constant = max(constant, 1)
     report = is_bilipschitz_on_ball(mapping.__getitem__, radius, constant, source, target)
     return ExtractedMap(mapping=mapping, constant=constant, report=report)

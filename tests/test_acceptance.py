@@ -30,7 +30,6 @@ from orbitlab.mapspace import (
     check_fundamental_domain,
     check_lipschitz_closure,
     check_orbit_equality,
-    forward_cocycle_table,
 )
 from orbitlab.morphisms import (
     check_inverse_identities,
@@ -103,7 +102,7 @@ def test_criterion_1_realization_recovery():
         cert = bounded_distance_constant(floor_map, a, 50)
         constant = cert.exact_constant
         space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-        table = forward_cocycle_table(space, 2, constant=constant)
+        table = orbit_morphism(space, 2, constant)
         invariant = recover_invariant_matrix(table, N_SCALE, constant=constant)
         recovery = recovery_check(invariant, a, constant / N_SCALE)
         assert recovery.passed, (a, recovery.coverage)
@@ -147,7 +146,7 @@ def test_criterion_3_translate_space_battery():
     closure = check_lipschitz_closure(space)
     assert closure.passed and closure.checked == len(space.members)
 
-    table = forward_cocycle_table(space, 4)
+    table = orbit_morphism(space, 4)
     identity = check_cocycle_identity(space, table, 2)
     assert identity.passed
     assert identity.checked == len(space.source_gens.ball(2)) ** 2 * len(space.slice_members)
@@ -316,7 +315,7 @@ def test_criterion_8_negative_controls():
     floor_map = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
     space = build_translate_space(FloorMapSeed(floor_map), 4, 3, offset_radius=1)
 
-    table = forward_cocycle_table(space, 4)
+    table = orbit_morphism(space, 4)
     psi = space.slice_members[0]
     corrupted = table.with_override(Z2.element((1, 0)), psi, Z2.element((9, 9)))
     identity_check = check_cocycle_identity(space, corrupted, 2)

@@ -41,7 +41,7 @@ def invoke_refused(runner, monkeypatch, argv):
 
     for name in (
         "bijectivity_check_at_depth", "bounded_distance_constant", "build_translate_space",
-        "decompose_unimodular", "matrix_morphism",
+        "matrix_morphism", "realize_bilipschitz",
     ):
         monkeypatch.setattr(cli, name, work_started)
     return runner.invoke(main, argv)

@@ -16,14 +16,8 @@ from orbitlab.invariants import (
     recovery_check,
     wedge,
 )
-from orbitlab.mapspace import (
-    FloorMapSeed,
-    build_translate_space,
-    constant_matrix_cocycle_table,
-    forward_cocycle_table,
-    trivial_cocycle_table,
-)
-from orbitlab.morphisms import matrix_morphism, orbit_morphism
+from orbitlab.mapspace import FloorMapSeed, build_translate_space
+from orbitlab.morphisms import ActionSystem, identity_morphism, matrix_morphism, orbit_morphism
 from orbitlab.odometer import OdometerSpace
 from orbitlab.shears import bounded_distance_constant, realize_bilipschitz
 
@@ -147,13 +141,18 @@ def realized_table(matrix, radius=2, translate_radius=2, cert_radius=50):
     space = build_translate_space(
         FloorMapSeed(floor_map), radius, translate_radius, offset_radius=0
     )
-    table = forward_cocycle_table(space, radius, constant=cert.exact_constant)
+    table = orbit_morphism(space, radius, cert.exact_constant)
     return table, cert, floor_map
+
+
+def one_point_identity(gens):
+    """The identity morphism of a group acting trivially on one point."""
+    return identity_morphism(ActionSystem("point", gens, lambda g, x: x, ("point",)))
 
 
 class TestRecovery:
     def test_trivial_cocycle_gives_identity(self):
-        table = trivial_cocycle_table(LatticeGroup(2).standard_generators())
+        table = one_point_identity(LatticeGroup(2).standard_generators())
         inv = recover_invariant_matrix(table, 64)
         assert inv.matrix == linalg.identity(2)
         assert inv.determinant() == 1
@@ -162,7 +161,7 @@ class TestRecovery:
     def test_constant_cocycle_exact(self, matrix):
         space = OdometerSpace((3, 3), 4)
         pts = [space.zero(), space.point_from_values((13, 52))]
-        table = constant_matrix_cocycle_table(matrix, space, pts)
+        table = matrix_morphism(matrix, space, pts)
         inv = recover_invariant_matrix(table, 1024)
         assert inv.matrix == linalg.as_matrix(matrix)
 
@@ -171,7 +170,7 @@ class TestRecovery:
         space = OdometerSpace((2, 2), 4)
         pts = [space.zero()]
         for mat in ([[0, -1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [0, -1]]):
-            table = constant_matrix_cocycle_table(mat, space, pts)
+            table = matrix_morphism(mat, space, pts)
             inv = recover_invariant_matrix(table, 256)
             assert inv.matrix == linalg.as_matrix(mat)
             assert abs(inv.determinant()) == 1
@@ -185,7 +184,7 @@ class TestRecovery:
 
     def test_recovery_check_wrong_matrix_fails_with_witness(self):
         space = OdometerSpace((3, 3), 4)
-        table = constant_matrix_cocycle_table([[1, 1], [0, 1]], space, [space.zero()])
+        table = matrix_morphism([[1, 1], [0, 1]], space, [space.zero()])
         inv = recover_invariant_matrix(table, 81)
         assert recovery_check(inv, [[1, 1], [0, 1]]).passed
         result = recovery_check(inv, [[1, 0], [0, 1]])
@@ -205,7 +204,7 @@ class TestRecovery:
 
     def test_sample_independence(self):
         table, cert, _ = realized_table(TENTH_SHEAR, radius=3, translate_radius=3)
-        points = table.points()
+        points = table.source.points
         assert len(points) >= 2
         n = 256
         inv_a = recover_invariant_matrix(table, n, [points[0]], constant=cert.exact_constant)
@@ -228,7 +227,7 @@ class TestRecovery:
     def test_measure_label_of_odometer_samples(self):
         space = OdometerSpace((3, 3), 2)
         pts = [space.zero(), space.point_from_values((4, 5))]
-        table = constant_matrix_cocycle_table([[1, 1], [0, 1]], space, pts)
+        table = matrix_morphism([[1, 1], [0, 1]], space, pts)
         inv = recover_invariant_matrix(table, 9)
         assert inv.provenance["measure"] == "haar-uniform-sample-average"
 
@@ -240,7 +239,7 @@ class TestRecovery:
     def test_needs_lattice_source(self):
         from orbitlab.groups import FreeGroup
 
-        table = trivial_cocycle_table(FreeGroup(2).standard_generators())
+        table = one_point_identity(FreeGroup(2).standard_generators())
         with pytest.raises(ValueError, match="lattice"):
             recover_invariant_matrix(table, 16)
 

@@ -14,9 +14,8 @@ from orbitlab.mapspace import (
     check_lipschitz_closure,
     check_orbit_equality,
     force_freeness,
-    forward_cocycle_table,
-    backward_cocycle_table,
 )
+from orbitlab.morphisms import orbit_morphism
 from orbitlab.odometer import OdometerSpace
 from orbitlab.shears import realize_bilipschitz
 
@@ -105,6 +104,22 @@ class TestActions:
         raw = shear_space.raw_translate(Z2.identity(), lam, psi)
         assert raw.value_at_identity() == lam
 
+    def test_target_action_by_cocycle_value_is_source_action(self, shear_space, nielsen_space):
+        # act_target(forward_cocycle(g, psi), psi) and act_source(g, psi) are
+        # one germ with one radius; a global seed's exact action agrees too
+        cases = 0
+        for space, radius in ((shear_space, 2), (nielsen_space[0], 1)):
+            for psi in space.slice_members:
+                for g in space.source_gens.ball(radius):
+                    by_source = space.act_source(g, psi)
+                    by_target = space.act_target(space.forward_cocycle(g, psi), psi)
+                    assert by_target.key() == by_source.key()
+                    assert by_target.provenance == by_source.provenance
+                    if space.seed.is_global:
+                        assert space.global_act_source(g, psi).matches(by_source)
+                    cases += 1
+        assert cases == 31
+
     def test_global_action_matches_truncated(self, shear_space):
         psi = shear_space.slice_members[0]
         g = Z2.element((1, -1))
@@ -135,7 +150,7 @@ class TestCocycles:
                 assert gap <= 2
 
     def test_global_matches_table_form(self, shear_space):
-        table = forward_cocycle_table(shear_space, 4)
+        table = orbit_morphism(shear_space, 4)
         for psi in shear_space.slice_members:
             for g in shear_space.source_gens.ball(3):
                 assert table.evaluate(g, psi) == shear_space.global_forward_cocycle(g, psi)
@@ -157,18 +172,18 @@ class TestBattery:
         assert check_action_law(shear_space, 2).passed
 
     def test_cocycle_identity(self, shear_space):
-        table = forward_cocycle_table(shear_space, 4)
+        table = orbit_morphism(shear_space, 4)
         result = check_cocycle_identity(shear_space, table, 2)
         assert result.passed
         assert result.checked == 13 * 13 * len(shear_space.slice_members)
 
     def test_cocycle_identity_coverage_guard(self, shear_space):
-        table = forward_cocycle_table(shear_space, 2)
+        table = orbit_morphism(shear_space, 2)
         with pytest.raises(TruncationError, match="identity sweep"):
             check_cocycle_identity(shear_space, table, 2)
 
     def test_corrupted_table_fails_with_witness(self, shear_space):
-        table = forward_cocycle_table(shear_space, 4)
+        table = orbit_morphism(shear_space, 4)
         psi = shear_space.slice_members[0]
         g = Z2.element((1, 0))
         bad = table.with_override(g, psi, Z2.element((9, 9)))
@@ -244,12 +259,12 @@ class TestFreeness:
 
 class TestBackwardTable:
     def test_backward_acts_consistently(self, shear_space):
-        backward = backward_cocycle_table(shear_space, 4)
+        backward = orbit_morphism(shear_space, 4).inverse()
         psi = shear_space.slice_members[0]
         for g in shear_space.source_gens.ball(2):
             lam = shear_space.forward_cocycle(g, psi)
             assert backward.evaluate(lam, psi) == g
-            acted = backward.act(lam, psi)
+            acted = backward.source.act(lam, psi)
             assert acted.matches(shear_space.act_source(g, psi))
 
 
@@ -286,18 +301,14 @@ class TestNonAbelianSeed:
         space, _ = nielsen_space
         assert check_lipschitz_closure(space).passed
         assert check_action_law(space, 1).passed
-        table = forward_cocycle_table(space, 2)
+        table = orbit_morphism(space, 2)
         assert check_cocycle_identity(space, table, 1).passed
         assert check_fundamental_domain(space, 1).passed
         for psi in space.slice_members:
             assert check_orbit_equality(space, psi, 1).passed
 
     def test_morphism_roundtrips(self, nielsen_space):
-        from orbitlab.morphisms import (
-            check_equivariance,
-            check_inverse_identities,
-            orbit_morphism,
-        )
+        from orbitlab.morphisms import check_equivariance, check_inverse_identities
 
         space, _ = nielsen_space
         eta = orbit_morphism(space, radius=1)

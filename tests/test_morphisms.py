@@ -74,10 +74,26 @@ class TestOrbitMorphism:
 
     def test_composition_with_inverse_is_trivial(self, shear_orbit):
         roundtrip = compose_morphisms(shear_orbit.inverse(), shear_orbit)
-        gens = roundtrip.cocycle.source_gens
+        gens = roundtrip.source.gens
         for x in roundtrip.source.points:
             for g in gens.ball(2):
                 assert roundtrip.evaluate(g, x) == g
+
+
+class TestOverride:
+    def test_with_override_leaves_the_original_unchanged(self):
+        eta = _orbit_of(realize_bilipschitz([["1", "0.5"], ["0", "1"]]))
+        x = eta.source.points[0]
+        g, h = eta.source.gens.elements[:2]
+        value = eta.evaluate(g, x)
+        wrong = value * eta.target.group.element((9, 9))
+        bad = eta.with_override(g, x, wrong)
+        assert bad.kind == "orbit-forward+corrupted"
+        assert bad.evaluate(g, x) == wrong
+        assert bad.evaluate(h, x) == eta.evaluator(h, x)
+        assert eta.kind == "orbit-forward"
+        assert eta.evaluate(g, x) == value
+        assert list(eta._entries) == [(g, x.key())]
 
 
 class TestComposition:
@@ -88,7 +104,7 @@ class TestComposition:
         ident.source.key = eta.source.key
         ident.target.key = eta.source.key
         composed = compose_morphisms(eta, ident)
-        gens = composed.cocycle.source_gens
+        gens = composed.source.gens
         for g in gens.ball(2):
             for x in points:
                 assert composed.evaluate(g, x) == eta.evaluate(g, x)
@@ -99,7 +115,7 @@ class TestComposition:
         theta = matrix_morphism(SHEAR, space, points)
         composed = compose_morphisms(eta, theta)
         product = linalg.mat_mul(linalg.as_matrix(ROTATION), linalg.as_matrix(SHEAR))
-        gens = composed.cocycle.source_gens
+        gens = composed.source.gens
         group = gens.group
         for g in gens.ball(2):
             expected = group.element(int(v) for v in linalg.mat_vec(product, g.coords))

@@ -5,7 +5,8 @@ import pytest
 
 from orbitlab import linalg
 from orbitlab.groups import LatticeGroup, is_bilipschitz_on_ball
-from orbitlab.mapspace import FloorMapSeed, build_translate_space, forward_cocycle_table, trivial_cocycle_table
+from orbitlab.mapspace import FloorMapSeed, build_translate_space
+from orbitlab.morphisms import ActionSystem, identity_morphism, matrix_morphism, orbit_morphism
 from orbitlab.shears import (
     FloorMap,
     Shear,
@@ -209,7 +210,7 @@ class TestChainBound:
         S = Z2.standard_generators()
         f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
         space = build_translate_space(FloorMapSeed(f), 6, 2, offset_radius=0)
-        table = forward_cocycle_table(space, 6)
+        table = orbit_morphism(space, 6)
         constant = 0
         for s in S.elements:
             for psi in space.slice_members:
@@ -230,8 +231,8 @@ class TestExtract:
     def test_trivial_cocycle_gives_identity(self):
         Z2 = LatticeGroup(2)
         S = Z2.standard_generators()
-        table = trivial_cocycle_table(S)
-        basepoint = table.points()[0]
+        table = identity_morphism(ActionSystem("point", S, lambda g, x: x, ("point",)))
+        basepoint = table.source.points[0]
         extracted = extract_bilipschitz_from_cocycle(table, basepoint, 3)
         assert extracted.constant == 1
         assert extracted.report.passed
@@ -239,12 +240,11 @@ class TestExtract:
             assert extracted(g) == g
 
     def test_constant_matrix_cocycle_gives_matrix(self):
-        from orbitlab.mapspace import constant_matrix_cocycle_table
         from orbitlab.odometer import OdometerSpace
 
         sp = OdometerSpace((3, 3), 4)
         a = [[1, 1], [0, 1]]
-        table = constant_matrix_cocycle_table(a, sp, [sp.zero()])
+        table = matrix_morphism(a, sp, [sp.zero()])
         extracted = extract_bilipschitz_from_cocycle(table, sp.zero(), 3)
         Z2 = LatticeGroup(2)
         for g in Z2.standard_generators().ball(3):
@@ -254,7 +254,7 @@ class TestExtract:
     def test_translate_space_cocycle_tracks_seed(self):
         f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
         space = build_translate_space(FloorMapSeed(f), 5, 2, offset_radius=0)
-        table = forward_cocycle_table(space, 5)
+        table = orbit_morphism(space, 5)
         # deduplication may register the seed's own germ under another
         # translate, so locate it by its table
         basepoint = next(
