@@ -12,6 +12,7 @@ BFS memo.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from .checks import CheckResult
@@ -342,6 +343,9 @@ def is_bilipschitz_on_ball(
     """
     if constant <= 0:
         raise ValueError("Lipschitz constant must be positive")
+    # C = num / den exactly (a float constant by its binary value), so both
+    # inequalities are integer cross-multiplications.
+    num, den = Fraction(constant).as_integer_ratio()
     members = source.ball(radius)
     images = {}
     for g in members:
@@ -349,23 +353,33 @@ def is_bilipschitz_on_ball(
             images[g] = f(g)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"map undefined on ball element {g!r}: {exc}") from exc
-    lower = None
-    upper = None
+    # The extreme distortions as exact (d_tgt, d_src) pairs; int / int division
+    # rounds correctly and monotonically, so the floats reported are the
+    # min and max of the per-pair float ratios.
+    lower = upper = None
     witnesses = []
     checked = 0
     for a, b in itertools.combinations(members, 2):
         d_src = source.word_metric(a, b)
         d_tgt = target.word_metric(images[a], images[b])
-        ratio = d_tgt / d_src
-        lower = ratio if lower is None else min(lower, ratio)
-        upper = ratio if upper is None else max(upper, ratio)
+        if lower is None:
+            lower = upper = (d_tgt, d_src)
+        elif d_tgt * lower[1] < lower[0] * d_src:
+            lower = (d_tgt, d_src)
+        elif d_tgt * upper[1] > upper[0] * d_src:
+            upper = (d_tgt, d_src)
         checked += 1
-        if not witnesses and not (d_src <= constant * d_tgt and d_tgt <= constant * d_src):
+        if not witnesses and not (d_src * den <= num * d_tgt and d_tgt * den <= num * d_src):
             witnesses.append((a, b))
     return CheckResult(
         name="bilipschitz",
         passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
-        coverage={"R": radius, "constant": float(constant), "lower": lower, "upper": upper},
+        coverage={
+            "R": radius,
+            "constant": float(constant),
+            "lower": None if lower is None else lower[0] / lower[1],
+            "upper": None if upper is None else upper[0] / upper[1],
+        },
     )

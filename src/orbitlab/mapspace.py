@@ -220,16 +220,21 @@ class TruncatedMapSpace:
         if self._lipschitz is None:
             members = self.source_gens.ball(self.radius + self.translate_radius)
             values = {g: self._seed_value(g) for g in members}
-            upper = Fraction(0)
-            lower = None
+            # The extreme ratios d_tgt / d_src, as (num, den) pairs compared
+            # by cross-multiplication (every d_src is positive).
+            upper_num, upper_den = 0, 1
+            lower_num = lower_den = None
             for a, b in itertools.combinations(members, 2):
                 d_src = self.source_gens.word_metric(a, b)
                 d_tgt = self.target_gens.word_metric(values[a], values[b])
-                ratio = Fraction(d_tgt, d_src)
-                upper = max(upper, ratio)
-                lower = ratio if lower is None else min(lower, ratio)
-            if lower is None or lower == 0:
+                if d_tgt * upper_den > upper_num * d_src:
+                    upper_num, upper_den = d_tgt, d_src
+                if lower_num is None or d_tgt * lower_den < lower_num * d_src:
+                    lower_num, lower_den = d_tgt, d_src
+            if lower_num is None or lower_num == 0:
                 raise ValueError("seed collapses distances; not bi-Lipschitz")
+            upper = Fraction(upper_num, upper_den)
+            lower = Fraction(lower_num, lower_den)
             self._lipschitz = max(upper, 1 / lower, Fraction(1))
         return self._lipschitz
 
@@ -373,10 +378,34 @@ def build_translate_space(
 
 
 def check_lipschitz_closure(space: TruncatedMapSpace) -> CheckResult:
-    """Every member germ satisfies the seed's two-sided Lipschitz bound."""
+    """Every member germ satisfies the seed's two-sided Lipschitz bound.
+
+    A member built from the seed s with provenance (g0, delta) is
+    psi(h) = delta s(g0^-1)^-1 s(g0^-1 h) for h in B(R), with g0 in B(R_t).
+    Both word metrics are left-invariant, so d(psi(a), psi(b)) equals
+    d(s(g0^-1 a), s(g0^-1 b)) and d(a, b) equals d(g0^-1 a, g0^-1 b): every
+    ratio that the member's own pair sweep computes is the ratio of a pair
+    of B(R + R_t) under the seed.  This is the finite form of G x H acting
+    by isometries on the space of C-bi-Lipschitz maps.
+
+    So the seed is swept once over B(R + R_t) against the constant C; that
+    sweep is an independent exact check of C.  If it passes, a member whose
+    table equals, entry for entry, the table re-derived from its provenance
+    (with |g0| + its radius <= R + R_t) passes on that certificate.  Every
+    other member -- no provenance, a table that does not match, a provenance
+    that reads the seed outside B(R + R_t), or every member when the seed
+    sweep fails -- gets its own full pair sweep, and its first violating
+    pair is its witness.
+    """
     constant = space.lipschitz_constant()
+    reach = space.radius + space.translate_radius
+    certificate = is_bilipschitz_on_ball(
+        space._seed_value, reach, constant, space.source_gens, space.target_gens
+    )
     witnesses = []
     for germ in space.members:
+        if certificate.passed and _is_certified_translate(space, germ, reach):
+            continue
         report = is_bilipschitz_on_ball(
             germ.value, germ.radius, constant, space.source_gens, space.target_gens
         )
@@ -390,6 +419,18 @@ def check_lipschitz_closure(space: TruncatedMapSpace) -> CheckResult:
         coverage={"R": space.radius, "R_t": space.translate_radius},
         notes=f"constant {float(constant):.4g}",
     )
+
+
+def _is_certified_translate(space: TruncatedMapSpace, germ: MapGerm, reach: int) -> bool:
+    """The germ's table is the seed translate its provenance names, and that
+    translate reads the seed only inside B(reach)."""
+    if germ.provenance is None:
+        return False
+    g0, delta = germ.provenance
+    if space.source_gens.word_length(g0) + germ.radius > reach:
+        return False
+    base = space._normalized_translate_table(g0, germ.radius)
+    return germ.table == {h: delta * v for h, v in base.items()}
 
 
 def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:

@@ -33,10 +33,17 @@ def _points_agree(a, b) -> bool:
 
 
 def _point_key(x):
-    """The key a cocycle value is cached under: a germ by its table, an
-    odometer point by its residues, any other point by itself."""
+    """The key a cocycle value is cached under: a germ by its table and its
+    provenance, an odometer point by its residues, any other point by itself.
+
+    A germ's table names its global translate only up to its radius.  Past
+    the radius the orbit cocycle answers through the recorded provenance
+    (``global_forward_cocycle``), so two germs with equal tables from
+    different translates can have different values there; the key keeps
+    them apart rather than stopping the exact extension at the radius.
+    """
     if isinstance(x, MapGerm):
-        return x.key()
+        return (x.key(), x.provenance)
     if isinstance(x, DigitPoint):
         return x.residues
     return x

@@ -107,6 +107,31 @@ class TestGromovCheck:
         failed = {c["id"] for c in report["checks"] if not c["pass"]}
         assert failed == {"cocycle-identity"}
 
+    @pytest.mark.parametrize("radius, translate_radius, window", [(3, 3, 3), (2, 2, 2), (3, 1, 3)])
+    def test_sweep_past_germ_radius_passes(self, runner, radius, translate_radius, window):
+        # 2W > R: the cocycle sweep reads values past a germ's radius, where
+        # they come from the germ's provenance rather than its table
+        result = runner.invoke(
+            main,
+            ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", str(radius),
+             "--translate-radius", str(translate_radius), "--window", str(window), "--json"],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert all(c["pass"] for c in report["checks"]), report["checks"]
+
+    def test_corruption_past_germ_radius_fails_with_witness(self, runner):
+        result = runner.invoke(
+            main,
+            ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "3",
+             "--translate-radius", "3", "--window", "3", "--inject-corruption", "--json"],
+        )
+        assert result.exit_code == 1
+        report = json.loads(result.output)
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert [c["id"] for c in failed] == ["cocycle-identity"]
+        assert failed[0]["witnesses"]
+
 
 class TestOdometer:
     def test_default_battery(self, runner):
@@ -225,6 +250,12 @@ class TestReports:
         result = runner.invoke(main, args + ["--json"])
         assert result.exit_code == 0, result.output
         assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
+
+    def test_readme_gromov_check_matches_golden(self, runner):
+        # the README's gromov-check command at its defaults (R=6, R_t=6, W=2)
+        result = runner.invoke(main, ["gromov-check", "--matrix", "1 0.5; 0 1", "--json"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == (FIXTURES / "gromov_shear_r6_t6_w2.json").read_bytes()
 
     def test_schema_fields(self, runner):
         result = runner.invoke(

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,3 +209,60 @@ class TestBiLipschitzCheck:
         table = {Z2.identity(): Z2.identity()}
         with pytest.raises(ValueError, match="undefined"):
             is_bilipschitz_on_ball(table.__getitem__, 1, 2, S, S)
+
+
+def reference_bilipschitz(f, radius, constant, source, target):
+    """Per-pair Fraction comparisons and float ratios: the form the integer
+    cross-multiplication in ``is_bilipschitz_on_ball`` must agree with."""
+    c = Fraction(constant)
+    ratios, witness = [], None
+    for a, b in itertools.combinations(source.ball(radius), 2):
+        d_src = source.word_metric(a, b)
+        d_tgt = target.word_metric(f(a), f(b))
+        ratios.append(d_tgt / d_src)
+        if witness is None and not (d_src <= c * d_tgt and d_tgt <= c * d_src):
+            witness = (a, b)
+    return witness, min(ratios), max(ratios)
+
+
+class TestBiLipschitzExactBoundary:
+    # on B(1) of Z: -1 -> 1, 0 -> 0, 1 -> 2 has ratios 1, 1/2 and 2
+    FOLD = {-1: 1, 0: 0, 1: 2}
+
+    def fold(self, g):
+        return Z1.element((self.FOLD[g.coords[0]],))
+
+    def test_ratio_equal_to_fraction_constant_passes(self):
+        S = Z1.standard_generators()
+        report = is_bilipschitz_on_ball(self.fold, 1, Fraction(2), S, S)
+        assert report.passed
+        assert report.coverage["lower"] == 0.5 and report.coverage["upper"] == 2
+
+    def test_constant_just_below_the_lower_ratio_fails_at_that_pair(self):
+        # 2 - 10^-30 rounds to 2.0 as a float; only exact arithmetic sees it
+        S = Z1.standard_generators()
+        report = is_bilipschitz_on_ball(self.fold, 1, 2 - Fraction(1, 10**30), S, S)
+        assert not report.passed
+        assert report.witnesses == [(Z1.element((-1,)), Z1.element((1,)))]
+
+    def test_constant_just_below_the_upper_ratio_fails_at_that_pair(self):
+        S = Z1.standard_generators()
+        double = lambda g: Z1.element((2 * g.coords[0],))
+        assert is_bilipschitz_on_ball(double, 1, Fraction(2), S, S).passed
+        report = is_bilipschitz_on_ball(double, 1, 2 - Fraction(1, 10**30), S, S)
+        assert report.witnesses == [(Z1.element((-1,)), Z1.element((0,)))]
+
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=13, max_size=13),
+        st.one_of(
+            st.fractions(min_value=Fraction(1, 4), max_value=4),
+            st.floats(min_value=0.25, max_value=4),
+        ),
+    )
+    def test_agrees_with_per_pair_fractions(self, images, constant):
+        S = Z2.standard_generators()
+        table = dict(zip(S.ball(2), (Z2.element(v) for v in images)))
+        report = is_bilipschitz_on_ball(table.__getitem__, 2, constant, S, S)
+        witness, lower, upper = reference_bilipschitz(table.__getitem__, 2, constant, S, S)
+        assert report.witnesses == ([] if witness is None else [witness])
+        assert (report.coverage["lower"], report.coverage["upper"]) == (lower, upper)

@@ -1,6 +1,10 @@
+import copy
+from fractions import Fraction
+
 import pytest
 
-from orbitlab.groups import FreeGroup, LatticeGroup
+from orbitlab import mapspace
+from orbitlab.groups import FreeGroup, LatticeGroup, is_bilipschitz_on_ball
 from orbitlab.mapspace import (
     FloorMapSeed,
     IdentitySeed,
@@ -226,6 +230,129 @@ class TestBattery:
     def test_orbit_equality_identity_seed(self):
         space = build_translate_space(IdentitySeed(Z1), 3, 3)
         assert check_orbit_equality(space, space.slice_members[0], 1).passed
+
+
+def reference_closure(space):
+    """The closure as one full pair sweep per member, with no inheritance:
+    each member's first violating pair, or None."""
+    constant = space.lipschitz_constant()
+    verdicts = []
+    for germ in space.members:
+        report = is_bilipschitz_on_ball(
+            germ.value, germ.radius, constant, space.source_gens, space.target_gens
+        )
+        verdicts.append(report.witnesses[0] if report.witnesses else None)
+    return verdicts
+
+
+def per_member(space, result):
+    failed = {id(germ): pair for germ, pair in result.witnesses}
+    return [failed.get(id(germ)) for germ in space.members]
+
+
+def with_corrupted_member(space, value, index=3):
+    """A copy of the space with one member appended whose table is wrong at
+    one entry; the original space is left as it was."""
+    germ = space.members[0]
+    table = dict(germ.table)
+    table[list(table)[index]] = value
+    clone = copy.copy(space)
+    clone.members = space.members + (MapGerm(germ.gens, germ.radius, table, germ.provenance),)
+    return clone
+
+
+@pytest.fixture
+def small_shear_space():
+    f = realize_bilipschitz(HALF_SHEAR)
+    return build_translate_space(FloorMapSeed(f), 4, 3, offset_radius=1)
+
+
+@pytest.fixture
+def identity_space():
+    return build_translate_space(IdentitySeed(Z2), 3, 2, offset_radius=1)
+
+
+@pytest.fixture
+def bilipschitz_calls(monkeypatch):
+    """Every (map owner, radius, passed) that the closure check sweeps."""
+    calls = []
+
+    def spy(f, radius, constant, source, target):
+        report = is_bilipschitz_on_ball(f, radius, constant, source, target)
+        calls.append((f.__self__, radius, report.passed))
+        return report
+
+    monkeypatch.setattr(mapspace, "is_bilipschitz_on_ball", spy)
+    return calls
+
+
+class TestClosureInheritance:
+    @pytest.mark.parametrize("name", ["shear_space", "nielsen_space", "identity_space"])
+    def test_agrees_with_the_per_member_sweep(self, request, name):
+        space = request.getfixturevalue(name)
+        space = space[0] if isinstance(space, tuple) else space
+        result = check_lipschitz_closure(space)
+        assert result.passed
+        assert per_member(space, result) == reference_closure(space) == [None] * len(space.members)
+
+    @pytest.mark.parametrize("name", ["small_shear_space", "nielsen_space", "identity_space"])
+    def test_agrees_with_the_per_member_sweep_on_a_corrupted_member(self, request, name):
+        space = request.getfixturevalue(name)
+        space = space[0] if isinstance(space, tuple) else space
+        far = space.target_gens.elements[0]
+        for _ in range(3 * (space.radius + space.translate_radius)):
+            far = far * space.target_gens.elements[0]
+        bad_space = with_corrupted_member(space, far)
+        result = check_lipschitz_closure(bad_space)
+        expected = reference_closure(bad_space)
+        assert not result.passed
+        assert expected[:-1] == [None] * len(space.members) and expected[-1] is not None
+        assert per_member(bad_space, result) == expected
+
+    def test_seed_is_certified_once_and_every_member_inherits(self, small_shear_space, bilipschitz_calls):
+        space = small_shear_space
+        assert check_lipschitz_closure(space).passed
+        assert bilipschitz_calls == [(space, space.radius + space.translate_radius, True)]
+
+    def test_corrupted_entry_fails_with_the_full_sweep_witness(self, small_shear_space, bilipschitz_calls):
+        space = with_corrupted_member(small_shear_space, Z2.element((25, -25)))
+        bad = space.members[-1]
+        result = check_lipschitz_closure(space)
+        full = is_bilipschitz_on_ball(
+            bad.value, bad.radius, space.lipschitz_constant(), space.source_gens, space.target_gens
+        )
+        assert not result.passed
+        assert result.witnesses == [(bad, full.witnesses[0])]
+        assert [owner for owner, _, _ in bilipschitz_calls] == [space, bad]
+
+    def test_corrupted_provenance_with_intact_table_is_swept(self, small_shear_space, bilipschitz_calls):
+        space = small_shear_space
+        germ = space.members[0]
+        g0, delta = germ.provenance
+        # one provenance names a translate with another table; the other names
+        # a translate with this very table (the half shear has period 2 in
+        # the second coordinate) that reads the seed outside B(R + R_t)
+        mismatched = g0 * Z2.element((0, 1))
+        distant = g0 * Z2.element((0, 2 * (space.radius + space.translate_radius)))
+        translate = lambda g: {h: delta * v for h, v in space._normalized_translate_table(g, germ.radius).items()}
+        assert translate(mismatched) != germ.table
+        assert translate(distant) == germ.table
+        moved = [
+            MapGerm(germ.gens, germ.radius, germ.table, (g, delta)) for g in (mismatched, distant)
+        ]
+        space.members = space.members + tuple(moved)
+        result = check_lipschitz_closure(space)
+        assert result.passed
+        assert bilipschitz_calls[1:] == [(m, m.radius, True) for m in moved]
+
+    def test_too_small_constant_fails_and_no_member_inherits(self, small_shear_space, bilipschitz_calls, monkeypatch):
+        space = small_shear_space
+        assert space.lipschitz_constant() == 2
+        monkeypatch.setattr(space, "lipschitz_constant", lambda: Fraction(3, 2))
+        result = check_lipschitz_closure(space)
+        assert not result.passed and result.witnesses
+        assert bilipschitz_calls[0] == (space, space.radius + space.translate_radius, False)
+        assert [owner for owner, _, _ in bilipschitz_calls[1:]] == list(space.members)
 
 
 class TestFreeness:

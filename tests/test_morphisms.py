@@ -1,7 +1,8 @@
 import pytest
 
 from orbitlab import linalg
-from orbitlab.mapspace import FloorMapSeed, build_translate_space
+from orbitlab.groups import LatticeGroup
+from orbitlab.mapspace import FloorMapSeed, MapGerm, build_translate_space
 from orbitlab.morphisms import (
     check_equivariance,
     check_inverse_equivariance,
@@ -79,6 +80,24 @@ class TestOrbitMorphism:
             for g in gens.ball(2):
                 assert roundtrip.evaluate(g, x) == g
 
+    def test_equal_tables_keep_their_own_values_past_the_radius(self):
+        # under the quarter shear the translates by (0, -1) and (0, -2) agree
+        # on the unit ball but not globally; the cocycle cache must not hand
+        # the second germ the first germ's value past the radius
+        Z2 = LatticeGroup(2)
+        f = realize_bilipschitz([["1", "0.25"], ["0", "1"]])
+        space = build_translate_space(FloorMapSeed(f), 1, 3, offset_radius=0)
+        germs = [
+            MapGerm(space.source_gens, 1, space._normalized_translate_table(g0, 1), (g0, Z2.identity()))
+            for g0 in (Z2.element((0, -1)), Z2.element((0, -2)))
+        ]
+        assert germs[0].key() == germs[1].key()
+        eta = orbit_morphism(space, radius=2)
+        g = Z2.element((0, 2))
+        values = [eta.evaluate(g, germ) for germ in germs]
+        assert values == [space.global_forward_cocycle(g, germ) for germ in germs]
+        assert values[0] != values[1]
+
 
 class TestOverride:
     def test_with_override_leaves_the_original_unchanged(self):
@@ -93,7 +112,7 @@ class TestOverride:
         assert bad.evaluate(h, x) == eta.evaluator(h, x)
         assert eta.kind == "orbit-forward"
         assert eta.evaluate(g, x) == value
-        assert list(eta._entries) == [(g, x.key())]
+        assert list(eta._entries) == [(g, (x.key(), x.provenance))]
 
 
 class TestComposition:
