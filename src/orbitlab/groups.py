@@ -12,6 +12,7 @@ BFS memo.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -62,6 +63,12 @@ class LatticeGroup:
         return GeneratingSet(gens, **kwargs)
 
 
+def _same_group(a, b) -> bool:
+    # Elements of one group nearly always share the group object; the
+    # identity test spares the structural comparison on every product.
+    return a is b or a == b
+
+
 class LatticeElement:
     __slots__ = ("group", "coords")
 
@@ -72,7 +79,7 @@ class LatticeElement:
         self.coords = coords
 
     def __mul__(self, other: "LatticeElement") -> "LatticeElement":
-        if not isinstance(other, LatticeElement) or other.group != self.group:
+        if not isinstance(other, LatticeElement) or not _same_group(other.group, self.group):
             raise ValueError("cannot multiply elements of different groups")
         return LatticeElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -93,7 +100,7 @@ class LatticeElement:
     def __eq__(self, other):
         return (
             isinstance(other, LatticeElement)
-            and other.group == self.group
+            and _same_group(other.group, self.group)
             and other.coords == self.coords
         )
 
@@ -169,7 +176,7 @@ class FreeWord:
         self.letters = letters
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if not isinstance(other, FreeWord) or other.group != self.group:
+        if not isinstance(other, FreeWord) or not _same_group(other.group, self.group):
             raise ValueError("cannot multiply elements of different groups")
         return FreeWord(self.group, _reduce(self.letters + other.letters))
 
@@ -187,7 +194,7 @@ class FreeWord:
     def __eq__(self, other):
         return (
             isinstance(other, FreeWord)
-            and other.group == self.group
+            and _same_group(other.group, self.group)
             and other.letters == self.letters
         )
 
@@ -211,8 +218,10 @@ class GeneratingSet:
     on demand up to ``ball_budget``; asking for an element beyond that radius
     raises :class:`BudgetExceeded`.  For the standard generators of Z^d
     (resp. F_k) a closed form is used: the L1 norm (resp. the reduced word
-    length); the BFS route stays available through :meth:`bfs_word_length`
-    and the two are cross-checked in the test suite.
+    length).  On Z^d it also serves :meth:`word_metric`, which takes the L1
+    distance of the two coordinate tuples without building g^-1 h.  The BFS
+    route stays available through :meth:`bfs_word_length` and the closed
+    forms are cross-checked against it in the test suite.
     """
 
     def __init__(self, elements, *, ball_budget: int = BALL_BUDGET, generation_check_radius: int = 2):
@@ -296,7 +305,7 @@ class GeneratingSet:
 
     def bfs_word_length(self, g) -> int:
         """Word length by pure BFS, ignoring closed forms (budget applies)."""
-        if g.group != self.group:
+        if not _same_group(g.group, self.group):
             raise ValueError("element belongs to a different group")
         lengths = self._lengths
         if g in lengths:
@@ -310,7 +319,7 @@ class GeneratingSet:
         raise BudgetExceeded(f"{g!r} not reached within radius {self.ball_budget}")
 
     def word_length(self, g) -> int:
-        if g.group != self.group:
+        if not _same_group(g.group, self.group):
             raise ValueError("element belongs to a different group")
         if self._is_standard:
             if isinstance(g, LatticeElement):
@@ -320,6 +329,10 @@ class GeneratingSet:
 
     def word_metric(self, g, h) -> int:
         """Left-invariant distance: the length of g^-1 h."""
+        if self._is_standard and isinstance(self.group, LatticeGroup):
+            if not (_same_group(g.group, self.group) and _same_group(h.group, self.group)):
+                raise ValueError("element belongs to a different group")
+            return sum(map(abs, map(operator.sub, h.coords, g.coords)))
         return self.word_length(g.inverse() * h)
 
     def to_json(self):

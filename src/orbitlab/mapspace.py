@@ -194,22 +194,32 @@ class TruncatedMapSpace:
         }
 
     def _build(self):
-        identity_target = self.target_gens.group.identity()
-        germs = []
+        # Every base table is normalized: base(e) = s(g0^-1)^-1 s(g0^-1) = e.
+        # So the translate delta . base takes the value delta at e, and
+        # delta . b1 = delta' . b2 forces delta = delta' and then b1 = b2, in
+        # any group: (distinct base, delta) pairs give distinct members, and
+        # only the distinct bases need their offset translates.  Each base
+        # keeps the first g0 in ball order that yields it.  That g0 is the
+        # one of the first (g0, delta) germ with a given table, so the
+        # provenance equals what building every (g0, delta) germ and keeping
+        # the first of each table would record.
+        bases = {}
         for g0 in self.source_gens.ball(self.translate_radius):
             base = self._normalized_translate_table(g0, self.radius)
+            # Every base lists the same ball in the same order.
+            bases.setdefault(tuple(base.values()), (g0, base))
+        identity_target = self.target_gens.group.identity()
+        members = []
+        for g0, base in bases.values():
             for delta in self.target_gens.ball(self.offset_radius):
                 if delta == identity_target:
                     table = base
                 else:
                     table = {h: delta * v for h, v in base.items()}
-                germs.append(
+                members.append(
                     MapGerm(self.source_gens, self.radius, table, provenance=(g0, delta))
                 )
-        by_key = {}
-        for germ in germs:
-            by_key.setdefault(germ.key(), germ)
-        self.members = tuple(sorted(by_key.values(), key=MapGerm.key))
+        self.members = tuple(sorted(members, key=MapGerm.key))
         self.slice_members = tuple(m for m in self.members if m.is_normalized())
         if not self.slice_members:
             raise ValueError("slice is empty; seed does not normalize")
@@ -259,8 +269,9 @@ class TruncatedMapSpace:
         step = self.source_gens.word_length(g)
         if step > germ.radius:
             raise TruncationError(f"domain exhausted translating by {g!r}")
+        g_inv = g.inverse()
         table = {
-            h: lam * germ.value(g.inverse() * h)
+            h: lam * germ.value(g_inv * h)
             for h in self.source_gens.ball(germ.radius - step)
         }
         provenance = None

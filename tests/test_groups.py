@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orbitlab.groups import (
     BudgetExceeded,
@@ -137,6 +137,55 @@ class TestGeneratingSet:
         for k in (Z2.element((3, -2)), Z2.element((-1, 4))):
             for g, h in itertools.islice(itertools.combinations(ball, 2), 200):
                 assert S.word_metric(k * g, k * h) == S.word_metric(g, h)
+
+
+# One standard set per rank, so the BFS memo is shared across examples.
+STANDARD = {d: LatticeGroup(d).standard_generators() for d in (1, 2, 3)}
+
+
+class TestClosedFormWordMetric:
+    """``word_metric`` under standard lattice generators reads the L1
+    distance off the coordinates; every other route must agree with it."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_product_and_bfs_routes(self, data):
+        d = data.draw(st.sampled_from(sorted(STANDARD)))
+        S = STANDARD[d]
+        coords = st.tuples(*[st.integers(-3, 3)] * d)
+        g = S.group.element(data.draw(coords))
+        h = S.group.element(data.draw(coords))
+        distance = S.word_metric(g, h)
+        assert distance == S.word_length(g.inverse() * h) == S.bfs_word_length(g.inverse() * h)
+
+    def test_non_standard_set_takes_the_bfs_route(self):
+        diagonal = [Z2.element(v) for v in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))]
+        S = GeneratingSet(diagonal)
+        assert S.word_metric(Z2.identity(), Z2.element((1, 1))) == 1
+        assert S.word_metric(Z2.element((1, 0)), Z2.element((0, 1))) == 2
+        assert Z2.standard_generators().word_metric(Z2.identity(), Z2.element((1, 1))) == 2
+
+    def test_elements_of_another_group_are_rejected(self):
+        S = Z2.standard_generators()
+        Z3 = LatticeGroup(3)
+        for g, h in (
+            (Z3.element((1, 0, 0)), Z3.identity()),
+            (Z2.identity(), Z3.element((1, 0, 0))),
+            (F2.word("a"), Z2.identity()),
+            (Z2.identity(), F2.word("a")),
+        ):
+            with pytest.raises(ValueError, match="different group"):
+                S.word_metric(g, h)
+
+    def test_an_equal_group_object_is_the_same_group(self):
+        S = Z2.standard_generators()
+        assert S.word_metric(LatticeGroup(2).element((3, -1)), Z2.element((0, 1))) == 5
+        assert LatticeGroup(2).element((3, -1)) == Z2.element((3, -1))
+
+    def test_equality_across_dimensions_is_false(self):
+        assert Z1.element((0,)) != Z2.element((0, 0))
+        assert Z2.identity() != LatticeGroup(3).identity()
+        assert Z1.element((1,)) != F2.word("a")
 
 
 class TestConcurrency:

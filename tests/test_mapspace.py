@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitlab import mapspace
+from orbitlab import linalg, mapspace
 from orbitlab.groups import FreeGroup, LatticeGroup, is_bilipschitz_on_ball
 from orbitlab.mapspace import (
     FloorMapSeed,
@@ -73,6 +73,53 @@ class TestBuild:
         space = build_translate_space(IdentitySeed(F2), 2, 1, offset_radius=0)
         assert len(space.slice_members) == 1
         assert space.lipschitz_constant() == 1
+
+
+def reference_build(space):
+    """The members that building every (g0, delta) germ and then keeping the
+    first germ of each key gives, in key order."""
+    identity_target = space.target_gens.group.identity()
+    by_key = {}
+    for g0 in space.source_gens.ball(space.translate_radius):
+        base = space._normalized_translate_table(g0, space.radius)
+        for delta in space.target_gens.ball(space.offset_radius):
+            table = base if delta == identity_target else {h: delta * v for h, v in base.items()}
+            germ = MapGerm(space.source_gens, space.radius, table, provenance=(g0, delta))
+            by_key.setdefault(germ.key(), germ)
+    return tuple(sorted(by_key.values(), key=MapGerm.key))
+
+
+@pytest.fixture
+def cli_shear_space():
+    """The half shear as ``gromov-check --matrix "1 0.5; 0 1"`` builds it, at 4/3/1."""
+    f = realize_bilipschitz(linalg.parse_matrix("1 0.5; 0 1"), Fraction("1e-9"))
+    return build_translate_space(FloorMapSeed(f), 4, 3, offset_radius=1)
+
+
+class TestBuildSurvivorsOnly:
+    @pytest.mark.parametrize(
+        "name", ["shear_space", "small_shear_space", "nielsen_space", "identity_space", "cli_shear_space"]
+    )
+    def test_same_members_as_the_build_of_every_germ(self, request, name):
+        space = request.getfixturevalue(name)
+        space = space[0] if isinstance(space, tuple) else space
+        expected = reference_build(space)
+        assert len(space.members) == len(expected) > 1
+        assert [(m.key(), m.provenance) for m in space.members] == [
+            (m.key(), m.provenance) for m in expected
+        ]
+
+    def test_builds_no_germ_that_is_not_a_member(self, monkeypatch):
+        built = []
+        init = MapGerm.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MapGerm, "__init__", counting)
+        space = build_translate_space(FloorMapSeed(realize_bilipschitz(HALF_SHEAR)), 6, 6, offset_radius=2)
+        assert len(built) == len(space.members)
 
 
 class TestActions:
