@@ -208,8 +208,7 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
     checks.append(check_equivariance(eta, window))
     checks.append(check_inverse_equivariance(eta, window))
     odo = OdometerSpace((2,) * (2 * space.source_gens.group.dimension), 3)
-    _, freeness = force_freeness(space, odo, window)
-    checks.append(freeness)
+    checks.append(force_freeness(space, odo, window))
     report = _report("gromov-check", config, checks)
     report["space"] = space.to_json()
     sys.exit(_emit(report, out, as_json))

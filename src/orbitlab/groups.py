@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import threading
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -20,7 +21,7 @@ from .checks import CheckResult
 
 _SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 
-# The largest ball radius a generating set enumerates by default.
+# The largest ball radius a generating set enumerates.
 BALL_BUDGET = 32
 
 
@@ -58,9 +59,9 @@ class LatticeGroup:
         coords[i] = scale
         return LatticeElement(self, tuple(coords))
 
-    def standard_generators(self, **kwargs) -> "GeneratingSet":
+    def standard_generators(self) -> "GeneratingSet":
         gens = [self.basis_vector(i, s) for i in range(self.dimension) for s in (1, -1)]
-        return GeneratingSet(gens, **kwargs)
+        return GeneratingSet(gens)
 
 
 def _same_group(a, b) -> bool:
@@ -151,9 +152,9 @@ class FreeGroup:
             letters.append(idx + 1 if ch.islower() else -(idx + 1))
         return FreeWord(self, _reduce(letters))
 
-    def standard_generators(self, **kwargs) -> "GeneratingSet":
+    def standard_generators(self) -> "GeneratingSet":
         gens = [FreeWord(self, (s * (i + 1),)) for i in range(self.rank) for s in (1, -1)]
-        return GeneratingSet(gens, **kwargs)
+        return GeneratingSet(gens)
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -215,16 +216,17 @@ class GeneratingSet:
     """A finite symmetric generating set with BFS word metrics.
 
     Word lengths are exact minimal factorization lengths.  The BFS memo grows
-    on demand up to ``ball_budget``; asking for an element beyond that radius
-    raises :class:`BudgetExceeded`.  For the standard generators of Z^d
-    (resp. F_k) a closed form is used: the L1 norm (resp. the reduced word
-    length).  On Z^d it also serves :meth:`word_metric`, which takes the L1
+    on demand up to ``BALL_BUDGET``; asking for an element beyond that radius
+    raises :class:`BudgetExceeded`.  Each ball is sorted once and kept, since
+    B(r) never changes once the memo has reached r.  For the standard
+    generators of Z^d (resp. F_k) a closed form is used: the L1 norm (resp.
+    the reduced word length).  On Z^d it also serves :meth:`word_metric`, which takes the L1
     distance of the two coordinate tuples without building g^-1 h.  The BFS
     route stays available through :meth:`bfs_word_length` and the closed
     forms are cross-checked against it in the test suite.
     """
 
-    def __init__(self, elements, *, ball_budget: int = BALL_BUDGET, generation_check_radius: int = 2):
+    def __init__(self, elements):
         elements = tuple(elements)
         if not elements:
             raise ValueError("generating set must be nonempty")
@@ -238,12 +240,15 @@ class GeneratingSet:
             raise ValueError("generating set must be symmetric")
         self.group = group
         self.elements = tuple(sorted(pool, key=lambda e: e.sort_key()))
-        self.ball_budget = ball_budget
         self._is_standard = self._detect_standard()
         self._lengths: dict = {group.identity(): 0}
         self._frontier: list = [group.identity()]
         self._explored = 0
-        self._check_generates(generation_check_radius)
+        self._balls: dict = {}  # radius -> sorted ball
+        # Guards the memo: a layer half grown by one thread must not be read
+        # or grown again by another, and a kept ball is never recomputed.
+        self._lock = threading.RLock()
+        self._check_generates()
 
     def _detect_standard(self) -> bool:
         if isinstance(self.group, LatticeGroup):
@@ -260,13 +265,14 @@ class GeneratingSet:
         }
         return set(self.elements) == expected
 
-    def _check_generates(self, radius: int) -> None:
+    def _check_generates(self) -> None:
         # Generation is only certified at ball scale: for lattices the BFS
-        # ball must reach every vector of L1 norm <= radius.  Standard sets
-        # are exempt (they generate by construction).
-        if radius <= 0 or self._is_standard or not isinstance(self.group, LatticeGroup):
+        # ball must reach every vector of L1 norm <= 2.  Standard sets are
+        # exempt (they generate by construction).
+        if self._is_standard or not isinstance(self.group, LatticeGroup):
             return
-        reached = set(self._expand(min(radius * 4, self.ball_budget)))
+        radius = 2
+        reached = set(self._expand(min(radius * 4, BALL_BUDGET)))
         d = self.group.dimension
         for coords in itertools.product(range(-radius, radius + 1), repeat=d):
             if sum(abs(c) for c in coords) <= radius:
@@ -277,31 +283,35 @@ class GeneratingSet:
 
     def _expand(self, radius: int):
         """Grow the BFS memo to the given radius; returns the memo dict."""
-        while self._explored < radius and self._frontier:
-            next_frontier = []
-            for g in self._frontier:
-                for s in self.elements:
-                    h = g * s
-                    if h not in self._lengths:
-                        self._lengths[h] = self._explored + 1
-                        next_frontier.append(h)
-            self._frontier = next_frontier
-            self._explored += 1
+        with self._lock:
+            while self._explored < radius and self._frontier:
+                next_frontier = []
+                for g in self._frontier:
+                    for s in self.elements:
+                        h = g * s
+                        if h not in self._lengths:
+                            self._lengths[h] = self._explored + 1
+                            next_frontier.append(h)
+                self._frontier = next_frontier
+                self._explored += 1
         return self._lengths
 
     def ball(self, radius: int) -> tuple:
         """All elements of word length <= radius, in deterministic (lexicographic) order."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if radius > self.ball_budget:
-            raise BudgetExceeded(f"radius {radius} exceeds budget {self.ball_budget}")
-        lengths = self._expand(radius)
-        members = [g for g, n in lengths.items() if n <= radius]
-        return tuple(sorted(members, key=lambda e: e.sort_key()))
+        if radius > BALL_BUDGET:
+            raise BudgetExceeded(f"radius {radius} exceeds budget {BALL_BUDGET}")
+        ball = self._balls.get(radius)
+        if ball is None:
+            with self._lock:
+                lengths = self._expand(radius)
+                members = [g for g, n in lengths.items() if n <= radius]
+                ball = self._balls[radius] = tuple(sorted(members, key=lambda e: e.sort_key()))
+        return ball
 
     def sphere(self, radius: int) -> tuple:
-        lengths = self._expand(radius)
-        return tuple(sorted((g for g, n in lengths.items() if n == radius), key=lambda e: e.sort_key()))
+        return tuple(g for g in self.ball(radius) if self._lengths[g] == radius)
 
     def bfs_word_length(self, g) -> int:
         """Word length by pure BFS, ignoring closed forms (budget applies)."""
@@ -311,12 +321,12 @@ class GeneratingSet:
         if g in lengths:
             return lengths[g]
         radius = self._explored
-        while radius < self.ball_budget:
+        while radius < BALL_BUDGET:
             radius += 1
             lengths = self._expand(radius)
             if g in lengths:
                 return lengths[g]
-        raise BudgetExceeded(f"{g!r} not reached within radius {self.ball_budget}")
+        raise BudgetExceeded(f"{g!r} not reached within radius {BALL_BUDGET}")
 
     def word_length(self, g) -> int:
         if not _same_group(g.group, self.group):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .checks import CheckResult
 from .groups import GeneratingSet, LatticeGroup, is_bilipschitz_on_ball
@@ -307,6 +307,20 @@ class TruncatedMapSpace:
         )
         return value.inverse()
 
+    def global_backward_cocycle(self, lam, germ: MapGerm):
+        """Backward cocycle through the recorded translate, exact at any lam.
+
+        The germ is psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), so
+        psi^-1(mu) = g0 s^-1(s(g0^-1) delta^-1 mu), taken at mu = lam^-1.
+        """
+        if germ.provenance is None or not self.seed.is_global:
+            raise TruncationError("germ has no globally defined representative")
+        g0, delta = germ.provenance
+        anchor = g0 * self.seed.invert_value(
+            self._seed_value(g0.inverse()) * delta.inverse() * lam.inverse()
+        )
+        return anchor.inverse()
+
     def global_act_source(self, g, germ: MapGerm) -> MapGerm:
         """Source action through the recorded translate: full-radius result."""
         if germ.provenance is None or not self.seed.is_global:
@@ -555,16 +569,11 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
 
 
 def _predicted_source_hit(space: TruncatedMapSpace, omega: MapGerm):
-    if omega.provenance is None or not space.seed.is_global:
-        return None
-    g0, delta = omega.provenance
+    # The g with omega(g^-1) = e is the backward cocycle at the identity.
     try:
-        anchor = g0 * space.seed.invert_value(
-            space._seed_value(g0.inverse()) * delta.inverse()
-        )
+        return space.global_backward_cocycle(space.target_gens.group.identity(), omega)
     except TruncationError:
         return None
-    return anchor.inverse()
 
 
 def check_orbit_equality(space: TruncatedMapSpace, psi: MapGerm, window: int) -> CheckResult:
@@ -620,68 +629,48 @@ def check_orbit_equality(space: TruncatedMapSpace, psi: MapGerm, window: int) ->
 # freeness-forcing product
 
 
-class ProductSystem:
-    """Diagonal product of the truncated space with an odometer.
-
-    The odometer must have one coordinate per source and target lattice
-    coordinate; the source group moves the germ and adds (g, cocycle value)
-    on the odometer side, which destroys every finite-window fixed point.
-    """
-
-    def __init__(self, space: TruncatedMapSpace, odometer: OdometerSpace):
-        src = space.source_gens.group
-        tgt = space.target_gens.group
-        if not isinstance(src, LatticeGroup) or not isinstance(tgt, LatticeGroup):
-            raise ValueError("freeness forcing is implemented for lattice groups")
-        if odometer.dimension != src.dimension + tgt.dimension:
-            raise ValueError(
-                f"odometer dimension {odometer.dimension} != "
-                f"{src.dimension} + {tgt.dimension}"
-            )
-        self.space = space
-        self.odometer = odometer
-
-    def slice_pairs(self, points: Iterable) -> list:
-        return [(psi, y) for psi in self.space.slice_members for y in points]
-
-    def act(self, g, pair):
-        psi, y = pair
-        lam = self.space.forward_cocycle(g, psi)
-        moved = self.space.act_source(g, psi)
-        vector = tuple(g.coords) + tuple(lam.coords)
-        return moved, odometer_add(y, vector, self.odometer)
-
-    def freeness_check(self, window: int, pairs: Sequence) -> CheckResult:
-        identity = self.space.source_gens.group.identity()
-        checked = 0
-        witnesses = []
-        for g in self.space.source_gens.ball(window):
-            if g == identity:
-                continue
-            for psi, y in pairs:
-                moved_psi, moved_y = self.act(g, (psi, y))
-                checked += 1
-                if moved_y == y and moved_psi.matches(psi):
-                    witnesses.append((g, psi, y))
-        return CheckResult(
-            name="forced-freeness",
-            passed=not witnesses,
-            checked=checked,
-            witnesses=witnesses,
-            coverage={"W": window, "pairs": len(list(pairs))},
-        )
-
-
 def force_freeness(
     space: TruncatedMapSpace,
     odometer: OdometerSpace,
     window: int,
     sample_points: Sequence | None = None,
-) -> tuple[ProductSystem, CheckResult]:
-    """Build the diagonal product and certify window-freeness on sample pairs."""
-    product = ProductSystem(space, odometer)
+) -> CheckResult:
+    """Certify window-freeness of the diagonal product with an odometer.
+
+    The odometer must have one coordinate per source and target lattice
+    coordinate; the source group moves the germ and adds (g, cocycle value)
+    on the odometer side, which destroys every finite-window fixed point.
+    Every non-identity g of the window ball moves every (slice member,
+    sample point) pair, the sample points defaulting to the odometer's zero.
+    """
+    src = space.source_gens.group
+    tgt = space.target_gens.group
+    if not isinstance(src, LatticeGroup) or not isinstance(tgt, LatticeGroup):
+        raise ValueError("freeness forcing is implemented for lattice groups")
+    if odometer.dimension != src.dimension + tgt.dimension:
+        raise ValueError(
+            f"odometer dimension {odometer.dimension} != "
+            f"{src.dimension} + {tgt.dimension}"
+        )
     if sample_points is None:
         sample_points = [odometer.zero()]
-    pairs = product.slice_pairs(sample_points)
-    verdict = product.freeness_check(window, pairs)
-    return product, verdict
+    pairs = [(psi, y) for psi in space.slice_members for y in sample_points]
+    checked = 0
+    witnesses = []
+    for g in space.source_gens.ball(window):
+        if g.is_identity():
+            continue
+        for psi, y in pairs:
+            lam = space.forward_cocycle(g, psi)
+            moved_psi = space.act_source(g, psi)
+            moved_y = odometer_add(y, tuple(g.coords) + tuple(lam.coords), odometer)
+            checked += 1
+            if moved_y == y and moved_psi.matches(psi):
+                witnesses.append((g, psi, y))
+    return CheckResult(
+        name="forced-freeness",
+        passed=not witnesses,
+        checked=checked,
+        witnesses=witnesses,
+        coverage={"W": window, "pairs": len(pairs)},
+    )

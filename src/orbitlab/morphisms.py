@@ -33,14 +33,15 @@ def _points_agree(a, b) -> bool:
 
 
 def _point_key(x):
-    """The key a cocycle value is cached under: a germ by its table and its
+    """The key an override is stored under: a germ by its table and its
     provenance, an odometer point by its residues, any other point by itself.
 
-    A germ's table names its global translate only up to its radius.  Past
-    the radius the orbit cocycle answers through the recorded provenance
-    (``global_forward_cocycle``), so two germs with equal tables from
-    different translates can have different values there; the key keeps
-    them apart rather than stopping the exact extension at the radius.
+    Only ``Morphism.with_override`` uses it, and only once the element
+    matches.  A germ's table names its global translate only up to its
+    radius.  Past the radius the orbit cocycle answers through the recorded
+    provenance (``global_forward_cocycle``), so two germs with equal tables
+    from different translates are different points; an override at one
+    leaves the other's value alone.
     """
     if isinstance(x, MapGerm):
         return (x.key(), x.provenance)
@@ -68,9 +69,9 @@ class Morphism:
     """A point map and the cocycle that intertwines the two actions.
 
     ``kind`` names the cocycle.  ``evaluator`` computes cocycle values
-    exactly; ``evaluate`` caches them per (group element, point key) and
-    consults corruption overrides first (negative controls).  ``radius`` is
-    the ball of group elements the cocycle is stated on.
+    exactly and ``evaluate`` is nothing but a call to it: no value is stored.
+    ``with_override`` makes a corrupted copy for negative controls.
+    ``radius`` is the ball of group elements the cocycle is stated on.
     """
 
     kind: str
@@ -81,8 +82,6 @@ class Morphism:
     radius: int
     meta: dict = field(default_factory=dict)
     _inverse: "Morphism | None" = None
-    _entries: dict = field(default_factory=dict, init=False, repr=False)
-    _overrides: dict = field(default_factory=dict, init=False, repr=False)
 
     def inverse(self) -> "Morphism":
         if self._inverse is None:
@@ -90,22 +89,27 @@ class Morphism:
         return self._inverse
 
     def evaluate(self, g, x):
-        key = (g, _point_key(x))
-        if key in self._overrides:
-            return self._overrides[key]
-        if key not in self._entries:
-            self._entries[key] = self.evaluator(g, x)
-        return self._entries[key]
+        return self.evaluator(g, x)
 
     def with_override(self, g, x, value) -> "Morphism":
-        """A copy whose cocycle reads ``value`` at (g, x); the original keeps
-        its values and its cache."""
-        clone = replace(
-            self, kind=self.kind + "+corrupted", meta=dict(self.meta), _inverse=None
+        """A copy whose cocycle reads ``value`` at (g, x) and the original's
+        value everywhere else; the copy records no inverse.  A point is
+        matched by its ``_point_key``, computed only when the element is g."""
+        key = _point_key(x)
+        original = self.evaluator
+
+        def corrupted(h, y):
+            if h == g and _point_key(y) == key:
+                return value
+            return original(h, y)
+
+        return replace(
+            self,
+            kind=self.kind + "+corrupted",
+            evaluator=corrupted,
+            meta=dict(self.meta),
+            _inverse=None,
         )
-        clone._entries = dict(self._entries)
-        clone._overrides = {**self._overrides, (g, _point_key(x)): value}
-        return clone
 
 
 def identity_morphism(system: ActionSystem) -> Morphism:
@@ -188,17 +192,7 @@ def orbit_morphism(space: TruncatedMapSpace, radius: int | None = None, constant
         try:
             return space.backward_cocycle(lam, germ)
         except TruncationError:
-            if germ.provenance is None or not space.seed.is_global:
-                raise
-            g0, delta = germ.provenance
-            if not delta.is_identity():
-                raise
-            # psi^-1(mu) = g0 * seed^-1(seed(g0^-1) * mu); cocycle inverts it.
-            mu = lam.inverse()
-            anchor = g0 * space.seed.invert_value(
-                space._seed_value(g0.inverse()) * mu
-            )
-            return anchor.inverse()
+            return space.global_backward_cocycle(lam, germ)
 
     def act_target(lam, germ):
         # lam . psi equals b . psi for b the backward cocycle value.

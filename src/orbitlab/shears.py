@@ -27,6 +27,10 @@ from .groups import GeneratingSet, is_bilipschitz_on_ball
 _PIVOT_FLOOR = Fraction(1, 10**12)
 _INT64_SAFE = 1 << 62
 
+# The box radii below the certificate's own at which the certificate also
+# reports the maximum distance.
+DISTANCE_PROBES = (10, 25, 50)
+
 
 @dataclass(frozen=True)
 class Shear:
@@ -285,10 +289,10 @@ class DistanceCertificate:
         }
 
 
-def bounded_distance_constant(
-    floor_map: FloorMap, matrix, radius: int, probes: Sequence[int] = (10, 25, 50)
-) -> DistanceCertificate:
-    """max over the radius-R sup-norm ball of |f(v) - A v|_inf, exactly."""
+def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> DistanceCertificate:
+    """max over the radius-R sup-norm ball of |f(v) - A v|_inf, exactly;
+    ``by_radius`` also holds the maximum over each of the smaller boxes in
+    ``DISTANCE_PROBES``."""
     a = linalg.as_matrix(matrix)
     d = len(a)
     points = box_points(radius, d)
@@ -321,7 +325,7 @@ def bounded_distance_constant(
 
     by_radius = {}
     exact = {}
-    for r in sorted({p for p in probes if p <= radius} | {radius}):
+    for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius}):
         mask = np.max(np.abs(points), axis=1) <= r
         exact[r] = Fraction(int(max(gap_inf[mask]))) / common_den
         by_radius[r] = float(exact[r])

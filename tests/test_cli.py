@@ -32,6 +32,17 @@ GOLDEN = [
     ),
 ]
 
+# Negative controls: each report exits 1 and pins which cocycle value the
+# override corrupts and every witness it leaves.
+CORRUPTED = [
+    (
+        f"gromov_shear_r{r}_t{t}_w{w}_corrupted.json",
+        ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", str(r),
+         "--translate-radius", str(t), "--window", str(w), "--inject-corruption"],
+    )
+    for r, t, w in ((4, 3, 1), (3, 3, 3))
+]
+
 
 def invoke_refused(runner, monkeypatch, argv):
     """Run a command with every entry point of real work patched to fail."""
@@ -249,6 +260,12 @@ class TestReports:
         # the seeded random stream.
         result = runner.invoke(main, args + ["--json"])
         assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
+
+    @pytest.mark.parametrize("fixture, args", CORRUPTED)
+    def test_corrupted_report_matches_golden(self, runner, fixture, args):
+        result = runner.invoke(main, args + ["--json"])
+        assert result.exit_code == 1, result.output
         assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
 
     def test_readme_gromov_check_matches_golden(self, runner):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitlab.groups import (
+    BALL_BUDGET,
     BudgetExceeded,
     FreeGroup,
     GeneratingSet,
@@ -15,6 +16,8 @@ from orbitlab.groups import (
 Z1 = LatticeGroup(1)
 Z2 = LatticeGroup(2)
 F2 = FreeGroup(2)
+# A non-standard generating set of Z^2: the standard one plus the diagonal.
+DIAGONAL = [Z2.element(v) for v in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))]
 
 
 def bfs_ball_oracle(group, generators, radius):
@@ -119,11 +122,22 @@ class TestGeneratingSet:
             assert S.bfs_word_length(w) == len(w.letters)
 
     def test_budget_exceeded(self):
-        S = Z1.standard_generators(ball_budget=4)
+        S = Z1.standard_generators()
         with pytest.raises(BudgetExceeded):
-            S.bfs_word_length(Z1.element((9,)))
+            S.bfs_word_length(Z1.element((BALL_BUDGET + 1,)))
         with pytest.raises(BudgetExceeded):
-            S.ball(9)
+            S.ball(BALL_BUDGET + 1)
+
+    @pytest.mark.parametrize("make", [
+        Z2.standard_generators,
+        F2.standard_generators,
+        lambda: GeneratingSet(DIAGONAL),
+    ], ids=["Z2", "F2", "diagonal"])
+    def test_kept_balls_equal_fresh_ones_in_any_order(self, make):
+        S = make()
+        radii = list(range(6, -1, -1)) + list(range(7))
+        asked = [S.ball(r) for r in radii]
+        assert asked == [make().ball(r) for r in radii]
 
     def test_word_metric(self):
         S = Z2.standard_generators()
@@ -159,8 +173,7 @@ class TestClosedFormWordMetric:
         assert distance == S.word_length(g.inverse() * h) == S.bfs_word_length(g.inverse() * h)
 
     def test_non_standard_set_takes_the_bfs_route(self):
-        diagonal = [Z2.element(v) for v in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))]
-        S = GeneratingSet(diagonal)
+        S = GeneratingSet(DIAGONAL)
         assert S.word_metric(Z2.identity(), Z2.element((1, 1))) == 1
         assert S.word_metric(Z2.element((1, 0)), Z2.element((0, 1))) == 2
         assert Z2.standard_generators().word_metric(Z2.identity(), Z2.element((1, 1))) == 2
@@ -198,6 +211,26 @@ class TestConcurrency:
             sizes = list(pool.map(lambda r: len(S.ball(r)), jobs))
         expected = {3: 25, 4: 41, 5: 61, 6: 85}
         assert sizes == [expected[r] for r in jobs]
+
+    def test_concurrent_balls_match_serial(self):
+        # a short switch interval lets threads interleave inside one BFS
+        # layer; every ball, kept or fresh, must still be the serial one
+        import concurrent.futures
+        import sys
+
+        jobs = [5, 3, 6, 4, 6, 2, 5, 6] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for make in (F2.standard_generators, lambda: GeneratingSet(DIAGONAL)) * 3:
+                S = make()
+                with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(S.ball, r) for r in jobs]
+                    balls = [f.result(timeout=60) for f in futures]
+                serial = make()
+                assert balls == [serial.ball(r) for r in jobs]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_concurrent_lengths_match_serial(self):
         import concurrent.futures

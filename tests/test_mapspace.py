@@ -212,6 +212,26 @@ class TestCocycles:
             lam = shear_space.forward_cocycle(g, psi)
             assert shear_space.backward_cocycle(lam, psi) == g
 
+    def test_global_backward_matches_table_form(self, shear_space):
+        # offset members (delta != e) too: the formula carries delta^-1
+        offset = [m for m in shear_space.members if not m.provenance[1].is_identity()]
+        for psi in [*shear_space.slice_members[:5], *offset[:20]]:
+            for h in shear_space.source_gens.ball(2):
+                lam = psi.value(h).inverse()
+                assert shear_space.global_backward_cocycle(lam, psi) == h.inverse()
+                assert shear_space.backward_cocycle(lam, psi) == h.inverse()
+
+    def test_global_backward_needs_a_global_representative(self, shear_space, nielsen_space):
+        psi = shear_space.slice_members[0]
+        bare = MapGerm(psi.gens, psi.radius, psi.table)
+        with pytest.raises(TruncationError, match="globally defined"):
+            shear_space.global_backward_cocycle(Z2.identity(), bare)
+        table_space, _ = nielsen_space
+        with pytest.raises(TruncationError, match="globally defined"):
+            table_space.global_backward_cocycle(
+                table_space.target_gens.group.identity(), table_space.slice_members[0]
+            )
+
 
 class TestBattery:
     def test_lipschitz_closure(self, shear_space):
@@ -411,18 +431,18 @@ class TestFreeness:
         g = Z1.element((1,))
         assert space.act_source(g, psi).matches(psi)
         odo = OdometerSpace((2, 2), 3)
-        _, verdict = force_freeness(space, odo, 3)
+        verdict = force_freeness(space, odo, 3)
         assert verdict.passed
         assert verdict.checked > 0
 
     def test_shear_space_freeness(self, shear_space):
         odo = OdometerSpace((2,) * 4, 3)
-        _, verdict = force_freeness(shear_space, odo, 2)
+        verdict = force_freeness(shear_space, odo, 2)
         assert verdict.passed
 
     def test_window_zero_vacuous(self, shear_space):
         odo = OdometerSpace((2,) * 4, 3)
-        _, verdict = force_freeness(shear_space, odo, 0)
+        verdict = force_freeness(shear_space, odo, 0)
         assert verdict.passed
         assert verdict.checked == 0
 

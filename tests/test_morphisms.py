@@ -82,26 +82,18 @@ class TestOrbitMorphism:
 
     def test_equal_tables_keep_their_own_values_past_the_radius(self):
         # under the quarter shear the translates by (0, -1) and (0, -2) agree
-        # on the unit ball but not globally; the cocycle cache must not hand
-        # the second germ the first germ's value past the radius
-        Z2 = LatticeGroup(2)
-        f = realize_bilipschitz([["1", "0.25"], ["0", "1"]])
-        space = build_translate_space(FloorMapSeed(f), 1, 3, offset_radius=0)
-        germs = [
-            MapGerm(space.source_gens, 1, space._normalized_translate_table(g0, 1), (g0, Z2.identity()))
-            for g0 in (Z2.element((0, -1)), Z2.element((0, -2)))
-        ]
-        assert germs[0].key() == germs[1].key()
-        eta = orbit_morphism(space, radius=2)
-        g = Z2.element((0, 2))
+        # on the unit ball but not globally; past the radius each germ's
+        # cocycle value must come from its own provenance
+        eta, germs, g = _quarter_shear_twins()
         values = [eta.evaluate(g, germ) for germ in germs]
-        assert values == [space.global_forward_cocycle(g, germ) for germ in germs]
+        assert values == [eta.meta["space"].global_forward_cocycle(g, germ) for germ in germs]
         assert values[0] != values[1]
 
 
 class TestOverride:
     def test_with_override_leaves_the_original_unchanged(self):
         eta = _orbit_of(realize_bilipschitz([["1", "0.5"], ["0", "1"]]))
+        evaluator = eta.evaluator
         x = eta.source.points[0]
         g, h = eta.source.gens.elements[:2]
         value = eta.evaluate(g, x)
@@ -112,7 +104,15 @@ class TestOverride:
         assert bad.evaluate(h, x) == eta.evaluator(h, x)
         assert eta.kind == "orbit-forward"
         assert eta.evaluate(g, x) == value
-        assert list(eta._entries) == [(g, (x.key(), x.provenance))]
+        assert eta.evaluator is evaluator
+
+    def test_override_at_one_equal_table_twin_leaves_the_other(self):
+        # the twins share a table, not a provenance: they are two points
+        eta, germs, g = _quarter_shear_twins()
+        values = [eta.evaluate(g, germ) for germ in germs]
+        wrong = values[0] * eta.target.group.element((9, 9))
+        bad = eta.with_override(g, germs[0], wrong)
+        assert [bad.evaluate(g, germ) for germ in germs] == [wrong, values[1]]
 
 
 class TestComposition:
@@ -162,3 +162,17 @@ def _orbit_of(floor_map):
     cert = bounded_distance_constant(floor_map, floor_map.target, 25)
     space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
     return orbit_morphism(space, radius=2, constant=cert.exact_constant)
+
+
+def _quarter_shear_twins():
+    """The quarter-shear orbit morphism, two truncated germs of radius 1 with
+    equal tables and different provenance, and an element past their radius."""
+    Z2 = LatticeGroup(2)
+    f = realize_bilipschitz([["1", "0.25"], ["0", "1"]])
+    space = build_translate_space(FloorMapSeed(f), 1, 3, offset_radius=0)
+    germs = [
+        MapGerm(space.source_gens, 1, space._normalized_translate_table(g0, 1), (g0, Z2.identity()))
+        for g0 in (Z2.element((0, -1)), Z2.element((0, -2)))
+    ]
+    assert germs[0].key() == germs[1].key()
+    return orbit_morphism(space, radius=2), germs, Z2.element((0, 2))

@@ -163,9 +163,9 @@ class TestFloorMap:
 
         rot = [[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]]
         f = realize_bilipschitz(rot)
-        cert = bounded_distance_constant(f, rot, 10, probes=(5, 10))
+        cert = bounded_distance_constant(f, rot, 25)
         assert cert.constant > 0
-        assert cert.by_radius[5] <= cert.by_radius[10]
+        assert cert.by_radius[10] <= cert.by_radius[25]
 
     def test_two_sided_metric_bound_ball8(self):
         Z2 = LatticeGroup(2)
