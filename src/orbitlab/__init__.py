@@ -56,6 +56,7 @@ from .morphisms import (
     compose_morphisms,
     matrix_morphism,
     orbit_morphism,
+    realized_morphism,
 )
 from .invariants import (
     ExteriorElement,

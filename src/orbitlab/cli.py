@@ -43,6 +43,7 @@ from .morphisms import (
     check_inverse_identities,
     matrix_morphism,
     orbit_morphism,
+    realized_morphism,
 )
 from .odometer import (
     SWEEP_BUDGET,
@@ -53,9 +54,12 @@ from .odometer import (
     matrix_equivariance_check,
     minimality_witness,
 )
-from .shears import bounded_distance_constant, realize_bilipschitz
+from .shears import check_box_budget, realize_bilipschitz
 
 SCHEMA = "orbitlab-report/2"
+
+# The certificate box of the realized functoriality route.
+REALIZED_BOX_RADIUS = 50
 
 
 def _emit(report: dict, out, as_json: bool) -> int:
@@ -136,11 +140,10 @@ def realize(matrix, n, samples, radius, tol, seed, as_json, out):
     _require(radius >= 0, "radius must be >= 0")
     a = linalg.parse_matrix(matrix)
     d = len(a)
-    floor_map = realize_bilipschitz(a, Fraction(tol))
-    cert = bounded_distance_constant(floor_map, a, radius)
-    space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-    eta = orbit_morphism(space, radius=2, constant=cert.exact_constant)
-    points = space.slice_members[:samples]
+    check_box_budget(radius, d)
+    eta = realized_morphism(a, Fraction(tol), radius)
+    cert = eta.meta["certificate"]
+    points = eta.meta["space"].slice_members[:samples]
     invariant = recover_invariant_matrix(eta, n, points)
 
     det_tol = Fraction(10 * d) * cert.exact_constant / n
@@ -150,7 +153,7 @@ def realize(matrix, n, samples, radius, tol, seed, as_json, out):
         multiplicativity_check(invariant),
     ]
     report = _report("realize", config, checks)
-    report["decomposition"] = [op.to_json() for op in floor_map.ops]
+    report["decomposition"] = [op.to_json() for op in eta.meta["floor_map"].ops]
     report["certificate"] = cert.to_json()
     report["invariant"] = invariant.to_json()
     sys.exit(_emit(report, out, as_json))
@@ -320,21 +323,15 @@ def functoriality(matrices, p, depth, n, samples, tol, seed, as_json, out):
         eta = matrix_morphism(first, space, points)
         theta = matrix_morphism(second, space, points)
     else:
-        eta = _realized_morphism(first, Fraction(tol))
-        theta = _realized_morphism(second, Fraction(tol))
+        check_box_budget(REALIZED_BOX_RADIUS, len(first))
+        eta = realized_morphism(first, Fraction(tol), REALIZED_BOX_RADIUS)
+        theta = realized_morphism(second, Fraction(tol), REALIZED_BOX_RADIUS)
 
     result = functoriality_check(eta, theta, n)
     checks = [result]
     report = _report("functoriality", config, checks)
     report["mode"] = "constant" if constant_mode else "realized"
     sys.exit(_emit(report, out, as_json))
-
-
-def _realized_morphism(a, tol):
-    floor_map = realize_bilipschitz(a, tol)
-    cert = bounded_distance_constant(floor_map, a, 50)
-    space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-    return orbit_morphism(space, radius=2, constant=cert.exact_constant)
 
 
 if __name__ == "__main__":

@@ -90,12 +90,6 @@ class TableSeed:
         except KeyError:
             raise TruncationError(f"seed table undefined at {g!r}") from None
 
-    def invert_value(self, lam):
-        for g, v in self.table.items():
-            if v == lam:
-                return g
-        raise TruncationError(f"{lam!r} not in seed image")
-
     def describe(self):
         return f"table of {len(self.table)} entries"
 

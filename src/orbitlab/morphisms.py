@@ -23,7 +23,7 @@ from .mapspace import (
     build_translate_space,
 )
 from .odometer import DigitPoint, OdometerSpace, matrix_act, odometer_add
-from .shears import FloorMap
+from .shears import FloorMap, bounded_distance_constant, realize_bilipschitz
 
 
 def _points_agree(a, b) -> bool:
@@ -228,6 +228,19 @@ def orbit_morphism(space: TruncatedMapSpace, radius: int | None = None, constant
     )
     morphism._inverse = inverse
     inverse._inverse = morphism
+    return morphism
+
+
+def realized_morphism(matrix, tol=1e-9, box_radius: int = 50) -> Morphism:
+    """The orbit morphism of the matrix's floor-shear realization (translate
+    space at R = R_t = 2 with no offsets, cocycle stated on B(2)), carrying
+    the exact constant of its distance certificate on the box of radius
+    ``box_radius``; ``meta["certificate"]`` holds the certificate."""
+    floor_map = realize_bilipschitz(matrix, tol)
+    cert = bounded_distance_constant(floor_map, floor_map.target, box_radius)
+    space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
+    morphism = orbit_morphism(space, radius=2, constant=cert.exact_constant)
+    morphism.meta["certificate"] = cert
     return morphism
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import linalg
 from .checks import CheckResult
 from .groups import GeneratingSet, is_bilipschitz_on_ball
+from .odometer import SWEEP_BUDGET
 
 _PIVOT_FLOOR = Fraction(1, 10**12)
 _INT64_SAFE = 1 << 62
@@ -198,8 +199,7 @@ class FloorMap:
     def __init__(self, ops: Sequence[ElementaryOp], dimension: int, target=None):
         self.ops = tuple(ops)
         self.dimension = dimension
-        self.linear_part = product_matrix(self.ops, dimension)
-        self.target = self.linear_part if target is None else linalg.as_matrix(target)
+        self.target = product_matrix(self.ops, dimension) if target is None else linalg.as_matrix(target)
 
     def __call__(self, v: Sequence[int]) -> tuple[int, ...]:
         out = tuple(int(c) for c in v)
@@ -215,27 +215,25 @@ class FloorMap:
             out = op.unapply_int(out)
         return out
 
+    def _fits_int64(self, points: np.ndarray) -> bool:
+        """Whether every denominator, coefficient product and intermediate
+        coordinate of the evaluation on ``points`` provably stays below 2^62."""
+        bounds = [max(int(b), 1) for b in np.abs(points).max(axis=0, initial=0)]
+        for op in reversed(self.ops):
+            if isinstance(op, Shear):
+                p, q = abs(op.coeff.numerator), op.coeff.denominator
+                bounds[op.i] += (p * bounds[op.j]) // q + 1
+                if max(p * bounds[op.j], q, bounds[op.i]) >= _INT64_SAFE:
+                    return False
+        return True
+
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (M, d) integer array.
 
-        Uses int64 when a static magnitude bound proves it safe, otherwise
-        falls back to exact per-row Python integers.
+        One op loop: on int64 when ``_fits_int64`` proves it safe, otherwise
+        on exact Python integers (dtype=object).
         """
-        bounds = [int(np.max(np.abs(points[:, k]))) if len(points) else 0 for k in range(self.dimension)]
-        safe = True
-        for op in reversed(self.ops):
-            if isinstance(op, Shear):
-                p, q = op.coeff.numerator, op.coeff.denominator
-                if abs(p) * bounds[op.j] >= _INT64_SAFE:
-                    safe = False
-                    break
-                bounds[op.i] += (abs(p) * bounds[op.j]) // q + 1
-                if bounds[op.i] >= _INT64_SAFE:
-                    safe = False
-                    break
-        if not safe:
-            return np.array([self(tuple(row)) for row in points.tolist()], dtype=object)
-        out = points.astype(np.int64).copy()
+        out = points.astype(np.int64 if self._fits_int64(points) else object)
         for op in reversed(self.ops):
             if isinstance(op, Shear):
                 p, q = op.coeff.numerator, op.coeff.denominator
@@ -259,8 +257,19 @@ def realize_bilipschitz(matrix, tol=1e-9) -> FloorMap:
     return FloorMap(ops, len(a), target=a)
 
 
+def check_box_budget(radius: int, dimension: int) -> None:
+    """Refuse, with ``ValueError`` and before any point is built, a box
+    [-radius, radius]^d of more than ``SWEEP_BUDGET`` points."""
+    count = max(2 * radius + 1, 0) ** dimension
+    if count > SWEEP_BUDGET:
+        raise ValueError(
+            f"box [-{radius}, {radius}]^{dimension} has {count} points, over budget {SWEEP_BUDGET}"
+        )
+
+
 def box_points(radius: int, dimension: int) -> np.ndarray:
     """All integer points of the sup-norm ball [-radius, radius]^d."""
+    check_box_budget(radius, dimension)
     axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * dimension
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=1)
@@ -270,8 +279,10 @@ def box_points(radius: int, dimension: int) -> np.ndarray:
 class DistanceCertificate:
     """Max sup-norm gap between the realized map and its matrix on boxes.
 
-    ``by_radius`` reports the max on nested boxes; a stable value across
-    radii is the desk-scale evidence that the gap is uniformly bounded.
+    ``constant`` is the maximum over the swept box of radius ``radius``: a
+    sampled value, not a proven bound on all of Z^d.  ``by_radius`` reports
+    the max on nested boxes; a stable value across radii is the desk-scale
+    evidence that the gap is uniformly bounded.
     """
 
     constant: float
@@ -290,45 +301,36 @@ class DistanceCertificate:
 
 
 def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> DistanceCertificate:
-    """max over the radius-R sup-norm ball of |f(v) - A v|_inf, exactly;
-    ``by_radius`` also holds the maximum over each of the smaller boxes in
-    ``DISTANCE_PROBES``."""
+    """max over the radius-R sup-norm box of |f(v) - A v|_inf, exactly: the
+    maximum over the swept box, a sampled value and not a proven bound on all
+    of Z^d.  ``by_radius`` also holds the maximum over each smaller box in
+    ``DISTANCE_PROBES``; the witness is the first point attaining the maximum.
+    The scaled gap is one array expression, on int64 when a static bound
+    proves it safe and on exact Python integers otherwise."""
     a = linalg.as_matrix(matrix)
     d = len(a)
     points = box_points(radius, d)
     images = floor_map.apply_array(points)
 
-    common_den = 1
-    for row in a:
-        for x in row:
-            common_den = common_den * x.denominator // math.gcd(common_den, x.denominator)
+    common_den = math.lcm(*(x.denominator for row in a for x in row))
     int_a = [[int(x * common_den) for x in row] for row in a]
-    max_entry = max((abs(e) for row in int_a for e in row), default=0)
-
+    max_entry = max(abs(e) for row in int_a for e in row)
     fast = (
         images.dtype == np.int64
-        and common_den * int(np.max(np.abs(images), initial=0)) < _INT64_SAFE
-        and max_entry * radius * d < _INT64_SAFE
+        and common_den * max(int(np.abs(images).max(initial=0)), 1) < _INT64_SAFE
+        and max_entry * max(radius, 1) * d < _INT64_SAFE
     )
-    if fast:
-        scaled = common_den * images - points @ np.array(int_a, dtype=np.int64).T
-        gap_inf = np.max(np.abs(scaled), axis=1)
-    else:
-        gaps = []
-        for row, img in zip(points.tolist(), images.tolist()):
-            scaled = [
-                common_den * int(iv) - sum(e * int(c) for e, c in zip(arow, row))
-                for iv, arow in zip(img, int_a)
-            ]
-            gaps.append(max(abs(s) for s in scaled))
-        gap_inf = np.array(gaps, dtype=object)
+    dtype = np.int64 if fast else object
+    scaled_a = np.array(int_a, dtype=dtype)
+    gap = common_den * images.astype(dtype, copy=False) - points.astype(dtype, copy=False) @ scaled_a.T
+    gap_inf = np.abs(gap).max(axis=1)
 
-    by_radius = {}
-    exact = {}
-    for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius}):
-        mask = np.max(np.abs(points), axis=1) <= r
-        exact[r] = Fraction(int(max(gap_inf[mask]))) / common_den
-        by_radius[r] = float(exact[r])
+    sup = np.abs(points).max(axis=1)
+    exact = {
+        r: Fraction(int(gap_inf[sup <= r].max()), common_den)
+        for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius})
+    }
+    by_radius = {r: float(c) for r, c in exact.items()}
     best = int(np.argmax(gap_inf))
     return DistanceCertificate(
         constant=by_radius[radius],

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbitlab import linalg
@@ -35,6 +36,7 @@ from orbitlab.morphisms import (
     check_inverse_identities,
     matrix_morphism,
     orbit_morphism,
+    realized_morphism,
 )
 from orbitlab.odometer import (
     Cylinder,
@@ -46,7 +48,7 @@ from orbitlab.odometer import (
 from orbitlab.shears import (
     Shear,
     SignFlip,
-    bounded_distance_constant,
+    box_points,
     decompose_unimodular,
     injectivity_check_on_box,
     product_matrix,
@@ -98,11 +100,8 @@ def test_criterion_1_realization_recovery():
     start = time.time()
     for a in MATRICES:
         d = len(a)
-        floor_map = realize_bilipschitz(a)
-        cert = bounded_distance_constant(floor_map, a, 50)
-        constant = cert.exact_constant
-        space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-        table = orbit_morphism(space, 2, constant)
+        table = realized_morphism(a)
+        constant = table.meta["certificate"].exact_constant
         invariant = recover_invariant_matrix(table, N_SCALE, constant=constant)
         recovery = recovery_check(invariant, a, constant / N_SCALE)
         assert recovery.passed, (a, recovery.coverage)
@@ -111,6 +110,15 @@ def test_criterion_1_realization_recovery():
     elapsed = time.time() - start
     assert elapsed <= 120
     report(1, f"20 matrices recovered at n=2^10 within C/n", elapsed)
+
+
+def test_pinned_box_sweeps_run_on_int64():
+    """The radius-50 box sweep of every pinned matrix stays on the int64
+    path.  The object path is exact as well, so an over-cautious static
+    bound would fail no other test; it would only make every sweep slower."""
+    boxes = {d: box_points(50, d) for d in (2, 3)}
+    for a in MATRICES:
+        assert realize_bilipschitz(a).apply_array(boxes[len(a)]).dtype == np.int64, a
 
 
 def test_criterion_2_decomposition_reconstruction():
@@ -289,15 +297,9 @@ def test_criterion_7_functoriality():
     exact = functoriality_check(eta, theta, 256)
     assert exact.passed and exact.coverage["gap"] == 0
 
-    def realized(matrix):
-        floor_map = realize_bilipschitz(matrix)
-        cert = bounded_distance_constant(floor_map, floor_map.target, 50)
-        sp = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-        return orbit_morphism(sp, radius=2, constant=cert.exact_constant)
-
     realized_result = functoriality_check(
-        realized([["1", "0"], ["0.25", "1"]]),
-        realized([["1", "0.5"], ["0", "1"]]),
+        realized_morphism([["1", "0"], ["0.25", "1"]]),
+        realized_morphism([["1", "0.5"], ["0", "1"]]),
         N_SCALE,
     )
     assert realized_result.passed, realized_result.coverage

@@ -32,6 +32,26 @@ GOLDEN = [
     ),
 ]
 
+# The realization layer's box sweeps, on each integer width.
+SWEEP_GOLDEN = [
+    # a 19-digit coefficient: both box sweeps run on exact Python integers
+    (
+        "realize_wide_decimal_r25.json",
+        ["realize", "--matrix", "1 0.1234567890123456789; 0 1", "--radius", "25"],
+    ),
+    # the README's realized route
+    (
+        "functoriality_realized_half_quarter_n1024.json",
+        ["functoriality", "--matrix", "1 0.5; 0 1", "--matrix", "1 0; 0.25 1"],
+    ),
+    # the first 3x3 acceptance matrix at the default radius: an int64 sweep
+    # of 101^3 points
+    (
+        "realize_acceptance_3x3_r50.json",
+        ["realize", "--matrix", "-0.5 0 1; 0.5625 -1 -1.625; 0.75 0 0.5"],
+    ),
+]
+
 # Negative controls: each report exits 1 and pins which cocycle value the
 # override corrupts and every witness it leaves.
 CORRUPTED = [
@@ -51,8 +71,8 @@ def invoke_refused(runner, monkeypatch, argv):
         raise AssertionError("work started before the preconditions were checked")
 
     for name in (
-        "bijectivity_check_at_depth", "bounded_distance_constant", "build_translate_space",
-        "matrix_morphism", "realize_bilipschitz",
+        "bijectivity_check_at_depth", "build_translate_space", "matrix_morphism",
+        "realize_bilipschitz", "realized_morphism",
     ):
         monkeypatch.setattr(cli, name, work_started)
     return runner.invoke(main, argv)
@@ -222,6 +242,15 @@ class TestFunctoriality:
         (["realize", "--matrix", "1 0.5; 0 1", "--samples", "0"], "samples must be >= 1"),
         (["realize", "--matrix", "1 0.5; 0 1", "--n", "0"], "growth scale n must be >= 1"),
         (["realize", "--matrix", "1 0.5; 0 1", "--radius", "-1"], "radius must be >= 0"),
+        (
+            ["realize", "--matrix", "1 0.5; 0 1", "--radius", "100000"],
+            "box [-100000, 100000]^2 has 40000400001 points, over budget 1048576",
+        ),
+        (
+            ["functoriality", "--matrix", "1 0.5 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1",
+             "--matrix", "1 0 0 0; 0.25 1 0 0; 0 0 1 0; 0 0 0 1"],
+            "box [-50, 50]^4 has 104060401 points, over budget 1048576",
+        ),
     ],
 )
 def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, argv, message):
@@ -254,7 +283,7 @@ class TestReports:
         assert runner.invoke(main, args + ["--out", str(second)]).exit_code == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("fixture, args", GOLDEN)
+    @pytest.mark.parametrize("fixture, args", GOLDEN + SWEEP_GOLDEN)
     def test_report_matches_golden(self, runner, fixture, args):
         # The fixtures pin the report bytes, including every value drawn from
         # the seeded random stream.

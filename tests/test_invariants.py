@@ -17,7 +17,13 @@ from orbitlab.invariants import (
     wedge,
 )
 from orbitlab.mapspace import FloorMapSeed, build_translate_space
-from orbitlab.morphisms import ActionSystem, identity_morphism, matrix_morphism, orbit_morphism
+from orbitlab.morphisms import (
+    ActionSystem,
+    identity_morphism,
+    matrix_morphism,
+    orbit_morphism,
+    realized_morphism,
+)
 from orbitlab.odometer import OdometerSpace
 from orbitlab.shears import bounded_distance_constant, realize_bilipschitz
 
@@ -264,13 +270,7 @@ class TestFunctoriality:
         assert result.coverage["budget"] == 0
 
     def test_realized_shears_within_budget(self):
-        fa = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
-        fb = realize_bilipschitz([["1", "0"], ["0.25", "1"]])
-
-        def morph(fm):
-            cert = bounded_distance_constant(fm, fm.target, 50)
-            space = build_translate_space(FloorMapSeed(fm), 2, 2, offset_radius=0)
-            return orbit_morphism(space, radius=2, constant=cert.exact_constant)
-
-        result = functoriality_check(morph(fb), morph(fa), 1024)
+        eta = realized_morphism([["1", "0"], ["0.25", "1"]])
+        theta = realized_morphism([["1", "0.5"], ["0", "1"]])
+        result = functoriality_check(eta, theta, 1024)
         assert result.passed

@@ -12,6 +12,7 @@ from orbitlab.morphisms import (
     matrix_morphism,
     odometer_translation_system,
     orbit_morphism,
+    realized_morphism,
 )
 from orbitlab.odometer import OdometerSpace
 from orbitlab.shears import bounded_distance_constant, realize_bilipschitz
@@ -92,7 +93,7 @@ class TestOrbitMorphism:
 
 class TestOverride:
     def test_with_override_leaves_the_original_unchanged(self):
-        eta = _orbit_of(realize_bilipschitz([["1", "0.5"], ["0", "1"]]))
+        eta = realized_morphism([["1", "0.5"], ["0", "1"]], box_radius=25)
         evaluator = eta.evaluator
         x = eta.source.points[0]
         g, h = eta.source.gens.elements[:2]
@@ -142,13 +143,11 @@ class TestComposition:
                 assert composed.evaluate(g, x) == expected
 
     def test_seed_composition_for_distinct_slices(self):
-        fa = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
-        fb = realize_bilipschitz([["1", "0"], ["0.25", "1"]])
-        eta = _orbit_of(fb)
-        theta = _orbit_of(fa)
+        eta = realized_morphism([["1", "0"], ["0.25", "1"]], box_radius=25)
+        theta = realized_morphism([["1", "0.5"], ["0", "1"]], box_radius=25)
         composed = compose_morphisms(eta, theta)
         assert composed.kind == "composed-seed"
-        expected = linalg.mat_mul(fb.target, fa.target)
+        expected = linalg.mat_mul(eta.meta["matrix"], theta.meta["matrix"])
         assert composed.meta["space"].seed.floor_map.target == expected
 
     def test_unrelated_systems_rejected(self, odometer_points, shear_orbit):
@@ -156,12 +155,6 @@ class TestComposition:
         eta = matrix_morphism(SHEAR, space, points)
         with pytest.raises(ValueError, match="compose"):
             compose_morphisms(eta, shear_orbit)
-
-
-def _orbit_of(floor_map):
-    cert = bounded_distance_constant(floor_map, floor_map.target, 25)
-    space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-    return orbit_morphism(space, radius=2, constant=cert.exact_constant)
 
 
 def _quarter_shear_twins():

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbitlab import linalg
@@ -8,11 +10,13 @@ from orbitlab.groups import LatticeGroup, is_bilipschitz_on_ball
 from orbitlab.mapspace import FloorMapSeed, build_translate_space
 from orbitlab.morphisms import ActionSystem, identity_morphism, matrix_morphism, orbit_morphism
 from orbitlab.shears import (
+    DISTANCE_PROBES,
     FloorMap,
     Shear,
     SignFlip,
     bounded_distance_constant,
     box_points,
+    check_box_budget,
     decompose_unimodular,
     extract_bilipschitz_from_cocycle,
     injectivity_check_on_box,
@@ -176,6 +180,89 @@ class TestFloorMap:
         report = is_bilipschitz_on_ball(wrapped, 8, 4, S, S)
         assert report.passed
         assert report.coverage["lower"] > 0
+
+
+def reference_apply_array(f, points):
+    """Per-row exact evaluation: the form ``apply_array``'s object path replaced."""
+    return np.array([f(tuple(row)) for row in points.tolist()], dtype=object)
+
+
+def reference_certificate(f, matrix, radius):
+    """Per-row exact gaps: the loop ``bounded_distance_constant``'s object
+    path replaced.  Returns the exact maximum per reported radius and the
+    first point where the maximum over the whole box is attained."""
+    a = linalg.as_matrix(matrix)
+    points = box_points(radius, len(a)).tolist()
+    images = reference_apply_array(f, np.array(points)).tolist()
+    common_den = math.lcm(*(x.denominator for row in a for x in row))
+    int_a = [[int(x * common_den) for x in row] for row in a]
+    gaps = []
+    for row, img in zip(points, images):
+        scaled = [
+            common_den * int(iv) - sum(e * int(c) for e, c in zip(arow, row))
+            for iv, arow in zip(img, int_a)
+        ]
+        gaps.append(max(abs(s) for s in scaled))
+    exact = {
+        r: Fraction(max(g for g, row in zip(gaps, points) if max(map(abs, row)) <= r), common_den)
+        for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius})
+    }
+    return exact, tuple(points[gaps.index(max(gaps))])
+
+
+def assert_matches_reference(f, matrix, radius, dtype):
+    points = box_points(radius, len(matrix))
+    images = f.apply_array(points)
+    assert images.dtype == dtype
+    assert images.tolist() == reference_apply_array(f, points).tolist()
+    exact, witness = reference_certificate(f, matrix, radius)
+    cert = bounded_distance_constant(f, matrix, radius)
+    assert cert.by_radius == {r: float(c) for r, c in exact.items()}
+    assert cert.exact_constant == exact[radius]
+    assert cert.witness == witness
+
+
+class TestVectorisedSweepMatchesPerRow:
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_random_unimodular(self, monkeypatch, dtype):
+        if dtype is object:
+            # no static bound holds: both sweeps take the exact path
+            monkeypatch.setattr(FloorMap, "_fits_int64", lambda self, points: False)
+        rng = random.Random(17)
+        for d, radius in ((2, 12), (3, 5)):
+            for quarter_grid in (True, False):
+                for _ in range(4):
+                    m = random_unimodular(rng, d, quarter_grid=quarter_grid)
+                    assert_matches_reference(realize_bilipschitz(m), m, radius, dtype)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [["1", "0.1234567890123456789"], ["0", "1"]],
+            [[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]],
+        ],
+        ids=["wide-decimal", "float-rotation"],
+    )
+    def test_wide_coefficients_take_the_exact_path(self, matrix):
+        assert_matches_reference(realize_bilipschitz(matrix), matrix, 12, object)
+
+    @pytest.mark.parametrize(
+        "coeff, radius",
+        [("0.1234567890123456789", 0), ("0.12345678901234567890123", 0), ("1e-22", 5)],
+    )
+    def test_denominators_and_numerators_past_int64(self, coeff, radius):
+        # a denominator or numerator past 2^63 must keep the sweep off int64
+        # even where the coordinates are tiny (at radius 0 they are all 0)
+        m = [["1", coeff], ["0", "1"]]
+        cert = bounded_distance_constant(realize_bilipschitz(m), m, radius)
+        exact, witness = reference_certificate(realize_bilipschitz(m), m, radius)
+        assert cert.exact_constant == exact[radius]
+        assert cert.witness == witness
+
+    def test_box_over_budget_refused_before_any_point(self):
+        check_box_budget(50, 3)  # 1,030,301 points: the default 3x3 box fits
+        with pytest.raises(ValueError, match=r"box \[-50, 50\]\^4 has 104060401 points, over budget 1048576"):
+            box_points(50, 4)
 
 
 class TestInjectivity:
