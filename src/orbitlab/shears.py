@@ -215,10 +215,11 @@ class FloorMap:
             out = op.unapply_int(out)
         return out
 
-    def _fits_int64(self, points: np.ndarray) -> bool:
+    def _fits_int64(self, rows: np.ndarray) -> bool:
         """Whether every denominator, coefficient product and intermediate
-        coordinate of the evaluation on ``points`` provably stays below 2^62."""
-        bounds = [max(int(b), 1) for b in np.abs(points).max(axis=0, initial=0)]
+        coordinate of the evaluation on ``rows``, one row per coordinate
+        (shape (d, M)), provably stays below 2^62."""
+        bounds = [_row_bound(row) for row in rows]
         for op in reversed(self.ops):
             if isinstance(op, Shear):
                 p, q = abs(op.coeff.numerator), op.coeff.denominator
@@ -228,19 +229,24 @@ class FloorMap:
         return True
 
     def apply_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (M, d) integer array.
+        """Vectorized evaluation on an (M, d) integer array; returns (M, d).
 
-        One op loop: on int64 when ``_fits_int64`` proves it safe, otherwise
-        on exact Python integers (dtype=object).
+        The points are copied once into one contiguous row per coordinate,
+        shape (d, M), so each op updates one row; the result is the (M, d)
+        transposed view of those rows.  One op loop: on int64 when
+        ``_fits_int64`` proves it safe, otherwise on exact Python integers
+        (dtype=object).
         """
-        out = points.astype(np.int64 if self._fits_int64(points) else object)
+        dtype = np.int64 if self._fits_int64(points.T) else object
+        rows = np.array(points.T, dtype=dtype, order="C")
         for op in reversed(self.ops):
             if isinstance(op, Shear):
                 p, q = op.coeff.numerator, op.coeff.denominator
-                out[:, op.i] += (p * out[:, op.j]) // q
+                step = p * rows[op.j]
+                rows[op.i] += step if q == 1 else step // q
             else:
-                out[:, op.i] = -out[:, op.i]
-        return out
+                rows[op.i] = -rows[op.i]
+        return rows.T
 
     def to_json(self):
         return {
@@ -248,6 +254,11 @@ class FloorMap:
             "ops": [op.to_json() for op in self.ops],
             "target": linalg.matrix_to_json(self.target),
         }
+
+
+def _row_bound(row: np.ndarray) -> int:
+    """max(|x| for x in row), at least 1, read off the row's min and max."""
+    return max(-int(row.min(initial=0)), int(row.max(initial=0)), 1)
 
 
 def realize_bilipschitz(matrix, tol=1e-9) -> FloorMap:
@@ -258,9 +269,11 @@ def realize_bilipschitz(matrix, tol=1e-9) -> FloorMap:
 
 
 def check_box_budget(radius: int, dimension: int) -> None:
-    """Refuse, with ``ValueError`` and before any point is built, a box
-    [-radius, radius]^d of more than ``SWEEP_BUDGET`` points."""
-    count = max(2 * radius + 1, 0) ** dimension
+    """Refuse, with ``ValueError`` and before any point is built, a negative
+    radius or a box [-radius, radius]^d of more than ``SWEEP_BUDGET`` points."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    count = (2 * radius + 1) ** dimension
     if count > SWEEP_BUDGET:
         raise ValueError(
             f"box [-{radius}, {radius}]^{dimension} has {count} points, over budget {SWEEP_BUDGET}"
@@ -268,11 +281,15 @@ def check_box_budget(radius: int, dimension: int) -> None:
 
 
 def box_points(radius: int, dimension: int) -> np.ndarray:
-    """All integer points of the sup-norm ball [-radius, radius]^d."""
+    """All integer points of the sup-norm ball [-radius, radius]^d, shape
+    (M, d), last coordinate fastest.
+
+    The array is the transposed view of one contiguous int64 row per
+    coordinate, shape (d, M): ``box_points(r, d).T`` is that row layout."""
     check_box_budget(radius, dimension)
-    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * dimension
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=1)
+    side = 2 * radius + 1
+    rows = np.indices((side,) * dimension, dtype=np.int64).reshape(dimension, -1) - radius
+    return rows.T
 
 
 @dataclass(frozen=True)
@@ -305,8 +322,13 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     maximum over the swept box, a sampled value and not a proven bound on all
     of Z^d.  ``by_radius`` also holds the maximum over each smaller box in
     ``DISTANCE_PROBES``; the witness is the first point attaining the maximum.
-    The scaled gap is one array expression, on int64 when a static bound
-    proves it safe and on exact Python integers otherwise."""
+
+    The sweep works on one contiguous row per coordinate, shape (d, M): the
+    scaled gap common_den * f_r(v) - sum_k a_rk v_k is formed one coordinate
+    row r at a time, on int64 when a static bound proves it safe and on exact
+    Python integers otherwise, and its absolute value is folded into a
+    running maximum.  Each probe maximum is read off a slice of that maximum
+    viewed as the (2R+1)^d grid."""
     a = linalg.as_matrix(matrix)
     d = len(a)
     points = box_points(radius, d)
@@ -317,17 +339,24 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     max_entry = max(abs(e) for row in int_a for e in row)
     fast = (
         images.dtype == np.int64
-        and common_den * max(int(np.abs(images).max(initial=0)), 1) < _INT64_SAFE
+        and common_den * max(_row_bound(row) for row in images.T) < _INT64_SAFE
         and max_entry * max(radius, 1) * d < _INT64_SAFE
     )
     dtype = np.int64 if fast else object
-    scaled_a = np.array(int_a, dtype=dtype)
-    gap = common_den * images.astype(dtype, copy=False) - points.astype(dtype, copy=False) @ scaled_a.T
-    gap_inf = np.abs(gap).max(axis=1)
+    coords = points.T.astype(dtype, copy=False)
+    image_rows = images.T.astype(dtype, copy=False)
+    gap_inf = np.zeros(len(points), dtype=dtype)
+    for r in range(d):
+        gap = common_den * image_rows[r]
+        for k, e in enumerate(int_a[r]):
+            if e:
+                gap -= e * coords[k]
+        np.maximum(gap_inf, np.abs(gap, out=gap), out=gap_inf)
 
-    sup = np.abs(points).max(axis=1)
+    side = 2 * radius + 1
+    grid = gap_inf.reshape((side,) * d)
     exact = {
-        r: Fraction(int(gap_inf[sup <= r].max()), common_den)
+        r: Fraction(int(grid[(slice(radius - r, radius + r + 1),) * d].max()), common_den)
         for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius})
     }
     by_radius = {r: float(c) for r, c in exact.items()}

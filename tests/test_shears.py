@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -187,12 +188,18 @@ def reference_apply_array(f, points):
     return np.array([f(tuple(row)) for row in points.tolist()], dtype=object)
 
 
+def reference_box(radius, d):
+    """The box [-radius, radius]^d in the order ``box_points`` must keep,
+    built without it: last coordinate fastest."""
+    return [list(v) for v in itertools.product(range(-radius, radius + 1), repeat=d)]
+
+
 def reference_certificate(f, matrix, radius):
     """Per-row exact gaps: the loop ``bounded_distance_constant``'s object
     path replaced.  Returns the exact maximum per reported radius and the
     first point where the maximum over the whole box is attained."""
     a = linalg.as_matrix(matrix)
-    points = box_points(radius, len(a)).tolist()
+    points = reference_box(radius, len(a))
     images = reference_apply_array(f, np.array(points)).tolist()
     common_den = math.lcm(*(x.denominator for row in a for x in row))
     int_a = [[int(x * common_den) for x in row] for row in a]
@@ -222,18 +229,34 @@ def assert_matches_reference(f, matrix, radius, dtype):
     assert cert.witness == witness
 
 
+def force_object_path(monkeypatch):
+    # no static bound holds: both sweeps take the exact path
+    monkeypatch.setattr(FloorMap, "_fits_int64", lambda self, rows: False)
+
+
 class TestVectorisedSweepMatchesPerRow:
     @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
     def test_random_unimodular(self, monkeypatch, dtype):
         if dtype is object:
-            # no static bound holds: both sweeps take the exact path
-            monkeypatch.setattr(FloorMap, "_fits_int64", lambda self, points: False)
+            force_object_path(monkeypatch)
         rng = random.Random(17)
         for d, radius in ((2, 12), (3, 5)):
             for quarter_grid in (True, False):
                 for _ in range(4):
                     m = random_unimodular(rng, d, quarter_grid=quarter_grid)
                     assert_matches_reference(realize_bilipschitz(m), m, radius, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @pytest.mark.parametrize("d, radius", [(2, 0), (2, 7), (2, 30), (3, 3)])
+    def test_radii_around_the_probes(self, monkeypatch, dtype, d, radius):
+        # radius 0 and 7 lie below every probe, 30 between two, and 3 in 3D
+        # below all of them; the nested maxima come from slices of the grid
+        if dtype is object:
+            force_object_path(monkeypatch)
+        rng = random.Random(100 * d + radius)
+        for _ in range(3):
+            m = random_unimodular(rng, d, quarter_grid=False)
+            assert_matches_reference(realize_bilipschitz(m), m, radius, dtype)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -259,10 +282,52 @@ class TestVectorisedSweepMatchesPerRow:
         assert cert.exact_constant == exact[radius]
         assert cert.witness == witness
 
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @pytest.mark.parametrize("layout", ["c-ordered", "box-view", "int32", "strided"])
+    def test_apply_array_input_layouts(self, monkeypatch, dtype, layout):
+        if dtype is object:
+            force_object_path(monkeypatch)
+        f = realize_bilipschitz(random_unimodular(random.Random(18), 3, quarter_grid=False))
+        box = box_points(4, 3)
+        points = {
+            "c-ordered": np.array(box.tolist()),
+            "box-view": box,
+            "int32": box.astype(np.int32),
+            "strided": box[::3],
+        }[layout]
+        before = points.copy()
+        images = f.apply_array(points)
+        assert images.shape == points.shape
+        assert images.dtype == dtype
+        assert images.tolist() == reference_apply_array(f, points).tolist()
+        assert points.dtype == before.dtype and np.array_equal(points, before)
+
     def test_box_over_budget_refused_before_any_point(self):
         check_box_budget(50, 3)  # 1,030,301 points: the default 3x3 box fits
         with pytest.raises(ValueError, match=r"box \[-50, 50\]\^4 has 104060401 points, over budget 1048576"):
             box_points(50, 4)
+
+
+class TestBox:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_box_points_order(self, d):
+        for radius in range(4):
+            points = box_points(radius, d)
+            assert points.dtype == np.int64
+            assert points.tolist() == reference_box(radius, d)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda f: box_points(-1, 2),
+            lambda f: injectivity_check_on_box(f, -1),
+            lambda f: bounded_distance_constant(f, linalg.identity(2), -1),
+        ],
+        ids=["box_points", "injectivity_check_on_box", "bounded_distance_constant"],
+    )
+    def test_negative_radius_refused(self, sweep):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            sweep(realize_bilipschitz(linalg.identity(2)))
 
 
 class TestInjectivity:

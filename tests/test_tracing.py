@@ -7,13 +7,16 @@ re-importing a traced function breaks the traced benchmark run; the first
 test shows it without running a workload.  The traced benchmark also fails
 when a layer records no call on a workload listed in its ``exercised_by``;
 the second test runs a small command per workload and checks the same.
-Both only read ``bench/``.
+The third reads the same run's ``shears.apply_array.points``, which must
+count points, not coordinates.  All three only read ``bench/``.
 """
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,8 +28,9 @@ print(orbitlab.__file__)
 """
 
 
-# One small command per benchmark workload; prints the exit codes and the
-# (workload, traced name) pairs that recorded no call on their command.
+# One small command per benchmark workload; prints the exit codes, the
+# (workload, traced name) pairs that recorded no call on their command and
+# the points each command passed to ``FloorMap.apply_array``.
 EXERCISE = """
 import contextlib, io, json
 from layers import ODOMETER, REALIZE, TRACED, TRANSLATE, Tracer
@@ -41,8 +45,10 @@ COMMANDS = {
 }
 codes = {}
 idle = []
+points = {}
 for workload, argv in COMMANDS.items():
     before = {name: tracer.stats[name][0] for name in TRACED}
+    points_before = tracer.derived["shears.apply_array.points"]
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             main.main(args=argv, prog_name="orbitlab")
@@ -53,7 +59,8 @@ for workload, argv in COMMANDS.items():
         for name, spec in TRACED.items()
         if workload in spec.exercised_by and tracer.stats[name][0] == before[name]
     ]
-print(json.dumps({"codes": codes, "idle": idle}))
+    points[workload] = tracer.derived["shears.apply_array.points"] - points_before
+print(json.dumps({"codes": codes, "idle": idle, "points": points}))
 """
 
 
@@ -75,7 +82,18 @@ def test_tracer_installs_on_every_traced_name():
     assert Path(location).resolve().is_relative_to(ROOT / "src")
 
 
-def test_every_traced_layer_is_called_on_its_workloads():
-    outcome = json.loads(run_with_bench(EXERCISE))
-    assert set(outcome["codes"].values()) == {0}, outcome["codes"]
-    assert outcome["idle"] == []
+@pytest.fixture(scope="module")
+def exercised():
+    return json.loads(run_with_bench(EXERCISE))
+
+
+def test_every_traced_layer_is_called_on_its_workloads(exercised):
+    assert set(exercised["codes"].values()) == {0}, exercised["codes"]
+    assert exercised["idle"] == []
+
+
+def test_apply_array_points_count_box_points(exercised):
+    # ``realize --radius 10`` sweeps the 21^2 points of one box; the tracer
+    # counts ``len(points)``, so a (d, M) array passed to ``apply_array``
+    # would read 2 here and change what the benchmark's layer metric means
+    assert exercised["points"]["realize-recovery"] == 21**2
