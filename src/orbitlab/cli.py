@@ -146,9 +146,9 @@ def realize(matrix, n, samples, radius, tol, seed, as_json, out):
     points = eta.meta["space"].slice_members[:samples]
     invariant = recover_invariant_matrix(eta, n, points)
 
-    det_tol = Fraction(10 * d) * cert.exact_constant / n
+    det_tol = Fraction(10 * d) * cert.constant / n
     checks = [
-        recovery_check(invariant, a, cert.exact_constant / n),
+        recovery_check(invariant, a, cert.constant / n),
         check_det_pm1(invariant, det_tol if det_tol > 0 else Fraction(tol)),
         multiplicativity_check(invariant),
     ]

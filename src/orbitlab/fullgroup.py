@@ -15,14 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .checks import CheckResult
-from .odometer import (
-    SWEEP_BUDGET,
-    ClopenSet,
-    Cylinder,
-    DigitPoint,
-    OdometerSpace,
-    odometer_add,
-)
+from .odometer import ClopenSet, Cylinder, DigitPoint, OdometerSpace, odometer_add
 
 
 def _coerce_label(label, dimension: int) -> tuple[int, ...]:
@@ -232,17 +225,13 @@ def conjugate_by_translation(t: FullGroupElement, vector) -> FullGroupElement:
 
 
 def spatial_realization_gap(
-    conjugated: FullGroupElement,
-    t: FullGroupElement,
-    vector,
-    space: OdometerSpace,
-    budget: int = SWEEP_BUDGET,
+    conjugated: FullGroupElement, t: FullGroupElement, vector, space: OdometerSpace
 ):
     """First depth-N point where ``conjugated`` fails to act like t shifted by
     ``vector``; None when the translation realizes the conjugation everywhere.
     """
     vec = _coerce_label(vector, space.dimension)
-    for x in space.all_points(budget):
+    for x in space.all_points():
         shifted = odometer_add(x, vec, space)
         if conjugated.apply(shifted) != odometer_add(t.apply(x), vec, space):
             return x

@@ -310,9 +310,6 @@ class GeneratingSet:
                 ball = self._balls[radius] = tuple(sorted(members, key=lambda e: e.sort_key()))
         return ball
 
-    def sphere(self, radius: int) -> tuple:
-        return tuple(g for g in self.ball(radius) if self._lengths[g] == radius)
-
     def bfs_word_length(self, g) -> int:
         """Word length by pure BFS, ignoring closed forms (budget applies)."""
         if not _same_group(g.group, self.group):

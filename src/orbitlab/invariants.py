@@ -71,9 +71,6 @@ class ExteriorElement:
     def __hash__(self):
         return hash((self.dimension, frozenset(self.coeffs.items())))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -143,11 +140,6 @@ class InducedAlgebraMap:
                 out[target] = out.get(target, Fraction(0)) + coeff * value
         return ExteriorElement(self.dimension, out)
 
-    def top_scalar(self) -> Fraction:
-        """The factor on the top degree; equals the determinant."""
-        full = frozenset(range(self.dimension))
-        return self._image_of_blade(full).get(full, Fraction(0))
-
     def corrupted(self, subset, target, value) -> "InducedAlgebraMap":
         """A copy with one blade-image entry overridden (negative control)."""
         clone = InducedAlgebraMap(self.matrix)
@@ -197,10 +189,7 @@ class InvariantMatrix:
 
 
 def recover_invariant_matrix(
-    morphism: Morphism,
-    n: int,
-    samples: Sequence | None = None,
-    constant=None,
+    morphism: Morphism, n: int, samples: Sequence | None = None
 ) -> InvariantMatrix:
     """Recover the linear part of a morphism's cocycle from its growth at scale n.
 
@@ -208,7 +197,7 @@ def recover_invariant_matrix(
     cocycle(n e_i, (n e_i)^-1 . x) / n, computed in exact rational
     arithmetic.  When the cocycle stays within sup-distance C of a linear
     map, every entry is within C/n of that map; the attached error bound is
-    C/n with C the supplied or recorded constant.
+    C/n with C the constant the morphism records in ``meta["constant"]``.
     """
     if n < 1:
         raise ValueError("growth scale n must be >= 1")
@@ -219,8 +208,7 @@ def recover_invariant_matrix(
     samples = tuple(samples) if samples is not None else morphism.source.points
     if not samples:
         raise ValueError("need at least one sample point")
-    if constant is None:
-        constant = morphism.meta.get("constant")
+    constant = morphism.meta.get("constant")
 
     columns = []
     for i in range(d):
@@ -298,8 +286,13 @@ def check_det_pm1(matrix_or_invariant, tol) -> CheckResult:
     )
 
 
-def multiplicativity_check(subject, tol=Fraction(1, 10**12)) -> CheckResult:
-    """The induced map is an algebra homomorphism on all basis blade pairs."""
+# The largest coefficient gap ``multiplicativity_check`` accepts.
+MULTIPLICATIVITY_TOL = Fraction(1, 10**12)
+
+
+def multiplicativity_check(subject) -> CheckResult:
+    """The induced map is an algebra homomorphism on all basis blade pairs,
+    each coefficient within ``MULTIPLICATIVITY_TOL``."""
     if isinstance(subject, InvariantMatrix):
         induced = subject.induced()
     elif isinstance(subject, InducedAlgebraMap):
@@ -307,7 +300,6 @@ def multiplicativity_check(subject, tol=Fraction(1, 10**12)) -> CheckResult:
     else:
         induced = InducedAlgebraMap(subject)
     d = induced.dimension
-    tol = linalg.as_scalar(tol)
     checked = 0
     witnesses = []
     subsets = [
@@ -324,54 +316,46 @@ def multiplicativity_check(subject, tol=Fraction(1, 10**12)) -> CheckResult:
         rhs = wedge(induced.apply(u), induced.apply(v))
         gap = lhs + rhs.scale(-1)
         checked += 1
-        if any(abs(c) > tol for c in gap.coeffs.values()):
+        if any(abs(c) > MULTIPLICATIVITY_TOL for c in gap.coeffs.values()):
             witnesses.append((left, right))
     return CheckResult(
         name="multiplicativity",
         passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
-        coverage={"tol": float(tol), "dimension": d},
+        coverage={"tol": float(MULTIPLICATIVITY_TOL), "dimension": d},
     )
 
 
-def functoriality_check(
-    eta: Morphism,
-    theta: Morphism,
-    n: int,
-    samples: Sequence | None = None,
-    budget=None,
-) -> CheckResult:
+def functoriality_check(eta: Morphism, theta: Morphism, n: int) -> CheckResult:
     """Invariant of the composite vs the product of invariants.
 
     For constant (exact) cocycles the two matrices must agree exactly.  For
-    cocycles within sup-distance C of linear maps B and A the default budget
-    adds the three drift sources: the composite recovery, off by
+    cocycles within sup-distance C of linear maps B and A the budget adds
+    the three drift sources: the composite recovery, off by
     (C_eta + |B| C_theta)/n; the factor (M_eta - B) M_theta, off by
     d max|M_theta| C_eta/n; and B (M_theta - A), off by |B| C_theta/n,
     with |B| estimated through M_eta.
     """
     composed = compose_morphisms(eta, theta)
-    m_eta = recover_invariant_matrix(eta, n, samples)
-    m_theta = recover_invariant_matrix(theta, n, samples)
-    m_comp = recover_invariant_matrix(composed, n, samples)
+    m_eta = recover_invariant_matrix(eta, n)
+    m_theta = recover_invariant_matrix(theta, n)
+    m_comp = recover_invariant_matrix(composed, n)
     product = linalg.mat_mul(m_eta.matrix, m_theta.matrix)
     gap = linalg.max_abs_diff(m_comp.matrix, product)
 
     c_eta = linalg.as_scalar(eta.meta.get("constant") or 0)
     c_theta = linalg.as_scalar(theta.meta.get("constant") or 0)
-    if budget is None:
-        if c_eta == 0 and c_theta == 0:
-            budget = Fraction(0)
-        else:
-            d = len(product)
-            norm_b = linalg.row_sum_norm(m_eta.matrix) + Fraction(d) * c_eta / n
-            budget = (
-                (c_eta + norm_b * c_theta) / n
-                + Fraction(d) * linalg.max_abs(m_theta.matrix) * c_eta / n
-                + norm_b * c_theta / n
-            )
-    budget = linalg.as_scalar(budget)
+    if c_eta == 0 and c_theta == 0:
+        budget = Fraction(0)
+    else:
+        d = len(product)
+        norm_b = linalg.row_sum_norm(m_eta.matrix) + Fraction(d) * c_eta / n
+        budget = (
+            (c_eta + norm_b * c_theta) / n
+            + Fraction(d) * linalg.max_abs(m_theta.matrix) * c_eta / n
+            + norm_b * c_theta / n
+        )
     return CheckResult(
         name="functoriality",
         passed=gap <= budget,

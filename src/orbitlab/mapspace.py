@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
 
 from .checks import CheckResult
 from .groups import GeneratingSet, LatticeGroup, is_bilipschitz_on_ball
@@ -179,13 +178,13 @@ class TruncatedMapSpace:
             self._seed_values[g] = self.seed.value(g)
         return self._seed_values[g]
 
-    def _normalized_translate_table(self, g0, radius) -> dict:
-        """Table of the seed translated by g0 and normalized to fix identity."""
-        prefix = self._seed_value(g0.inverse()).inverse()
-        return {
-            h: prefix * self._seed_value(g0.inverse() * h)
-            for h in self.source_gens.ball(radius)
-        }
+    def translate_table(self, g0, delta, radius) -> dict:
+        """The seed translate with provenance (g0, delta) on B(radius):
+        psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), which takes the value delta
+        at the identity."""
+        g0_inv = g0.inverse()
+        prefix = delta * self._seed_value(g0_inv).inverse()
+        return {h: prefix * self._seed_value(g0_inv * h) for h in self.source_gens.ball(radius)}
 
     def _build(self):
         # Every base table is normalized: base(e) = s(g0^-1)^-1 s(g0^-1) = e.
@@ -198,18 +197,18 @@ class TruncatedMapSpace:
         # provenance equals what building every (g0, delta) germ and keeping
         # the first of each table would record.
         bases = {}
+        identity_target = self.target_gens.group.identity()
         for g0 in self.source_gens.ball(self.translate_radius):
-            base = self._normalized_translate_table(g0, self.radius)
+            base = self.translate_table(g0, identity_target, self.radius)
             # Every base lists the same ball in the same order.
             bases.setdefault(tuple(base.values()), (g0, base))
-        identity_target = self.target_gens.group.identity()
         members = []
         for g0, base in bases.values():
             for delta in self.target_gens.ball(self.offset_radius):
                 if delta == identity_target:
                     table = base
                 else:
-                    table = {h: delta * v for h, v in base.items()}
+                    table = self.translate_table(g0, delta, self.radius)
                 members.append(
                     MapGerm(self.source_gens, self.radius, table, provenance=(g0, delta))
                 )
@@ -321,34 +320,15 @@ class TruncatedMapSpace:
             raise TruncationError("germ has no globally defined representative")
         g0, _ = germ.provenance
         new_g0 = g * g0
-        table = self._normalized_translate_table(new_g0, self.radius)
-        return MapGerm(
-            self.source_gens,
-            self.radius,
-            table,
-            provenance=(new_g0, self.target_gens.group.identity()),
-        )
+        identity_target = self.target_gens.group.identity()
+        table = self.translate_table(new_g0, identity_target, self.radius)
+        return MapGerm(self.source_gens, self.radius, table, provenance=(new_g0, identity_target))
 
     def find_slice_match(self, germ: MapGerm) -> MapGerm | None:
         for member in self.slice_members:
             if member.matches(germ):
                 return member
         return None
-
-    def stabilization_report(self, translate_radii: Sequence[int]) -> dict[int, int]:
-        """|members| as the translate radius grows (closure approximation)."""
-        sizes = {}
-        for rt in sorted(translate_radii):
-            sub = build_translate_space(
-                self.seed,
-                self.radius,
-                rt,
-                offset_radius=self.offset_radius,
-                source_gens=self.source_gens,
-                target_gens=self.target_gens,
-            )
-            sizes[rt] = len(sub.members)
-        return sizes
 
     def to_json(self):
         return {
@@ -363,24 +343,20 @@ class TruncatedMapSpace:
 
 
 def build_translate_space(
-    seed,
-    radius: int,
-    translate_radius: int,
-    offset_radius: int | None = None,
-    source_gens: GeneratingSet | None = None,
-    target_gens: GeneratingSet | None = None,
+    seed, radius: int, translate_radius: int, offset_radius: int | None = None
 ) -> TruncatedMapSpace:
     """Enumerate distinct translated-seed restrictions and their slice.
 
-    The seed must be defined on the ball of radius R + R_t.  Offsets of the
-    target coordinate range over the ball of ``offset_radius`` (default R_t)
-    around the normalizing value, so the slice is always reachable.
+    Both groups carry their standard generators.  The seed must be defined
+    on the ball of radius R + R_t.  Offsets of the target coordinate range
+    over the ball of ``offset_radius`` (default R_t) around the normalizing
+    value, so the slice is always reachable.
     """
     if radius < 0 or translate_radius < 0:
         raise ValueError("radii must be >= 0")
     offset_radius = translate_radius if offset_radius is None else offset_radius
-    source_gens = source_gens or seed.source_group.standard_generators()
-    target_gens = target_gens or seed.target_group.standard_generators()
+    source_gens = seed.source_group.standard_generators()
+    target_gens = seed.target_group.standard_generators()
     if not seed.is_global:
         needed = source_gens.ball(radius + translate_radius)
         for g in needed:
@@ -448,8 +424,7 @@ def _is_certified_translate(space: TruncatedMapSpace, germ: MapGerm, reach: int)
     g0, delta = germ.provenance
     if space.source_gens.word_length(g0) + germ.radius > reach:
         return False
-    base = space._normalized_translate_table(g0, germ.radius)
-    return germ.table == {h: delta * v for h, v in base.items()}
+    return germ.table == space.translate_table(g0, delta, germ.radius)
 
 
 def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
@@ -623,19 +598,14 @@ def check_orbit_equality(space: TruncatedMapSpace, psi: MapGerm, window: int) ->
 # freeness-forcing product
 
 
-def force_freeness(
-    space: TruncatedMapSpace,
-    odometer: OdometerSpace,
-    window: int,
-    sample_points: Sequence | None = None,
-) -> CheckResult:
+def force_freeness(space: TruncatedMapSpace, odometer: OdometerSpace, window: int) -> CheckResult:
     """Certify window-freeness of the diagonal product with an odometer.
 
     The odometer must have one coordinate per source and target lattice
     coordinate; the source group moves the germ and adds (g, cocycle value)
     on the odometer side, which destroys every finite-window fixed point.
     Every non-identity g of the window ball moves every (slice member,
-    sample point) pair, the sample points defaulting to the odometer's zero.
+    odometer zero) pair.
     """
     src = space.source_gens.group
     tgt = space.target_gens.group
@@ -646,25 +616,23 @@ def force_freeness(
             f"odometer dimension {odometer.dimension} != "
             f"{src.dimension} + {tgt.dimension}"
         )
-    if sample_points is None:
-        sample_points = [odometer.zero()]
-    pairs = [(psi, y) for psi in space.slice_members for y in sample_points]
+    zero = odometer.zero()
     checked = 0
     witnesses = []
     for g in space.source_gens.ball(window):
         if g.is_identity():
             continue
-        for psi, y in pairs:
+        for psi in space.slice_members:
             lam = space.forward_cocycle(g, psi)
             moved_psi = space.act_source(g, psi)
-            moved_y = odometer_add(y, tuple(g.coords) + tuple(lam.coords), odometer)
+            moved = odometer_add(zero, tuple(g.coords) + tuple(lam.coords), odometer)
             checked += 1
-            if moved_y == y and moved_psi.matches(psi):
-                witnesses.append((g, psi, y))
+            if moved == zero and moved_psi.matches(psi):
+                witnesses.append((g, psi, zero))
     return CheckResult(
         name="forced-freeness",
         passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
-        coverage={"W": window, "pairs": len(pairs)},
+        coverage={"W": window, "pairs": len(space.slice_members)},
     )

@@ -131,9 +131,10 @@ def odometer_translation_system(space: OdometerSpace, points: Sequence) -> Actio
     )
 
 
-def matrix_morphism(matrix, space: OdometerSpace, points: Sequence, radius: int = 8) -> Morphism:
+def matrix_morphism(matrix, space: OdometerSpace, points: Sequence) -> Morphism:
     """The matrix automorphism of the odometer: point map is multiplication
-    by the matrix, the cocycle is the constant g -> A g, exactly."""
+    by the matrix, the cocycle is the constant g -> A g, exactly (stated on
+    B(8), as for the identity)."""
     mat = linalg.as_matrix(matrix)
     if not linalg.is_integral(mat):
         raise ValueError("constant odometer cocycle needs an integer matrix")
@@ -152,8 +153,8 @@ def matrix_morphism(matrix, space: OdometerSpace, points: Sequence, radius: int 
             system,
             lambda x: matrix_act(m, x, space),
             evaluate,
-            radius,
-            meta={"matrix": m, "constant": 0, "odometer": space},
+            8,
+            meta={"matrix": m, "constant": 0},
         )
 
     morphism = automorphism(mat)
@@ -239,26 +240,27 @@ def realized_morphism(matrix, tol=1e-9, box_radius: int = 50) -> Morphism:
     floor_map = realize_bilipschitz(matrix, tol)
     cert = bounded_distance_constant(floor_map, floor_map.target, box_radius)
     space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-    morphism = orbit_morphism(space, radius=2, constant=cert.exact_constant)
+    morphism = orbit_morphism(space, radius=2, constant=cert.constant)
     morphism.meta["certificate"] = cert
     return morphism
 
 
-def compose_morphisms(eta: Morphism, theta: Morphism, _build_inverse: bool = True) -> Morphism:
+def compose_morphisms(eta: Morphism, theta: Morphism) -> Morphism:
     """eta after theta.
 
     When theta lands in eta's system the composite is computed pointwise:
     the point maps compose and the cocycle is
-    eta(theta(g, x), theta.point_map(x)).  Two floor-map orbit morphisms
-    live on different slices, so their composite is realized by composing
-    the underlying lattice bijections and rebuilding the orbit morphism of
-    the composite seed with the parameters of eta's space.
+    eta(theta(g, x), theta.point_map(x)); the composite records no inverse.
+    Two floor-map orbit morphisms live on different slices, so their
+    composite is realized by composing the underlying lattice bijections
+    and rebuilding the orbit morphism of the composite seed with the
+    parameters of eta's space.
     """
     if theta.target.key == eta.source.key:
         def evaluate(g, x):
             return eta.evaluate(theta.evaluate(g, x), theta.point_map(x))
 
-        composed = Morphism(
+        return Morphism(
             "composed",
             theta.source,
             eta.target,
@@ -267,15 +269,6 @@ def compose_morphisms(eta: Morphism, theta: Morphism, _build_inverse: bool = Tru
             min(eta.radius, theta.radius),
             _composed_meta(eta, theta),
         )
-        if _build_inverse and eta._inverse is not None and theta._inverse is not None:
-            try:
-                composed._inverse = compose_morphisms(
-                    theta.inverse(), eta.inverse(), _build_inverse=False
-                )
-                composed._inverse._inverse = composed
-            except ValueError:
-                pass
-        return composed
 
     eta_map = eta.meta.get("floor_map")
     theta_map = theta.meta.get("floor_map")
@@ -308,7 +301,7 @@ def _composed_meta(eta: Morphism, theta: Morphism) -> dict:
     c_theta = theta.meta.get("constant")
     if c_eta is not None and c_theta is not None and "matrix" in eta.meta:
         norm = linalg.row_sum_norm(eta.meta["matrix"])
-        meta["constant"] = float(c_eta + norm * c_theta)
+        meta["constant"] = c_eta + norm * c_theta
     return meta
 
 

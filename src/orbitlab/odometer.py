@@ -82,9 +82,6 @@ class OdometerSpace:
             tuple([operator.index(v) % m for v, m in zip(values, self.moduli)]), self
         )
 
-    def values_of(self, point: "DigitPoint") -> tuple[int, ...]:
-        return point.residues
-
     def zero(self) -> "DigitPoint":
         return DigitPoint((0,) * self.dimension, self)
 
@@ -94,10 +91,10 @@ class OdometerSpace:
             n *= m
         return n
 
-    def all_points(self, budget: int = SWEEP_BUDGET):
-        """Iterate every depth-N point; refuses spaces larger than the budget."""
-        if self.point_count() > budget:
-            raise ValueError(f"space has {self.point_count()} points, over budget {budget}")
+    def all_points(self):
+        """Iterate every depth-N point; refuses spaces over ``SWEEP_BUDGET``."""
+        if self.point_count() > SWEEP_BUDGET:
+            raise ValueError(f"space has {self.point_count()} points, over budget {SWEEP_BUDGET}")
         for values in itertools.product(*(range(m) for m in self.moduli)):
             yield DigitPoint(values, self)
 
@@ -386,7 +383,7 @@ def matrix_act(matrix, x: DigitPoint, space: OdometerSpace) -> DigitPoint:
     )
 
 
-def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = SWEEP_BUDGET) -> CheckResult:
+def bijectivity_check_at_depth(matrix, space: OdometerSpace) -> CheckResult:
     """Verify the matrix action permutes all p^(N d) depth-N points.
 
     A permutation at depth N means every depth-k cylinder pulls back to a set
@@ -395,8 +392,8 @@ def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = SWEEP
     """
     rows = _integer_rows(matrix, space)
     count = space.point_count()
-    if count > budget:
-        raise ValueError(f"depth sweep needs {count} points, over budget {budget}")
+    if count > SWEEP_BUDGET:
+        raise ValueError(f"depth sweep needs {count} points, over budget {SWEEP_BUDGET}")
     modulus = space.moduli[0]
     seen = set()
     witnesses = []
@@ -419,7 +416,7 @@ def bijectivity_check_at_depth(matrix, space: OdometerSpace, budget: int = SWEEP
     )
 
 
-def minimality_witness(space: OdometerSpace, k: int, budget: int = SWEEP_BUDGET) -> CheckResult:
+def minimality_witness(space: OdometerSpace, k: int) -> CheckResult:
     """Walk the orbit of zero and confirm every depth-k cylinder is visited.
 
     The odometer orbit is a full cyclic group mod p_i^k in each coordinate, so
@@ -438,8 +435,8 @@ def minimality_witness(space: OdometerSpace, k: int, budget: int = SWEEP_BUDGET)
     total = 1
     for r in ranges:
         total *= r
-    if total > budget:
-        raise ValueError(f"sweep needs {total} cylinders, over budget {budget}")
+    if total > SWEEP_BUDGET:
+        raise ValueError(f"sweep needs {total} cylinders, over budget {SWEEP_BUDGET}")
     zero = space.zero()
     visited = set()
     for steps in itertools.product(*(range(r) for r in ranges)):

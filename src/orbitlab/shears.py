@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .checks import CheckResult
-from .groups import GeneratingSet, is_bilipschitz_on_ball
+from .groups import is_bilipschitz_on_ball
 from .odometer import SWEEP_BUDGET
 
 _PIVOT_FLOOR = Fraction(1, 10**12)
@@ -211,6 +211,8 @@ class FloorMap:
 
     def inverse(self, w: Sequence[int]) -> tuple[int, ...]:
         out = tuple(int(c) for c in w)
+        if len(out) != self.dimension:
+            raise ValueError("vector has wrong dimension")
         for op in self.ops:
             out = op.unapply_int(out)
         return out
@@ -237,6 +239,8 @@ class FloorMap:
         ``_fits_int64`` proves it safe, otherwise on exact Python integers
         (dtype=object).
         """
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise ValueError("vector has wrong dimension")
         dtype = np.int64 if self._fits_int64(points.T) else object
         rows = np.array(points.T, dtype=dtype, order="C")
         for op in reversed(self.ops):
@@ -296,23 +300,23 @@ def box_points(radius: int, dimension: int) -> np.ndarray:
 class DistanceCertificate:
     """Max sup-norm gap between the realized map and its matrix on boxes.
 
-    ``constant`` is the maximum over the swept box of radius ``radius``: a
-    sampled value, not a proven bound on all of Z^d.  ``by_radius`` reports
-    the max on nested boxes; a stable value across radii is the desk-scale
-    evidence that the gap is uniformly bounded.
+    ``constant`` is the exact maximum over the swept box of radius
+    ``radius``: a sampled value, not a proven bound on all of Z^d.
+    ``by_radius`` holds the exact max on nested boxes; a stable value across
+    radii is the desk-scale evidence that the gap is uniformly bounded.
+    Only ``to_json`` converts them to floats.
     """
 
-    constant: float
+    constant: Fraction
     radius: int
     by_radius: dict
     witness: tuple[int, ...] | None
-    exact_constant: Fraction = Fraction(0)
 
     def to_json(self):
         return {
             "R": self.radius,
-            "constant": self.constant,
-            "by_radius": {str(k): v for k, v in sorted(self.by_radius.items())},
+            "constant": float(self.constant),
+            "by_radius": {str(k): float(v) for k, v in sorted(self.by_radius.items())},
             "witness": None if self.witness is None else list(self.witness),
         }
 
@@ -355,18 +359,16 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
 
     side = 2 * radius + 1
     grid = gap_inf.reshape((side,) * d)
-    exact = {
+    by_radius = {
         r: Fraction(int(grid[(slice(radius - r, radius + r + 1),) * d].max()), common_den)
         for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius})
     }
-    by_radius = {r: float(c) for r, c in exact.items()}
     best = int(np.argmax(gap_inf))
     return DistanceCertificate(
         constant=by_radius[radius],
         radius=radius,
         by_radius=by_radius,
         witness=tuple(int(c) for c in points[best]),
-        exact_constant=exact[radius],
     )
 
 
@@ -422,22 +424,17 @@ class ExtractedMap:
         }
 
 
-def extract_bilipschitz_from_cocycle(
-    morphism,
-    basepoint,
-    radius: int,
-    source: GeneratingSet | None = None,
-    target: GeneratingSet | None = None,
-) -> ExtractedMap:
+def extract_bilipschitz_from_cocycle(morphism, basepoint, radius: int) -> ExtractedMap:
     """Recover g -> cocycle(g^-1, basepoint)^-1 on a ball and certify it.
 
-    The cocycle is that of ``morphism``.  The certificate constant is the
-    longest target word the cocycle assigns to a source generator anywhere on
-    the morphism's source points; the returned report is a two-sided
-    Lipschitz sweep with that constant.
+    The cocycle is that of ``morphism``, on the generating sets of its two
+    systems.  The certificate constant is the longest target word the
+    cocycle assigns to a source generator anywhere on the morphism's source
+    points; the returned report is a two-sided Lipschitz sweep with that
+    constant.
     """
-    source = source if source is not None else morphism.source.gens
-    target = target if target is not None else morphism.target.gens
+    source = morphism.source.gens
+    target = morphism.target.gens
     mapping = {g: morphism.evaluate(g.inverse(), basepoint).inverse() for g in source.ball(radius)}
     constant = 0
     for s in source.elements:

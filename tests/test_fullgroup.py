@@ -46,8 +46,8 @@ class TestMake:
             sp, [(Cylinder(((0,),)), (1,)), (Cylinder(((1,),)), (-1,))]
         )
         zero = sp.zero()
-        assert sp.values_of(swap.apply(zero)) == (1,)
-        assert sp.values_of(swap.apply(sp.point_from_values((1,)))) == (0,)
+        assert swap.apply(zero).residues == (1,)
+        assert swap.apply(sp.point_from_values((1,))).residues == (0,)
 
     def test_overlapping_domains_rejected(self):
         with pytest.raises(ValueError, match="overlap"):

@@ -37,7 +37,7 @@ class TestWedge:
         assert wedge(e(3, 0), e(3, 1)) == wedge(e(3, 1), e(3, 0)).scale(-1)
 
     def test_nilpotence(self):
-        assert wedge(e(3, 0), e(3, 0)).is_zero()
+        assert wedge(e(3, 0), e(3, 0)) == ExteriorElement(3)
 
     def test_bilinearity_with_nilpotence(self):
         s = e(3, 0) + e(3, 1)
@@ -80,7 +80,8 @@ class TestInducedMap:
 
     def test_det_one_diagonal_fixes_top(self):
         ind = InducedAlgebraMap([[2, 0], [0, Fraction(1, 2)]])
-        assert ind.top_scalar() == 1
+        top = ExteriorElement.blade(2, (0, 1))
+        assert ind.apply(top) == top
 
     def test_degree_two_matches_wedge_of_columns(self):
         # independent oracle: apply in degree one and wedge the images
@@ -103,7 +104,8 @@ class TestInducedMap:
             mat = linalg.as_matrix(
                 [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
             )
-            assert InducedAlgebraMap(mat).top_scalar() == linalg.det(mat)
+            top = ExteriorElement.blade(d, range(d))
+            assert InducedAlgebraMap(mat).apply(top) == top.scale(linalg.det(mat))
 
 
 class TestMultiplicativity:
@@ -147,7 +149,7 @@ def realized_table(matrix, radius=2, translate_radius=2, cert_radius=50):
     space = build_translate_space(
         FloorMapSeed(floor_map), radius, translate_radius, offset_radius=0
     )
-    table = orbit_morphism(space, radius, cert.exact_constant)
+    table = orbit_morphism(space, radius, cert.constant)
     return table, cert, floor_map
 
 
@@ -183,10 +185,10 @@ class TestRecovery:
 
     def test_realized_shear_within_bound(self):
         table, cert, floor_map = realized_table(HALF_SHEAR)
-        inv = recover_invariant_matrix(table, 1024, constant=cert.exact_constant)
+        inv = recover_invariant_matrix(table, 1024)
         gap = linalg.max_abs_diff(inv.matrix, floor_map.target)
-        assert gap <= cert.exact_constant / 1024
-        assert inv.error_bound == float(cert.exact_constant / 1024)
+        assert gap <= cert.constant / 1024
+        assert inv.error_bound == float(cert.constant / 1024)
 
     def test_recovery_check_wrong_matrix_fails_with_witness(self):
         space = OdometerSpace((3, 3), 4)
@@ -204,30 +206,30 @@ class TestRecovery:
         # is guaranteed for them; check it at three scales
         table, cert, floor_map = realized_table(TENTH_SHEAR)
         for n in (2**6, 2**8, 2**10):
-            inv = recover_invariant_matrix(table, n, constant=cert.exact_constant)
+            inv = recover_invariant_matrix(table, n)
             gap = linalg.max_abs_diff(inv.matrix, floor_map.target)
-            assert gap <= cert.exact_constant / n
+            assert gap <= cert.constant / n
 
     def test_sample_independence(self):
         table, cert, _ = realized_table(TENTH_SHEAR, radius=3, translate_radius=3)
         points = table.source.points
         assert len(points) >= 2
         n = 256
-        inv_a = recover_invariant_matrix(table, n, [points[0]], constant=cert.exact_constant)
-        inv_b = recover_invariant_matrix(table, n, [points[-1]], constant=cert.exact_constant)
+        inv_a = recover_invariant_matrix(table, n, [points[0]])
+        inv_b = recover_invariant_matrix(table, n, [points[-1]])
         gap = linalg.max_abs_diff(inv_a.matrix, inv_b.matrix)
-        assert gap <= 2 * cert.exact_constant / n
+        assert gap <= 2 * cert.constant / n
 
     def test_det_within_stated_tolerance(self):
         table, cert, floor_map = realized_table(HALF_SHEAR)
         n = 1024
-        inv = recover_invariant_matrix(table, n, constant=cert.exact_constant)
+        inv = recover_invariant_matrix(table, n)
         d = 2
-        assert check_det_pm1(inv, Fraction(10 * d) * cert.exact_constant / n + Fraction(1, 10**12)).passed
+        assert check_det_pm1(inv, Fraction(10 * d) * cert.constant / n + Fraction(1, 10**12)).passed
 
     def test_cohomology_side_is_transpose(self):
         table, cert, _ = realized_table(HALF_SHEAR)
-        inv = recover_invariant_matrix(table, 256, constant=cert.exact_constant)
+        inv = recover_invariant_matrix(table, 256)
         assert inv.cohomology_side == linalg.transpose(inv.matrix)
 
     def test_measure_label_of_odometer_samples(self):
@@ -239,7 +241,7 @@ class TestRecovery:
 
     def test_measure_label_of_germ_samples(self):
         table, cert, _ = realized_table(HALF_SHEAR)
-        inv = recover_invariant_matrix(table, 64, constant=cert.exact_constant)
+        inv = recover_invariant_matrix(table, 64)
         assert inv.provenance["measure"] == "sample-average"
 
     def test_needs_lattice_source(self):

@@ -63,9 +63,8 @@ class TestBuild:
 
     def test_member_count_monotone_in_translate_radius(self):
         f = realize_bilipschitz(HALF_SHEAR)
-        space = build_translate_space(FloorMapSeed(f), 4, 4, offset_radius=1)
-        sizes = space.stabilization_report([0, 1, 2, 3, 4])
-        values = [sizes[r] for r in sorted(sizes)]
+        seed = FloorMapSeed(f)
+        values = [len(build_translate_space(seed, 4, rt, offset_radius=1).members) for rt in range(5)]
         assert values == sorted(values)
 
     def test_free_group_identity_seed(self):
@@ -78,12 +77,10 @@ class TestBuild:
 def reference_build(space):
     """The members that building every (g0, delta) germ and then keeping the
     first germ of each key gives, in key order."""
-    identity_target = space.target_gens.group.identity()
     by_key = {}
     for g0 in space.source_gens.ball(space.translate_radius):
-        base = space._normalized_translate_table(g0, space.radius)
         for delta in space.target_gens.ball(space.offset_radius):
-            table = base if delta == identity_target else {h: delta * v for h, v in base.items()}
+            table = space.translate_table(g0, delta, space.radius)
             germ = MapGerm(space.source_gens, space.radius, table, provenance=(g0, delta))
             by_key.setdefault(germ.key(), germ)
     return tuple(sorted(by_key.values(), key=MapGerm.key))
@@ -94,6 +91,24 @@ def cli_shear_space():
     """The half shear as ``gromov-check --matrix "1 0.5; 0 1"`` builds it, at 4/3/1."""
     f = realize_bilipschitz(linalg.parse_matrix("1 0.5; 0 1"), Fraction("1e-9"))
     return build_translate_space(FloorMapSeed(f), 4, 3, offset_radius=1)
+
+
+class TestTranslateTable:
+    @pytest.mark.parametrize("fixture", ["cli_shear_space", "nielsen_space"])
+    def test_matches_the_seed_formula(self, request, fixture):
+        # psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), read straight off seed.value,
+        # for every provenance of the space, on the Z^2 half shear and on the
+        # F_2 table seed (where left and right multiplication differ)
+        space = request.getfixturevalue(fixture)
+        space = space[0] if fixture == "nielsen_space" else space
+        s = space.seed.value
+        ball = space.source_gens.ball(space.radius)
+        for g0 in space.source_gens.ball(space.translate_radius):
+            for delta in space.target_gens.ball(space.offset_radius):
+                table = space.translate_table(g0, delta, space.radius)
+                assert list(table) == list(ball)
+                for h in ball:
+                    assert table[h] == delta * s(g0.inverse()).inverse() * s(g0.inverse() * h)
 
 
 class TestBuildSurvivorsOnly:
@@ -401,7 +416,7 @@ class TestClosureInheritance:
         # the second coordinate) that reads the seed outside B(R + R_t)
         mismatched = g0 * Z2.element((0, 1))
         distant = g0 * Z2.element((0, 2 * (space.radius + space.translate_radius)))
-        translate = lambda g: {h: delta * v for h, v in space._normalized_translate_table(g, germ.radius).items()}
+        translate = lambda g: space.translate_table(g, delta, germ.radius)
         assert translate(mismatched) != germ.table
         assert translate(distant) == germ.table
         moved = [

@@ -32,7 +32,7 @@ def shear_orbit():
     f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
     cert = bounded_distance_constant(f, f.target, 50)
     space = build_translate_space(FloorMapSeed(f), 6, 4, offset_radius=0)
-    return orbit_morphism(space, radius=2, constant=cert.exact_constant)
+    return orbit_morphism(space, radius=2, constant=cert.constant)
 
 
 class TestMatrixMorphism:
@@ -141,6 +141,8 @@ class TestComposition:
             expected = group.element(int(v) for v in linalg.mat_vec(product, g.coords))
             for x in points:
                 assert composed.evaluate(g, x) == expected
+        with pytest.raises(ValueError, match="composed morphism has no recorded inverse"):
+            composed.inverse()
 
     def test_seed_composition_for_distinct_slices(self):
         eta = realized_morphism([["1", "0"], ["0.25", "1"]], box_radius=25)
@@ -164,7 +166,7 @@ def _quarter_shear_twins():
     f = realize_bilipschitz([["1", "0.25"], ["0", "1"]])
     space = build_translate_space(FloorMapSeed(f), 1, 3, offset_radius=0)
     germs = [
-        MapGerm(space.source_gens, 1, space._normalized_translate_table(g0, 1), (g0, Z2.identity()))
+        MapGerm(space.source_gens, 1, space.translate_table(g0, Z2.identity(), 1), (g0, Z2.identity()))
         for g0 in (Z2.element((0, -1)), Z2.element((0, -2)))
     ]
     assert germs[0].key() == germs[1].key()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitlab import linalg, odometer
-from orbitlab.fullgroup import FullGroupElement, compose
+from orbitlab.fullgroup import FullGroupElement, compose, spatial_realization_gap
 from orbitlab.odometer import (
     ClopenSet,
     Cylinder,
@@ -187,7 +187,7 @@ class TestMatrixAction:
         # values (1, 2) -> (3, 2) under [[1,1],[0,1]] mod 8
         sp = OdometerSpace((2, 2), 3)
         x = sp.point_from_values((1, 2))
-        assert sp.values_of(matrix_act([[1, 1], [0, 1]], x, sp)) == (3, 2)
+        assert matrix_act([[1, 1], [0, 1]], x, sp).residues == (3, 2)
 
     def test_equivariance_spot(self):
         sp = OdometerSpace((2, 2), 3)
@@ -236,9 +236,10 @@ class TestDepthBijectivity:
         with pytest.raises(ValueError, match="not \\+-1"):
             bijectivity_check_at_depth([[2, 0], [0, 1]], OdometerSpace((2, 2), 3))
 
-    def test_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            bijectivity_check_at_depth([[1, 0], [0, 1]], OdometerSpace((2, 2), 3), budget=10)
+    def test_budget(self, monkeypatch):
+        assert_refused_before_any_point(
+            monkeypatch, lambda space, t: bijectivity_check_at_depth([[1, 0], [0, 1]], space)
+        )
 
     def test_collision_fails_with_witness(self, monkeypatch):
         # det +-1 integer matrices always permute, so a singular action is
@@ -249,6 +250,41 @@ class TestDepthBijectivity:
         assert result.witnesses == [(3, 0)]
         assert result.checked == 3 * 9 + 1
         assert result.notes == "collision at depth-N image"
+
+
+# (2, 2) at depth 11 has 2^22 points, four times SWEEP_BUDGET.
+OVER_BUDGET = OdometerSpace((2, 2), 11)
+
+
+def assert_refused_before_any_point(monkeypatch, sweep):
+    """``sweep(space, t)`` raises the budget refusal on ``OVER_BUDGET``
+    before it builds a single point."""
+    t = FullGroupElement.identity(OVER_BUDGET)
+    built = []
+    make_point = DigitPoint.__init__
+
+    def counting(point, residues, sp):
+        built.append(residues)
+        make_point(point, residues, sp)
+
+    monkeypatch.setattr(DigitPoint, "__init__", counting)
+    with pytest.raises(ValueError, match="over budget 1048576"):
+        sweep(OVER_BUDGET, t)
+    assert built == []
+
+
+class TestSweepBudget:
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda space, t: minimality_witness(space, 11),
+            lambda space, t: list(space.all_points()),
+            lambda space, t: spatial_realization_gap(t, t, (1, 0), space),
+        ],
+        ids=["minimality_witness", "all_points", "spatial_realization_gap"],
+    )
+    def test_over_budget_refused(self, monkeypatch, sweep):
+        assert_refused_before_any_point(monkeypatch, sweep)
 
 
 class TestEquivariance:

@@ -18,5 +18,5 @@ def test_library_example_recovers_the_matrix_within_c_over_n(capsys):
     assert "'matrix'" in capsys.readouterr().out
     invariant, cert = namespace["invariant"], namespace["cert"]
     gap = linalg.max_abs_diff(invariant.matrix, linalg.as_matrix(namespace["matrix"]))
-    assert gap <= cert.exact_constant / 1024
+    assert gap <= cert.constant / 1024
     assert invariant.provenance["cocycle"] == "orbit-forward"

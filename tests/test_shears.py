@@ -130,6 +130,28 @@ class TestFloorMap:
         assert values == sorted(values)           # nested boxes
         assert values[2] <= values[0] * 3 + 2     # no runaway growth
 
+    def test_certificate_is_exact_and_serialises_to_floats(self):
+        m = [["1", "0.3"], ["0.5", "1.15"]]
+        cert = bounded_distance_constant(realize_bilipschitz(m), m, 25)
+        assert isinstance(cert.constant, Fraction)
+        assert all(isinstance(c, Fraction) for c in cert.by_radius.values())
+        assert cert.constant == cert.by_radius[25]
+        data = cert.to_json()
+        assert data["constant"] == float(cert.constant)
+        assert data["by_radius"] == {str(r): float(c) for r, c in sorted(cert.by_radius.items())}
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_inverse_refuses_wrong_dimension(self, d):
+        f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
+        with pytest.raises(ValueError, match="vector has wrong dimension"):
+            f.inverse(tuple(range(1, d + 1)))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_apply_array_refuses_wrong_dimension(self, d):
+        f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
+        with pytest.raises(ValueError, match="vector has wrong dimension"):
+            f.apply_array(np.arange(2 * d, dtype=np.int64).reshape(2, d))
+
     def test_inverse_roundtrip_box20(self):
         rng = random.Random(12)
         for d in (2, 3):
@@ -224,8 +246,8 @@ def assert_matches_reference(f, matrix, radius, dtype):
     assert images.tolist() == reference_apply_array(f, points).tolist()
     exact, witness = reference_certificate(f, matrix, radius)
     cert = bounded_distance_constant(f, matrix, radius)
-    assert cert.by_radius == {r: float(c) for r, c in exact.items()}
-    assert cert.exact_constant == exact[radius]
+    assert cert.by_radius == exact
+    assert cert.constant == exact[radius]
     assert cert.witness == witness
 
 
@@ -279,7 +301,7 @@ class TestVectorisedSweepMatchesPerRow:
         m = [["1", coeff], ["0", "1"]]
         cert = bounded_distance_constant(realize_bilipschitz(m), m, radius)
         exact, witness = reference_certificate(realize_bilipschitz(m), m, radius)
-        assert cert.exact_constant == exact[radius]
+        assert cert.constant == exact[radius]
         assert cert.witness == witness
 
     @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
