@@ -62,51 +62,9 @@ SCHEMA = "orbitlab-report/2"
 REALIZED_BOX_RADIUS = 50
 
 
-def _emit(report: dict, out, as_json: bool) -> int:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    if as_json:
-        click.echo(text)
-    else:
-        for check in report["checks"]:
-            status = "PASS" if check["pass"] else "FAIL"
-            click.echo(f"{status}  {check['id']}  {check['notes']}".rstrip())
-        click.echo(("all checks passed" if report["pass"] else "FAILURES present"))
-    return 0 if report["pass"] else 1
-
-
-def _report(command: str, config: dict, checks: list) -> dict:
-    entries = [c.to_json() for c in checks]
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "config": config,
-        "checks": entries,
-        "pass": all(c["pass"] for c in entries),
-    }
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
-
-
-def _refusals_exit_2(fn):
-    """Report a configuration or precondition error as exit 2 with an
-    ``error:`` line, wherever in the run it is raised: ``ValueError`` (which
-    includes ``TruncationError``) or ``BudgetExceeded``."""
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, BudgetExceeded) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return run
 
 
 @click.group()
@@ -114,13 +72,55 @@ def main():
     """Verification experiments for orbit equivalence at desk scale."""
 
 
-def _common(fn):
-    fn = _refusals_exit_2(fn)
-    fn = click.option("--out", type=click.Path(), default=None, help="write the JSON report here")(fn)
-    fn = click.option("--json", "as_json", is_flag=True, help="print the JSON report to stdout")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True, help="random seed")(fn)
-    fn = click.option("--tol", type=str, default="1e-9", show_default=True, help="tolerance (exact decimal)")(fn)
-    return fn
+def _reported(fn):
+    """The one report path of every command.
+
+    ``fn`` takes the options its command declares and returns its checks and
+    the report's extra keys.  The wrapper adds ``--json`` and ``--out``, sets
+    the report's ``config`` to the declared options, emits the report and
+    exits 0 or 1 on its verdict.  A configuration or precondition error
+    raised anywhere in ``fn`` -- ``ValueError`` (which includes
+    ``TruncationError``) or ``BudgetExceeded`` -- exits 2 with an ``error:``
+    line.
+    """
+
+    @click.option("--json", "as_json", is_flag=True, help="print the JSON report to stdout")
+    @click.option("--out", type=click.Path(), default=None, help="write the JSON report here")
+    @functools.wraps(fn)
+    def run(as_json, out, **config):
+        try:
+            checks, extra = fn(**config)
+        except (ValueError, BudgetExceeded) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        entries = [c.to_json() for c in checks]
+        passed = all(c["pass"] for c in entries)
+        report = {
+            "schema": SCHEMA,
+            "command": click.get_current_context().command.name,
+            "config": config,
+            "checks": entries,
+            "pass": passed,
+            **extra,
+        }
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        if as_json:
+            click.echo(text)
+        else:
+            for check in entries:
+                status = "PASS" if check["pass"] else "FAIL"
+                click.echo(f"{status}  {check['id']}  {check['notes']}".rstrip())
+            click.echo("all checks passed" if passed else "FAILURES present")
+        sys.exit(0 if passed else 1)
+
+    return run
+
+
+_tol_option = click.option("--tol", type=str, default="1e-9", show_default=True, help="tolerance (exact decimal)")
+_seed_option = click.option("--seed", type=int, default=0, show_default=True, help="random seed")
 
 
 @main.command()
@@ -128,16 +128,12 @@ def _common(fn):
 @click.option("--n", type=int, default=1024, show_default=True, help="growth scale for the invariant")
 @click.option("--samples", type=int, default=8, show_default=True, help="max sample points")
 @click.option("--radius", type=int, default=50, show_default=True, help="box radius for the distance certificate")
-@_common
-def realize(matrix, n, samples, radius, tol, seed, as_json, out):
+@_tol_option
+@_reported
+def realize(matrix, n, samples, radius, tol):
     """Decompose a matrix, realize it on the lattice, recover the invariant."""
-    config = {
-        "matrix": matrix, "n": n, "samples": samples, "radius": radius,
-        "tol": tol, "seed": seed,
-    }
     _require(samples >= 1, "samples must be >= 1")
     _require(n >= 1, "growth scale n must be >= 1")
-    _require(radius >= 0, "radius must be >= 0")
     a = linalg.parse_matrix(matrix)
     d = len(a)
     check_box_budget(radius, d)
@@ -152,11 +148,11 @@ def realize(matrix, n, samples, radius, tol, seed, as_json, out):
         check_det_pm1(invariant, det_tol if det_tol > 0 else Fraction(tol)),
         multiplicativity_check(invariant),
     ]
-    report = _report("realize", config, checks)
-    report["decomposition"] = [op.to_json() for op in eta.meta["floor_map"].ops]
-    report["certificate"] = cert.to_json()
-    report["invariant"] = invariant.to_json()
-    sys.exit(_emit(report, out, as_json))
+    return checks, {
+        "decomposition": [op.to_json() for op in eta.meta["floor_map"].ops],
+        "certificate": cert.to_json(),
+        "invariant": invariant.to_json(),
+    }
 
 
 @main.command(name="gromov-check")
@@ -166,15 +162,11 @@ def realize(matrix, n, samples, radius, tol, seed, as_json, out):
 @click.option("--translate-radius", type=int, default=6, show_default=True, help="translate radius R_t")
 @click.option("--window", type=int, default=2, show_default=True, help="orbit window W")
 @click.option("--inject-corruption", is_flag=True, help="negative control: corrupt one table entry")
-@_common
-def gromov_check(matrix, dimension, radius, translate_radius, window, inject_corruption, tol, seed, as_json, out):
+@_tol_option
+@_reported
+def gromov_check(matrix, dimension, radius, translate_radius, window, inject_corruption, tol):
     """Run the translate-space battery: Lipschitz closure, cocycle identity,
     fundamental domain, orbit equality, inverse identities, forced freeness."""
-    config = {
-        "matrix": matrix, "dimension": dimension, "radius": radius,
-        "translate_radius": translate_radius, "window": window,
-        "inject_corruption": inject_corruption, "tol": tol, "seed": seed,
-    }
     _require(window >= 0, "window must be >= 0")
     _require(window <= radius, f"window {window} exceeds the germ radius {radius}")
     _require(
@@ -212,9 +204,7 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
     checks.append(check_inverse_equivariance(eta, window))
     odo = OdometerSpace((2,) * (2 * space.source_gens.group.dimension), 3)
     checks.append(force_freeness(space, odo, window))
-    report = _report("gromov-check", config, checks)
-    report["space"] = space.to_json()
-    sys.exit(_emit(report, out, as_json))
+    return checks, {"space": space.to_json()}
 
 
 @main.command(name="odometer")
@@ -223,14 +213,11 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
 @click.option("--depth", type=int, default=4, show_default=True, help="truncation depth N")
 @click.option("--samples", type=int, default=1000, show_default=True, help="random points for equivariance")
 @click.option("--window", type=int, default=3, show_default=True, help="group ball radius for sweeps")
-@_common
-def odometer_cmd(matrix, p, depth, samples, window, tol, seed, as_json, out):
+@_seed_option
+@_reported
+def odometer_cmd(matrix, p, depth, samples, window, seed):
     """Odometer battery: depth-level bijectivity, equivariance, minimality,
     measure invariance, full-group conjugation realization, exact invariant."""
-    config = {
-        "matrix": matrix, "p": p, "depth": depth, "samples": samples,
-        "window": window, "tol": tol, "seed": seed,
-    }
     _require(samples >= 1, "samples must be >= 1")
     _require(0 <= window <= BALL_BUDGET, f"window must lie in [0, {BALL_BUDGET}]")
     a = linalg.parse_matrix(matrix)
@@ -266,9 +253,7 @@ def odometer_cmd(matrix, p, depth, samples, window, tol, seed, as_json, out):
     exact = recovery_check(invariant, a)
     exact.name = "constant-invariant-exact"
     checks.append(exact)
-    report = _report("odometer", config, checks)
-    report["invariant"] = invariant.to_json()
-    sys.exit(_emit(report, out, as_json))
+    return checks, {"invariant": invariant.to_json()}
 
 
 def _first_coordinate_shuffle(space, rng):
@@ -292,18 +277,16 @@ def _first_coordinate_shuffle(space, rng):
 @click.option("--depth", type=int, default=4, show_default=True, help="odometer depth (constant mode)")
 @click.option("--n", type=int, default=1024, show_default=True, help="growth scale")
 @click.option("--samples", type=int, default=6, show_default=True, help="sample points")
-@_common
-def functoriality(matrices, p, depth, n, samples, tol, seed, as_json, out):
+@_tol_option
+@_seed_option
+@_reported
+def functoriality(matrices, p, depth, n, samples, tol, seed):
     """Invariant of a composite morphism vs the product of invariants.
 
     Integer matrices run as constant odometer cocycles (exact); any
     non-integer entry switches to floor-shear realizations with an error
     budget.
     """
-    config = {
-        "matrices": list(matrices), "p": p, "depth": depth, "n": n,
-        "samples": samples, "tol": tol, "seed": seed,
-    }
     _require(len(matrices) == 2, "give --matrix exactly twice")
     _require(samples >= 1, "samples must be >= 1")
     _require(n >= 1, "growth scale n must be >= 1")
@@ -327,11 +310,7 @@ def functoriality(matrices, p, depth, n, samples, tol, seed, as_json, out):
         eta = realized_morphism(first, Fraction(tol), REALIZED_BOX_RADIUS)
         theta = realized_morphism(second, Fraction(tol), REALIZED_BOX_RADIUS)
 
-    result = functoriality_check(eta, theta, n)
-    checks = [result]
-    report = _report("functoriality", config, checks)
-    report["mode"] = "constant" if constant_mode else "realized"
-    sys.exit(_emit(report, out, as_json))
+    return [functoriality_check(eta, theta, n)], {"mode": "constant" if constant_mode else "realized"}
 
 
 if __name__ == "__main__":

@@ -257,7 +257,6 @@ def ad_realization_check(vectors, sample: Sequence[FullGroupElement], space: Odo
                 witnesses.append((vector, t, gap))
     return CheckResult(
         name="ad-realization",
-        passed=not witnesses,
         checked=len(vectors) * len(sample),
         witnesses=witnesses,
         coverage={"vectors": len(vectors), "elements": len(sample), "points": space.point_count()},

@@ -393,7 +393,6 @@ def is_bilipschitz_on_ball(
             witnesses.append((a, b))
     return CheckResult(
         name="bilipschitz",
-        passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
         coverage={

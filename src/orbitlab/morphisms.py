@@ -318,7 +318,6 @@ def check_equivariance(morphism: Morphism, radius: int) -> CheckResult:
                 witnesses.append((g, x))
     return CheckResult(
         name="equivariance",
-        passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
         coverage={"R": radius, "points": len(morphism.source.points)},
@@ -340,7 +339,6 @@ def check_inverse_equivariance(morphism: Morphism, radius: int) -> CheckResult:
                 witnesses.append((g, x))
     return CheckResult(
         name="inverse-equivariance",
-        passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
         coverage={"R": radius, "points": len(morphism.source.points)},
@@ -373,7 +371,6 @@ def check_inverse_identities(eta: Morphism, eta_inv: Morphism, radius: int) -> C
                 witnesses.append(("roundtrip-shifted", g, x, lam2, back2))
     return CheckResult(
         name="inverse-identities",
-        passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
         coverage={"R": radius, "points": len(eta.source.points)},

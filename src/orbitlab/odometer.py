@@ -407,7 +407,6 @@ def bijectivity_check_at_depth(matrix, space: OdometerSpace) -> CheckResult:
         seen.add(image)
     return CheckResult(
         name="depth-bijectivity",
-        passed=not witnesses,
         checked=len(seen) + len(witnesses),
         witnesses=witnesses,
         coverage={"N": space.depth},
@@ -428,7 +427,7 @@ def minimality_witness(space: OdometerSpace, k: int) -> CheckResult:
         raise ValueError("depth k must lie in [0, N]")
     if k == 0:
         return CheckResult(
-            name="minimality", passed=True, checked=0, coverage={"k": 0},
+            name="minimality", checked=0, coverage={"k": 0},
             notes="depth 0 has a single cylinder",
         )
     ranges = [p**k for p in space.bases]
@@ -447,7 +446,6 @@ def minimality_witness(space: OdometerSpace, k: int) -> CheckResult:
     ]
     return CheckResult(
         name="minimality",
-        passed=not missing,
         checked=total,
         witnesses=missing,
         coverage={"k": k},
@@ -474,7 +472,6 @@ def matrix_equivariance_check(
                 witnesses.append((g, x))
     return CheckResult(
         name="equivariance",
-        passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
         coverage={"W": radius, "points": len(points)},
@@ -509,7 +506,6 @@ def haar_invariance_check(space: OdometerSpace, radius: int, k: int, rng) -> Che
                 witnesses.append((g, values))
     return CheckResult(
         name="haar-invariance",
-        passed=not witnesses,
         checked=checked,
         witnesses=witnesses,
         coverage={"W": radius, "k": k},

@@ -398,7 +398,6 @@ def injectivity_check_on_box(f, radius: int, dimension: int | None = None) -> Ch
         seen[image] = tuple(row)
     return CheckResult(
         name="injectivity",
-        passed=not witnesses,
         checked=len(seen) + len(witnesses),
         witnesses=witnesses,
         coverage={"R": radius, "dimension": dimension},

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -320,3 +323,62 @@ class TestReports:
         assert report["checks"]
         for entry in report["checks"]:
             assert set(entry) == {"id", "pass", "checked", "witnesses", "coverage", "notes"}, entry
+
+
+class TestReportContract:
+    @pytest.mark.parametrize("name", sorted(main.commands))
+    def test_every_parameter_is_read(self, name):
+        # An option the command body never reads could only echo into the
+        # report's config, so copying it into a hand-built ``config`` dict
+        # does not count as a read.
+        body = main.commands[name].callback.__wrapped__
+        tree = ast.parse(textwrap.dedent(inspect.getsource(body)))
+        function = next(node for node in tree.body if isinstance(node, ast.FunctionDef))
+        read = {
+            node.id
+            for statement in function.body
+            if not (
+                isinstance(statement, ast.Assign)
+                and any(getattr(t, "id", None) == "config" for t in statement.targets)
+            )
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert {arg.arg for arg in function.args.args} - read == set()
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_config_is_the_declared_options(self, fixture):
+        # every declared option but --json and --out
+        report = json.loads((FIXTURES / fixture).read_text())
+        declared = {param.name for param in main.commands[report["command"]].params}
+        assert set(report["config"]) == declared - {"as_json", "out"}
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_verdict_is_the_absence_of_witnesses(self, fixture):
+        report = json.loads((FIXTURES / fixture).read_text())
+        for entry in report["checks"]:
+            assert entry["pass"] == (entry["witnesses"] == []), entry
+        assert report["pass"] == all(entry["pass"] for entry in report["checks"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realize", "--matrix", "1 0.5; 0 1", "--seed", "0"],
+            ["gromov-check", "--seed", "0"],
+            ["odometer", "--tol", "1e-9"],
+        ],
+    )
+    def test_undeclared_option_is_refused(self, runner, monkeypatch, argv):
+        result = invoke_refused(runner, monkeypatch, argv)
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.stderr
+
+    def test_functoriality_takes_seed_and_tol(self, runner):
+        result = runner.invoke(
+            main,
+            ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1",
+             "--p", "2", "--depth", "3", "--n", "64", "--seed", "3", "--tol", "1e-6", "--json"],
+        )
+        assert result.exit_code == 0, result.output
+        config = json.loads(result.output)["config"]
+        assert (config["seed"], config["tol"]) == (3, "1e-6")

@@ -125,6 +125,14 @@ class TestMultiplicativity:
         assert not result.passed
         assert result.witnesses
 
+    def test_corruption_by_one_part_in_ten_trillion_fails(self):
+        # the comparison is exact: no tolerance hides a 1e-13 corruption
+        ind = InducedAlgebraMap([[1, 1], [0, 1]])
+        bad = ind.corrupted((0, 1), (0, 1), 1 + Fraction(1, 10**13))
+        result = multiplicativity_check(bad)
+        assert not result.passed
+        assert result.witnesses == [((0,), (1,)), ((1,), (0,))]
+
 
 class TestDetCheck:
     def test_identity_passes(self):
