@@ -33,6 +33,28 @@ GOLDEN = [
         "realize_half_shear_n1024_r25.json",
         ["realize", "--matrix", "1 0.5; 0 1", "--n", "1024", "--radius", "25"],
     ),
+    # the translate-battery benchmark's invocation
+    (
+        "gromov_shear_r8_t8_w3.json",
+        ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "8",
+         "--translate-radius", "8", "--window", "3"],
+    ),
+    (
+        "gromov_identity_d2_r3_t3_w2.json",
+        ["gromov-check", "--dimension", "2", "--radius", "3",
+         "--translate-radius", "3", "--window", "2"],
+    ),
+    (
+        "gromov_identity_d3_r3_t2_w2.json",
+        ["gromov-check", "--dimension", "3", "--radius", "3",
+         "--translate-radius", "2", "--window", "2"],
+    ),
+    # seed values past int64: germ rows take the exact object path
+    (
+        "gromov_huge_shear_r2_t1_w1.json",
+        ["gromov-check", "--matrix", "1 100000000000000000000; 0 1", "--radius", "2",
+         "--translate-radius", "1", "--window", "1"],
+    ),
 ]
 
 # The realization layer's box sweeps, on each integer width.
