@@ -8,7 +8,8 @@ test shows it without running a workload.  The traced benchmark also fails
 when a layer records no call on a workload listed in its ``exercised_by``;
 the second test runs a small command per workload and checks the same.
 The third reads the same run's ``shears.apply_array.points``, which must
-count points, not coordinates.  All three only read ``bench/``.
+count points, not coordinates, and the fourth its germ counters.  All four
+only read ``bench/``.
 """
 import json
 import os
@@ -29,8 +30,8 @@ print(orbitlab.__file__)
 
 
 # One small command per benchmark workload; prints the exit codes, the
-# (workload, traced name) pairs that recorded no call on their command and
-# the points each command passed to ``FloorMap.apply_array``.
+# (workload, traced name) pairs that recorded no call on their command, and
+# per workload the calls of every traced name and the derived counters.
 EXERCISE = """
 import contextlib, io, json
 from layers import ODOMETER, REALIZE, TRACED, TRANSLATE, Tracer
@@ -45,10 +46,11 @@ COMMANDS = {
 }
 codes = {}
 idle = []
-points = {}
+calls = {}
+derived = {}
 for workload, argv in COMMANDS.items():
     before = {name: tracer.stats[name][0] for name in TRACED}
-    points_before = tracer.derived["shears.apply_array.points"]
+    derived_before = dict(tracer.derived)
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             main.main(args=argv, prog_name="orbitlab")
@@ -59,8 +61,11 @@ for workload, argv in COMMANDS.items():
         for name, spec in TRACED.items()
         if workload in spec.exercised_by and tracer.stats[name][0] == before[name]
     ]
-    points[workload] = tracer.derived["shears.apply_array.points"] - points_before
-print(json.dumps({"codes": codes, "idle": idle, "points": points}))
+    calls[workload] = {name: tracer.stats[name][0] - before[name] for name in TRACED}
+    derived[workload] = {
+        name: value - derived_before[name] for name, value in tracer.derived.items()
+    }
+print(json.dumps({"codes": codes, "idle": idle, "calls": calls, "derived": derived}))
 """
 
 
@@ -96,4 +101,19 @@ def test_apply_array_points_count_box_points(exercised):
     # ``realize --radius 10`` sweeps the 21^2 points of one box; the tracer
     # counts ``len(points)``, so a (d, M) array passed to ``apply_array``
     # would read 2 here and change what the benchmark's layer metric means
-    assert exercised["points"]["realize-recovery"] == 21**2
+    assert exercised["derived"]["realize-recovery"]["shears.apply_array.points"] == 21**2
+
+
+def test_germ_counters_keep_their_meaning(exercised):
+    # ``gromov-check`` 4/3/1 on the half shear: the members, their table
+    # entries and the germ operations per member, as counted when germs were
+    # dicts; the translate battery evaluates its seed point by point, so it
+    # makes no ``apply_array`` call
+    derived = exercised["derived"]["translate-battery"]
+    calls = exercised["calls"]["translate-battery"]
+    assert derived["mapspace.members"] == 10
+    assert derived["mapspace.germ_entries"] == 410
+    assert calls["mapspace.act_source"] == 218
+    assert calls["mapspace.act_target"] == 10
+    assert calls["mapspace.find_slice_match"] == 18
+    assert calls["shears.apply_array"] == 0
