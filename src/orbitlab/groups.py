@@ -7,7 +7,7 @@ balls by breadth-first search, memoizes word lengths, and certifies
 bi-Lipschitz behaviour of maps on those balls.
 
 All values are immutable; the only mutable state is the per-generating-set
-BFS memo.
+BFS memo and, for the standard generators of Z^d, its :class:`BallIndex`.
 """
 from __future__ import annotations
 
@@ -17,12 +17,18 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .checks import CheckResult
 
 _SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 
 # The largest ball radius a generating set enumerates.
 BALL_BUDGET = 32
+
+# A BallIndex codes a point of the box [-BALL_BUDGET, BALL_BUDGET]^d as one
+# int64 in base 2 * BALL_BUDGET + 1; the code fits up to this rank.
+INDEX_MAX_RANK = 10
 
 
 class BudgetExceeded(RuntimeError):
@@ -245,6 +251,7 @@ class GeneratingSet:
         self._frontier: list = [group.identity()]
         self._explored = 0
         self._balls: dict = {}  # radius -> sorted ball
+        self._index = None
         # Guards the memo: a layer half grown by one thread must not be read
         # or grown again by another, and a kept ball is never recomputed.
         self._lock = threading.RLock()
@@ -310,6 +317,18 @@ class GeneratingSet:
                 ball = self._balls[radius] = tuple(sorted(members, key=lambda e: e.sort_key()))
         return ball
 
+    def ball_index(self) -> "BallIndex | None":
+        """The ball index of the standard generators of Z^d, d <= INDEX_MAX_RANK;
+        None for any other generating set."""
+        if (
+            self._index is None
+            and self._is_standard
+            and isinstance(self.group, LatticeGroup)
+            and self.group.dimension <= INDEX_MAX_RANK
+        ):
+            self._index = BallIndex(self)
+        return self._index
+
     def bfs_word_length(self, g) -> int:
         """Word length by pure BFS, ignoring closed forms (budget applies)."""
         if not _same_group(g.group, self.group):
@@ -344,6 +363,63 @@ class GeneratingSet:
 
     def to_json(self):
         return [e.to_json() for e in self.elements]
+
+
+class BallIndex:
+    """The balls of the standard generators of Z^d as int64 coordinate arrays.
+
+    ``coords(r)`` lists B(r) one point per row, in ``ball(r)`` order, and
+    ``positions`` finds an array of points in it.  A point v is coded as the
+    base 2 * BALL_BUDGET + 1 number with digits v_i + BALL_BUDGET.  The ball
+    order is lexicographic, so each ball's codes are sorted and a lookup is
+    one binary search; B(r) is exactly the points of L1 norm <= r, so that
+    norm decides membership.  ``position`` finds one element through a dict.
+    Everything is kept per radius and never changes.
+    """
+
+    def __init__(self, gens: GeneratingSet):
+        self.gens = gens
+        self.group = gens.group
+        d = gens.group.dimension
+        self._weights = (2 * BALL_BUDGET + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        self._coords: dict = {}  # radius -> (|B(r)|, d) coordinates
+        self._codes: dict = {}  # radius -> sorted codes of B(r)
+        self._where: dict = {}  # radius -> {coordinates: position in B(r)}
+        self._shifts: dict = {}  # (radius, r, coords of g) -> positions of g^-1 B(r) in B(radius)
+
+    def coords(self, radius: int) -> np.ndarray:
+        coords = self._coords.get(radius)
+        if coords is None:
+            ball = self.gens.ball(radius)
+            coords = np.array([g.coords for g in ball], dtype=np.int64).reshape(len(ball), -1)
+            coords.flags.writeable = False
+            self._codes[radius] = (coords + BALL_BUDGET) @ self._weights
+            self._where[radius] = {g.coords: i for i, g in enumerate(ball)}
+            self._coords[radius] = coords
+        return coords
+
+    def positions(self, radius: int, points: np.ndarray) -> np.ndarray:
+        """The position in B(radius) of each row of ``points``; -1 outside."""
+        self.coords(radius)
+        found = np.searchsorted(self._codes[radius], (points + BALL_BUDGET) @ self._weights)
+        return np.where(np.abs(points).sum(axis=1) <= radius, found, -1)
+
+    def position(self, radius: int, g) -> int:
+        """The position of one element in B(radius); -1 outside it or the group."""
+        if not (isinstance(g, LatticeElement) and _same_group(g.group, self.group)):
+            return -1
+        self.coords(radius)
+        return self._where[radius].get(g.coords, -1)
+
+    def shifted(self, radius: int, r: int, g) -> np.ndarray:
+        """The positions of g^-1 h in B(radius) for h in B(r), in ``ball(r)``
+        order; r + |g| <= radius.  At the identity: B(r) inside B(radius)."""
+        key = (radius, r, g.coords)
+        found = self._shifts.get(key)
+        if found is None:
+            shift = np.array(g.coords, dtype=np.int64)
+            found = self._shifts[key] = self.positions(radius, self.coords(r) - shift)
+        return found
 
 
 def is_bilipschitz_on_ball(

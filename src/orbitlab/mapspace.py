@@ -13,16 +13,35 @@ target-group action.  The two orbit cocycles read off values of the germ
 tables, and each normalized action is the raw translate by a cocycle value;
 every operation tracks the remaining reliable domain radius and raises
 :class:`TruncationError` instead of extrapolating.
+
+A germ on the standard generators of a lattice, with lattice values, stores
+its table as rows over the ball index of :mod:`groups`: one row of target
+coordinates per element of B(radius), in ball order (:class:`GermTable`).
+Translating a germ is then one gather of rows plus one offset, and matching,
+keys and partial inverses compare rows.  Rows are int64 while every entry
+is below 2^62 in magnitude, and exact Python integers otherwise.  Germs on
+free groups, and germs whose values are not lattice elements, keep dicts;
+both kinds answer the same interface.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 
+import numpy as np
+
 from .checks import CheckResult
-from .groups import GeneratingSet, LatticeGroup, is_bilipschitz_on_ball
+from .groups import (
+    BALL_BUDGET,
+    BallIndex,
+    GeneratingSet,
+    LatticeElement,
+    LatticeGroup,
+    is_bilipschitz_on_ball,
+)
 from .odometer import OdometerSpace, odometer_add
-from .shears import FloorMap
+from .shears import _INT64_SAFE, FloorMap
 
 
 class TruncationError(ValueError):
@@ -97,6 +116,96 @@ class TableSeed:
 # germs
 
 
+def _as_rows(values: list) -> np.ndarray:
+    """Coordinate tuples as an (n, d) array: int64 when every entry is below
+    2^62 in magnitude, exact Python integers otherwise."""
+    fits = all(-_INT64_SAFE < c < _INT64_SAFE for row in values for c in row)
+    return np.array(values, dtype=np.int64 if fits else object).reshape(len(values), -1)
+
+
+def _offset(rows: np.ndarray, shift: tuple) -> np.ndarray:
+    """rows + shift, exactly.  Two int64 terms below 2^62 cannot overflow,
+    and a sum that leaves that bound is redone on Python integers."""
+    if rows.dtype != object and all(-_INT64_SAFE < c < _INT64_SAFE for c in shift):
+        out = rows + np.array(shift, dtype=np.int64)
+        if np.abs(out).max(initial=0) < _INT64_SAFE:
+            return out
+    return rows.astype(object) + np.array(shift, dtype=object)
+
+
+class GermTable(Mapping):
+    """A lattice germ's table: row i holds the target coordinates of the i-th
+    element of B(radius) in ball order.
+
+    A read-only mapping from the ball's elements to target elements, in ball
+    order; ``len`` is O(1) and it compares equal to a dict with the same
+    items.
+    """
+
+    __slots__ = ("index", "radius", "group", "rows")
+
+    def __init__(self, index: BallIndex, radius: int, group: LatticeGroup, rows: np.ndarray):
+        rows.flags.writeable = False
+        self.index = index
+        self.radius = radius
+        self.group = group
+        self.rows = rows
+
+    @classmethod
+    def from_dict(cls, index: BallIndex, radius: int, table: dict) -> "GermTable":
+        ball = index.gens.ball(radius)
+        if len(table) != len(ball):
+            raise ValueError(f"germ table must list the {len(ball)} elements of B({radius})")
+        values = [table[g] for g in ball]
+        return cls(index, radius, values[0].group, _as_rows([v.coords for v in values]))
+
+    def __getitem__(self, g):
+        position = self.index.position(self.radius, g)
+        if position < 0:
+            raise KeyError(g)
+        return LatticeElement(self.group, tuple(self.rows[position].tolist()))
+
+    def __iter__(self):
+        return iter(self.index.gens.ball(self.radius))
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, GermTable):
+            return self.radius == other.radius and np.array_equal(self.rows, other.rows)
+        return Mapping.__eq__(self, other)
+
+    __hash__ = None
+
+    def restricted(self, r: int) -> np.ndarray:
+        """The rows of B(r), r <= radius, in ``ball(r)`` order."""
+        if r > self.radius:
+            raise TruncationError(f"germ of radius {self.radius} undefined on B({r})")
+        if r == self.radius:
+            return self.rows
+        return self.rows[self.index.shifted(self.radius, r, self.index.group.identity())]
+
+    def translated(self, g, lam, r: int) -> "GermTable":
+        """h -> lam psi(g^-1 h) on B(r), r + |g| <= radius: one gather."""
+        rows = self.rows[self.index.shifted(self.radius, r, g)]
+        return GermTable(self.index, r, self.group, _offset(rows, lam.coords))
+
+    def first_preimage(self, value):
+        """The first ball element whose row is ``value``, or None."""
+        target = value.coords
+        if self.rows.dtype != object and not all(-_INT64_SAFE < c < _INT64_SAFE for c in target):
+            return None
+        hits = np.flatnonzero((self.rows == np.array(target, dtype=self.rows.dtype)).all(axis=1))
+        return self.index.gens.ball(self.radius)[hits[0]] if len(hits) else None
+
+    def flat(self, r: int | None = None) -> tuple:
+        """The rows of B(r) (default: the whole ball) as one tuple of
+        integers, row after row."""
+        rows = self.rows if r is None else self.restricted(r)
+        return tuple(rows.ravel().tolist())
+
+
 class MapGerm:
     """A map from a source ball into the target group, known exactly there.
 
@@ -104,13 +213,21 @@ class MapGerm:
     the germ arose from a globally defined seed, which lets large-scale
     cocycle values be recomputed exactly; table lookups never leave the
     stated radius.
+
+    ``table`` may be a dict or a mapping over B(radius); a lattice germ with
+    lattice values keeps it as a :class:`GermTable`, any other germ as a
+    dict.
     """
 
     __slots__ = ("gens", "radius", "table", "provenance", "_key")
 
-    def __init__(self, gens: GeneratingSet, radius: int, table: dict, provenance=None):
+    def __init__(self, gens: GeneratingSet, radius: int, table: Mapping, provenance=None):
         self.gens = gens
         self.radius = radius
+        index = gens.ball_index()
+        if index is not None and not isinstance(table, GermTable):
+            if isinstance(next(iter(table.values())), LatticeElement):
+                table = GermTable.from_dict(index, radius, table)
         self.table = table
         self.provenance = provenance
         self._key = None
@@ -130,17 +247,25 @@ class MapGerm:
         return self.value_at_identity().is_identity()
 
     def key(self):
+        """Equal exactly for equal radius and table; ordered by radius, then
+        by the values in ball order, each compared as its coordinates or
+        letters.  A lattice germ's key is its rows as integers in a row."""
         if self._key is None:
-            items = sorted(self.table.items(), key=lambda kv: kv[0].sort_key())
-            self._key = (
-                self.radius,
-                tuple((g.sort_key(), v.sort_key()) for g, v in items),
-            )
+            if isinstance(self.table, GermTable):
+                self._key = (self.radius, self.table.flat())
+            else:
+                items = sorted(self.table.items(), key=lambda kv: kv[0].sort_key())
+                self._key = (
+                    self.radius,
+                    tuple((g.sort_key(), v.sort_key()) for g, v in items),
+                )
         return self._key
 
     def matches(self, other: "MapGerm") -> bool:
         """Agreement on the common ball (the truncated notion of equality)."""
         r = min(self.radius, other.radius)
+        if isinstance(self.table, GermTable):
+            return np.array_equal(self.table.restricted(r), other.table.restricted(r))
         return all(self.table[g] == other.table[g] for g in self.gens.ball(r))
 
     def __eq__(self, other):
@@ -170,6 +295,15 @@ class TruncatedMapSpace:
         self.slice_members: tuple[MapGerm, ...] = ()
         self._seed_values: dict = {}
         self._lipschitz: Fraction | None = None
+        # Germs are rows over this index when it exists (lattice source on
+        # standard generators, lattice target).  The seed's values on a ball
+        # B(r), r >= R + R_t, are kept as rows too, so a translate is one
+        # gather from them.
+        self._index = (
+            source_gens.ball_index() if isinstance(target_gens.group, LatticeGroup) else None
+        )
+        self._seed_rows: tuple = (-1, None)  # (r, the seed's rows on B(r))
+        self._slice_rows: tuple = ((), {})  # (slice it was built from, radius -> rows -> member)
 
     # -- construction
 
@@ -178,13 +312,30 @@ class TruncatedMapSpace:
             self._seed_values[g] = self.seed.value(g)
         return self._seed_values[g]
 
-    def translate_table(self, g0, delta, radius) -> dict:
+    def translate_table(self, g0, delta, radius) -> Mapping:
         """The seed translate with provenance (g0, delta) on B(radius):
         psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), which takes the value delta
-        at the identity."""
+        at the identity.  Rows over the ball index when the space has one:
+        a gather of the seed's rows on a ball that holds g0^-1 B(radius),
+        else one memoized seed value per point."""
         g0_inv = g0.inverse()
         prefix = delta * self._seed_value(g0_inv).inverse()
-        return {h: prefix * self._seed_value(g0_inv * h) for h in self.source_gens.ball(radius)}
+        index = self._index
+        if index is None:
+            return {h: prefix * self._seed_value(g0_inv * h) for h in self.source_gens.ball(radius)}
+        reach = self.source_gens.word_length(g0) + radius
+        if reach <= BALL_BUDGET:
+            seed_radius, seed_rows = self._seed_rows
+            if seed_radius < reach:
+                seed_radius = max(reach, min(self.radius + self.translate_radius, BALL_BUDGET))
+                ball = self.source_gens.ball(seed_radius)
+                seed_rows = _as_rows([self._seed_value(g).coords for g in ball])
+                self._seed_rows = (seed_radius, seed_rows)
+            values = seed_rows[index.shifted(seed_radius, radius, g0)]
+        else:
+            ball = self.source_gens.ball(radius)
+            values = _as_rows([self._seed_value(g0_inv * h).coords for h in ball])
+        return GermTable(index, radius, self.target_gens.group, _offset(values, prefix.coords))
 
     def _build(self):
         # Every base table is normalized: base(e) = s(g0^-1)^-1 s(g0^-1) = e.
@@ -201,7 +352,8 @@ class TruncatedMapSpace:
         for g0 in self.source_gens.ball(self.translate_radius):
             base = self.translate_table(g0, identity_target, self.radius)
             # Every base lists the same ball in the same order.
-            bases.setdefault(tuple(base.values()), (g0, base))
+            values = base.flat() if isinstance(base, GermTable) else tuple(base.values())
+            bases.setdefault(values, (g0, base))
         members = []
         for g0, base in bases.values():
             for delta in self.target_gens.ball(self.offset_radius):
@@ -262,11 +414,14 @@ class TruncatedMapSpace:
         step = self.source_gens.word_length(g)
         if step > germ.radius:
             raise TruncationError(f"domain exhausted translating by {g!r}")
-        g_inv = g.inverse()
-        table = {
-            h: lam * germ.value(g_inv * h)
-            for h in self.source_gens.ball(germ.radius - step)
-        }
+        if isinstance(germ.table, GermTable):
+            table = germ.table.translated(g, lam, germ.radius - step)
+        else:
+            g_inv = g.inverse()
+            table = {
+                h: lam * germ.value(g_inv * h)
+                for h in self.source_gens.ball(germ.radius - step)
+            }
         provenance = None
         if germ.provenance is not None:
             new_g0 = g * germ.provenance[0]
@@ -274,10 +429,16 @@ class TruncatedMapSpace:
         return MapGerm(self.source_gens, germ.radius - step, table, provenance)
 
     def partial_inverse(self, germ: MapGerm, target_value):
-        """The unique ball element mapped to ``target_value`` by the germ."""
-        for g, v in germ.table.items():
-            if v == target_value:
-                return g
+        """The unique ball element mapped to ``target_value`` by the germ (the
+        first in ball order if a corrupted germ has several)."""
+        if isinstance(germ.table, GermTable):
+            found = germ.table.first_preimage(target_value)
+            if found is not None:
+                return found
+        else:
+            for g, v in germ.table.items():
+                if v == target_value:
+                    return g
         raise TruncationError(f"{target_value!r} not in germ image at this truncation")
 
     # -- cocycles
@@ -325,10 +486,26 @@ class TruncatedMapSpace:
         return MapGerm(self.source_gens, self.radius, table, provenance=(new_g0, identity_target))
 
     def find_slice_match(self, germ: MapGerm) -> MapGerm | None:
-        for member in self.slice_members:
-            if member.matches(germ):
-                return member
-        return None
+        """The first slice member that matches the germ, or None."""
+        if not isinstance(germ.table, GermTable):
+            for member in self.slice_members:
+                if member.matches(germ):
+                    return member
+            return None
+        # Slice members have radius R, so they match the germ on B(r) for
+        # r = min(R, its radius): one lookup of its rows there among the
+        # members' rows there, the first member in slice order kept for each.
+        built_from, by_radius = self._slice_rows
+        if built_from is not self.slice_members:
+            by_radius = {}
+            self._slice_rows = (self.slice_members, by_radius)
+        r = min(germ.radius, self.radius)
+        lookup = by_radius.get(r)
+        if lookup is None:
+            lookup = by_radius[r] = {}
+            for member in self.slice_members:
+                lookup.setdefault(member.table.flat(r), member)
+        return lookup.get(germ.table.flat(r))
 
     def to_json(self):
         return {

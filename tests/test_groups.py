@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from orbitlab.groups import (
     BALL_BUDGET,
+    INDEX_MAX_RANK,
     BudgetExceeded,
     FreeGroup,
     GeneratingSet,
@@ -199,6 +202,44 @@ class TestClosedFormWordMetric:
         assert Z1.element((0,)) != Z2.element((0, 0))
         assert Z2.identity() != LatticeGroup(3).identity()
         assert Z1.element((1,)) != F2.word("a")
+
+
+class TestBallIndex:
+    @pytest.mark.parametrize("d, radius", [(1, 5), (2, 4), (3, 3), (4, 2)])
+    def test_positions_follow_ball_order(self, d, radius):
+        # coords(r) lists ball(r); every point of the box around B(radius),
+        # as an array or one element, is found at its place in ball(radius)
+        # or at -1 outside it
+        group = LatticeGroup(d)
+        S = group.standard_generators()
+        index = S.ball_index()
+        ball = S.ball(radius)
+        for r in range(radius + 1):
+            assert index.coords(r).tolist() == [list(g.coords) for g in S.ball(r)]
+        box = list(itertools.product(range(-radius - 1, radius + 2), repeat=d))
+        expected = [ball.index(group.element(v)) if sum(map(abs, v)) <= radius else -1 for v in box]
+        assert index.positions(radius, np.array(box)).tolist() == expected
+        assert [index.position(radius, group.element(v)) for v in box] == expected
+
+    def test_shifted_is_the_translated_ball(self):
+        S = Z2.standard_generators()
+        index = S.ball_index()
+        ball = S.ball(5)
+        for g in S.ball(2):
+            expected = [ball.index(g.inverse() * h) for h in S.ball(3)]
+            assert index.shifted(5, 3, g).tolist() == expected
+
+    def test_position_of_a_foreign_or_far_element_is_minus_one(self):
+        index = Z2.standard_generators().ball_index()
+        assert index.position(3, LatticeGroup(3).identity()) == -1
+        assert index.position(3, F2.word("a")) == -1
+        assert index.position(3, Z2.element((10**30, 0))) == -1
+
+    def test_only_standard_lattice_generators_up_to_the_code_rank(self):
+        assert LatticeGroup(INDEX_MAX_RANK).standard_generators().ball_index() is not None
+        assert LatticeGroup(INDEX_MAX_RANK + 1).standard_generators().ball_index() is None
+        assert GeneratingSet(DIAGONAL).ball_index() is None
+        assert F2.standard_generators().ball_index() is None
 
 
 class TestConcurrency:
