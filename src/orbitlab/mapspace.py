@@ -663,6 +663,12 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
     checked.  Existence is asserted for the members whose predicted slice
     hit lies inside the window (computed through the seed when it is
     globally invertible).
+
+    A source hit g . omega of a member with provenance (g0, delta) has
+    provenance (g g0, e).  When g g0 lies outside B(R_t) no enumerated slice
+    member can be that hit, so for a global seed it passes exactly when its
+    table is the seed translate (g g0, e) names: the provenance argument of
+    the Lipschitz closure.  Table seeds still need an enumerated match.
     """
     if window > space.radius:
         raise TruncationError("window exceeds the truncation radius")
@@ -676,7 +682,9 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
         for g in ball:
             if omega.value(g.inverse()) == identity_target:
                 translated = space.raw_translate(g, identity_target, omega)
-                if space.find_slice_match(translated) is None:
+                if space.find_slice_match(translated) is None and not _is_translate_past_slice(
+                    space, translated
+                ):
                     witnesses.append(("source-hit-not-in-slice", g, omega))
                 hits.append(g)
         checked += 1
@@ -704,6 +712,17 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
         witnesses=witnesses,
         coverage={"W": window, "interior": interior_checked},
     )
+
+
+def _is_translate_past_slice(space: TruncatedMapSpace, germ: MapGerm) -> bool:
+    """The germ's provenance names a translate of the global seed from
+    outside B(R_t), and its table is that translate."""
+    if germ.provenance is None or not space.seed.is_global:
+        return False
+    g0, delta = germ.provenance
+    if space.source_gens.word_length(g0) <= space.translate_radius:
+        return False
+    return germ.table == space.translate_table(g0, delta, germ.radius)
 
 
 def _predicted_source_hit(space: TruncatedMapSpace, omega: MapGerm):

@@ -49,6 +49,13 @@ GOLDEN = [
         ["gromov-check", "--dimension", "3", "--radius", "3",
          "--translate-radius", "2", "--window", "2"],
     ),
+    # the first 3x3 acceptance matrix: five members on the translate
+    # boundary have source hits whose provenance lies outside B(R_t)
+    (
+        "gromov_acceptance_3x3_r3_t2_w1.json",
+        ["gromov-check", "--matrix", "-0.5 0 1; 0.5625 -1 -1.625; 0.75 0 0.5",
+         "--radius", "3", "--translate-radius", "2", "--window", "1"],
+    ),
     # seed values past int64: germ rows take the exact object path
     (
         "gromov_huge_shear_r2_t1_w1.json",

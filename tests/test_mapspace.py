@@ -314,6 +314,71 @@ class TestBattery:
         assert check_orbit_equality(space, space.slice_members[0], 1).passed
 
 
+ACCEPTANCE_3X3 = "-0.5 0 1; 0.5625 -1 -1.625; 0.75 0 0.5"
+
+
+@pytest.fixture(scope="module")
+def boundary_space():
+    """The first 3x3 acceptance matrix at 3/2/1: ``gromov-check`` builds it."""
+    f = realize_bilipschitz(linalg.parse_matrix(ACCEPTANCE_3X3), Fraction("1e-9"))
+    return build_translate_space(FloorMapSeed(f), 3, 2, offset_radius=1)
+
+
+def unmatched_source_hits(space, window):
+    """(member, g) for every source hit g . omega that no slice member matches."""
+    e = space.target_gens.group.identity()
+    return [
+        (omega, g)
+        for omega in space.members
+        for g in space.source_gens.ball(window)
+        if omega.value(g.inverse()) == e
+        and space.find_slice_match(space.raw_translate(g, e, omega)) is None
+    ]
+
+
+class TestFundamentalDomainPastTheTranslates:
+    def test_hits_from_outside_the_translate_ball_pass(self, boundary_space):
+        # each unmatched hit has provenance g g0 outside B(R_t) and is the
+        # seed translate it names, so it lies in the slice
+        space = boundary_space
+        hits = unmatched_source_hits(space, 1)
+        assert len(hits) == 11
+        for omega, g in hits:
+            g0 = g * omega.provenance[0]
+            assert space.source_gens.word_length(g0) > space.translate_radius
+        assert check_fundamental_domain(space, 1).passed
+
+    def test_corrupted_boundary_member_fails_with_a_witness(self, boundary_space):
+        # corrupt an entry the hit reads, other than g^-1 (where omega is e)
+        space = boundary_space
+        omega, g = unmatched_source_hits(space, 1)[0]
+        table = dict(omega.table)
+        point = g.inverse() * space.source_gens.elements[0]
+        assert point != g.inverse()
+        table[point] = LatticeGroup(3).element((30, 30, 30))
+        bad = MapGerm(omega.gens, omega.radius, table, omega.provenance)
+        clone = copy.copy(space)
+        clone.members = space.members + (bad,)
+        result = check_fundamental_domain(clone, 1)
+        # the bad member's source hit fails first; its target hit (lambda =
+        # delta^-1, a translate from inside B(R_t)) matches no member either
+        assert result.witnesses == [
+            ("source-hit-not-in-slice", g, bad),
+            ("target-hit-not-in-slice", bad.value_at_identity(), bad),
+        ]
+
+    def test_table_seed_still_needs_an_enumerated_match(self, boundary_space):
+        space = boundary_space
+        table = {g: space.seed.value(g) for g in space.source_gens.ball(5)}
+        Z3 = LatticeGroup(3)
+        table_space = build_translate_space(TableSeed(table, Z3, Z3), 3, 2, offset_radius=1)
+        result = check_fundamental_domain(table_space, 1)
+        expected = [(omega.provenance, g) for omega, g in unmatched_source_hits(space, 1)]
+        assert [(w[0], w[2].provenance, w[1]) for w in result.witnesses] == [
+            ("source-hit-not-in-slice", *pair) for pair in expected
+        ]
+
+
 def reference_closure(space):
     """The closure as one full pair sweep per member, with no inheritance:
     each member's first violating pair, or None."""
