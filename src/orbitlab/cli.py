@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import linalg
 from .fullgroup import FullGroupElement, ad_realization_check
@@ -177,6 +178,13 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
         seed_map = IdentitySeed(LatticeGroup(dimension))
     else:
         a = linalg.parse_matrix(matrix)
+        # --dimension sizes the identity seed; given next to a matrix it
+        # must agree with it.
+        source = click.get_current_context().get_parameter_source("dimension")
+        _require(
+            source is ParameterSource.DEFAULT or dimension == len(a),
+            f"--dimension {dimension} does not match the {len(a)}x{len(a)} matrix",
+        )
         seed_map = FloorMapSeed(realize_bilipschitz(a, Fraction(tol)))
     space = build_translate_space(
         seed_map, radius, translate_radius, offset_radius=window

@@ -183,6 +183,17 @@ class TestGromovCheck:
         report = json.loads(result.output)
         assert all(c["pass"] for c in report["checks"]), report["checks"]
 
+    def test_dimension_given_next_to_a_matrix_must_match_it(self, runner):
+        # the default --dimension 1 is not read with a matrix; an explicit
+        # one equal to the matrix size is accepted and echoed in config
+        argv = ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "2",
+                "--translate-radius", "1", "--window", "1", "--json"]
+        default = runner.invoke(main, argv)
+        explicit = runner.invoke(main, argv + ["--dimension", "2"])
+        assert default.exit_code == explicit.exit_code == 0, explicit.output
+        assert json.loads(explicit.output)["config"]["dimension"] == 2
+        assert json.loads(default.output)["config"]["dimension"] == 1
+
     def test_corruption_past_germ_radius_fails_with_witness(self, runner):
         result = runner.invoke(
             main,
@@ -255,6 +266,14 @@ class TestFunctoriality:
     [
         (["gromov-check", "--radius", "2", "--window", "3"], "window 3 exceeds the germ radius 2"),
         (["gromov-check", "--window", "-1"], "window must be >= 0"),
+        (
+            ["gromov-check", "--matrix", "1 0.5; 0 1", "--dimension", "3"],
+            "--dimension 3 does not match the 2x2 matrix",
+        ),
+        (
+            ["gromov-check", "--matrix", "1 0.5; 0 1", "--dimension", "1"],
+            "--dimension 1 does not match the 2x2 matrix",
+        ),
         (
             ["gromov-check", "--radius", "40", "--translate-radius", "2", "--window", "1"],
             "radius + translate radius = 42 exceeds the ball budget 32",
