@@ -176,8 +176,6 @@ class GermTable(Mapping):
             return self.radius == other.radius and np.array_equal(self.rows, other.rows)
         return Mapping.__eq__(self, other)
 
-    __hash__ = None
-
     def restricted(self, r: int) -> np.ndarray:
         """The rows of B(r), r <= radius, in ``ball(r)`` order."""
         if r > self.radius:
