@@ -224,7 +224,7 @@ class MapGerm:
         self.radius = radius
         index = gens.ball_index()
         if index is not None and not isinstance(table, GermTable):
-            if isinstance(next(iter(table.values())), LatticeElement):
+            if isinstance(next(iter(table.values()), None), LatticeElement):
                 table = GermTable.from_dict(index, radius, table)
         self.table = table
         self.provenance = provenance

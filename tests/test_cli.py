@@ -33,35 +33,6 @@ GOLDEN = [
         "realize_half_shear_n1024_r25.json",
         ["realize", "--matrix", "1 0.5; 0 1", "--n", "1024", "--radius", "25"],
     ),
-    # the translate-battery benchmark's invocation
-    (
-        "gromov_shear_r8_t8_w3.json",
-        ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "8",
-         "--translate-radius", "8", "--window", "3"],
-    ),
-    (
-        "gromov_identity_d2_r3_t3_w2.json",
-        ["gromov-check", "--dimension", "2", "--radius", "3",
-         "--translate-radius", "3", "--window", "2"],
-    ),
-    (
-        "gromov_identity_d3_r3_t2_w2.json",
-        ["gromov-check", "--dimension", "3", "--radius", "3",
-         "--translate-radius", "2", "--window", "2"],
-    ),
-    # the first 3x3 acceptance matrix: five members on the translate
-    # boundary have source hits whose provenance lies outside B(R_t)
-    (
-        "gromov_acceptance_3x3_r3_t2_w1.json",
-        ["gromov-check", "--matrix", "-0.5 0 1; 0.5625 -1 -1.625; 0.75 0 0.5",
-         "--radius", "3", "--translate-radius", "2", "--window", "1"],
-    ),
-    # seed values past int64: germ rows take the exact object path
-    (
-        "gromov_huge_shear_r2_t1_w1.json",
-        ["gromov-check", "--matrix", "1 100000000000000000000; 0 1", "--radius", "2",
-         "--translate-radius", "1", "--window", "1"],
-    ),
 ]
 
 # The realization layer's box sweeps, on each integer width.
@@ -81,6 +52,40 @@ SWEEP_GOLDEN = [
     (
         "realize_acceptance_3x3_r50.json",
         ["realize", "--matrix", "-0.5 0 1; 0.5625 -1 -1.625; 0.75 0 0.5"],
+    ),
+]
+
+# gromov-check at the benchmark's configuration, on identity seeds in rank 2
+# and 3, across the translate boundary and past int64.
+TRANSLATE_GOLDEN = [
+    # the translate-battery benchmark's invocation
+    (
+        "gromov_shear_r8_t8_w3.json",
+        ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "8",
+         "--translate-radius", "8", "--window", "3"],
+    ),
+    (
+        "gromov_identity_d2_r3_t3_w2.json",
+        ["gromov-check", "--dimension", "2", "--radius", "3",
+         "--translate-radius", "3", "--window", "2"],
+    ),
+    (
+        "gromov_identity_d3_r3_t2_w2.json",
+        ["gromov-check", "--dimension", "3", "--radius", "3",
+         "--translate-radius", "2", "--window", "2"],
+    ),
+    # the first 3x3 acceptance matrix: members on the translate boundary
+    # have source hits whose provenance lies outside B(R_t)
+    (
+        "gromov_acceptance_3x3_r3_t2_w1.json",
+        ["gromov-check", "--matrix", "-0.5 0 1; 0.5625 -1 -1.625; 0.75 0 0.5",
+         "--radius", "3", "--translate-radius", "2", "--window", "1"],
+    ),
+    # seed values past int64: germ rows take the exact object path
+    (
+        "gromov_huge_shear_r2_t1_w1.json",
+        ["gromov-check", "--matrix", "1 100000000000000000000; 0 1", "--radius", "2",
+         "--translate-radius", "1", "--window", "1"],
     ),
 ]
 
@@ -267,14 +272,6 @@ class TestFunctoriality:
         (["gromov-check", "--radius", "2", "--window", "3"], "window 3 exceeds the germ radius 2"),
         (["gromov-check", "--window", "-1"], "window must be >= 0"),
         (
-            ["gromov-check", "--matrix", "1 0.5; 0 1", "--dimension", "3"],
-            "--dimension 3 does not match the 2x2 matrix",
-        ),
-        (
-            ["gromov-check", "--matrix", "1 0.5; 0 1", "--dimension", "1"],
-            "--dimension 1 does not match the 2x2 matrix",
-        ),
-        (
             ["gromov-check", "--radius", "40", "--translate-radius", "2", "--window", "1"],
             "radius + translate radius = 42 exceeds the ball budget 32",
         ),
@@ -301,6 +298,14 @@ class TestFunctoriality:
             ["functoriality", "--matrix", "1 0.5 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1",
              "--matrix", "1 0 0 0; 0.25 1 0 0; 0 0 1 0; 0 0 0 1"],
             "box [-50, 50]^4 has 104060401 points, over budget 1048576",
+        ),
+        (
+            ["gromov-check", "--matrix", "1 0.5; 0 1", "--dimension", "3"],
+            "--dimension 3 does not match the 2x2 matrix",
+        ),
+        (
+            ["gromov-check", "--matrix", "1 0.5; 0 1", "--dimension", "1"],
+            "--dimension 1 does not match the 2x2 matrix",
         ),
     ],
 )
@@ -334,7 +339,7 @@ class TestReports:
         assert runner.invoke(main, args + ["--out", str(second)]).exit_code == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("fixture, args", GOLDEN + SWEEP_GOLDEN)
+    @pytest.mark.parametrize("fixture, args", GOLDEN + SWEEP_GOLDEN + TRANSLATE_GOLDEN)
     def test_report_matches_golden(self, runner, fixture, args):
         # The fixtures pin the report bytes, including every value drawn from
         # the seeded random stream.

@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbitlab import linalg, mapspace
@@ -135,6 +136,31 @@ class TestBuildSurvivorsOnly:
         monkeypatch.setattr(MapGerm, "__init__", counting)
         space = build_translate_space(FloorMapSeed(realize_bilipschitz(HALF_SHEAR)), 6, 6, offset_radius=2)
         assert len(built) == len(space.members)
+
+
+class TestExactRows:
+    def test_a_sum_that_leaves_int64_is_redone_exactly(self):
+        near = np.array([[2**62 - 1, -5], [3, 4]], dtype=np.int64)
+        assert mapspace._offset(near, (0, 1)).dtype == np.int64
+        for shift, expected in (
+            ((1, 0), [[2**62, -5], [4, 4]]),
+            ((2**70, 0), [[2**70 + 2**62 - 1, -5], [2**70 + 3, 4]]),
+        ):
+            out = mapspace._offset(near, shift)
+            assert out.dtype == object and out.tolist() == expected
+
+    def test_rows_of_either_width_compare_by_value(self, shear_space):
+        # a germ whose rows were widened to Python integers equals, matches
+        # and keys like the int64 one
+        germ = shear_space.members[0]
+        table = germ.table
+        wide = mapspace.GermTable(table.index, table.radius, table.group, table.rows.astype(object))
+        twin = MapGerm(germ.gens, germ.radius, wide, germ.provenance)
+        assert wide == table and twin.key() == germ.key() and twin == germ
+        assert twin.matches(germ) and germ.matches(twin)
+        e = Z2.identity()
+        assert shear_space.find_slice_match(twin) is shear_space.find_slice_match(germ)
+        assert shear_space.partial_inverse(twin, e) == shear_space.partial_inverse(germ, e)
 
 
 class TestActions:
