@@ -55,8 +55,8 @@ SWEEP_GOLDEN = [
     ),
 ]
 
-# gromov-check at the benchmark's configuration, on identity seeds in rank 2
-# and 3, across the translate boundary and past int64.
+# gromov-check at the benchmark's configuration, on identity seeds in rank 2,
+# 3 and 11, across the translate boundary and past int64.
 TRANSLATE_GOLDEN = [
     # the translate-battery benchmark's invocation
     (
@@ -85,6 +85,12 @@ TRANSLATE_GOLDEN = [
     (
         "gromov_huge_shear_r2_t1_w1.json",
         ["gromov-check", "--matrix", "1 100000000000000000000; 0 1", "--radius", "2",
+         "--translate-radius", "1", "--window", "1"],
+    ),
+    # rank 11: the germ tables of a lattice of any rank
+    (
+        "gromov_identity_d11_r1_t1_w1.json",
+        ["gromov-check", "--dimension", "11", "--radius", "1",
          "--translate-radius", "1", "--window", "1"],
     ),
 ]

@@ -143,6 +143,21 @@ def nielsen_space():
     return build_translate_space(TableSeed(table, F2, F2), 2, 2, offset_radius=1)
 
 
+def cross_space(source, target, value):
+    """A table seed from one group into another, on B(5) of the source."""
+    table = {g: value(g) for g in source.standard_generators().ball(5)}
+    return build_translate_space(TableSeed(table, source, target), 3, 2, offset_radius=1)
+
+
+def power_of_a(n):
+    F1 = FreeGroup(1)
+    return F1.word("a" * n if n >= 0 else "A" * -n)
+
+
+def exponent_sum(word):
+    return LatticeGroup(1).element((sum(word.letters),))
+
+
 def matrix_space(text, radius, translate_radius, offset_radius):
     f = realize_bilipschitz(linalg.parse_matrix(text), Fraction("1e-9"))
     return build_translate_space(FloorMapSeed(f), radius, translate_radius, offset_radius)
@@ -159,6 +174,9 @@ SPACES = {
     "acceptance_3x3": (lambda: matrix_space(ACCEPTANCE_3X3, 3, 2, 1), 1),
     "huge_coefficient": (lambda: matrix_space(HUGE, 2, 1, 1), 1),
     "nielsen_f2": (nielsen_space, 1),
+    # a lattice source with free-group values, and the other way round
+    "cross_z1_f1": (lambda: cross_space(LatticeGroup(1), FreeGroup(1), lambda g: power_of_a(g.coords[0])), 2),
+    "cross_f1_z1": (lambda: cross_space(FreeGroup(1), LatticeGroup(1), exponent_sum), 2),
 }
 
 
