@@ -14,14 +14,12 @@ tables, and each normalized action is the raw translate by a cocycle value;
 every operation tracks the remaining reliable domain radius and raises
 :class:`TruncationError` instead of extrapolating.
 
-A germ on the standard generators of a lattice, with lattice values, stores
-its table as rows over the ball index of :mod:`groups`: one row of target
-coordinates per element of B(radius), in ball order (:class:`GermTable`).
-Translating a germ is then one gather of rows plus one offset, and matching,
-keys and partial inverses compare rows.  Rows are int64 while every entry
-is below 2^62 in magnitude, and exact Python integers otherwise.  Germs on
-free groups, and germs whose values are not lattice elements, keep dicts;
-both kinds answer the same interface.
+Every germ stores its table as one row per element of B(radius), in the
+ball order of :mod:`groups` (:class:`GermTable`).  A lattice value is a row
+of target coordinates, int64 while every entry is below 2^62 in magnitude
+and exact Python integers otherwise; any other value is the element itself.
+Translating a germ is then one gather of rows through the ball positions
+plus one offset, and matching, keys and partial inverses compare rows.
 """
 from __future__ import annotations
 
@@ -34,7 +32,6 @@ import numpy as np
 from .checks import CheckResult
 from .groups import (
     BALL_BUDGET,
-    BallIndex,
     GeneratingSet,
     LatticeElement,
     LatticeGroup,
@@ -116,11 +113,18 @@ class TableSeed:
 # germs
 
 
-def _as_rows(values: list) -> np.ndarray:
-    """Coordinate tuples as an (n, d) array: int64 when every entry is below
-    2^62 in magnitude, exact Python integers otherwise."""
-    fits = all(-_INT64_SAFE < c < _INT64_SAFE for row in values for c in row)
-    return np.array(values, dtype=np.int64 if fits else object).reshape(len(values), -1)
+def _as_rows(group, values: list) -> np.ndarray:
+    """Target values as table rows.  On a lattice, an (n, d) array of
+    coordinates: int64 when every entry is below 2^62 in magnitude, exact
+    Python integers otherwise.  On any other group, the elements themselves
+    in a 1-D object array."""
+    if not isinstance(group, LatticeGroup):
+        rows = np.empty(len(values), dtype=object)
+        rows[:] = values
+        return rows
+    coords = [v.coords for v in values]
+    fits = all(-_INT64_SAFE < c < _INT64_SAFE for row in coords for c in row)
+    return np.array(coords, dtype=np.int64 if fits else object).reshape(len(coords), -1)
 
 
 def _offset(rows: np.ndarray, shift: tuple) -> np.ndarray:
@@ -133,48 +137,55 @@ def _offset(rows: np.ndarray, shift: tuple) -> np.ndarray:
     return rows.astype(object) + np.array(shift, dtype=object)
 
 
+def _times(lam, rows: np.ndarray) -> np.ndarray:
+    """The rows of lam v for the rows of the values v."""
+    if rows.ndim == 2:
+        return _offset(rows, lam.coords)
+    return _as_rows(lam.group, [lam * v for v in rows])
+
+
 class GermTable(Mapping):
-    """A lattice germ's table: row i holds the target coordinates of the i-th
-    element of B(radius) in ball order.
+    """A germ's table: row i holds the value at the i-th element of
+    B(radius) in ball order, as :func:`_as_rows` stores it.  The rows are
+    2-D exactly when the target is a lattice.
 
     A read-only mapping from the ball's elements to target elements, in ball
     order; ``len`` is O(1) and it compares equal to a dict with the same
     items.
     """
 
-    __slots__ = ("index", "radius", "group", "rows")
+    __slots__ = ("gens", "radius", "group", "rows")
 
-    def __init__(self, index: BallIndex, radius: int, group: LatticeGroup, rows: np.ndarray):
+    def __init__(self, gens: GeneratingSet, radius: int, group, rows: np.ndarray):
         rows.flags.writeable = False
-        self.index = index
+        self.gens = gens
         self.radius = radius
         self.group = group
         self.rows = rows
 
     @classmethod
-    def from_dict(cls, index: BallIndex, radius: int, table: dict) -> "GermTable":
-        ball = index.gens.ball(radius)
+    def from_dict(cls, gens: GeneratingSet, radius: int, table: dict) -> "GermTable":
+        ball = gens.ball(radius)
         if len(table) != len(ball):
             raise ValueError(f"germ table must list the {len(ball)} elements of B({radius})")
         values = [table[g] for g in ball]
-        return cls(index, radius, values[0].group, _as_rows([v.coords for v in values]))
+        group = values[0].group
+        return cls(gens, radius, group, _as_rows(group, values))
 
     def __getitem__(self, g):
-        position = self.index.position(self.radius, g)
+        position = self.gens.position(self.radius, g)
         if position < 0:
             raise KeyError(g)
-        return LatticeElement(self.group, tuple(self.rows[position].tolist()))
+        value = self.rows[position]
+        if self.rows.ndim == 1:
+            return value
+        return LatticeElement(self.group, tuple(value.tolist()))
 
     def __iter__(self):
-        return iter(self.index.gens.ball(self.radius))
+        return iter(self.gens.ball(self.radius))
 
     def __len__(self):
         return len(self.rows)
-
-    def __eq__(self, other):
-        if isinstance(other, GermTable):
-            return self.radius == other.radius and np.array_equal(self.rows, other.rows)
-        return Mapping.__eq__(self, other)
 
     def restricted(self, r: int) -> np.ndarray:
         """The rows of B(r), r <= radius, in ``ball(r)`` order."""
@@ -182,25 +193,32 @@ class GermTable(Mapping):
             raise TruncationError(f"germ of radius {self.radius} undefined on B({r})")
         if r == self.radius:
             return self.rows
-        return self.rows[self.index.shifted(self.radius, r, self.index.group.identity())]
+        return self.rows[self.gens.shifted(self.radius, r, self.gens.group.identity())]
 
     def translated(self, g, lam, r: int) -> "GermTable":
         """h -> lam psi(g^-1 h) on B(r), r + |g| <= radius: one gather."""
-        rows = self.rows[self.index.shifted(self.radius, r, g)]
-        return GermTable(self.index, r, self.group, _offset(rows, lam.coords))
+        rows = self.rows[self.gens.shifted(self.radius, r, g)]
+        return GermTable(self.gens, r, self.group, _times(lam, rows))
 
     def first_preimage(self, value):
-        """The first ball element whose row is ``value``, or None."""
-        target = value.coords
-        if self.rows.dtype != object and not all(-_INT64_SAFE < c < _INT64_SAFE for c in target):
-            return None
-        hits = np.flatnonzero((self.rows == np.array(target, dtype=self.rows.dtype)).all(axis=1))
-        return self.index.gens.ball(self.radius)[hits[0]] if len(hits) else None
+        """The first ball element whose value is ``value``, or None."""
+        if self.rows.ndim == 1:
+            hits = self.rows == value
+        else:
+            target = value.coords
+            if self.rows.dtype != object and not all(-_INT64_SAFE < c < _INT64_SAFE for c in target):
+                return None
+            hits = (self.rows == np.array(target, dtype=self.rows.dtype)).all(axis=1)
+        hits = np.flatnonzero(hits)
+        return self.gens.ball(self.radius)[hits[0]] if len(hits) else None
 
     def flat(self, r: int | None = None) -> tuple:
-        """The rows of B(r) (default: the whole ball) as one tuple of
-        integers, row after row."""
+        """The values on B(r) (default: the whole ball) as one tuple, in
+        ball order: a lattice table's rows as integers, row after row; any
+        other table's values by their ``sort_key``."""
         rows = self.rows if r is None else self.restricted(r)
+        if rows.ndim == 1:
+            return tuple(v.sort_key() for v in rows)
         return tuple(rows.ravel().tolist())
 
 
@@ -212,9 +230,8 @@ class MapGerm:
     cocycle values be recomputed exactly; table lookups never leave the
     stated radius.
 
-    ``table`` may be a dict or a mapping over B(radius); a lattice germ with
-    lattice values keeps it as a :class:`GermTable`, any other germ as a
-    dict.
+    ``table`` is a :class:`GermTable`, or a dict over B(radius) that is
+    stored as one.
     """
 
     __slots__ = ("gens", "radius", "table", "provenance", "_key")
@@ -222,11 +239,7 @@ class MapGerm:
     def __init__(self, gens: GeneratingSet, radius: int, table: Mapping, provenance=None):
         self.gens = gens
         self.radius = radius
-        index = gens.ball_index()
-        if index is not None and not isinstance(table, GermTable):
-            if isinstance(next(iter(table.values()), None), LatticeElement):
-                table = GermTable.from_dict(index, radius, table)
-        self.table = table
+        self.table = GermTable.from_dict(gens, radius, table) if isinstance(table, dict) else table
         self.provenance = provenance
         self._key = None
 
@@ -247,24 +260,15 @@ class MapGerm:
     def key(self):
         """Equal exactly for equal radius and table; ordered by radius, then
         by the values in ball order, each compared as its coordinates or
-        letters.  A lattice germ's key is its rows as integers in a row."""
+        letters (:meth:`GermTable.flat`)."""
         if self._key is None:
-            if isinstance(self.table, GermTable):
-                self._key = (self.radius, self.table.flat())
-            else:
-                items = sorted(self.table.items(), key=lambda kv: kv[0].sort_key())
-                self._key = (
-                    self.radius,
-                    tuple((g.sort_key(), v.sort_key()) for g, v in items),
-                )
+            self._key = (self.radius, self.table.flat())
         return self._key
 
     def matches(self, other: "MapGerm") -> bool:
         """Agreement on the common ball (the truncated notion of equality)."""
         r = min(self.radius, other.radius)
-        if isinstance(self.table, GermTable):
-            return np.array_equal(self.table.restricted(r), other.table.restricted(r))
-        return all(self.table[g] == other.table[g] for g in self.gens.ball(r))
+        return np.array_equal(self.table.restricted(r), other.table.restricted(r))
 
     def __eq__(self, other):
         return isinstance(other, MapGerm) and other.key() == self.key()
@@ -293,13 +297,8 @@ class TruncatedMapSpace:
         self.slice_members: tuple[MapGerm, ...] = ()
         self._seed_values: dict = {}
         self._lipschitz: Fraction | None = None
-        # Germs are rows over this index when it exists (lattice source on
-        # standard generators, lattice target).  The seed's values on a ball
-        # B(r), r >= R + R_t, are kept as rows too, so a translate is one
-        # gather from them.
-        self._index = (
-            source_gens.ball_index() if isinstance(target_gens.group, LatticeGroup) else None
-        )
+        # The seed's values on a ball B(r), r >= R + R_t, kept as rows, so a
+        # translate is one gather from them.
         self._seed_rows: tuple = (-1, None)  # (r, the seed's rows on B(r))
         self._slice_rows: tuple = ((), {})  # (slice it was built from, radius -> rows -> member)
 
@@ -310,30 +309,28 @@ class TruncatedMapSpace:
             self._seed_values[g] = self.seed.value(g)
         return self._seed_values[g]
 
-    def translate_table(self, g0, delta, radius) -> Mapping:
+    def translate_table(self, g0, delta, radius) -> GermTable:
         """The seed translate with provenance (g0, delta) on B(radius):
         psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), which takes the value delta
-        at the identity.  Rows over the ball index when the space has one:
-        a gather of the seed's rows on a ball that holds g0^-1 B(radius),
-        else one memoized seed value per point."""
+        at the identity.  A gather of the seed's rows on a ball that holds
+        g0^-1 B(radius), or one memoized seed value per point past the ball
+        budget."""
         g0_inv = g0.inverse()
         prefix = delta * self._seed_value(g0_inv).inverse()
-        index = self._index
-        if index is None:
-            return {h: prefix * self._seed_value(g0_inv * h) for h in self.source_gens.ball(radius)}
+        group = self.target_gens.group
         reach = self.source_gens.word_length(g0) + radius
         if reach <= BALL_BUDGET:
             seed_radius, seed_rows = self._seed_rows
             if seed_radius < reach:
                 seed_radius = max(reach, min(self.radius + self.translate_radius, BALL_BUDGET))
                 ball = self.source_gens.ball(seed_radius)
-                seed_rows = _as_rows([self._seed_value(g).coords for g in ball])
+                seed_rows = _as_rows(group, [self._seed_value(g) for g in ball])
                 self._seed_rows = (seed_radius, seed_rows)
-            values = seed_rows[index.shifted(seed_radius, radius, g0)]
+            values = seed_rows[self.source_gens.shifted(seed_radius, radius, g0)]
         else:
             ball = self.source_gens.ball(radius)
-            values = _as_rows([self._seed_value(g0_inv * h).coords for h in ball])
-        return GermTable(index, radius, self.target_gens.group, _offset(values, prefix.coords))
+            values = _as_rows(group, [self._seed_value(g0_inv * h) for h in ball])
+        return GermTable(self.source_gens, radius, group, _times(prefix, values))
 
     def _build(self):
         # Every base table is normalized: base(e) = s(g0^-1)^-1 s(g0^-1) = e.
@@ -350,8 +347,7 @@ class TruncatedMapSpace:
         for g0 in self.source_gens.ball(self.translate_radius):
             base = self.translate_table(g0, identity_target, self.radius)
             # Every base lists the same ball in the same order.
-            values = base.flat() if isinstance(base, GermTable) else tuple(base.values())
-            bases.setdefault(values, (g0, base))
+            bases.setdefault(base.flat(), (g0, base))
         members = []
         for g0, base in bases.values():
             for delta in self.target_gens.ball(self.offset_radius):
@@ -412,14 +408,7 @@ class TruncatedMapSpace:
         step = self.source_gens.word_length(g)
         if step > germ.radius:
             raise TruncationError(f"domain exhausted translating by {g!r}")
-        if isinstance(germ.table, GermTable):
-            table = germ.table.translated(g, lam, germ.radius - step)
-        else:
-            g_inv = g.inverse()
-            table = {
-                h: lam * germ.value(g_inv * h)
-                for h in self.source_gens.ball(germ.radius - step)
-            }
+        table = germ.table.translated(g, lam, germ.radius - step)
         provenance = None
         if germ.provenance is not None:
             new_g0 = g * germ.provenance[0]
@@ -429,15 +418,10 @@ class TruncatedMapSpace:
     def partial_inverse(self, germ: MapGerm, target_value):
         """The unique ball element mapped to ``target_value`` by the germ (the
         first in ball order if a corrupted germ has several)."""
-        if isinstance(germ.table, GermTable):
-            found = germ.table.first_preimage(target_value)
-            if found is not None:
-                return found
-        else:
-            for g, v in germ.table.items():
-                if v == target_value:
-                    return g
-        raise TruncationError(f"{target_value!r} not in germ image at this truncation")
+        found = germ.table.first_preimage(target_value)
+        if found is None:
+            raise TruncationError(f"{target_value!r} not in germ image at this truncation")
+        return found
 
     # -- cocycles
 
@@ -485,11 +469,6 @@ class TruncatedMapSpace:
 
     def find_slice_match(self, germ: MapGerm) -> MapGerm | None:
         """The first slice member that matches the germ, or None."""
-        if not isinstance(germ.table, GermTable):
-            for member in self.slice_members:
-                if member.matches(germ):
-                    return member
-            return None
         # Slice members have radius R, so they match the germ on B(r) for
         # r = min(R, its radius): one lookup of its rows there among the
         # members' rows there, the first member in slice order kept for each.
@@ -598,7 +577,7 @@ def _is_certified_translate(space: TruncatedMapSpace, germ: MapGerm, reach: int)
     g0, delta = germ.provenance
     if space.source_gens.word_length(g0) + germ.radius > reach:
         return False
-    return germ.table == space.translate_table(g0, delta, germ.radius)
+    return np.array_equal(germ.table.rows, space.translate_table(g0, delta, germ.radius).rows)
 
 
 def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
@@ -720,7 +699,7 @@ def _is_translate_past_slice(space: TruncatedMapSpace, germ: MapGerm) -> bool:
     g0, delta = germ.provenance
     if space.source_gens.word_length(g0) <= space.translate_radius:
         return False
-    return germ.table == space.translate_table(g0, delta, germ.radius)
+    return np.array_equal(germ.table.rows, space.translate_table(g0, delta, germ.radius).rows)
 
 
 def _predicted_source_hit(space: TruncatedMapSpace, omega: MapGerm):

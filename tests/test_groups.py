@@ -4,11 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import numpy as np
-
 from orbitlab.groups import (
     BALL_BUDGET,
-    INDEX_MAX_RANK,
     BudgetExceeded,
     FreeGroup,
     GeneratingSet,
@@ -205,41 +202,48 @@ class TestClosedFormWordMetric:
 
 
 class TestBallIndex:
+    """Ball positions: where an element sits in ball order."""
+
     @pytest.mark.parametrize("d, radius", [(1, 5), (2, 4), (3, 3), (4, 2)])
     def test_positions_follow_ball_order(self, d, radius):
-        # coords(r) lists ball(r); every point of the box around B(radius),
-        # as an array or one element, is found at its place in ball(radius)
-        # or at -1 outside it
+        # every point of the box around B(radius) is found at its place in
+        # ball(radius), or at -1 outside it
         group = LatticeGroup(d)
         S = group.standard_generators()
-        index = S.ball_index()
         ball = S.ball(radius)
-        for r in range(radius + 1):
-            assert index.coords(r).tolist() == [list(g.coords) for g in S.ball(r)]
         box = list(itertools.product(range(-radius - 1, radius + 2), repeat=d))
         expected = [ball.index(group.element(v)) if sum(map(abs, v)) <= radius else -1 for v in box]
-        assert index.positions(radius, np.array(box)).tolist() == expected
-        assert [index.position(radius, group.element(v)) for v in box] == expected
+        assert [S.position(radius, group.element(v)) for v in box] == expected
 
     def test_shifted_is_the_translated_ball(self):
         S = Z2.standard_generators()
-        index = S.ball_index()
         ball = S.ball(5)
         for g in S.ball(2):
             expected = [ball.index(g.inverse() * h) for h in S.ball(3)]
-            assert index.shifted(5, 3, g).tolist() == expected
+            assert S.shifted(5, 3, g).tolist() == expected
 
     def test_position_of_a_foreign_or_far_element_is_minus_one(self):
-        index = Z2.standard_generators().ball_index()
-        assert index.position(3, LatticeGroup(3).identity()) == -1
-        assert index.position(3, F2.word("a")) == -1
-        assert index.position(3, Z2.element((10**30, 0))) == -1
+        S = Z2.standard_generators()
+        assert S.position(3, LatticeGroup(3).identity()) == -1
+        assert S.position(3, F2.word("a")) == -1
+        assert S.position(3, Z2.element((10**30, 0))) == -1
+        assert S.position(3, (0, 0)) == -1
+        assert F2.standard_generators().position(3, Z2.identity()) == -1
 
-    def test_only_standard_lattice_generators_up_to_the_code_rank(self):
-        assert LatticeGroup(INDEX_MAX_RANK).standard_generators().ball_index() is not None
-        assert LatticeGroup(INDEX_MAX_RANK + 1).standard_generators().ball_index() is None
-        assert GeneratingSet(DIAGONAL).ball_index() is None
-        assert F2.standard_generators().ball_index() is None
+    @pytest.mark.parametrize("name", ["rank 11", "diagonal", "F2"])
+    def test_every_generating_set_has_positions(self, name):
+        # lattices of any rank, non-standard generators and free groups
+        # (where g^-1 h is not h^-1 g) place their elements alike
+        S = {
+            "rank 11": LatticeGroup(11).standard_generators(),
+            "diagonal": GeneratingSet(DIAGONAL),
+            "F2": F2.standard_generators(),
+        }[name]
+        ball, big = S.ball(2), S.ball(3)
+        where = {h: i for i, h in enumerate(big)}
+        assert [S.position(2, g) for g in ball] == list(range(len(ball)))
+        for g in S.ball(1):
+            assert S.shifted(3, 2, g).tolist() == [where[g.inverse() * h] for h in ball]
 
 
 class TestConcurrency:

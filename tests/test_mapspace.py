@@ -154,7 +154,7 @@ class TestExactRows:
         # and keys like the int64 one
         germ = shear_space.members[0]
         table = germ.table
-        wide = mapspace.GermTable(table.index, table.radius, table.group, table.rows.astype(object))
+        wide = mapspace.GermTable(table.gens, table.radius, table.group, table.rows.astype(object))
         twin = MapGerm(germ.gens, germ.radius, wide, germ.provenance)
         assert wide == table and twin.key() == germ.key() and twin == germ
         assert twin.matches(germ) and germ.matches(twin)
