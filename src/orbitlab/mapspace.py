@@ -380,10 +380,11 @@ class TruncatedMapSpace:
                     upper_num, upper_den = d_tgt, d_src
                 if lower_num is None or d_tgt * lower_den < lower_num * d_src:
                     lower_num, lower_den = d_tgt, d_src
-            if lower_num is None or lower_num == 0:
+            if lower_num == 0:
                 raise ValueError("seed collapses distances; not bi-Lipschitz")
+            # A one-point ball compares no pair, and its constant is 1.
             upper = Fraction(upper_num, upper_den)
-            lower = Fraction(lower_num, lower_den)
+            lower = Fraction(1) if lower_num is None else Fraction(lower_num, lower_den)
             self._lipschitz = max(upper, 1 / lower, Fraction(1))
         return self._lipschitz
 
@@ -538,13 +539,12 @@ def check_lipschitz_closure(space: TruncatedMapSpace) -> CheckResult:
     by isometries on the space of C-bi-Lipschitz maps.
 
     So the seed is swept once over B(R + R_t) against the constant C; that
-    sweep is an independent exact check of C.  If it passes, a member whose
-    table equals, entry for entry, the table re-derived from its provenance
-    (with |g0| + its radius <= R + R_t) passes on that certificate.  Every
-    other member -- no provenance, a table that does not match, a provenance
-    that reads the seed outside B(R + R_t), or every member when the seed
-    sweep fails -- gets its own full pair sweep, and its first violating
-    pair is its witness.
+    sweep is an independent exact check of C.  If it passes, a member that
+    is the translate its provenance names (:func:`_is_named_translate`)
+    passes on that certificate.  Every other member -- no provenance, a
+    table that does not match, a provenance that reads the seed outside
+    B(R + R_t), or every member when the seed sweep fails -- gets its own
+    full pair sweep, and its first violating pair is its witness.
     """
     constant = space.lipschitz_constant()
     reach = space.radius + space.translate_radius
@@ -553,7 +553,7 @@ def check_lipschitz_closure(space: TruncatedMapSpace) -> CheckResult:
     )
     witnesses = []
     for germ in space.members:
-        if certificate.passed and _is_certified_translate(space, germ, reach):
+        if certificate.passed and _is_named_translate(space, germ):
             continue
         report = is_bilipschitz_on_ball(
             germ.value, germ.radius, constant, space.source_gens, space.target_gens
@@ -569,13 +569,13 @@ def check_lipschitz_closure(space: TruncatedMapSpace) -> CheckResult:
     )
 
 
-def _is_certified_translate(space: TruncatedMapSpace, germ: MapGerm, reach: int) -> bool:
+def _is_named_translate(space: TruncatedMapSpace, germ: MapGerm) -> bool:
     """The germ's table is the seed translate its provenance names, and that
-    translate reads the seed only inside B(reach)."""
+    translate reads the seed only inside B(R + R_t)."""
     if germ.provenance is None:
         return False
     g0, delta = germ.provenance
-    if space.source_gens.word_length(g0) + germ.radius > reach:
+    if space.source_gens.word_length(g0) + germ.radius > space.radius + space.translate_radius:
         return False
     return np.array_equal(germ.table.rows, space.translate_table(g0, delta, germ.radius).rows)
 
@@ -643,9 +643,12 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
 
     A source hit g . omega of a member with provenance (g0, delta) has
     provenance (g g0, e).  When g g0 lies outside B(R_t) no enumerated slice
-    member can be that hit, so for a global seed it passes exactly when its
-    table is the seed translate (g g0, e) names: the provenance argument of
-    the Lipschitz closure.  Table seeds still need an enumerated match.
+    member can be that hit, so a hit with no match passes exactly when it is
+    the seed translate (g g0, e) names (:func:`_is_named_translate`): the
+    provenance argument of the Lipschitz closure.  That translate reads the
+    seed only inside B(R + R_t), since |g g0| + R - |g| <= R + R_t, so table
+    seeds pass the same way.  A hit with |g g0| <= R_t that is its named
+    translate always has an enumerated match.
     """
     if window > space.radius:
         raise TruncationError("window exceeds the truncation radius")
@@ -659,7 +662,7 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
         for g in ball:
             if omega.value(g.inverse()) == identity_target:
                 translated = space.raw_translate(g, identity_target, omega)
-                if space.find_slice_match(translated) is None and not _is_translate_past_slice(
+                if space.find_slice_match(translated) is None and not _is_named_translate(
                     space, translated
                 ):
                     witnesses.append(("source-hit-not-in-slice", g, omega))
@@ -689,17 +692,6 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
         witnesses=witnesses,
         coverage={"W": window, "interior": interior_checked},
     )
-
-
-def _is_translate_past_slice(space: TruncatedMapSpace, germ: MapGerm) -> bool:
-    """The germ's provenance names a translate of the global seed from
-    outside B(R_t), and its table is that translate."""
-    if germ.provenance is None or not space.seed.is_global:
-        return False
-    g0, delta = germ.provenance
-    if space.source_gens.word_length(g0) <= space.translate_radius:
-        return False
-    return np.array_equal(germ.table.rows, space.translate_table(g0, delta, germ.radius).rows)
 
 
 def _predicted_source_hit(space: TruncatedMapSpace, omega: MapGerm):

@@ -75,6 +75,18 @@ class TestBuild:
         assert space.lipschitz_constant() == 1
 
 
+class TestLipschitzConstant:
+    def test_one_point_ball_has_constant_1(self):
+        space = build_translate_space(IdentitySeed(Z2), 0, 0)
+        assert space.lipschitz_constant() == 1
+
+    def test_a_pair_at_distance_0_still_raises(self):
+        table = {g: Z1.identity() for g in Z1.standard_generators().ball(1)}
+        space = build_translate_space(TableSeed(table, Z1, Z1), 1, 0, offset_radius=0)
+        with pytest.raises(ValueError, match="collapses distances"):
+            space.lipschitz_constant()
+
+
 def reference_build(space):
     """The members that building every (g0, delta) germ and then keeping the
     first germ of each key gives, in key order."""
@@ -393,16 +405,28 @@ class TestFundamentalDomainPastTheTranslates:
             ("target-hit-not-in-slice", bad.value_at_identity(), bad),
         ]
 
-    def test_table_seed_still_needs_an_enumerated_match(self, boundary_space):
+    def test_table_seed_passes_past_the_slice(self, boundary_space):
+        # the same seed as a table on B(R + R_t) = B(5): its unmatched hits
+        # read the table only there, so they pass as the global seed's do;
+        # a corrupted boundary member still fails with a witness
         space = boundary_space
         table = {g: space.seed.value(g) for g in space.source_gens.ball(5)}
         Z3 = LatticeGroup(3)
         table_space = build_translate_space(TableSeed(table, Z3, Z3), 3, 2, offset_radius=1)
-        result = check_fundamental_domain(table_space, 1)
-        expected = [(omega.provenance, g) for omega, g in unmatched_source_hits(space, 1)]
-        assert [(w[0], w[2].provenance, w[1]) for w in result.witnesses] == [
-            ("source-hit-not-in-slice", *pair) for pair in expected
+        hits = unmatched_source_hits(table_space, 1)
+        assert [(omega.provenance, g) for omega, g in hits] == [
+            (omega.provenance, g) for omega, g in unmatched_source_hits(space, 1)
         ]
+        result = check_fundamental_domain(table_space, 1)
+        assert result.passed and result.witnesses == []
+        omega, g = hits[0]
+        bad_table = dict(omega.table)
+        bad_table[g.inverse() * table_space.source_gens.elements[0]] = Z3.element((30, 30, 30))
+        bad = MapGerm(omega.gens, omega.radius, bad_table, omega.provenance)
+        clone = copy.copy(table_space)
+        clone.members = table_space.members + (bad,)
+        witnesses = check_fundamental_domain(clone, 1).witnesses
+        assert witnesses[0] == ("source-hit-not-in-slice", g, bad)
 
 
 def reference_closure(space):
