@@ -19,7 +19,7 @@ from click.core import ParameterSource
 
 from . import linalg
 from .fullgroup import FullGroupElement, ad_realization_check
-from .groups import BALL_BUDGET, BudgetExceeded, LatticeGroup
+from .groups import BALL_BUDGET, PAIR_BUDGET, BudgetExceeded, LatticeGroup, lattice_ball_size
 from .invariants import (
     check_det_pm1,
     functoriality_check,
@@ -174,10 +174,8 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
         radius + translate_radius <= BALL_BUDGET,
         f"radius + translate radius = {radius + translate_radius} exceeds the ball budget {BALL_BUDGET}",
     )
-    if matrix is None:
-        seed_map = IdentitySeed(LatticeGroup(dimension))
-    else:
-        a = linalg.parse_matrix(matrix)
+    a = None if matrix is None else linalg.parse_matrix(matrix)
+    if a is not None:
         # --dimension sizes the identity seed; given next to a matrix it
         # must agree with it.
         source = click.get_current_context().get_parameter_source("dimension")
@@ -185,6 +183,20 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
             source is ParameterSource.DEFAULT or dimension == len(a),
             f"--dimension {dimension} does not match the {len(a)}x{len(a)} matrix",
         )
+        dimension = len(a)
+    # The Lipschitz constant and the closure certificate each compare every
+    # pair of B(R + R_t).
+    reach = radius + translate_radius
+    points = lattice_ball_size(dimension, reach)
+    pairs = points * (points - 1) // 2
+    _require(
+        pairs <= PAIR_BUDGET,
+        f"B({reach}) in Z^{dimension} has {points} points, {pairs} pairs per sweep, "
+        f"over budget {PAIR_BUDGET}",
+    )
+    if a is None:
+        seed_map = IdentitySeed(LatticeGroup(dimension))
+    else:
         seed_map = FloorMapSeed(realize_bilipschitz(a, Fraction(tol)))
     space = build_translate_space(
         seed_map, radius, translate_radius, offset_radius=window

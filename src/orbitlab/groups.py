@@ -12,6 +12,7 @@ BFS memo, with the balls and ball positions it has served.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import threading
 from fractions import Fraction
@@ -25,6 +26,9 @@ _SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 
 # The largest ball radius a generating set enumerates.
 BALL_BUDGET = 32
+
+# The most pairs of points one sweep over a ball may compare.
+PAIR_BUDGET = 2**22
 
 
 class BudgetExceeded(RuntimeError):
@@ -386,6 +390,15 @@ class GeneratingSet:
 
     def to_json(self):
         return [e.to_json() for e in self.elements]
+
+
+def lattice_ball_size(dimension: int, radius: int) -> int:
+    """|B(radius)| for the standard generators of Z^d, without enumerating
+    it: the points with k nonzero coordinates number 2^k C(d, k) C(radius, k)."""
+    return sum(
+        2**k * math.comb(dimension, k) * math.comb(radius, k)
+        for k in range(min(dimension, radius) + 1)
+    )
 
 
 def is_bilipschitz_on_ball(

@@ -194,6 +194,18 @@ class TestGromovCheck:
         report = json.loads(result.output)
         assert all(c["pass"] for c in report["checks"]), report["checks"]
 
+    def test_one_point_ball_passes_with_constant_1(self, runner):
+        # R = R_t = 0 compares no pair of B(0); the half shear is a bijection
+        result = runner.invoke(
+            main,
+            ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "0",
+             "--translate-radius", "0", "--window", "0", "--json"],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["space"]["lipschitz_constant"] == 1
+        assert len(report["checks"]) == 9 and all(c["pass"] for c in report["checks"])
+
     def test_dimension_given_next_to_a_matrix_must_match_it(self, runner):
         # the default --dimension 1 is not read with a matrix; an explicit
         # one equal to the matrix size is accepted and echoed in config
@@ -312,6 +324,11 @@ class TestFunctoriality:
         (
             ["gromov-check", "--matrix", "1 0.5; 0 1", "--dimension", "1"],
             "--dimension 1 does not match the 2x2 matrix",
+        ),
+        (
+            ["gromov-check", "--dimension", "3", "--radius", "10", "--translate-radius", "10",
+             "--window", "1"],
+            "B(20) in Z^3 has 11521 points, 66360960 pairs per sweep, over budget 4194304",
         ),
     ],
 )

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from orbitlab.groups import (
     BALL_BUDGET,
+    PAIR_BUDGET,
     BudgetExceeded,
     FreeGroup,
     GeneratingSet,
     LatticeGroup,
     is_bilipschitz_on_ball,
+    lattice_ball_size,
 )
 
 Z1 = LatticeGroup(1)
@@ -244,6 +246,23 @@ class TestBallIndex:
         assert [S.position(2, g) for g in ball] == list(range(len(ball)))
         for g in S.ball(1):
             assert S.shifted(3, 2, g).tolist() == [where[g.inverse() * h] for h in ball]
+
+
+class TestLatticeBallSize:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_counts_the_enumerated_ball(self, d):
+        S = LatticeGroup(d).standard_generators()
+        for radius in range(5 if d < 4 else 4):
+            assert lattice_ball_size(d, radius) == len(S.ball(radius))
+
+    def test_pair_budget_edges(self):
+        # every Z^1 and Z^2 ball up to the ball budget fits; Z^3 stops at 13
+        def pairs(d, radius):
+            n = lattice_ball_size(d, radius)
+            return n * (n - 1) // 2
+
+        assert pairs(2, BALL_BUDGET) == 2_231_328 <= PAIR_BUDGET
+        assert pairs(3, 12) <= PAIR_BUDGET < pairs(3, 13) == 5_453_253
 
 
 class TestConcurrency:
