@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and so is
+every private name it defines at its top level.
 
 ``__init__.py`` only re-exports, so it is left out.  A name counts as used
-when it appears as a bare name anywhere in the module, the root of an
-attribute chain included, or inside a quoted annotation.
+when it is read as a bare name anywhere in the module, the root of an
+attribute chain included, or inside a quoted annotation.  A private name
+(``_helper``, ``_CONSTANT``) that its own module never reads is left over.
 """
 import ast
 from pathlib import Path
@@ -38,8 +40,30 @@ def annotations(tree: ast.Module):
             yield node.annotation
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name a top-level def, class or assignment binds, with
+    its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
 def used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for annotation in annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -66,3 +90,23 @@ def test_every_import_is_used(path):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("from typing import Sequence\nimport math\n\ndef f(x: 'Sequence'):\n    return x\n")
     assert {n for n in imported_names(tree) if n not in used_names(tree)} == {"math"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = {
+        name: line
+        for name, line in private_definitions(tree).items()
+        if name not in used_names(tree)
+    }
+    assert unused == {}, f"{path.name} defines private names it never uses: {unused}"
+
+
+def test_the_guard_sees_an_unused_private_name():
+    tree = ast.parse(
+        "_LIMIT = 3\n_SPARE: int = 4\n\ndef _helper(x):\n    return x\n\n"
+        "def _left():\n    return _helper(_LIMIT)\n\nclass _Shape:\n    pass\n"
+    )
+    unused = {n for n in private_definitions(tree) if n not in used_names(tree)}
+    assert unused == {"_SPARE", "_left", "_Shape"}
