@@ -347,13 +347,14 @@ class GeneratingSet:
         key = (radius, r, self._point(g))
         found = self._shifts.get(key)
         if found is None:
+            where = self._positions(radius)
             if self._by_coords:
-                points = (tuple(map(operator.sub, h.coords, g.coords)) for h in self.ball(r))
+                shift = g.coords
+                found = [where[tuple(map(operator.sub, h.coords, shift))] for h in self.ball(r)]
             else:
                 g_inv = g.inverse()
-                points = (g_inv * h for h in self.ball(r))
-            where = self._positions(radius)
-            found = self._shifts[key] = np.array([where[p] for p in points], dtype=np.intp)
+                found = [where[g_inv * h] for h in self.ball(r)]
+            found = self._shifts[key] = np.array(found, dtype=np.intp)
         return found
 
     def bfs_word_length(self, g) -> int:

@@ -206,7 +206,8 @@ class GermTable(Mapping):
             hits = self.rows == value
         else:
             target = value.coords
-            if self.rows.dtype != object and not all(-_INT64_SAFE < c < _INT64_SAFE for c in target):
+            fits = all(-_INT64_SAFE < c < _INT64_SAFE for c in target)
+            if self.rows.dtype != object and not fits:
                 return None
             hits = (self.rows == np.array(target, dtype=self.rows.dtype)).all(axis=1)
         hits = np.flatnonzero(hits)

@@ -232,14 +232,14 @@ class TestBallIndex:
         assert S.position(3, (0, 0)) == -1
         assert F2.standard_generators().position(3, Z2.identity()) == -1
 
-    @pytest.mark.parametrize("name", ["rank 11", "diagonal", "F2"])
+    @pytest.mark.parametrize("name", ["rank11", "diagonal", "free"])
     def test_every_generating_set_has_positions(self, name):
         # lattices of any rank, non-standard generators and free groups
         # (where g^-1 h is not h^-1 g) place their elements alike
         S = {
-            "rank 11": LatticeGroup(11).standard_generators(),
+            "rank11": LatticeGroup(11).standard_generators(),
             "diagonal": GeneratingSet(DIAGONAL),
-            "F2": F2.standard_generators(),
+            "free": F2.standard_generators(),
         }[name]
         ball, big = S.ball(2), S.ball(3)
         where = {h: i for i, h in enumerate(big)}
