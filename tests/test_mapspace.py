@@ -107,6 +107,20 @@ def cli_shear_space():
 
 
 class TestTranslateTable:
+    def test_a_far_translate_reads_the_seed_point_by_point(self):
+        # a translate past B(2R + R_t) reads the seed at the |B(R)| points
+        # it needs; the ball it reaches, B(12) of F_2 or larger, holds over
+        # a million words
+        F2 = FreeGroup(2)
+        space = build_translate_space(IdentitySeed(F2), 3, 3, offset_radius=0)
+        germ = space.members[-1]
+        g = F2.word("ab" * 6)
+        moved = space.global_act_source(g, germ)
+        assert moved.provenance == (g * germ.provenance[0], F2.identity())
+        assert all(moved.value(h) == h for h in space.source_gens.ball(3))
+        assert space.source_gens._explored <= 2 * 3 + 3
+
+
     @pytest.mark.parametrize("fixture", ["cli_shear_space", "nielsen_space"])
     def test_matches_the_seed_formula(self, request, fixture):
         # psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), read straight off seed.value,
