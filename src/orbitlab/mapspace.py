@@ -313,13 +313,10 @@ class TruncatedMapSpace:
     def translate_table(self, g0, delta, radius) -> GermTable:
         """The seed translate with provenance (g0, delta) on B(radius):
         psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), which takes the value delta
-        at the identity.  A gather of the seed's rows on a ball that holds
-        g0^-1 B(radius), or one memoized seed value per point.
-
-        The rows cover B(R + R_t), grown on demand by at most R: as far as a
-        translate of a member by an element of its own ball reaches.  A
-        farther translate reads the seed point by point, so that a long g0
-        never enumerates the ball it reaches (exponential in a free group)."""
+        at the identity.  A gather of the seed's rows, kept on B(R + R_t)
+        and grown on demand up to B(2R + R_t); a farther translate reads the
+        seed point by point, so a long g0 never enumerates the ball it
+        reaches (exponential in a free group)."""
         g0_inv = g0.inverse()
         prefix = delta * self._seed_value(g0_inv).inverse()
         group = self.target_gens.group
