@@ -174,13 +174,17 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
         radius + translate_radius <= BALL_BUDGET,
         f"radius + translate radius = {radius + translate_radius} exceeds the ball budget {BALL_BUDGET}",
     )
+    source = click.get_current_context().get_parameter_source
     a = None if matrix is None else linalg.parse_matrix(matrix)
-    if a is not None:
+    if a is None:
+        # --tol is the realization tolerance of a matrix seed; the identity
+        # seed reads none.
+        _require(source("tol") is ParameterSource.DEFAULT, "--tol is read only with --matrix")
+    else:
         # --dimension sizes the identity seed; given next to a matrix it
         # must agree with it.
-        source = click.get_current_context().get_parameter_source("dimension")
         _require(
-            source is ParameterSource.DEFAULT or dimension == len(a),
+            source("dimension") is ParameterSource.DEFAULT or dimension == len(a),
             f"--dimension {dimension} does not match the {len(a)}x{len(a)} matrix",
         )
         dimension = len(a)

@@ -3,11 +3,11 @@
 Two concrete families are supported: free abelian lattices Z^d (elements are
 integer vectors) and free groups F_k (elements are reduced words).  A
 ``GeneratingSet`` turns a group into a metric space: it enumerates Cayley
-balls by breadth-first search, memoizes word lengths, and certifies
-bi-Lipschitz behaviour of maps on those balls.
+balls by breadth-first search and memoizes word lengths.  Exact sweeps over
+all pairs of a ball certify bi-Lipschitz behaviour of maps on those balls.
 
 All values are immutable; the only mutable state is the per-generating-set
-BFS memo, with the balls and ball positions it has served.
+BFS memo, with the balls, ball coordinates and ball positions it has served.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,13 @@ BALL_BUDGET = 32
 
 # The most pairs of points one sweep over a ball may compare.
 PAIR_BUDGET = 2**22
+
+# The pairs a lattice pair sweep compares in one array step.
+SWEEP_BLOCK = 4096
+
+# Integers below this bound in magnitude are stored as int64: the sum or
+# difference of two of them still fits.
+_INT64_SAFE = 1 << 62
 
 
 class BudgetExceeded(RuntimeError):
@@ -233,8 +240,9 @@ class GeneratingSet:
 
     :meth:`position` and :meth:`shifted` place elements in a ball's order,
     which is how germ tables store one value per ball element.  On a lattice
-    an element is found by its coordinates, so g^-1 h is found by one
-    subtraction, without a product.
+    an element is found by its coordinates: :meth:`ball_coords` keeps each
+    ball as one int64 array, so g^-1 B(r) is one subtraction from it,
+    without a product.
     """
 
     def __init__(self, elements):
@@ -258,6 +266,7 @@ class GeneratingSet:
         self._balls: dict = {}  # radius -> sorted ball
         self._by_coords = isinstance(group, LatticeGroup)
         self._where: dict = {}  # radius -> {point: position in B(r)}
+        self._coords: dict = {}  # radius -> B(r) as an int64 coordinate array
         self._shifts: dict = {}  # (radius, r, point of g) -> positions of g^-1 B(r) in B(radius)
         # Guards the memo: a layer half grown by one thread must not be read
         # or grown again by another, and a kept ball is never recomputed.
@@ -341,6 +350,17 @@ class GeneratingSet:
             return -1
         return self._positions(radius).get(self._point(g), -1)
 
+    def ball_coords(self, radius: int) -> np.ndarray:
+        """B(radius) of a lattice as a read-only (n, d) int64 array of
+        coordinates, in ``ball(radius)`` order."""
+        coords = self._coords.get(radius)
+        if coords is None:
+            ball = self.ball(radius)
+            coords = np.array([g.coords for g in ball], dtype=np.int64).reshape(len(ball), -1)
+            coords.flags.writeable = False
+            self._coords[radius] = coords
+        return coords
+
     def shifted(self, radius: int, r: int, g) -> np.ndarray:
         """The positions in B(radius) of g^-1 h for h in B(r), in ``ball(r)``
         order; r + |g| <= radius.  At the identity: B(r) inside B(radius)."""
@@ -349,8 +369,8 @@ class GeneratingSet:
         if found is None:
             where = self._positions(radius)
             if self._by_coords:
-                shift = g.coords
-                found = [where[tuple(map(operator.sub, h.coords, shift))] for h in self.ball(r)]
+                points = self.ball_coords(r) - np.array(g.coords, dtype=np.int64)
+                found = [where[p] for p in map(tuple, points.tolist())]
             else:
                 g_inv = g.inverse()
                 found = [where[g_inv * h] for h in self.ball(r)]
@@ -402,6 +422,158 @@ def lattice_ball_size(dimension: int, radius: int) -> int:
     )
 
 
+class PairSweep(NamedTuple):
+    """What one sweep over the pairs of a ball found, in
+    ``itertools.combinations`` order of ``ball(radius)``.
+
+    ``lower`` and ``upper`` are (d_tgt, d_src, a, b) for the first pair whose
+    distance ratio d_tgt / d_src is the least (the greatest) over the ball,
+    None when the ball has one point.  ``witness`` is the first pair (a, b)
+    outside the constant's two-sided bound, or None.
+    """
+
+    checked: int
+    lower: tuple | None
+    upper: tuple | None
+    witness: tuple | None
+
+
+def sweep_pairs(
+    source: GeneratingSet, target: GeneratingSet, radius: int, images: list, constant=None
+) -> PairSweep:
+    """Compare each pair a, b of B(radius) under ``source`` with its images
+    under ``target``; ``images`` lists f(g) in ``ball(radius)`` order.  With
+    a ``constant`` C, the pair fails unless
+    C^-1 d(a, b) <= d(f a, f b) <= C d(a, b).  C = num / den exactly (a float
+    constant by its binary value), so both sides are integer
+    cross-multiplications.
+
+    On the standard generators of two lattices, with every image in the
+    target lattice, both word metrics are L1 distances of coordinates and
+    :func:`_lattice_sweep` compares the pairs as arrays.  Anywhere else each
+    pair takes two :meth:`GeneratingSet.word_metric` calls.  Both give the
+    same sweep.
+    """
+    bounds = None if constant is None else Fraction(constant).as_integer_ratio()
+    if _is_l1(source) and _is_l1(target) and all(
+        _same_group(getattr(v, "group", None), target.group) for v in images
+    ):
+        return _lattice_sweep(source, target, radius, images, bounds)
+    return _word_metric_sweep(source, target, radius, images, bounds)
+
+
+def _is_l1(gens: GeneratingSet) -> bool:
+    return gens._is_standard and gens._by_coords
+
+
+def _within(d_src: int, d_tgt: int, bounds: tuple) -> bool:
+    num, den = bounds
+    return d_src * den <= num * d_tgt and d_tgt * den <= num * d_src
+
+
+def _word_metric_sweep(source, target, radius, images, bounds) -> PairSweep:
+    # The extremes as exact (d_tgt, d_src) pairs, compared by
+    # cross-multiplication (every d_src is positive).
+    lower = upper = witness = None
+    checked = 0
+    for (a, fa), (b, fb) in itertools.combinations(zip(source.ball(radius), images), 2):
+        d_src = source.word_metric(a, b)
+        d_tgt = target.word_metric(fa, fb)
+        if lower is None:
+            lower = upper = (d_tgt, d_src, a, b)
+        elif d_tgt * lower[1] < lower[0] * d_src:
+            lower = (d_tgt, d_src, a, b)
+        elif d_tgt * upper[1] > upper[0] * d_src:
+            upper = (d_tgt, d_src, a, b)
+        checked += 1
+        if witness is None and bounds is not None and not _within(d_src, d_tgt, bounds):
+            witness = (a, b)
+    return PairSweep(checked, lower, upper, witness)
+
+
+def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
+    """The pair sweep on coordinate arrays: int64 while every key below fits,
+    exact Python integers otherwise.
+
+    The pairs go by in blocks of ``SWEEP_BLOCK`` in combinations order, and
+    each block takes its source and target L1 distances in one array step.
+    Per source distance s <= 2 radius the least and the greatest target
+    distance are kept, each with the first pair that attains it, as one key
+    d_tgt * pairs + pair index (+ pairs - 1 - pair index for the greatest).
+    The extreme ratios are then chosen among those at most 2 radius
+    candidates as exact Fractions.  A pair fails C = num / den exactly when
+    its target distance leaves [ceil(s den / num), floor(s num / den)]; the
+    thresholds are computed per s on Python integers, so the constant is
+    never multiplied in int64.
+
+    Each pair the result names is measured again with ``word_metric``, and a
+    disagreement raises RuntimeError.
+    """
+    members = source.ball(radius)
+    points = source.ball_coords(radius)
+    n = len(members)
+    total = n * (n - 1) // 2
+    rows = [v.coords for v in images]
+    # cap exceeds every target distance, so every key is below cap * total.
+    cap = 2 * target.group.dimension * max((abs(c) for row in rows for c in row), default=0) + 1
+    dtype = np.int64 if cap * (total + 1) < _INT64_SAFE else object
+    values = np.array(rows, dtype=dtype).reshape(n, -1)
+    size = 2 * radius + 1
+    least = np.full(size, cap * total, dtype=dtype)
+    most = np.full(size, -1, dtype=dtype)
+    if bounds is not None:
+        num, den = bounds
+        low_ok = np.array([min(-(-s * den // num), cap) for s in range(size)], dtype=dtype)
+        high_ok = np.array([min(s * num // den, cap) for s in range(size)], dtype=dtype)
+    failed = None
+    # Row i of the upper triangle starts at pair index starts[i].
+    starts = np.arange(n, dtype=np.int64)
+    starts = starts * (2 * n - 1 - starts) // 2
+    for start in range(0, total, SWEEP_BLOCK):
+        pair = np.arange(start, min(start + SWEEP_BLOCK, total))
+        i = np.searchsorted(starts, pair, side="right") - 1
+        j = pair - starts[i] + i + 1
+        d_src = np.abs(points[i] - points[j]).sum(axis=1)
+        d_tgt = np.abs(values[i] - values[j]).sum(axis=1)
+        np.minimum.at(least, d_src, d_tgt * total + pair)
+        np.maximum.at(most, d_src, d_tgt * total + (total - 1 - pair))
+        if bounds is not None and failed is None:
+            bad = np.flatnonzero((d_tgt < low_ok[d_src]) | (d_tgt > high_ok[d_src]))
+            if len(bad):
+                failed = start + int(bad[0])
+
+    def remeasured(index, agrees):
+        # (d_tgt, d_src, a, b) of pair ``index``, by the group's own metric
+        i = int(np.searchsorted(starts, index, side="right")) - 1
+        j = index - int(starts[i]) + i + 1
+        a, b = members[i], members[j]
+        d_src = source.word_metric(a, b)
+        d_tgt = target.word_metric(images[i], images[j])
+        if not agrees(d_src, d_tgt):
+            raise RuntimeError(f"lattice pair sweep disagrees with word_metric at {a!r}, {b!r}")
+        return d_tgt, d_src, a, b
+
+    lower = upper = witness = None
+    least, most = least.tolist(), most.tolist()
+    present = [s for s in range(1, size) if most[s] >= 0]
+    if present:
+        s = min(present, key=lambda s: (Fraction(least[s] // total, s), least[s] % total))
+        t, index = divmod(least[s], total)
+        lower = remeasured(index, lambda d_src, d_tgt: (d_src, d_tgt) == (s, t))
+        s = max(present, key=lambda s: (Fraction(most[s] // total, s), most[s] % total))
+        t, index = divmod(most[s], total)
+        upper = remeasured(total - 1 - index, lambda d_src, d_tgt: (d_src, d_tgt) == (s, t))
+    if failed is not None:
+        witness = remeasured(failed, lambda d_src, d_tgt: not _within(d_src, d_tgt, bounds))[2:]
+    return PairSweep(total, lower, upper, witness)
+
+
+def _ratio(extreme: tuple | None) -> float | None:
+    # int / int division rounds correctly and monotonically, so the floats
+    # reported are the min and max of the per-pair float ratios.
+    return None if extreme is None else extreme[0] / extreme[1]
+
+
 def is_bilipschitz_on_ball(
     f: Callable,
     radius: int,
@@ -409,7 +581,9 @@ def is_bilipschitz_on_ball(
     source: GeneratingSet,
     target: GeneratingSet,
 ) -> CheckResult:
-    """Check C^-1 d(g,h) <= d(f g, f h) <= C d(g,h) for all pairs in the ball.
+    """Check C^-1 d(g,h) <= d(f g, f h) <= C d(g,h) for all pairs in the ball,
+    by one :func:`sweep_pairs` over B(radius) (on arrays for standard
+    lattice generators).
 
     ``checked`` counts the pairs of distinct ball elements.  The first pair
     violating one of the two inequalities is the witness.  ``coverage``
@@ -419,42 +593,21 @@ def is_bilipschitz_on_ball(
     """
     if constant <= 0:
         raise ValueError("Lipschitz constant must be positive")
-    # C = num / den exactly (a float constant by its binary value), so both
-    # inequalities are integer cross-multiplications.
-    num, den = Fraction(constant).as_integer_ratio()
-    members = source.ball(radius)
-    images = {}
-    for g in members:
+    images = []
+    for g in source.ball(radius):
         try:
-            images[g] = f(g)
+            images.append(f(g))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"map undefined on ball element {g!r}: {exc}") from exc
-    # The extreme distortions as exact (d_tgt, d_src) pairs; int / int division
-    # rounds correctly and monotonically, so the floats reported are the
-    # min and max of the per-pair float ratios.
-    lower = upper = None
-    witnesses = []
-    checked = 0
-    for a, b in itertools.combinations(members, 2):
-        d_src = source.word_metric(a, b)
-        d_tgt = target.word_metric(images[a], images[b])
-        if lower is None:
-            lower = upper = (d_tgt, d_src)
-        elif d_tgt * lower[1] < lower[0] * d_src:
-            lower = (d_tgt, d_src)
-        elif d_tgt * upper[1] > upper[0] * d_src:
-            upper = (d_tgt, d_src)
-        checked += 1
-        if not witnesses and not (d_src * den <= num * d_tgt and d_tgt * den <= num * d_src):
-            witnesses.append((a, b))
+    sweep = sweep_pairs(source, target, radius, images, constant)
     return CheckResult(
         name="bilipschitz",
-        checked=checked,
-        witnesses=witnesses,
+        checked=sweep.checked,
+        witnesses=[] if sweep.witness is None else [sweep.witness],
         coverage={
             "R": radius,
             "constant": float(constant),
-            "lower": None if lower is None else lower[0] / lower[1],
-            "upper": None if upper is None else upper[0] / upper[1],
+            "lower": _ratio(sweep.lower),
+            "upper": _ratio(sweep.upper),
         },
     )

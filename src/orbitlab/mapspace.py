@@ -31,14 +31,16 @@ import numpy as np
 
 from .checks import CheckResult
 from .groups import (
+    _INT64_SAFE,
     BALL_BUDGET,
     GeneratingSet,
     LatticeElement,
     LatticeGroup,
     is_bilipschitz_on_ball,
+    sweep_pairs,
 )
 from .odometer import OdometerSpace, odometer_add
-from .shears import _INT64_SAFE, FloorMap
+from .shears import FloorMap
 
 
 class TruncationError(ValueError):
@@ -368,26 +370,24 @@ class TruncatedMapSpace:
     # -- seed Lipschitz constant (exact, over the enumeration domain)
 
     def lipschitz_constant(self) -> Fraction:
+        """The least C >= 1 with C^-1 d(a, b) <= d(s a, s b) <= C d(a, b) for
+        every pair of B(R + R_t) under the seed s: one :func:`sweep_pairs`
+        (on arrays for lattice seeds), its extreme ratios taken as exact
+        Fractions.  The closure certificate sweeps the same ball on its own,
+        so it does not rest on how C was found."""
         if self._lipschitz is None:
-            members = self.source_gens.ball(self.radius + self.translate_radius)
-            values = {g: self._seed_value(g) for g in members}
-            # The extreme ratios d_tgt / d_src, as (num, den) pairs compared
-            # by cross-multiplication (every d_src is positive).
-            upper_num, upper_den = 0, 1
-            lower_num = lower_den = None
-            for a, b in itertools.combinations(members, 2):
-                d_src = self.source_gens.word_metric(a, b)
-                d_tgt = self.target_gens.word_metric(values[a], values[b])
-                if d_tgt * upper_den > upper_num * d_src:
-                    upper_num, upper_den = d_tgt, d_src
-                if lower_num is None or d_tgt * lower_den < lower_num * d_src:
-                    lower_num, lower_den = d_tgt, d_src
-            if lower_num == 0:
+            reach = self.radius + self.translate_radius
+            values = [self._seed_value(g) for g in self.source_gens.ball(reach)]
+            sweep = sweep_pairs(self.source_gens, self.target_gens, reach, values)
+            if sweep.lower is None:
+                # A one-point ball compares no pair, and its constant is 1.
+                self._lipschitz = Fraction(1)
+            elif sweep.lower[0] == 0:
                 raise ValueError("seed collapses distances; not bi-Lipschitz")
-            # A one-point ball compares no pair, and its constant is 1.
-            upper = Fraction(upper_num, upper_den)
-            lower = Fraction(1) if lower_num is None else Fraction(lower_num, lower_den)
-            self._lipschitz = max(upper, 1 / lower, Fraction(1))
+            else:
+                upper = Fraction(sweep.upper[0], sweep.upper[1])
+                lower = Fraction(sweep.lower[0], sweep.lower[1])
+                self._lipschitz = max(upper, 1 / lower, Fraction(1))
         return self._lipschitz
 
     # -- actions

@@ -22,11 +22,10 @@ import numpy as np
 
 from . import linalg
 from .checks import CheckResult
-from .groups import is_bilipschitz_on_ball
+from .groups import _INT64_SAFE, is_bilipschitz_on_ball
 from .odometer import SWEEP_BUDGET
 
 _PIVOT_FLOOR = Fraction(1, 10**12)
-_INT64_SAFE = 1 << 62
 
 # The box radii below the certificate's own at which the certificate also
 # reports the maximum distance.

@@ -330,6 +330,7 @@ class TestFunctoriality:
              "--window", "1"],
             "B(20) in Z^3 has 11521 points, 66360960 pairs per sweep, over budget 4194304",
         ),
+        (["gromov-check", "--tol", "1e-9"], "--tol is read only with --matrix"),
     ],
 )
 def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, argv, message):

@@ -1,9 +1,13 @@
 import itertools
+import json
 from fractions import Fraction
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitlab import groups
 from orbitlab.groups import (
     BALL_BUDGET,
     PAIR_BUDGET,
@@ -11,8 +15,10 @@ from orbitlab.groups import (
     FreeGroup,
     GeneratingSet,
     LatticeGroup,
+    PairSweep,
     is_bilipschitz_on_ball,
     lattice_ball_size,
+    sweep_pairs,
 )
 
 Z1 = LatticeGroup(1)
@@ -232,6 +238,18 @@ class TestBallIndex:
         assert S.position(3, (0, 0)) == -1
         assert F2.standard_generators().position(3, Z2.identity()) == -1
 
+    @pytest.mark.parametrize("name", ["z3", "rank11", "diagonal"])
+    def test_ball_coords_are_the_ball_in_order(self, name):
+        S = {
+            "z3": LatticeGroup(3).standard_generators(),
+            "rank11": LatticeGroup(11).standard_generators(),
+            "diagonal": GeneratingSet(DIAGONAL),
+        }[name]
+        coords = S.ball_coords(2)
+        assert coords.dtype == np.int64 and not coords.flags.writeable
+        assert coords.tolist() == [list(g.coords) for g in S.ball(2)]
+        assert S.ball_coords(2) is coords
+
     @pytest.mark.parametrize("name", ["rank11", "diagonal", "free"])
     def test_every_generating_set_has_positions(self, name):
         # lattices of any rank, non-standard generators and free groups
@@ -412,3 +430,122 @@ class TestBiLipschitzExactBoundary:
         witness, lower, upper = reference_bilipschitz(table.__getitem__, 2, constant, S, S)
         assert report.witnesses == ([] if witness is None else [witness])
         assert (report.coverage["lower"], report.coverage["upper"]) == (lower, upper)
+
+
+def reference_sweep(source, target, radius, images, constant):
+    """The per-pair sweep as a Fraction reference: each pair's ratio as a
+    Fraction, kept when it is strictly below (above) the least (greatest)
+    so far, and the first pair outside [1/C, C].  Also the min and max of the
+    per-pair float ratios, the bytes a report's ``lower``/``upper`` must have."""
+    c = None if constant is None else Fraction(constant)
+    lower = upper = witness = None
+    checked = 0
+    floats = []
+    for (a, fa), (b, fb) in itertools.combinations(zip(source.ball(radius), images), 2):
+        d_src = source.word_metric(a, b)
+        d_tgt = target.word_metric(fa, fb)
+        ratio = Fraction(d_tgt, d_src)
+        floats.append(d_tgt / d_src)
+        if lower is None or ratio < Fraction(lower[0], lower[1]):
+            lower = (d_tgt, d_src, a, b)
+        if upper is None or ratio > Fraction(upper[0], upper[1]):
+            upper = (d_tgt, d_src, a, b)
+        checked += 1
+        if witness is None and c is not None and not (d_src <= c * d_tgt and d_tgt <= c * d_src):
+            witness = (a, b)
+    return PairSweep(checked, lower, upper, witness), min(floats, default=None), max(floats, default=None)
+
+
+def refuse(*_args):
+    raise AssertionError("the lattice sweep was expected here")
+
+
+# constants just off a small ratio, by less than any float can show
+NEAR_RATIOS = st.builds(
+    lambda q, k, sign: q + sign * Fraction(1, 10**k),
+    st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=12),
+    st.integers(17, 40),
+    st.sampled_from([-1, 1]),
+)
+
+
+class TestLatticePairSweep:
+    """``sweep_pairs`` on standard lattice generators compares pairs as
+    arrays; it must give what the per-pair Fraction loop gives, in every
+    field, for any block size."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_agrees_with_the_per_pair_reference(self, data):
+        d = data.draw(st.integers(1, 3), label="source rank")
+        radius = data.draw(st.integers(0, {1: 6, 2: 3, 3: 2}[d]), label="radius")
+        S = LatticeGroup(d).standard_generators()
+        T = LatticeGroup(data.draw(st.integers(1, 3), label="target rank")).standard_generators()
+        n = len(S.ball(radius))
+        # a large scale or offset puts the coordinates past the int64 bound
+        scale = data.draw(st.sampled_from([1, 1, 3, 10**20]), label="scale")
+        offset = data.draw(st.sampled_from([0, 0, 2**61, -(10**20)]), label="offset")
+        rows = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(-4, 4)] * T.group.dimension), min_size=n, max_size=n
+            ),
+            label="images",
+        )
+        images = [T.group.element(scale * c + offset for c in row) for row in rows]
+        constant = data.draw(
+            st.one_of(
+                st.none(),
+                st.fractions(min_value=Fraction(1, 4), max_value=4),
+                st.floats(min_value=0.25, max_value=4),
+                NEAR_RATIOS,
+            ),
+            label="constant",
+        )
+        # blocks of a few pairs end inside rows of the upper triangle
+        block = data.draw(st.sampled_from([1, 2, 5, 7, 13, 4096]), label="block")
+        expected, lower, upper = reference_sweep(S, T, radius, images, constant)
+        with patch.object(groups, "SWEEP_BLOCK", block), patch.object(
+            groups, "_word_metric_sweep", refuse
+        ):
+            assert sweep_pairs(S, T, radius, images, constant) == expected
+            if constant is not None:
+                report = is_bilipschitz_on_ball(dict(zip(S.ball(radius), images)).__getitem__,
+                                                radius, constant, S, T)
+        if constant is not None:
+            assert report.checked == expected.checked
+            assert report.passed == (expected.witness is None)
+            assert report.witnesses == ([] if expected.witness is None else [expected.witness])
+            assert json.dumps(report.coverage) == json.dumps(
+                {"R": radius, "constant": float(constant), "lower": lower, "upper": upper}
+            )
+
+    def test_past_int64_the_sweep_is_exact(self):
+        # images 10^20 apart: d_tgt * block leaves int64, so the arrays hold
+        # Python integers; a constant one part in 10^30 too small fails
+        S = Z1.standard_generators()
+        images = [Z1.element((10**20 * g.coords[0],)) for g in S.ball(2)]
+        exact = Fraction(10**20)
+        with patch.object(groups, "_word_metric_sweep", refuse):
+            sweep = sweep_pairs(S, Z1.standard_generators(), 2, images, exact)
+            assert sweep.witness is None and sweep.lower[:2] == sweep.upper[:2] == (10**20, 1)
+            tight = sweep_pairs(S, Z1.standard_generators(), 2, images, exact - Fraction(1, 10**30))
+        assert tight.witness == (Z1.element((-2,)), Z1.element((-1,)))
+
+    def test_free_groups_and_other_generators_keep_the_word_metric_loop(self):
+        F = F2.standard_generators()
+        D = GeneratingSet(DIAGONAL)
+        for gens in (F, D):
+            images = list(gens.ball(2))
+            with patch.object(groups, "_lattice_sweep", refuse):
+                sweep = sweep_pairs(gens, gens, 2, images, 1)
+            assert sweep == reference_sweep(gens, gens, 2, images, 1)[0]
+
+    def test_a_disagreement_with_word_metric_raises(self, monkeypatch):
+        # every pair the result names is measured again by the group's own
+        # metric: a metric the arrays do not follow is caught
+        S = Z2.standard_generators()
+        images = list(S.ball(2))
+        plain = GeneratingSet.word_metric
+        monkeypatch.setattr(GeneratingSet, "word_metric", lambda self, g, h: plain(self, g, h) + 1)
+        with pytest.raises(RuntimeError, match="disagrees with word_metric"):
+            sweep_pairs(S, S, 2, images)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,25 @@ class TestLipschitzConstant:
         space = build_translate_space(TableSeed(table, Z1, Z1), 1, 0, offset_radius=0)
         with pytest.raises(ValueError, match="collapses distances"):
             space.lipschitz_constant()
+
+    @pytest.mark.parametrize(
+        "name", ["small_shear_space", "boundary_space", "huge_shear_space", "nielsen_space"]
+    )
+    def test_agrees_with_the_per_pair_fractions(self, request, name):
+        # the half shear and the 3x3 acceptance seed take int64 arrays, the
+        # 10^20 shear Python-integer arrays, the Nielsen map of F_2 the
+        # word-metric loop
+        space = request.getfixturevalue(name)
+        space = space[0] if isinstance(space, tuple) else space
+        ball = space.source_gens.ball(space.radius + space.translate_radius)
+        ratios = [
+            Fraction(
+                space.target_gens.word_metric(space.seed.value(a), space.seed.value(b)),
+                space.source_gens.word_metric(a, b),
+            )
+            for a, b in itertools.combinations(ball, 2)
+        ]
+        assert space.lipschitz_constant() == max(max(ratios), 1 / min(ratios), 1)
 
 
 def reference_build(space):
@@ -374,6 +394,12 @@ def boundary_space():
     """The first 3x3 acceptance matrix at 3/2/1: ``gromov-check`` builds it."""
     f = realize_bilipschitz(linalg.parse_matrix(ACCEPTANCE_3X3), Fraction("1e-9"))
     return build_translate_space(FloorMapSeed(f), 3, 2, offset_radius=1)
+
+
+@pytest.fixture(scope="module")
+def huge_shear_space():
+    f = realize_bilipschitz([["1", "100000000000000000000"], ["0", "1"]])
+    return build_translate_space(FloorMapSeed(f), 2, 1, offset_radius=1)
 
 
 def unmatched_source_hits(space, window):

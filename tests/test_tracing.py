@@ -8,8 +8,8 @@ test shows it without running a workload.  The traced benchmark also fails
 when a layer records no call on a workload listed in its ``exercised_by``;
 the second test runs a small command per workload and checks the same.
 The third reads the same run's ``shears.apply_array.points``, which must
-count points, not coordinates, and the fourth its germ counters.  All four
-only read ``bench/``.
+count points, not coordinates, the fourth its germ counters and the fifth
+its pair counter.  All five only read ``bench/``.
 """
 import json
 import os
@@ -117,3 +117,10 @@ def test_germ_counters_keep_their_meaning(exercised):
     assert calls["mapspace.act_target"] == 10
     assert calls["mapspace.find_slice_match"] == 18
     assert calls["shears.apply_array"] == 0
+
+
+def test_sweep_pairs_are_still_counted(exercised):
+    # ``gromov-check`` 4/3/1: the closure certificate sweeps the 113 points
+    # of B(7) in Z^2, 113 * 112 / 2 pairs, whether pair by pair or in arrays
+    derived = exercised["derived"]["translate-battery"]
+    assert derived["groups.is_bilipschitz_on_ball.pairs"] == 6328
