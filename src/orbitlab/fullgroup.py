@@ -5,17 +5,34 @@ the homeomorphism acts as x -> x + g_i on A_i.  Construction validates both
 that the domains partition the space and that the translated images do
 (which is exactly bijectivity).  Elements are normalized by merging pieces
 with equal labels and canonically coarsening cylinder unions, so equality is
-a plain comparison.  Evaluating an element reads its label from a lookup
-keyed by residues, built on first use.
+a plain comparison.
+
+A point's label is the label of the first piece holding it.  ``apply``
+finds it with one dict probe per group of cylinders with equal prefix
+lengths; ``apply_array`` reads it for a whole (d, M) residue array from one
+dense array per such group, indexed by the mixed-radix code of each point's
+residue class.  ``spatial_realization_gap`` sweeps every depth-N point that
+way and evaluates the point it names again through ``apply``.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .checks import CheckResult
-from .odometer import ClopenSet, Cylinder, DigitPoint, OdometerSpace, odometer_add
+from .odometer import (
+    ClopenSet,
+    Cylinder,
+    DigitPoint,
+    OdometerSpace,
+    odometer_add,
+    odometer_add_array,
+    require_agreement,
+)
 
 
 def _coerce_label(label, dimension: int) -> tuple[int, ...]:
@@ -60,12 +77,13 @@ def _coarsen(cylinders: Iterable[Cylinder], space: OdometerSpace) -> tuple[Cylin
 class FullGroupElement:
     """A piecewise translation; ``pieces`` maps clopen sets to label vectors."""
 
-    __slots__ = ("space", "pieces", "_lookup")
+    __slots__ = ("space", "pieces", "_lookup", "_dense")
 
     def __init__(self, space: OdometerSpace, pieces: Sequence[tuple[ClopenSet, tuple[int, ...]]]):
         self.space = space
         self.pieces = tuple(pieces)
         self._lookup = None
+        self._dense = None
 
     @classmethod
     def make(cls, space: OdometerSpace, pieces) -> "FullGroupElement":
@@ -111,9 +129,7 @@ class FullGroupElement:
 
     def label_at(self, x: DigitPoint) -> tuple[int, ...]:
         """The label of the first piece containing x."""
-        lookup = self._lookup
-        if lookup is None:
-            lookup = self._lookup = _label_lookup(self.pieces, self.space)
+        lookup = self._residue_lookup()
         residues = x.residues
         best = None
         for moduli, table in lookup:
@@ -123,6 +139,33 @@ class FullGroupElement:
         if best is None:
             raise ValueError("point escaped the partition (corrupt element)")
         return best[1]
+
+    def apply_array(self, residues: np.ndarray) -> np.ndarray:
+        """``apply`` on every column of a (d, M) residue array of a space
+        within ``SWEEP_BUDGET``; raises ValueError as ``apply`` does if some
+        point lies in no piece."""
+        image, covered = self._apply_covered(residues)
+        if not covered.all():
+            raise ValueError("point escaped the partition (corrupt element)")
+        return image
+
+    def _apply_covered(self, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``apply_array`` without the raise: the images, and which columns a
+        piece holds (the image of any other column is its own residues)."""
+        dense = self._dense
+        if dense is None:
+            dense = self._dense = _dense_lookup(self._residue_lookup(), self.pieces, self.space)
+        groups, labels = dense
+        piece = np.full(residues.shape[1], len(self.pieces), dtype=np.int64)
+        for moduli, index in groups:
+            np.minimum(piece, index[_class_code(residues, moduli)], out=piece)
+        moduli = np.array(self.space.moduli, dtype=np.int64)[:, None]
+        return (residues + labels[:, piece]) % moduli, piece < len(self.pieces)
+
+    def _residue_lookup(self):
+        if self._lookup is None:
+            self._lookup = _label_lookup(self.pieces, self.space)
+        return self._lookup
 
     def inverse(self) -> "FullGroupElement":
         pieces = [
@@ -180,6 +223,37 @@ def _label_lookup(pieces, space: OdometerSpace):
     return tuple((moduli, MappingProxyType(table)) for moduli, table in groups.items())
 
 
+def _class_code(residues, moduli):
+    """The mixed-radix code of the residue class mod ``moduli`` (last
+    coordinate fastest), for one tuple of residues or for every column of
+    an array."""
+    code = 0
+    for r, q in zip(residues, moduli):
+        code = code * q + r % q
+    return code
+
+
+def _dense_lookup(lookup, pieces, space: OdometerSpace):
+    """``_label_lookup`` as arrays: per group, the piece index of every
+    residue class, ``len(pieces)`` where no cylinder of the group holds it;
+    and the labels reduced mod p_i^N as a (d, pieces + 1) array whose last
+    column, zero, serves points in no piece.  A group has at most as many
+    classes as the space has points, so the space must be within the sweep
+    budget."""
+    space.sweep_count()
+    groups = []
+    for moduli, table in lookup:
+        index = np.full(math.prod(moduli), len(pieces), dtype=np.int64)
+        for values, (piece, _) in table.items():
+            index[_class_code(values, moduli)] = piece
+        groups.append((moduli, index))
+    if any(len(label) != space.dimension for _, label in pieces):
+        raise ValueError("vector has wrong dimension")
+    labels = [[int(g) % m for g, m in zip(label, space.moduli)] for _, label in pieces]
+    labels.append([0] * space.dimension)
+    return tuple(groups), np.array(labels, dtype=np.int64).T
+
+
 def _normalize(pieces, space: OdometerSpace):
     by_label: dict[tuple[int, ...], list[Cylinder]] = {}
     for clopen, label in pieces:
@@ -227,15 +301,35 @@ def conjugate_by_translation(t: FullGroupElement, vector) -> FullGroupElement:
 def spatial_realization_gap(
     conjugated: FullGroupElement, t: FullGroupElement, vector, space: OdometerSpace
 ):
-    """First depth-N point where ``conjugated`` fails to act like t shifted by
-    ``vector``; None when the translation realizes the conjugation everywhere.
+    """First depth-N point, in ``all_points`` order, where ``conjugated``
+    fails to act like t shifted by ``vector``; None when the translation
+    realizes the conjugation everywhere.
+
+    Both sides are taken on the whole residue array.  A point in no piece of
+    either element stops the sweep as a failure does; that point, the
+    failing one or else the first is evaluated again through ``apply``,
+    which raises ValueError for a point in no piece, and RuntimeError is
+    raised if the two paths disagree.
     """
     vec = _coerce_label(vector, space.dimension)
-    for x in space.all_points():
-        shifted = odometer_add(x, vec, space)
-        if conjugated.apply(shifted) != odometer_add(t.apply(x), vec, space):
-            return x
-    return None
+    if conjugated.space != space or t.space != space:
+        raise ValueError("element lives on a different space")
+    residues = space.all_residues()
+    shifted = odometer_add_array(residues, vec, space)
+    lhs, lhs_covered = conjugated._apply_covered(shifted)
+    moved, rhs_covered = t._apply_covered(residues)
+    rhs = odometer_add_array(moved, vec, space)
+    escaped = ~(lhs_covered & rhs_covered)
+    failed = np.flatnonzero(escaped | (lhs != rhs).any(axis=0))
+    named = int(failed[0]) if len(failed) else 0
+    x = DigitPoint(tuple(residues[:, named].tolist()), space)
+    left = conjugated.apply(odometer_add(x, vec, space))
+    right = odometer_add(t.apply(x), vec, space)
+    if escaped[named]:
+        raise RuntimeError(f"ad-realization: residue array has no piece for {x!r}, apply has")
+    require_agreement(lhs[:, named], left, "ad-realization")
+    require_agreement(rhs[:, named], right, "ad-realization")
+    return x if len(failed) else None
 
 
 def ad_realization_check(vectors, sample: Sequence[FullGroupElement], space: OdometerSpace) -> CheckResult:

@@ -51,16 +51,6 @@ class ExteriorElement:
     def coefficient(self, indices) -> Fraction:
         return self.coeffs.get(frozenset(indices), Fraction(0))
 
-    def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, Fraction(0)) + c
-        return ExteriorElement(self.dimension, out)
-
-    def scale(self, factor) -> "ExteriorElement":
-        factor = linalg.as_scalar(factor)
-        return ExteriorElement(self.dimension, {s: c * factor for s, c in self.coeffs.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, ExteriorElement)

@@ -9,6 +9,15 @@ because they only depend on the value mod p^N, so each is integer
 arithmetic followed by one ``%`` per coordinate.  Digits are computed only
 where they are the data: cylinder prefixes and JSON.
 
+Sweeps work on residue arrays: ``all_residues`` holds every depth-N point as
+one column of a (d, M) array in ``all_points`` order, ``residue_array`` the
+sampled ones, and ``odometer_add_array`` and ``matrix_act_array`` act on all
+columns at once.  Vectors and matrix rows are reduced mod p^N first, and
+the arrays are int64 only while d (m - 1)^2 < 2^63, so no step can
+overflow; past that they hold exact Python integers.  Each array check
+evaluates the point it names again through the scalar ``odometer_add`` and
+``matrix_act`` and raises RuntimeError if the two paths disagree.
+
 Clopen sets are finite disjoint unions of cylinders (per-coordinate digit
 prefixes) and carry an exact rational Haar measure.  A point lies in a
 cylinder when its residue mod p^k equals the value of each length-k prefix.
@@ -21,6 +30,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import linalg
 from .checks import CheckResult
@@ -91,12 +102,40 @@ class OdometerSpace:
             n *= m
         return n
 
+    def sweep_count(self) -> int:
+        """The number of depth-N points; refuses spaces over ``SWEEP_BUDGET``."""
+        count = self.point_count()
+        if count > SWEEP_BUDGET:
+            raise ValueError(f"space has {count} points, over budget {SWEEP_BUDGET}")
+        return count
+
     def all_points(self):
         """Iterate every depth-N point; refuses spaces over ``SWEEP_BUDGET``."""
-        if self.point_count() > SWEEP_BUDGET:
-            raise ValueError(f"space has {self.point_count()} points, over budget {SWEEP_BUDGET}")
+        self.sweep_count()
         for values in itertools.product(*(range(m) for m in self.moduli)):
             yield DigitPoint(values, self)
+
+    def all_residues(self) -> np.ndarray:
+        """Every depth-N point as a column of a (d, M) int64 array, in
+        ``all_points`` order; refuses spaces over ``SWEEP_BUDGET`` before it
+        allocates.  Within the budget every modulus is at most 2^20 and d at
+        most 20, so the int64 guard of ``residue_array`` always holds."""
+        self.sweep_count()
+        return np.indices(self.moduli, dtype=np.int64).reshape(self.dimension, -1)
+
+    def residue_array(self, points: Sequence["DigitPoint"]) -> np.ndarray:
+        """The validated residues of ``points``, one column per point.
+
+        int64 when d (m - 1)^2 < 2^63 for the largest modulus m, so a row of
+        d products of reduced residues stays exact; Python integers
+        otherwise.
+        """
+        for x in points:
+            self.validate_point(x)
+        m = max(self.moduli)
+        dtype = np.int64 if self.dimension * (m - 1) ** 2 < 1 << 63 else object
+        rows = np.array([x.residues for x in points], dtype=dtype)
+        return rows.reshape(len(points), self.dimension).T
 
     def random_point(self, rng) -> "DigitPoint":
         return DigitPoint(tuple([rng.randrange(m) for m in self.moduli]), self)
@@ -157,23 +196,6 @@ class DigitPoint:
             _check_serializable(space.bases[coord])
             out.append("".join(_DIGIT_CHARS[d] for d in space.digits_of(r, coord)))
         return out
-
-    @staticmethod
-    def from_json(data, space: OdometerSpace) -> "DigitPoint":
-        if len(data) != space.dimension:
-            raise ValueError("point has wrong dimension")
-        residues = []
-        for text, p in zip(data, space.bases):
-            _check_serializable(p)
-            if len(text) != space.depth:
-                raise ValueError(f"point needs {space.depth} digits per coordinate")
-            digits = [int(ch, 36) for ch in text]
-            if any(d >= p for d in digits):
-                raise ValueError(f"digit out of range for base {p}: {text!r}")
-            residues.append(_prefix_value(digits, p))
-        point = DigitPoint(tuple(residues), space)
-        space.validate_point(point)
-        return point
 
 
 def _check_serializable(p: int) -> None:
@@ -312,6 +334,17 @@ def odometer_add(x: DigitPoint, vector: Sequence[int], space: OdometerSpace) -> 
     )
 
 
+def odometer_add_array(
+    residues: np.ndarray, vector: Sequence[int], space: OdometerSpace
+) -> np.ndarray:
+    """``odometer_add`` on every column of a (d, M) residue array: one
+    (r + g) % m per row, with g reduced mod m first."""
+    moduli = space.moduli
+    if len(vector) != len(moduli):
+        raise ValueError("vector has wrong dimension")
+    return np.stack([(row + int(g) % m) % m for row, g, m in zip(residues, vector, moduli)])
+
+
 def _check_partition(parts: Sequence[ClopenSet], space: OdometerSpace) -> None:
     total = Fraction(0)
     for part in parts:
@@ -383,31 +416,58 @@ def matrix_act(matrix, x: DigitPoint, space: OdometerSpace) -> DigitPoint:
     )
 
 
+def matrix_act_array(matrix, residues: np.ndarray, space: OdometerSpace) -> np.ndarray:
+    """``matrix_act`` on every column of a residue array from ``all_residues``
+    or ``residue_array``: the validated rows, reduced mod p^N, times the
+    array, mod p^N, in the array's dtype."""
+    rows = _integer_rows(matrix, space)
+    modulus = space.moduli[0]
+    reduced = np.array([[a % modulus for a in row] for row in rows], dtype=residues.dtype)
+    return (reduced @ residues) % modulus
+
+
+def require_agreement(column: np.ndarray, point: DigitPoint, check: str) -> None:
+    """Raise RuntimeError unless an array column holds ``point``'s residues."""
+    if tuple(column.tolist()) != point.residues:
+        raise RuntimeError(f"{check}: residue array disagrees with the scalar path at {point!r}")
+
+
 def bijectivity_check_at_depth(matrix, space: OdometerSpace) -> CheckResult:
     """Verify the matrix action permutes all p^(N d) depth-N points.
 
     A permutation at depth N means every depth-k cylinder pulls back to a set
     of equal Haar measure, which is the truncated form of measure preservation.
-    ``checked`` counts the points swept; a collision stops the sweep.
+    The images of all points are taken as one array; the witness of a
+    failure is the first point, in ``all_points`` order, whose image an
+    earlier point already has, and ``checked`` counts the points up to it.
+    That point (or the first one) and its earlier partner are acted on again
+    by ``matrix_act``.
     """
-    rows = _integer_rows(matrix, space)
-    count = space.point_count()
-    if count > SWEEP_BUDGET:
-        raise ValueError(f"depth sweep needs {count} points, over budget {SWEEP_BUDGET}")
+    _integer_rows(matrix, space)  # a bad matrix is refused before the budget
+    residues = space.all_residues()
+    images = matrix_act_array(matrix, residues, space)
+    count = residues.shape[1]
     modulus = space.moduli[0]
-    seen = set()
+    codes = np.zeros(count, dtype=np.int64)
+    for row in images:
+        codes = codes * modulus + row
+    # A stable sort keeps equal images in point order; the first repeat is
+    # the least index that follows an equal code.
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    named = [0]
     witnesses = []
-    for values in itertools.product(range(modulus), repeat=space.dimension):
-        image = tuple(
-            sum(r * v for r, v in zip(row, values)) % modulus for row in rows
-        )
-        if image in seen:
-            witnesses.append(values)
-            break
-        seen.add(image)
+    if len(repeats):
+        first = int(repeats.min())
+        named = [int(np.flatnonzero(codes == codes[first])[0]), first]
+        witnesses.append(tuple(residues[:, first].tolist()))
+    for index in named:
+        x = DigitPoint(tuple(residues[:, index].tolist()), space)
+        require_agreement(images[:, index], matrix_act(matrix, x, space), "depth-bijectivity")
     return CheckResult(
         name="depth-bijectivity",
-        checked=len(seen) + len(witnesses),
+        checked=named[-1] + 1 if witnesses else count,
         witnesses=witnesses,
         coverage={"N": space.depth},
         notes="collision at depth-N image" if witnesses
@@ -458,21 +518,45 @@ def matrix_equivariance_check(
     matrix, points: Sequence[DigitPoint], radius: int, space: OdometerSpace
 ) -> CheckResult:
     """A (x + g) == A x + A g, exactly mod p^N, for every sampled point x and
-    every g in the radius ball of the standard generators of Z^d."""
+    every g in the radius ball of the standard generators of Z^d.
+
+    The sampled points are one residue array and each g compares both sides
+    on all of them at once.  Witnesses are (g, x) pairs in ball order, then
+    sample order, with x the caller's point.  The first witness, or the first
+    pair when there is none, is evaluated again through ``odometer_add`` and
+    ``matrix_act``.
+    """
     mat = linalg.as_matrix(matrix)
-    checked = 0
+    ball = LatticeGroup(space.dimension).standard_generators().ball(radius)
+    images = [[int(v) for v in linalg.mat_vec(mat, g.coords)] for g in ball]
+    residues = space.residue_array(points)
+    acted = matrix_act_array(matrix, residues, space)
+
+    def sides(g, image_g):
+        lhs = matrix_act_array(matrix, odometer_add_array(residues, g.coords, space), space)
+        return lhs, odometer_add_array(acted, image_g, space)
+
     witnesses = []
-    for g in LatticeGroup(space.dimension).standard_generators().ball(radius):
-        image_g = [int(v) for v in linalg.mat_vec(mat, g.coords)]
-        for x in points:
-            lhs = matrix_act(matrix, odometer_add(x, g.coords, space), space)
-            rhs = odometer_add(matrix_act(matrix, x, space), image_g, space)
-            checked += 1
-            if lhs != rhs:
-                witnesses.append((g, x))
+    named = None
+    for g, image_g in zip(ball, images):
+        lhs, rhs = sides(g, image_g)
+        failed = np.flatnonzero((lhs != rhs).any(axis=0)).tolist()
+        if failed and named is None:
+            named = (g, image_g, failed[0])
+        witnesses.extend((g, points[i]) for i in failed)
+    if points:
+        g, image_g, i = named or (ball[0], images[0], 0)
+        lhs, rhs = sides(g, image_g)
+        x = points[i]
+        require_agreement(
+            lhs[:, i], matrix_act(matrix, odometer_add(x, g.coords, space), space), "equivariance"
+        )
+        require_agreement(
+            rhs[:, i], odometer_add(matrix_act(matrix, x, space), image_g, space), "equivariance"
+        )
     return CheckResult(
         name="equivariance",
-        checked=checked,
+        checked=len(ball) * len(points),
         witnesses=witnesses,
         coverage={"W": radius, "points": len(points)},
     )

@@ -99,13 +99,6 @@ class SignFlip:
 ElementaryOp = Shear | SignFlip
 
 
-def op_from_json(data) -> ElementaryOp:
-    if "shear" in data:
-        i, j, coeff = data["shear"]
-        return Shear(i - 1, j - 1, linalg.as_scalar(coeff))
-    return SignFlip(data["sign_flip"] - 1)
-
-
 def product_matrix(ops: Sequence[ElementaryOp], d: int) -> linalg.Matrix:
     out = linalg.identity(d)
     for op in ops:

@@ -153,6 +153,10 @@ class TestAdRealization:
         )
         assert spatial_realization_gap(corrupted, t, (1,), SPACE) is not None
 
+    def test_elements_of_another_space_are_refused(self):
+        other = FullGroupElement.identity(OdometerSpace((2,), 4))
+        with pytest.raises(ValueError, match="different space"):
+            spatial_realization_gap(other, FullGroupElement.identity(SPACE), (1,), SPACE)
 
     def test_corrupted_conjugate_fails_the_check_with_witness(self, monkeypatch):
         rng = random.Random(12)
@@ -172,6 +176,11 @@ class TestAdRealization:
         assert len(result.witnesses) == 2 * 3
         vector, t, x = result.witnesses[0]
         assert vector == (1,) and t is sample[0] and x in POINTS
+        # every label is off by 4 mod 32, so each sweep stops at its first point
+        assert [(v, u) for v, u, _ in result.witnesses] == [
+            (v, u) for v in [(1,), (-2,)] for u in sample
+        ]
+        assert [x for _, _, x in result.witnesses] == [POINTS[0]] * 6
 
 
 class TestSerialization:

@@ -1,12 +1,24 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+from unittest.mock import patch
+
+import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from orbitlab import linalg, odometer
-from orbitlab.fullgroup import FullGroupElement, compose, spatial_realization_gap
+from orbitlab import cli, fullgroup, linalg, odometer
+from orbitlab.checks import CheckResult
+from orbitlab.fullgroup import (
+    FullGroupElement,
+    compose,
+    conjugate_by_translation,
+    spatial_realization_gap,
+)
+from orbitlab.groups import LatticeGroup
 from orbitlab.odometer import (
     ClopenSet,
     Cylinder,
@@ -68,7 +80,8 @@ class TestAdd:
         for x in extremes + [space.random_point(rng) for _ in range(20)]:
             data = x.to_json()
             assert [len(text) for text in data] == [3, 3]
-            assert DigitPoint.from_json(data, space) == x
+            values = [ref_value([int(ch, 36) for ch in text], p) for text in data]
+            assert space.point_from_values(values) == x
 
     def test_digit_serialization_uses_base36_digits(self):
         assert OdometerSpace((11,), 2).point_from_values((10,)).to_json() == ["a0"]
@@ -78,16 +91,6 @@ class TestAdd:
         space = OdometerSpace((37,), 1)
         with pytest.raises(ValueError, match="up to 36"):
             space.zero().to_json()
-        with pytest.raises(ValueError, match="up to 36"):
-            DigitPoint.from_json(["0"], space)
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [(["201"], "digits per coordinate"), (["2013"], "out of range"), (["20", "10"], "dimension")],
-    )
-    def test_digit_parsing_validates(self, data, message):
-        with pytest.raises(ValueError, match=message):
-            DigitPoint.from_json(data, OdometerSpace((3,), 4))
 
     def test_malformed_points_rejected_on_every_call(self):
         sp = OdometerSpace((2,), 3)
@@ -245,11 +248,20 @@ class TestDepthBijectivity:
         # det +-1 integer matrices always permute, so a singular action is
         # injected under the validation
         monkeypatch.setattr(odometer, "_integer_rows", lambda matrix, space: ((3, 0), (0, 1)))
-        result = bijectivity_check_at_depth([[1, 0], [0, 1]], OdometerSpace((3, 3), 2))
-        assert not result.passed
-        assert result.witnesses == [(3, 0)]
-        assert result.checked == 3 * 9 + 1
-        assert result.notes == "collision at depth-N image"
+        for check in (bijectivity_check_at_depth, ref_bijectivity_check_at_depth):
+            result = check([[1, 0], [0, 1]], OdometerSpace((3, 3), 2))
+            assert not result.passed
+            assert result.witnesses == [(3, 0)]
+            assert result.checked == 3 * 9 + 1
+            assert result.notes == "collision at depth-N image"
+
+    def test_a_patched_scalar_action_makes_the_sweep_raise(self, monkeypatch):
+        honest = odometer.matrix_act
+        monkeypatch.setattr(
+            odometer, "matrix_act", lambda m, x, sp: odometer_add(honest(m, x, sp), (0, 1), sp)
+        )
+        with pytest.raises(RuntimeError, match="disagrees with the scalar path"):
+            bijectivity_check_at_depth([[1, 1], [0, 1]], OdometerSpace((3, 3), 2))
 
 
 # (2, 2) at depth 11 has 2^22 points, four times SWEEP_BUDGET.
@@ -280,28 +292,70 @@ class TestSweepBudget:
             lambda space, t: minimality_witness(space, 11),
             lambda space, t: list(space.all_points()),
             lambda space, t: spatial_realization_gap(t, t, (1, 0), space),
+            lambda space, t: space.all_residues(),
+            lambda space, t: t.apply_array(np.zeros((2, 1), dtype=np.int64)),
         ],
-        ids=["minimality_witness", "all_points", "spatial_realization_gap"],
+        ids=["minimality_witness", "all_points", "spatial_realization_gap", "all_residues",
+             "apply_array"],
     )
     def test_over_budget_refused(self, monkeypatch, sweep):
         assert_refused_before_any_point(monkeypatch, sweep)
 
 
+def off_by_one_at(bad_points):
+    """``matrix_act`` and ``matrix_act_array`` that add 1 to the first
+    coordinate of the images of ``bad_points``, and only there: a
+    non-linear action, corrupted the same way on both paths."""
+    bad = {x.residues for x in bad_points}
+    honest, honest_array = odometer.matrix_act, odometer.matrix_act_array
+
+    def scalar(matrix, x, space):
+        image = honest(matrix, x, space)
+        shift = (1,) + (0,) * (space.dimension - 1)
+        return odometer_add(image, shift, space) if x.residues in bad else image
+
+    def array(matrix, residues, space):
+        image = honest_array(matrix, residues, space)
+        hit = np.array([tuple(col) in bad for col in residues.T.tolist()], dtype=bool)
+        image[0, hit] = (image[0, hit] + 1) % space.moduli[0]
+        return image
+
+    return scalar, array
+
+
+SHEAR = [[1, 1], [0, 1]]
+SAMPLE_SPACE = OdometerSpace((3, 3), 3)
+SAMPLE = [SAMPLE_SPACE.random_point(random.Random(8)) for _ in range(30)]
+
+
 class TestEquivariance:
     def test_off_by_one_action_fails_with_witness(self, monkeypatch):
-        sp = OdometerSpace((3, 3), 3)
-        points = [sp.random_point(random.Random(8)) for _ in range(30)]
-        bad = points[7]
-        honest = odometer.matrix_act
-
-        def off_by_one(matrix, x, space):
-            image = honest(matrix, x, space)
-            return odometer_add(image, (1, 0), space) if x == bad else image
-
-        monkeypatch.setattr(odometer, "matrix_act", off_by_one)
-        result = matrix_equivariance_check([[1, 1], [0, 1]], points, 2, sp)
+        # the scalar reference loop, with the scalar action patched
+        bad = SAMPLE[7]
+        monkeypatch.setattr(odometer, "matrix_act", off_by_one_at([bad])[0])
+        result = ref_matrix_equivariance_check(SHEAR, SAMPLE, 2, SAMPLE_SPACE)
         assert not result.passed
         assert bad in [x for _, x in result.witnesses]
+
+    def test_off_by_one_action_fails_on_the_array_path(self, monkeypatch):
+        # the same corruption on both primitives: the sweep names points[7]
+        # and the scalar re-evaluation of its first witness agrees
+        bad = SAMPLE[7]
+        scalar, array = off_by_one_at([bad])
+        monkeypatch.setattr(odometer, "matrix_act", scalar)
+        monkeypatch.setattr(odometer, "matrix_act_array", array)
+        result = matrix_equivariance_check(SHEAR, SAMPLE, 2, SAMPLE_SPACE)
+        assert not result.passed
+        assert bad in [x for _, x in result.witnesses]
+        assert all(any(x is p for p in SAMPLE) for _, x in result.witnesses)
+        same_check(result, ref_matrix_equivariance_check(SHEAR, SAMPLE, 2, SAMPLE_SPACE))
+
+    def test_a_patched_scalar_action_makes_the_sweep_raise(self, monkeypatch):
+        # the arrays are honest, the scalar action is not: the re-evaluated
+        # first pair disagrees with its column
+        monkeypatch.setattr(odometer, "matrix_act", off_by_one_at(SAMPLE[:1])[0])
+        with pytest.raises(RuntimeError, match="disagrees with the scalar path"):
+            matrix_equivariance_check(SHEAR, SAMPLE, 2, SAMPLE_SPACE)
 
 
 class TestHaarInvariance:
@@ -592,3 +646,276 @@ class TestResidueMatchesDigitReference:
             assert as_digits(element.apply(x), space) == ref_add(
                 as_digits(x, space), label, space.bases
             )
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference of the array sweeps: the point-by-point loops the checks
+# ran before they took residue arrays.  They reach the scalar primitives
+# through their modules, so a patched primitive reaches them too.
+
+
+def ref_bijectivity_check_at_depth(matrix, space):
+    rows = odometer._integer_rows(matrix, space)
+    count = space.point_count()
+    if count > odometer.SWEEP_BUDGET:
+        raise ValueError(f"depth sweep needs {count} points, over budget {odometer.SWEEP_BUDGET}")
+    modulus = space.moduli[0]
+    seen = set()
+    witnesses = []
+    for values in itertools.product(range(modulus), repeat=space.dimension):
+        image = tuple(sum(r * v for r, v in zip(row, values)) % modulus for row in rows)
+        if image in seen:
+            witnesses.append(values)
+            break
+        seen.add(image)
+    return CheckResult(
+        name="depth-bijectivity",
+        checked=len(seen) + len(witnesses),
+        witnesses=witnesses,
+        coverage={"N": space.depth},
+        notes="collision at depth-N image" if witnesses
+        else f"permutation of {count} depth-{space.depth} points",
+    )
+
+
+def ref_matrix_equivariance_check(matrix, points, radius, space):
+    mat = linalg.as_matrix(matrix)
+    checked = 0
+    witnesses = []
+    for g in LatticeGroup(space.dimension).standard_generators().ball(radius):
+        image_g = [int(v) for v in linalg.mat_vec(mat, g.coords)]
+        for x in points:
+            lhs = odometer.matrix_act(matrix, odometer.odometer_add(x, g.coords, space), space)
+            rhs = odometer.odometer_add(odometer.matrix_act(matrix, x, space), image_g, space)
+            checked += 1
+            if lhs != rhs:
+                witnesses.append((g, x))
+    return CheckResult(
+        name="equivariance",
+        checked=checked,
+        witnesses=witnesses,
+        coverage={"W": radius, "points": len(points)},
+    )
+
+
+def ref_spatial_realization_gap(conjugated, t, vector, space):
+    vec = fullgroup._coerce_label(vector, space.dimension)
+    for x in space.all_points():
+        shifted = odometer.odometer_add(x, vec, space)
+        if conjugated.apply(shifted) != odometer.odometer_add(t.apply(x), vec, space):
+            return x
+    return None
+
+
+def outcome(call, *args):
+    """What a call returns, or ('raises', message) for a ValueError."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return ("raises", str(exc))
+
+
+def same_check(result, expected):
+    """Equal verdict, ``checked``, witnesses in order and report bytes."""
+    assert result.passed == expected.passed
+    assert result.checked == expected.checked
+    assert result.witnesses == expected.witnesses
+    assert result.to_json() == expected.to_json()
+
+
+def corrupt_action(bad_points):
+    scalar, array = off_by_one_at(bad_points)
+    return patch.multiple(odometer, matrix_act=scalar, matrix_act_array=array)
+
+
+# p^(N d) up to 3^6 = 729 points per space, so the scalar loops stay quick.
+SWEEP_SPACES = [(2,), (3,), (7,), (2, 3), (3, 7), (2, 2), (3, 3), (2, 2, 2)]
+
+
+@st.composite
+def sweep_spaces(draw, bases=SWEEP_SPACES):
+    chosen = draw(st.sampled_from(bases))
+    cap = max(1, int(math.log(729) / math.log(math.prod(chosen))))
+    return OdometerSpace(chosen, draw(st.integers(1, cap)))
+
+
+def integer_rows(d, m):
+    return st.lists(st.lists(st.integers(-2 * m, 2 * m), min_size=d, max_size=d),
+                    min_size=d, max_size=d)
+
+
+class TestArrayMatchesScalarReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_all_residues_in_all_points_order(self, data):
+        space = data.draw(sweep_spaces())
+        columns = [tuple(c) for c in space.all_residues().T.tolist()]
+        assert columns == [x.residues for x in space.all_points()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_add_and_act_on_arrays(self, data):
+        space = data.draw(spaces(EQUAL_BASES + [(3, 3, 3)], max_depth=40))
+        xs = data.draw(st.lists(points(space), max_size=6))
+        g = data.draw(vectors(space))
+        matrix = data.draw(unimodular(space.dimension))
+        residues = space.residue_array(xs)
+        assert residues.shape == (space.dimension, len(xs))
+        added = odometer.odometer_add_array(residues, g, space)
+        acted = odometer.matrix_act_array(matrix, residues, space)
+        assert [tuple(c) for c in added.T.tolist()] == [
+            odometer_add(x, g, space).residues for x in xs
+        ]
+        assert [tuple(c) for c in acted.T.tolist()] == [
+            matrix_act(matrix, x, space).residues for x in xs
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_full_group_apply_array(self, data):
+        space = data.draw(sweep_spaces())
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        t, u = residue_shuffle(rng, space), residue_shuffle(rng, space)
+        residues = space.all_residues()
+        for element in (t, compose(t, u), compose(t, u).inverse()):
+            image = element.apply_array(residues)
+            assert [tuple(c) for c in image.T.tolist()] == [
+                element.apply(x).residues for x in space.all_points()
+            ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_unvalidated_pieces_apply_array(self, data):
+        # pieces may overlap (the first wins) or leave points uncovered
+        # (the whole array is refused)
+        space = data.draw(sweep_spaces())
+        pieces = tuple(
+            (ClopenSet((data.draw(cylinders(space)),)), data.draw(vectors(space)))
+            for _ in range(data.draw(st.integers(1, 4)))
+        )
+        element = FullGroupElement(space, pieces)
+        expected = [outcome(element.apply, x) for x in space.all_points()]
+        escaped = [e for e in expected if isinstance(e, tuple)]
+        if escaped:
+            assert escaped[0] == ("raises", "point escaped the partition (corrupt element)")
+            with pytest.raises(ValueError, match="escaped the partition"):
+                element.apply_array(space.all_residues())
+        else:
+            image = element.apply_array(space.all_residues())
+            assert [tuple(c) for c in image.T.tolist()] == [x.residues for x in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_spatial_realization_gap(self, data):
+        space = data.draw(sweep_spaces())
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        t = residue_shuffle(rng, space)
+        vector = data.draw(vectors(space))
+        honest = conjugate_by_translation(t, vector)
+        # a corrupted conjugate: relabelled pieces, or unvalidated ones that
+        # may leave points in no piece
+        kind = data.draw(st.sampled_from(["honest", "relabelled", "unvalidated"]))
+        if kind == "relabelled":
+            conjugated = FullGroupElement(space, tuple(
+                (clopen, tuple(c + data.draw(st.integers(-1, 1)) for c in label))
+                for clopen, label in honest.pieces
+            ))
+        elif kind == "unvalidated":
+            conjugated = FullGroupElement(space, tuple(
+                (ClopenSet((data.draw(cylinders(space)),)), data.draw(vectors(space)))
+                for _ in range(data.draw(st.integers(1, 4)))
+            ))
+        else:
+            conjugated = honest
+        expected = outcome(ref_spatial_realization_gap, conjugated, t, vector, space)
+        assert outcome(spatial_realization_gap, conjugated, t, vector, space) == expected
+        if kind == "honest":
+            assert expected is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bijectivity_with_any_integer_rows(self, data):
+        # rows injected under the validation, singular ones included
+        space = data.draw(sweep_spaces([(2,), (3,), (7,), (2, 2), (3, 3), (2, 2, 2)]))
+        rows = tuple(map(tuple, data.draw(integer_rows(space.dimension, space.moduli[0]))))
+        with patch.object(odometer, "_integer_rows", lambda matrix, sp: rows):
+            same_check(bijectivity_check_at_depth(None, space),
+                       ref_bijectivity_check_at_depth(None, space))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equivariance_with_corrupted_points(self, data):
+        space = data.draw(spaces(EQUAL_BASES + [(3, 3, 3)], max_depth=40))
+        xs = data.draw(st.lists(points(space), min_size=1, max_size=8))
+        matrix = data.draw(unimodular(space.dimension))
+        bad = data.draw(st.lists(st.sampled_from(xs), max_size=3))
+        radius = data.draw(st.integers(0, 2))
+        with corrupt_action(bad):
+            result = matrix_equivariance_check(matrix, xs, radius, space)
+            expected = ref_matrix_equivariance_check(matrix, xs, radius, space)
+        same_check(result, expected)
+        assert all(any(x is y for y in xs) for _, x in result.witnesses)
+
+
+class TestPastInt64:
+    # m = 3^40 > 2^63: the residues themselves leave int64
+    SPACE = OdometerSpace((3, 3), 40)
+
+    def test_residue_arrays_leave_int64_at_the_guard(self):
+        # 2 (3^19 - 1)^2 < 2^63 <= 2 (3^20 - 1)^2
+        assert OdometerSpace((3, 3), 19).residue_array([]).dtype == np.int64
+        assert OdometerSpace((3, 3), 20).residue_array([]).dtype == object
+        xs = [self.SPACE.random_point(random.Random(40)), self.SPACE.point_from_values((-1, 0))]
+        residues = self.SPACE.residue_array(xs)
+        assert residues.dtype == object and residues[0, 1] == 3**40 - 1
+
+    def test_equivariance_matches_the_reference(self):
+        rng = random.Random(41)
+        xs = [self.SPACE.random_point(rng) for _ in range(20)] + [
+            self.SPACE.point_from_values((-1, -1))
+        ]
+        for matrix in ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[1, 10**30], [0, 1]]):
+            same_check(matrix_equivariance_check(matrix, xs, 2, self.SPACE),
+                       ref_matrix_equivariance_check(matrix, xs, 2, self.SPACE))
+        with corrupt_action(xs[3:5]):
+            result = matrix_equivariance_check([[1, 1], [0, 1]], xs, 2, self.SPACE)
+            expected = ref_matrix_equivariance_check([[1, 1], [0, 1]], xs, 2, self.SPACE)
+        assert not result.passed
+        same_check(result, expected)
+
+
+def run_odometer(argv):
+    result = CliRunner().invoke(cli.main, ["odometer", *argv, "--json"])
+    return result.exit_code, result.output
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--matrix", "1 100000000000000000000000; 0 1", "--p", "3", "--depth", "3",
+         "--samples", "5"],
+        ["--p", "2", "--depth", "3", "--samples", "20", "--seed", "5"],
+        ["--matrix", "2 1; 1 1", "--p", "2", "--depth", "4", "--samples", "50", "--seed", "1"],
+    ],
+    ids=["huge-entry", "golden", "cat-map"],
+)
+def test_odometer_report_is_the_same_on_the_scalar_path(monkeypatch, argv):
+    fast = run_odometer(argv)
+    monkeypatch.setattr(cli, "bijectivity_check_at_depth", ref_bijectivity_check_at_depth)
+    monkeypatch.setattr(cli, "matrix_equivariance_check", ref_matrix_equivariance_check)
+    monkeypatch.setattr(fullgroup, "spatial_realization_gap", ref_spatial_realization_gap)
+    assert fast == run_odometer(argv)
+    assert fast[0] == 0
+
+
+def test_a_patched_scalar_apply_makes_the_gap_sweep_raise(monkeypatch):
+    space = OdometerSpace((2, 3), 2)
+    t = residue_shuffle(random.Random(3), space)
+    conjugated = conjugate_by_translation(t, (1, 1))
+    assert spatial_realization_gap(conjugated, t, (1, 1), space) is None
+    honest = FullGroupElement.apply
+    monkeypatch.setattr(
+        FullGroupElement, "apply", lambda self, x: odometer_add(honest(self, x), (1, 0), space)
+    )
+    with pytest.raises(RuntimeError, match="disagrees with the scalar path"):
+        spatial_realization_gap(conjugated, t, (1, 1), space)
