@@ -226,7 +226,10 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
     checks.append(check_inverse_identities(eta, eta.inverse(), window))
     checks.append(check_equivariance(eta, window))
     checks.append(check_inverse_equivariance(eta, window))
-    odo = OdometerSpace((2,) * (2 * space.source_gens.group.dimension), 3)
+    # Every g != e in B(W) has a coordinate with 0 < |g_i| <= W < 2^N, so it
+    # moves the odometer zero; W <= 3 keeps N = 3.
+    depth = max(3, window.bit_length())
+    odo = OdometerSpace((2,) * (2 * space.source_gens.group.dimension), depth)
     checks.append(force_freeness(space, odo, window))
     return checks, {"space": space.to_json()}
 

@@ -409,9 +409,6 @@ class GeneratingSet:
             return sum(map(abs, map(operator.sub, h.coords, g.coords)))
         return self.word_length(g.inverse() * h)
 
-    def to_json(self):
-        return [e.to_json() for e in self.elements]
-
 
 def lattice_ball_size(dimension: int, radius: int) -> int:
     """|B(radius)| for the standard generators of Z^d, without enumerating

@@ -15,7 +15,7 @@ every operation tracks the remaining reliable domain radius and raises
 :class:`TruncationError` instead of extrapolating.
 
 Every germ stores its table as one row per element of B(radius), in the
-ball order of :mod:`groups` (:class:`GermTable`).  A lattice value is a row
+ball order of :mod:`groups` (:class:`MapGerm`).  A lattice value is a row
 of target coordinates, int64 while every entry is below 2^62 in magnitude
 and exact Python integers otherwise; any other value is the element itself.
 Translating a germ is then one gather of rows through the ball positions
@@ -24,7 +24,6 @@ plus one offset, and matching, keys and partial inverses compare rows.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -146,132 +145,91 @@ def _times(lam, rows: np.ndarray) -> np.ndarray:
     return _as_rows(lam.group, [lam * v for v in rows])
 
 
-class GermTable(Mapping):
-    """A germ's table: row i holds the value at the i-th element of
-    B(radius) in ball order, as :func:`_as_rows` stores it.  The rows are
-    2-D exactly when the target is a lattice.
+def _flat(rows: np.ndarray) -> tuple:
+    """Rows as one tuple, in ball order: a lattice table's rows as integers,
+    row after row; any other table's values by their ``sort_key``."""
+    if rows.ndim == 1:
+        return tuple(v.sort_key() for v in rows)
+    return tuple(rows.ravel().tolist())
 
-    A read-only mapping from the ball's elements to target elements, in ball
-    order; ``len`` is O(1) and it compares equal to a dict with the same
-    items.
+
+class MapGerm:
+    """A map from a source ball into the target ``group``, known exactly there.
+
+    ``table`` is the germ's read-only row array: row i holds the value at the
+    i-th element of B(radius) in ball order, as :func:`_as_rows` stores it.
+    The rows are 2-D exactly when the target is a lattice.
+
+    ``provenance`` records the translate data (g0, value at identity) when
+    the germ arose from a globally defined seed, which lets large-scale
+    cocycle values be recomputed exactly; table lookups never leave the
+    stated radius.
     """
 
-    __slots__ = ("gens", "radius", "group", "rows")
+    __slots__ = ("gens", "radius", "group", "table", "provenance", "_key")
 
-    def __init__(self, gens: GeneratingSet, radius: int, group, rows: np.ndarray):
-        rows.flags.writeable = False
+    def __init__(self, gens: GeneratingSet, radius: int, group, table: np.ndarray, provenance=None):
+        table.flags.writeable = False
         self.gens = gens
         self.radius = radius
         self.group = group
-        self.rows = rows
+        self.table = table
+        self.provenance = provenance
+        self._key = None
 
     @classmethod
-    def from_dict(cls, gens: GeneratingSet, radius: int, table: dict) -> "GermTable":
+    def from_dict(cls, gens: GeneratingSet, radius: int, values: dict, provenance=None) -> "MapGerm":
+        """The germ with the given value at each element of B(radius)."""
         ball = gens.ball(radius)
-        if len(table) != len(ball):
+        if len(values) != len(ball):
             raise ValueError(f"germ table must list the {len(ball)} elements of B({radius})")
-        values = [table[g] for g in ball]
-        group = values[0].group
-        return cls(gens, radius, group, _as_rows(group, values))
+        listed = [values[g] for g in ball]
+        group = listed[0].group
+        return cls(gens, radius, group, _as_rows(group, listed), provenance)
 
-    def __getitem__(self, g):
+    def value(self, g):
         position = self.gens.position(self.radius, g)
         if position < 0:
-            raise KeyError(g)
-        value = self.rows[position]
-        if self.rows.ndim == 1:
-            return value
-        return LatticeElement(self.group, tuple(value.tolist()))
+            raise TruncationError(f"germ of radius {self.radius} undefined at {g!r}")
+        if self.table.ndim == 1:
+            return self.table[position]
+        return LatticeElement(self.group, tuple(self.table[position].tolist()))
 
-    def __iter__(self):
-        return iter(self.gens.ball(self.radius))
+    def value_at_identity(self):
+        return self.value(self.gens.group.identity())
 
-    def __len__(self):
-        return len(self.rows)
+    def is_normalized(self) -> bool:
+        return self.value_at_identity().is_identity()
 
     def restricted(self, r: int) -> np.ndarray:
         """The rows of B(r), r <= radius, in ``ball(r)`` order."""
         if r > self.radius:
             raise TruncationError(f"germ of radius {self.radius} undefined on B({r})")
         if r == self.radius:
-            return self.rows
-        return self.rows[self.gens.shifted(self.radius, r, self.gens.group.identity())]
+            return self.table
+        return self.table[self.gens.shifted(self.radius, r, self.gens.group.identity())]
 
-    def translated(self, g, lam, r: int) -> "GermTable":
-        """h -> lam psi(g^-1 h) on B(r), r + |g| <= radius: one gather."""
-        rows = self.rows[self.gens.shifted(self.radius, r, g)]
-        return GermTable(self.gens, r, self.group, _times(lam, rows))
-
-    def first_preimage(self, value):
-        """The first ball element whose value is ``value``, or None."""
-        if self.rows.ndim == 1:
-            hits = self.rows == value
-        else:
-            target = value.coords
-            fits = all(-_INT64_SAFE < c < _INT64_SAFE for c in target)
-            if self.rows.dtype != object and not fits:
-                return None
-            hits = (self.rows == np.array(target, dtype=self.rows.dtype)).all(axis=1)
-        hits = np.flatnonzero(hits)
-        return self.gens.ball(self.radius)[hits[0]] if len(hits) else None
-
-    def flat(self, r: int | None = None) -> tuple:
-        """The values on B(r) (default: the whole ball) as one tuple, in
-        ball order: a lattice table's rows as integers, row after row; any
-        other table's values by their ``sort_key``."""
-        rows = self.rows if r is None else self.restricted(r)
-        if rows.ndim == 1:
-            return tuple(v.sort_key() for v in rows)
-        return tuple(rows.ravel().tolist())
-
-
-class MapGerm:
-    """A map from a source ball into the target group, known exactly there.
-
-    ``provenance`` records the translate data (g0, value at identity) when
-    the germ arose from a globally defined seed, which lets large-scale
-    cocycle values be recomputed exactly; table lookups never leave the
-    stated radius.
-
-    ``table`` is a :class:`GermTable`, or a dict over B(radius) that is
-    stored as one.
-    """
-
-    __slots__ = ("gens", "radius", "table", "provenance", "_key")
-
-    def __init__(self, gens: GeneratingSet, radius: int, table: Mapping, provenance=None):
-        self.gens = gens
-        self.radius = radius
-        self.table = GermTable.from_dict(gens, radius, table) if isinstance(table, dict) else table
-        self.provenance = provenance
-        self._key = None
-
-    def value(self, g):
-        try:
-            return self.table[g]
-        except KeyError:
-            raise TruncationError(
-                f"germ of radius {self.radius} undefined at {g!r}"
-            ) from None
-
-    def value_at_identity(self):
-        return self.table[self.gens.group.identity()]
-
-    def is_normalized(self) -> bool:
-        return self.value_at_identity().is_identity()
+    def translated(self, g, lam, r: int) -> "MapGerm":
+        """h -> lam psi(g^-1 h) on B(r), r + |g| <= radius: one gather.  A
+        provenance (g0, delta) becomes (g g0, the new value at identity)."""
+        rows = _times(lam, self.table[self.gens.shifted(self.radius, r, g)])
+        provenance = None
+        if self.provenance is not None:
+            provenance = (g * self.provenance[0], lam * self.value(g.inverse()))
+        return MapGerm(self.gens, r, self.group, rows, provenance)
 
     def key(self):
         """Equal exactly for equal radius and table; ordered by radius, then
         by the values in ball order, each compared as its coordinates or
-        letters (:meth:`GermTable.flat`)."""
+        letters (:func:`_flat`)."""
         if self._key is None:
-            self._key = (self.radius, self.table.flat())
+            self._key = (self.radius, _flat(self.table))
         return self._key
 
     def matches(self, other: "MapGerm") -> bool:
         """Agreement on the common ball (the truncated notion of equality)."""
         r = min(self.radius, other.radius)
-        return np.array_equal(self.table.restricted(r), other.table.restricted(r))
+        return np.array_equal(self.restricted(r), other.restricted(r))
 
     def __eq__(self, other):
         return isinstance(other, MapGerm) and other.key() == self.key()
@@ -312,13 +270,13 @@ class TruncatedMapSpace:
             self._seed_values[g] = self.seed.value(g)
         return self._seed_values[g]
 
-    def translate_table(self, g0, delta, radius) -> GermTable:
-        """The seed translate with provenance (g0, delta) on B(radius):
-        psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), which takes the value delta
-        at the identity.  A gather of the seed's rows, kept on B(R + R_t)
-        and grown on demand up to B(2R + R_t); a farther translate reads the
-        seed point by point, so a long g0 never enumerates the ball it
-        reaches (exponential in a free group)."""
+    def translate_table(self, g0, delta, radius) -> np.ndarray:
+        """The rows of the seed translate with provenance (g0, delta) on
+        B(radius): psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), which takes the
+        value delta at the identity.  A gather of the seed's rows, kept on
+        B(R + R_t) and grown on demand up to B(2R + R_t); a farther translate
+        reads the seed point by point, so a long g0 never enumerates the ball
+        it reaches (exponential in a free group)."""
         g0_inv = g0.inverse()
         prefix = delta * self._seed_value(g0_inv).inverse()
         group = self.target_gens.group
@@ -334,7 +292,7 @@ class TruncatedMapSpace:
         else:
             ball = self.source_gens.ball(radius)
             values = _as_rows(group, [self._seed_value(g0_inv * h) for h in ball])
-        return GermTable(self.source_gens, radius, group, _times(prefix, values))
+        return _times(prefix, values)
 
     def _build(self):
         # Every base table is normalized: base(e) = s(g0^-1)^-1 s(g0^-1) = e.
@@ -347,11 +305,12 @@ class TruncatedMapSpace:
         # provenance equals what building every (g0, delta) germ and keeping
         # the first of each table would record.
         bases = {}
-        identity_target = self.target_gens.group.identity()
+        group = self.target_gens.group
+        identity_target = group.identity()
         for g0 in self.source_gens.ball(self.translate_radius):
             base = self.translate_table(g0, identity_target, self.radius)
             # Every base lists the same ball in the same order.
-            bases.setdefault(base.flat(), (g0, base))
+            bases.setdefault(_flat(base), (g0, base))
         members = []
         for g0, base in bases.values():
             for delta in self.target_gens.ball(self.offset_radius):
@@ -360,7 +319,7 @@ class TruncatedMapSpace:
                 else:
                     table = self.translate_table(g0, delta, self.radius)
                 members.append(
-                    MapGerm(self.source_gens, self.radius, table, provenance=(g0, delta))
+                    MapGerm(self.source_gens, self.radius, group, table, provenance=(g0, delta))
                 )
         self.members = tuple(sorted(members, key=MapGerm.key))
         self.slice_members = tuple(m for m in self.members if m.is_normalized())
@@ -411,20 +370,21 @@ class TruncatedMapSpace:
         step = self.source_gens.word_length(g)
         if step > germ.radius:
             raise TruncationError(f"domain exhausted translating by {g!r}")
-        table = germ.table.translated(g, lam, germ.radius - step)
-        provenance = None
-        if germ.provenance is not None:
-            new_g0 = g * germ.provenance[0]
-            provenance = (new_g0, table[self.source_gens.group.identity()])
-        return MapGerm(self.source_gens, germ.radius - step, table, provenance)
+        return germ.translated(g, lam, germ.radius - step)
 
     def partial_inverse(self, germ: MapGerm, target_value):
         """The unique ball element mapped to ``target_value`` by the germ (the
         first in ball order if a corrupted germ has several)."""
-        found = germ.table.first_preimage(target_value)
-        if found is None:
+        rows = germ.table
+        if rows.ndim == 1:
+            hits = np.flatnonzero(rows == target_value)
+        elif rows.dtype == object or all(-_INT64_SAFE < c < _INT64_SAFE for c in target_value.coords):
+            hits = np.flatnonzero((rows == np.array(target_value.coords, dtype=rows.dtype)).all(axis=1))
+        else:
+            hits = ()  # no int64 row holds a value that large
+        if not len(hits):
             raise TruncationError(f"{target_value!r} not in germ image at this truncation")
-        return found
+        return germ.gens.ball(germ.radius)[hits[0]]
 
     # -- cocycles
 
@@ -466,9 +426,9 @@ class TruncatedMapSpace:
             raise TruncationError("germ has no globally defined representative")
         g0, _ = germ.provenance
         new_g0 = g * g0
-        identity_target = self.target_gens.group.identity()
-        table = self.translate_table(new_g0, identity_target, self.radius)
-        return MapGerm(self.source_gens, self.radius, table, provenance=(new_g0, identity_target))
+        group = self.target_gens.group
+        table = self.translate_table(new_g0, group.identity(), self.radius)
+        return MapGerm(self.source_gens, self.radius, group, table, (new_g0, group.identity()))
 
     def find_slice_match(self, germ: MapGerm) -> MapGerm | None:
         """The first slice member that matches the germ, or None."""
@@ -484,8 +444,8 @@ class TruncatedMapSpace:
         if lookup is None:
             lookup = by_radius[r] = {}
             for member in self.slice_members:
-                lookup.setdefault(member.table.flat(r), member)
-        return lookup.get(germ.table.flat(r))
+                lookup.setdefault(_flat(member.restricted(r)), member)
+        return lookup.get(_flat(germ.restricted(r)))
 
     def to_json(self):
         return {
@@ -579,7 +539,7 @@ def _is_named_translate(space: TruncatedMapSpace, germ: MapGerm) -> bool:
     g0, delta = germ.provenance
     if space.source_gens.word_length(g0) + germ.radius > space.radius + space.translate_radius:
         return False
-    return np.array_equal(germ.table.rows, space.translate_table(g0, delta, germ.radius).rows)
+    return np.array_equal(germ.table, space.translate_table(g0, delta, germ.radius))
 
 
 def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:

@@ -319,9 +319,6 @@ class ClopenSet:
     def __repr__(self):
         return f"ClopenSet({list(self.cylinders)!r})"
 
-    def to_json(self):
-        return [c.to_json() for c in self.cylinders]
-
 
 def odometer_add(x: DigitPoint, vector: Sequence[int], space: OdometerSpace) -> DigitPoint:
     """Add an integer vector coordinatewise, with carry, exactly mod p^N."""
@@ -572,6 +569,11 @@ def haar_invariance_check(space: OdometerSpace, radius: int, k: int, rng) -> Che
 
     Each g sweeps every depth-k cylinder when there are at most
     ``_HAAR_SAMPLE`` of them, and otherwise that many drawn from ``rng``.
+
+    No input can make it fail: a translate of a depth-k cylinder is a
+    depth-k cylinder, so its measure cannot change.  It is a
+    self-consistency check of the cylinder and measure code, not of the
+    construction.
     """
     full = math.prod(p**k for p in space.bases)
     checked = 0

@@ -244,13 +244,6 @@ class FloorMap:
                 rows[op.i] = -rows[op.i]
         return rows.T
 
-    def to_json(self):
-        return {
-            "dimension": self.dimension,
-            "ops": [op.to_json() for op in self.ops],
-            "target": linalg.matrix_to_json(self.target),
-        }
-
 
 def _row_bound(row: np.ndarray) -> int:
     """max(|x| for x in row), at least 1, read off the row's min and max."""
@@ -406,13 +399,6 @@ class ExtractedMap:
 
     def __call__(self, g):
         return self.mapping[g]
-
-    def to_json(self):
-        return {
-            "constant": self.constant,
-            "report": self.report.to_json(),
-            "map": [[g.to_json(), v.to_json()] for g, v in self.mapping.items()],
-        }
 
 
 def extract_bilipschitz_from_cocycle(morphism, basepoint, radius: int) -> ExtractedMap:

@@ -324,10 +324,10 @@ def test_criterion_8_negative_controls():
     assert not identity_check.passed and identity_check.witnesses
 
     germ = space.members[0]
-    bad_table = dict(germ.table)
+    bad_table = {g: germ.value(g) for g in germ.gens.ball(germ.radius)}
     bad_table[list(bad_table)[3]] = Z2.element((25, -25))
     space.members = space.members + (
-        MapGerm(germ.gens, germ.radius, bad_table, germ.provenance),
+        MapGerm.from_dict(germ.gens, germ.radius, bad_table, germ.provenance),
     )
     domain_check = check_fundamental_domain(space, 1)
     closure_check = check_lipschitz_closure(space)

@@ -229,6 +229,18 @@ class TestGromovCheck:
         assert [c["id"] for c in failed] == ["cocycle-identity"]
         assert failed[0]["witnesses"]
 
+    @pytest.mark.parametrize("seed", [[], ["--matrix", "1 0.5; 0 1"]], ids=["identity", "half-shear"])
+    def test_window_8_passes_forced_freeness(self, runner, seed):
+        # the freeness odometer is deep enough that no g != e of B(8) fixes
+        # its zero; at depth 3, (+-8, ...) did
+        result = runner.invoke(
+            main,
+            ["gromov-check", *seed, "--radius", "8", "--translate-radius", "8", "--window", "8", "--json"],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert all(c["pass"] for c in report["checks"]), report["checks"]
+
 
 class TestOdometer:
     def test_default_battery(self, runner):

@@ -107,6 +107,11 @@ class TestLipschitzConstant:
         assert space.lipschitz_constant() == max(max(ratios), 1 / min(ratios), 1)
 
 
+def germ_values(germ):
+    """A germ's table as a dict over B(radius), in ball order."""
+    return {g: germ.value(g) for g in germ.gens.ball(germ.radius)}
+
+
 def reference_build(space):
     """The members that building every (g0, delta) germ and then keeping the
     first germ of each key gives, in key order."""
@@ -114,7 +119,7 @@ def reference_build(space):
     for g0 in space.source_gens.ball(space.translate_radius):
         for delta in space.target_gens.ball(space.offset_radius):
             table = space.translate_table(g0, delta, space.radius)
-            germ = MapGerm(space.source_gens, space.radius, table, provenance=(g0, delta))
+            germ = MapGerm(space.source_gens, space.radius, space.target_gens.group, table, (g0, delta))
             by_key.setdefault(germ.key(), germ)
     return tuple(sorted(by_key.values(), key=MapGerm.key))
 
@@ -153,9 +158,10 @@ class TestTranslateTable:
         for g0 in space.source_gens.ball(space.translate_radius):
             for delta in space.target_gens.ball(space.offset_radius):
                 table = space.translate_table(g0, delta, space.radius)
-                assert list(table) == list(ball)
+                assert len(table) == len(ball)
+                germ = MapGerm(space.source_gens, space.radius, space.target_gens.group, table)
                 for h in ball:
-                    assert table[h] == delta * s(g0.inverse()).inverse() * s(g0.inverse() * h)
+                    assert germ.value(h) == delta * s(g0.inverse()).inverse() * s(g0.inverse() * h)
 
 
 class TestBuildSurvivorsOnly:
@@ -199,10 +205,9 @@ class TestExactRows:
         # a germ whose rows were widened to Python integers equals, matches
         # and keys like the int64 one
         germ = shear_space.members[0]
-        table = germ.table
-        wide = mapspace.GermTable(table.gens, table.radius, table.group, table.rows.astype(object))
-        twin = MapGerm(germ.gens, germ.radius, wide, germ.provenance)
-        assert wide == table and twin.key() == germ.key() and twin == germ
+        wide = germ.table.astype(object)
+        twin = MapGerm(germ.gens, germ.radius, germ.group, wide, germ.provenance)
+        assert np.array_equal(wide, germ.table) and twin.key() == germ.key() and twin == germ
         assert twin.matches(germ) and germ.matches(twin)
         e = Z2.identity()
         assert shear_space.find_slice_match(twin) is shear_space.find_slice_match(germ)
@@ -310,7 +315,7 @@ class TestCocycles:
 
     def test_global_backward_needs_a_global_representative(self, shear_space, nielsen_space):
         psi = shear_space.slice_members[0]
-        bare = MapGerm(psi.gens, psi.radius, psi.table)
+        bare = MapGerm(psi.gens, psi.radius, psi.group, psi.table)
         with pytest.raises(TruncationError, match="globally defined"):
             shear_space.global_backward_cocycle(Z2.identity(), bare)
         table_space, _ = nielsen_space
@@ -364,10 +369,10 @@ class TestBattery:
 
     def test_corrupted_member_fails_domain_check(self, shear_space):
         germ = shear_space.members[0]
-        bad_table = dict(germ.table)
+        bad_table = germ_values(germ)
         key = list(bad_table)[5]
         bad_table[key] = Z2.element((30, 30))
-        bad = MapGerm(germ.gens, germ.radius, bad_table, germ.provenance)
+        bad = MapGerm.from_dict(germ.gens, germ.radius, bad_table, germ.provenance)
         f = realize_bilipschitz(HALF_SHEAR)
         other = build_translate_space(FloorMapSeed(f), 6, 6, offset_radius=2)
         other.members = other.members + (bad,)
@@ -430,11 +435,11 @@ class TestFundamentalDomainPastTheTranslates:
         # corrupt an entry the hit reads, other than g^-1 (where omega is e)
         space = boundary_space
         omega, g = unmatched_source_hits(space, 1)[0]
-        table = dict(omega.table)
+        table = germ_values(omega)
         point = g.inverse() * space.source_gens.elements[0]
         assert point != g.inverse()
         table[point] = LatticeGroup(3).element((30, 30, 30))
-        bad = MapGerm(omega.gens, omega.radius, table, omega.provenance)
+        bad = MapGerm.from_dict(omega.gens, omega.radius, table, omega.provenance)
         clone = copy.copy(space)
         clone.members = space.members + (bad,)
         result = check_fundamental_domain(clone, 1)
@@ -460,9 +465,9 @@ class TestFundamentalDomainPastTheTranslates:
         result = check_fundamental_domain(table_space, 1)
         assert result.passed and result.witnesses == []
         omega, g = hits[0]
-        bad_table = dict(omega.table)
+        bad_table = germ_values(omega)
         bad_table[g.inverse() * table_space.source_gens.elements[0]] = Z3.element((30, 30, 30))
-        bad = MapGerm(omega.gens, omega.radius, bad_table, omega.provenance)
+        bad = MapGerm.from_dict(omega.gens, omega.radius, bad_table, omega.provenance)
         clone = copy.copy(table_space)
         clone.members = table_space.members + (bad,)
         witnesses = check_fundamental_domain(clone, 1).witnesses
@@ -491,10 +496,10 @@ def with_corrupted_member(space, value, index=3):
     """A copy of the space with one member appended whose table is wrong at
     one entry; the original space is left as it was."""
     germ = space.members[0]
-    table = dict(germ.table)
+    table = germ_values(germ)
     table[list(table)[index]] = value
     clone = copy.copy(space)
-    clone.members = space.members + (MapGerm(germ.gens, germ.radius, table, germ.provenance),)
+    clone.members = space.members + (MapGerm.from_dict(germ.gens, germ.radius, table, germ.provenance),)
     return clone
 
 
@@ -572,10 +577,11 @@ class TestClosureInheritance:
         mismatched = g0 * Z2.element((0, 1))
         distant = g0 * Z2.element((0, 2 * (space.radius + space.translate_radius)))
         translate = lambda g: space.translate_table(g, delta, germ.radius)
-        assert translate(mismatched) != germ.table
-        assert translate(distant) == germ.table
+        assert not np.array_equal(translate(mismatched), germ.table)
+        assert np.array_equal(translate(distant), germ.table)
         moved = [
-            MapGerm(germ.gens, germ.radius, germ.table, (g, delta)) for g in (mismatched, distant)
+            MapGerm(germ.gens, germ.radius, germ.group, germ.table, (g, delta))
+            for g in (mismatched, distant)
         ]
         space.members = space.members + tuple(moved)
         result = check_lipschitz_closure(space)
@@ -604,6 +610,20 @@ class TestFreeness:
         verdict = force_freeness(space, odo, 3)
         assert verdict.passed
         assert verdict.checked > 0
+
+    def test_too_shallow_odometer_fails_at_window_8(self):
+        # negative control: the moduli of a depth-3 odometer are 8, so
+        # g = (+-8,) with cocycle value g returns its zero to itself while g
+        # fixes the identity germ; the CLI builds depth 4 at W = 8
+        space = build_translate_space(IdentitySeed(Z1), 8, 8)
+        psi = space.slice_members[0]
+        odo = OdometerSpace((2, 2), 3)
+        verdict = force_freeness(space, odo, 8)
+        assert verdict.witnesses == [
+            (Z1.element((-8,)), psi, odo.zero()),
+            (Z1.element((8,)), psi, odo.zero()),
+        ]
+        assert force_freeness(space, OdometerSpace((2, 2), 4), 8).passed
 
     def test_shear_space_freeness(self, shear_space):
         odo = OdometerSpace((2,) * 4, 3)

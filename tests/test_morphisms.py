@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from orbitlab import linalg
@@ -73,6 +75,19 @@ class TestOrbitMorphism:
 
     def test_inverse_equivariance(self, shear_orbit):
         assert check_inverse_equivariance(shear_orbit, 2).passed
+
+    def test_corrupted_cocycle_fails_equivariance(self):
+        # negative control on the half shear as gromov-check builds it at
+        # 4/3/1: one wrong cocycle value, at ((1, 0), the first slice member),
+        # is the one witness
+        Z2 = LatticeGroup(2)
+        f = realize_bilipschitz(linalg.parse_matrix("1 0.5; 0 1"), Fraction("1e-9"))
+        space = build_translate_space(FloorMapSeed(f), 4, 3, offset_radius=1)
+        eta = orbit_morphism(space, radius=2)
+        g, psi = Z2.element((1, 0)), space.slice_members[0]
+        assert check_equivariance(eta, 1).passed
+        result = check_equivariance(eta.with_override(g, psi, Z2.element((9, 9))), 1)
+        assert result.witnesses == [(g, psi)] and result.checked == 10
 
     def test_composition_with_inverse_is_trivial(self, shear_orbit):
         roundtrip = compose_morphisms(shear_orbit.inverse(), shear_orbit)
@@ -166,7 +181,7 @@ def _quarter_shear_twins():
     f = realize_bilipschitz([["1", "0.25"], ["0", "1"]])
     space = build_translate_space(FloorMapSeed(f), 1, 3, offset_radius=0)
     germs = [
-        MapGerm(space.source_gens, 1, space.translate_table(g0, Z2.identity(), 1), (g0, Z2.identity()))
+        MapGerm(space.source_gens, 1, Z2, space.translate_table(g0, Z2.identity(), 1), (g0, Z2.identity()))
         for g0 in (Z2.element((0, -1)), Z2.element((0, -2)))
     ]
     assert germs[0].key() == germs[1].key()

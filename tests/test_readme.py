@@ -1,10 +1,19 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its module table names
+only code that exists."""
+import functools
+import importlib
+import inspect
 import re
 from pathlib import Path
 
 from orbitlab import linalg
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# A backticked name, dotted or not, optionally called with arguments.
+NAME = re.compile(r"([A-Za-z_][\w.]*)(\(.*\))?")
+# Math written like a name: a letter with a one-character subscript, F_k.
+SUBSCRIPT = re.compile(r"[A-Za-z]_\w")
 
 
 def library_example() -> str:
@@ -20,3 +29,44 @@ def test_library_example_recovers_the_matrix_within_c_over_n(capsys):
     gap = linalg.max_abs_diff(invariant.matrix, linalg.as_matrix(namespace["matrix"]))
     assert gap <= cert.constant / 1024
     assert invariant.provenance["cocycle"] == "orbit-forward"
+
+
+def code_names(contents: str) -> list:
+    """The backticked names in a table row that name code: those with an
+    underscore or an uppercase first letter, math such as F_k excepted."""
+    names = []
+    for token in re.findall(r"`([^`]+)`", contents):
+        match = NAME.fullmatch(token)
+        if match is None:
+            continue
+        name = match.group(1)
+        if ("_" in name or name[0].isupper()) and not SUBSCRIPT.fullmatch(name):
+            names.append(name)
+    return names
+
+
+def resolves(module, name: str) -> bool:
+    """``name`` is an attribute path of the module or of one of its classes."""
+    owners = [module, *(v for v in vars(module).values() if inspect.isclass(v))]
+    for owner in owners:
+        try:
+            functools.reduce(getattr, name.split("."), owner)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_module_table_names_only_code_that_exists():
+    rows = re.findall(r"^\| `(orbitlab\.\w+)` \| (.*) \|$", README.read_text(), re.M)
+    assert rows
+    checked = []
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in code_names(contents):
+            checked.append(name)
+            if not resolves(module, name):
+                missing.append((module_name, name))
+    assert missing == []
+    assert len(checked) >= 20
