@@ -239,10 +239,7 @@ class Cylinder:
         return self.intersect(other) is not None
 
     def measure(self, space: OdometerSpace) -> Fraction:
-        m = Fraction(1)
-        for p, prefix in zip(space.bases, self.prefixes):
-            m /= p ** len(prefix)
-        return m
+        return Fraction(1, math.prod(p ** len(prefix) for p, prefix in zip(space.bases, self.prefixes)))
 
     def translate(self, vector: Sequence[int], space: OdometerSpace) -> "Cylinder":
         """Image under adding ``vector``: prefixes shift mod p^len, exactly."""

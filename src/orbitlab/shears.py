@@ -226,7 +226,8 @@ class FloorMap:
         """Vectorized evaluation on an (M, d) integer array; returns (M, d).
 
         The points are copied once into one contiguous row per coordinate,
-        shape (d, M), so each op updates one row; the result is the (M, d)
+        shape (d, M), and each op updates one row in place, through one
+        scratch row for the product and floor; the result is the (M, d)
         transposed view of those rows.  One op loop: on int64 when
         ``_fits_int64`` proves it safe, otherwise on exact Python integers
         (dtype=object).
@@ -235,13 +236,16 @@ class FloorMap:
             raise ValueError("vector has wrong dimension")
         dtype = np.int64 if self._fits_int64(points.T) else object
         rows = np.array(points.T, dtype=dtype, order="C")
+        step = np.empty(rows.shape[1], dtype=dtype)
         for op in reversed(self.ops):
             if isinstance(op, Shear):
                 p, q = op.coeff.numerator, op.coeff.denominator
-                step = p * rows[op.j]
-                rows[op.i] += step if q == 1 else step // q
+                np.multiply(rows[op.j], p, out=step)
+                if q != 1:
+                    np.floor_divide(step, q, out=step)
+                rows[op.i] += step
             else:
-                rows[op.i] = -rows[op.i]
+                np.negative(rows[op.i], out=rows[op.i])
         return rows.T
 
 
@@ -271,7 +275,9 @@ def check_box_budget(radius: int, dimension: int) -> None:
 
 def box_points(radius: int, dimension: int) -> np.ndarray:
     """All integer points of the sup-norm ball [-radius, radius]^d, shape
-    (M, d), last coordinate fastest.
+    (M, d), last coordinate fastest: the whole box at once, for
+    ``injectivity_check_on_box`` (``bounded_distance_constant`` sweeps the
+    same points in blocks instead).
 
     The array is the transposed view of one contiguous int64 row per
     coordinate, shape (d, M): ``box_points(r, d).T`` is that row layout."""
@@ -279,6 +285,38 @@ def box_points(radius: int, dimension: int) -> np.ndarray:
     side = 2 * radius + 1
     rows = np.indices((side,) * dimension, dtype=np.int64).reshape(dimension, -1) - radius
     return rows.T
+
+
+# Points per block of the distance-certificate sweep: a block's rows and
+# temporaries stay in cache, and numpy's per-call cost is spread over enough
+# points.
+_SWEEP_BLOCK = 32768
+
+
+def _box_blocks(radius: int, dimension: int):
+    """The points of ``box_points(radius, dimension)``, in its order, as
+    consecutive (d, M) int64 row blocks of at most ``_SWEEP_BLOCK`` points.
+
+    Every block is a view of one buffer that the next block overwrites.  The
+    first coordinate of flat index n is n // slab - radius, where a slab is
+    the side^(d-1) points sharing it; the trailing coordinates repeat with
+    period slab, so each block copies them out of one tiled run of slabs
+    (in dimension 1 there are none, and a slab is one point)."""
+    side = 2 * radius + 1
+    slab = side ** (dimension - 1)
+    total = side * slab
+    block = min(_SWEEP_BLOCK, total)
+    tail = np.indices((side,) * (dimension - 1), dtype=np.int64).reshape(dimension - 1, slab) - radius
+    tail = np.tile(tail, -(-(block + slab - 1) // slab))
+    buffer = np.empty((dimension, block), dtype=np.int64)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        rows = buffer[:, : stop - start]
+        np.floor_divide(np.arange(start, stop, dtype=np.int64), slab, out=rows[0])
+        rows[0] -= radius
+        offset = start % slab
+        rows[1:] = tail[:, offset : offset + stop - start]
+        yield rows
 
 
 @dataclass(frozen=True)
@@ -312,48 +350,61 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     of Z^d.  ``by_radius`` also holds the maximum over each smaller box in
     ``DISTANCE_PROBES``; the witness is the first point attaining the maximum.
 
-    The sweep works on one contiguous row per coordinate, shape (d, M): the
+    The box is refused by ``check_box_budget`` before anything is built, then
+    swept in blocks of ``_SWEEP_BLOCK`` points in ``box_points`` order, each
+    one (d, M) row block through ``FloorMap.apply_array``.  Per block the
     scaled gap common_den * f_r(v) - sum_k a_rk v_k is formed one coordinate
-    row r at a time, on int64 when a static bound proves it safe and on exact
-    Python integers otherwise, and its absolute value is folded into a
-    running maximum.  Each probe maximum is read off a slice of that maximum
-    viewed as the (2R+1)^d grid."""
+    row r at a time, on int64 when a static bound proves it safe for the
+    block and on exact Python integers otherwise, and its absolute value is
+    folded into that block's slice of one running maximum over the box
+    (int64 until a block needs exact integers).  Each probe maximum is read
+    off a slice of that maximum viewed as the (2R+1)^d grid."""
     a = linalg.as_matrix(matrix)
     d = len(a)
-    points = box_points(radius, d)
-    images = floor_map.apply_array(points)
-
+    check_box_budget(radius, d)
     common_den = math.lcm(*(x.denominator for row in a for x in row))
     int_a = [[int(x * common_den) for x in row] for row in a]
     max_entry = max(abs(e) for row in int_a for e in row)
-    fast = (
-        images.dtype == np.int64
-        and common_den * max(_row_bound(row) for row in images.T) < _INT64_SAFE
-        and max_entry * max(radius, 1) * d < _INT64_SAFE
-    )
-    dtype = np.int64 if fast else object
-    coords = points.T.astype(dtype, copy=False)
-    image_rows = images.T.astype(dtype, copy=False)
-    gap_inf = np.zeros(len(points), dtype=dtype)
-    for r in range(d):
-        gap = common_den * image_rows[r]
-        for k, e in enumerate(int_a[r]):
-            if e:
-                gap -= e * coords[k]
-        np.maximum(gap_inf, np.abs(gap, out=gap), out=gap_inf)
+    coords_fit = max_entry * max(radius, 1) * d < _INT64_SAFE
 
     side = 2 * radius + 1
+    gap_inf = np.zeros(side**d, dtype=np.int64)
+    start = 0
+    for block in _box_blocks(radius, d):
+        images = floor_map.apply_array(block.T).T
+        fast = (
+            coords_fit
+            and images.dtype == np.int64
+            and common_den * max(_row_bound(row) for row in images) < _INT64_SAFE
+        )
+        dtype = np.int64 if fast else object
+        if not fast and gap_inf.dtype == np.int64:
+            gap_inf = gap_inf.astype(object)
+        coords = block.astype(dtype, copy=False)
+        images = images.astype(dtype, copy=False)
+        stop = start + block.shape[1]
+        block_max = gap_inf[start:stop]
+        gap = np.empty(block.shape[1], dtype=dtype)
+        term = np.empty_like(gap)
+        for r in range(d):
+            np.multiply(images[r], common_den, out=gap)
+            for k, e in enumerate(int_a[r]):
+                if e:
+                    gap -= np.multiply(coords[k], e, out=term)
+            np.maximum(block_max, np.abs(gap, out=gap), out=block_max)
+        start = stop
+
     grid = gap_inf.reshape((side,) * d)
     by_radius = {
         r: Fraction(int(grid[(slice(radius - r, radius + r + 1),) * d].max()), common_den)
         for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius})
     }
-    best = int(np.argmax(gap_inf))
+    best = np.unravel_index(int(np.argmax(gap_inf)), grid.shape)
     return DistanceCertificate(
         constant=by_radius[radius],
         radius=radius,
         by_radius=by_radius,
-        witness=tuple(int(c) for c in points[best]),
+        witness=tuple(int(c) - radius for c in best),
     )
 
 

@@ -95,6 +95,13 @@ TRANSLATE_GOLDEN = [
     ),
 ]
 
+# realize in dimension 1: a certificate box with no trailing coordinates, at
+# the default radius and at radius 0
+LINE_GOLDEN = [
+    ("realize_minus_one_r50.json", ["realize", "--matrix", "-1"]),
+    ("realize_minus_one_r0.json", ["realize", "--matrix", "-1", "--radius", "0"]),
+]
+
 # Negative controls: each report exits 1 and pins which cocycle value the
 # override corrupts and every witness it leaves.
 CORRUPTED = [
@@ -375,7 +382,7 @@ class TestReports:
         assert runner.invoke(main, args + ["--out", str(second)]).exit_code == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("fixture, args", GOLDEN + SWEEP_GOLDEN + TRANSLATE_GOLDEN)
+    @pytest.mark.parametrize("fixture, args", GOLDEN + SWEEP_GOLDEN + TRANSLATE_GOLDEN + LINE_GOLDEN)
     def test_report_matches_golden(self, runner, fixture, args):
         # The fixtures pin the report bytes, including every value drawn from
         # the seeded random stream.

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orbitlab import linalg
+from orbitlab import linalg, shears
 from orbitlab.groups import LatticeGroup, is_bilipschitz_on_ball
 from orbitlab.mapspace import FloorMapSeed, build_translate_space
 from orbitlab.morphisms import ActionSystem, identity_morphism, matrix_morphism, orbit_morphism
@@ -239,16 +240,20 @@ def reference_certificate(f, matrix, radius):
     return exact, tuple(points[gaps.index(max(gaps))])
 
 
-def assert_matches_reference(f, matrix, radius, dtype):
-    points = box_points(radius, len(matrix))
-    images = f.apply_array(points)
-    assert images.dtype == dtype
-    assert images.tolist() == reference_apply_array(f, points).tolist()
+def assert_certificate_matches_reference(f, matrix, radius):
     exact, witness = reference_certificate(f, matrix, radius)
     cert = bounded_distance_constant(f, matrix, radius)
     assert cert.by_radius == exact
     assert cert.constant == exact[radius]
     assert cert.witness == witness
+
+
+def assert_matches_reference(f, matrix, radius, dtype):
+    points = box_points(radius, len(matrix))
+    images = f.apply_array(points)
+    assert images.dtype == dtype
+    assert images.tolist() == reference_apply_array(f, points).tolist()
+    assert_certificate_matches_reference(f, matrix, radius)
 
 
 def force_object_path(monkeypatch):
@@ -328,6 +333,101 @@ class TestVectorisedSweepMatchesPerRow:
         check_box_budget(50, 3)  # 1,030,301 points: the default 3x3 box fits
         with pytest.raises(ValueError, match=r"box \[-50, 50\]\^4 has 104060401 points, over budget 1048576"):
             box_points(50, 4)
+
+
+def block_sizes(radius, d):
+    """Sweep block sizes that cut the box after 1 and 7 points and just under
+    and just over one trailing slab (the points sharing a first coordinate)."""
+    slab = (2 * radius + 1) ** (d - 1)
+    return sorted({1, 7, max(slab - 1, 1), slab + 1})
+
+
+def last_point_witness(d, radius):
+    """A floor map and a matrix whose gap is largest only at (R, ..., R):
+    f floors v_{d-1} / 2 into v_0, and the matrix adds eps * sum(v) to row 0,
+    so for odd R the gap at v is |frac(v_{d-1} / 2) + eps * sum(v)|."""
+    assert radius % 2 == 1
+    f = FloorMap([Shear(0, d - 1, Fraction(1, 2))], d)
+    eps = Fraction(1, 1000)
+    matrix = [[x + eps for x in f.target[0]], *f.target[1:]]
+    return f, matrix
+
+
+class TestSweepBlocks:
+    """The certificate does not depend on where the sweep's blocks end."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @pytest.mark.parametrize("d, radius", [(1, 0), (1, 9), (2, 0), (2, 6), (3, 0), (3, 3)])
+    def test_random_maps(self, monkeypatch, dtype, d, radius):
+        if dtype is object:
+            force_object_path(monkeypatch)
+        rng = random.Random(1000 * d + radius)
+        if d == 1:
+            matrices = [[["1"]], [["-1"]]]
+        else:
+            matrices = [random_unimodular(rng, d, quarter_grid=grid) for grid in (True, False)]
+        for block in block_sizes(radius, d):
+            monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
+            for m in matrices:
+                f = realize_bilipschitz(m)
+                assert f.apply_array(box_points(radius, d)).dtype == dtype
+                assert_certificate_matches_reference(f, m, radius)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_identity_witness_is_the_first_point(self, monkeypatch, dtype, d):
+        # every gap ties at 0, so the witness is the box's first point
+        if dtype is object:
+            force_object_path(monkeypatch)
+        radius = 4
+        identity = linalg.identity(d)
+        for block in block_sizes(radius, d):
+            monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
+            cert = bounded_distance_constant(realize_bilipschitz(identity), identity, radius)
+            assert cert.constant == 0 and set(cert.by_radius.values()) == {0}
+            assert cert.witness == (-radius,) * d
+
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_witness_in_the_last_block(self, monkeypatch, dtype, d):
+        if dtype is object:
+            force_object_path(monkeypatch)
+        radius = 3
+        f, matrix = last_point_witness(d, radius)
+        for block in block_sizes(radius, d):
+            monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
+            assert_certificate_matches_reference(f, matrix, radius)
+            assert bounded_distance_constant(f, matrix, radius).witness == (radius,) * d
+
+    @pytest.mark.parametrize(
+        "coeff, radius",
+        [("0.1234567890123456789", 0), ("0.12345678901234567890123", 0), ("1e-22", 5)],
+    )
+    def test_denominators_and_numerators_past_int64(self, monkeypatch, coeff, radius):
+        m = [["1", coeff], ["0", "1"]]
+        for block in block_sizes(radius, 2):
+            monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
+            assert_certificate_matches_reference(realize_bilipschitz(m), m, radius)
+
+    def test_one_dimensional_box_across_default_blocks(self):
+        # 80,001 points: the default block size cuts this box three times
+        radius = 40000
+        assert 2 * radius + 1 > 2 * shears._SWEEP_BLOCK
+        for m in ([["-1"]], [["-1.5"]]):
+            assert_certificate_matches_reference(realize_bilipschitz([["-1"]]), m, radius)
+
+    def test_memory_stays_at_the_block_scale(self):
+        # the whole 101^3 box as int64 rows is 24 MB; the sweep holds one
+        # int64 maximum per point (8 MB) and a few blocks
+        m = [["-0.5", "0", "1"], ["0.5625", "-1", "-1.625"], ["0.75", "0", "0.5"]]
+        f = realize_bilipschitz(m)
+        tracemalloc.start()
+        try:
+            bounded_distance_constant(f, m, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestBox:
