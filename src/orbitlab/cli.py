@@ -205,7 +205,7 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
     space = build_translate_space(
         seed_map, radius, translate_radius, offset_radius=window
     )
-    eta = orbit_morphism(space, radius=2 * window)
+    eta = orbit_morphism(space)
     cocycle = eta
     if inject_corruption:
         corrupt_g = next(g for g in space.source_gens.ball(window) if not g.is_identity())

@@ -29,6 +29,7 @@ from .odometer import (
     Cylinder,
     DigitPoint,
     OdometerSpace,
+    class_code,
     odometer_add,
     odometer_add_array,
     require_agreement,
@@ -158,7 +159,7 @@ class FullGroupElement:
         groups, labels = dense
         piece = np.full(residues.shape[1], len(self.pieces), dtype=np.int64)
         for moduli, index in groups:
-            np.minimum(piece, index[_class_code(residues, moduli)], out=piece)
+            np.minimum(piece, index[class_code(residues, moduli)], out=piece)
         moduli = np.array(self.space.moduli, dtype=np.int64)[:, None]
         return (residues + labels[:, piece]) % moduli, piece < len(self.pieces)
 
@@ -223,16 +224,6 @@ def _label_lookup(pieces, space: OdometerSpace):
     return tuple((moduli, MappingProxyType(table)) for moduli, table in groups.items())
 
 
-def _class_code(residues, moduli):
-    """The mixed-radix code of the residue class mod ``moduli`` (last
-    coordinate fastest), for one tuple of residues or for every column of
-    an array."""
-    code = 0
-    for r, q in zip(residues, moduli):
-        code = code * q + r % q
-    return code
-
-
 def _dense_lookup(lookup, pieces, space: OdometerSpace):
     """``_label_lookup`` as arrays: per group, the piece index of every
     residue class, ``len(pieces)`` where no cylinder of the group holds it;
@@ -245,7 +236,7 @@ def _dense_lookup(lookup, pieces, space: OdometerSpace):
     for moduli, table in lookup:
         index = np.full(math.prod(moduli), len(pieces), dtype=np.int64)
         for values, (piece, _) in table.items():
-            index[_class_code(values, moduli)] = piece
+            index[class_code(values, moduli)] = piece
         groups.append((moduli, index))
     if any(len(label) != space.dimension for _, label in pieces):
         raise ValueError("vector has wrong dimension")

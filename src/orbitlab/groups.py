@@ -296,13 +296,9 @@ class GeneratingSet:
             return
         radius = 2
         reached = set(self._expand(min(radius * 4, BALL_BUDGET)))
-        d = self.group.dimension
-        for coords in itertools.product(range(-radius, radius + 1), repeat=d):
-            if sum(abs(c) for c in coords) <= radius:
-                if self.group.element(coords) not in reached:
-                    raise ValueError(
-                        f"set does not generate at ball scale: {coords} unreached"
-                    )
+        for g in self.group.standard_generators().ball(radius):
+            if g not in reached:
+                raise ValueError(f"set does not generate at ball scale: {g.coords} unreached")
 
     def _expand(self, radius: int):
         """Grow the BFS memo to the given radius; returns the memo dict."""

@@ -22,7 +22,7 @@ from .mapspace import (
     TruncationError,
     build_translate_space,
 )
-from .odometer import DigitPoint, OdometerSpace, matrix_act, odometer_add
+from .odometer import DigitPoint, OdometerSpace, matrix_act, odometer_add, unimodular_rows
 from .shears import FloorMap, bounded_distance_constant, realize_bilipschitz
 
 
@@ -71,7 +71,6 @@ class Morphism:
     ``kind`` names the cocycle.  ``evaluator`` computes cocycle values
     exactly and ``evaluate`` is nothing but a call to it: no value is stored.
     ``with_override`` makes a corrupted copy for negative controls.
-    ``radius`` is the ball of group elements the cocycle is stated on.
     """
 
     kind: str
@@ -79,7 +78,6 @@ class Morphism:
     target: ActionSystem
     point_map: Callable
     evaluator: Callable
-    radius: int
     meta: dict = field(default_factory=dict)
     _inverse: "Morphism | None" = None
 
@@ -116,7 +114,7 @@ def identity_morphism(system: ActionSystem) -> Morphism:
     meta = {"constant": 0}
     if isinstance(system.group, LatticeGroup):
         meta["matrix"] = linalg.identity(system.group.dimension)
-    morphism = Morphism("trivial", system, system, lambda x: x, lambda g, x: g, 8, meta)
+    morphism = Morphism("trivial", system, system, lambda x: x, lambda g, x: g, meta)
     morphism._inverse = morphism
     return morphism
 
@@ -133,13 +131,10 @@ def odometer_translation_system(space: OdometerSpace, points: Sequence) -> Actio
 
 def matrix_morphism(matrix, space: OdometerSpace, points: Sequence) -> Morphism:
     """The matrix automorphism of the odometer: point map is multiplication
-    by the matrix, the cocycle is the constant g -> A g, exactly (stated on
-    B(8), as for the identity)."""
+    by the matrix, the cocycle is the constant g -> A g, exactly.  The
+    matrix is validated as ``matrix_act`` validates it."""
     mat = linalg.as_matrix(matrix)
-    if not linalg.is_integral(mat):
-        raise ValueError("constant odometer cocycle needs an integer matrix")
-    if abs(linalg.det(mat)) != 1:
-        raise ValueError("matrix determinant must be +-1")
+    unimodular_rows(mat, space)
     system = odometer_translation_system(space, points)
     group = system.group
 
@@ -153,7 +148,6 @@ def matrix_morphism(matrix, space: OdometerSpace, points: Sequence) -> Morphism:
             system,
             lambda x: matrix_act(m, x, space),
             evaluate,
-            8,
             meta={"matrix": m, "constant": 0},
         )
 
@@ -164,16 +158,15 @@ def matrix_morphism(matrix, space: OdometerSpace, points: Sequence) -> Morphism:
     return morphism
 
 
-def orbit_morphism(space: TruncatedMapSpace, radius: int | None = None, constant=None) -> Morphism:
+def orbit_morphism(space: TruncatedMapSpace, constant=None) -> Morphism:
     """The orbit equivalence of a translate space, as a morphism from the
     source action to the target action on the slice; the point map is the
     identity of the slice and the cocycle carries the translation data.
 
-    The forward cocycle is exact on the stated ball and extended exactly
-    through translate provenance beyond it; its inverse carries the
-    backward cocycle.
+    The forward cocycle reads a germ's table within its radius and is
+    extended exactly through translate provenance beyond it; its inverse
+    carries the backward cocycle.
     """
-    radius = space.radius if radius is None else radius
 
     def act_source(g, germ):
         # Exact through provenance for global seeds; otherwise truncated,
@@ -216,7 +209,7 @@ def orbit_morphism(space: TruncatedMapSpace, radius: int | None = None, constant
         meta["matrix"] = space.seed.floor_map.target
         meta["floor_map"] = space.seed.floor_map
     morphism = Morphism(
-        "orbit-forward", source_system, target_system, lambda x: x, forward, radius, meta
+        "orbit-forward", source_system, target_system, lambda x: x, forward, meta
     )
     inverse = Morphism(
         "orbit-backward",
@@ -224,7 +217,6 @@ def orbit_morphism(space: TruncatedMapSpace, radius: int | None = None, constant
         source_system,
         lambda x: x,
         backward,
-        radius,
         {"space": space, "constant": constant},
     )
     morphism._inverse = inverse
@@ -234,13 +226,13 @@ def orbit_morphism(space: TruncatedMapSpace, radius: int | None = None, constant
 
 def realized_morphism(matrix, tol=1e-9, box_radius: int = 50) -> Morphism:
     """The orbit morphism of the matrix's floor-shear realization (translate
-    space at R = R_t = 2 with no offsets, cocycle stated on B(2)), carrying
+    space at R = R_t = 2 with no offsets), carrying
     the exact constant of its distance certificate on the box of radius
     ``box_radius``; ``meta["certificate"]`` holds the certificate."""
     floor_map = realize_bilipschitz(matrix, tol)
     cert = bounded_distance_constant(floor_map, floor_map.target, box_radius)
     space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-    morphism = orbit_morphism(space, radius=2, constant=cert.constant)
+    morphism = orbit_morphism(space, constant=cert.constant)
     morphism.meta["certificate"] = cert
     return morphism
 
@@ -266,7 +258,6 @@ def compose_morphisms(eta: Morphism, theta: Morphism) -> Morphism:
             eta.target,
             lambda x: eta.point_map(theta.point_map(x)),
             evaluate,
-            min(eta.radius, theta.radius),
             _composed_meta(eta, theta),
         )
 

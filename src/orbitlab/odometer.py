@@ -44,7 +44,7 @@ _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class OdometerSpace:
-    __slots__ = ("bases", "depth", "moduli", "_actions")
+    __slots__ = ("bases", "depth", "moduli")
 
     def __init__(self, bases: Sequence[int], depth: int):
         bases = tuple(int(p) for p in bases)
@@ -55,8 +55,6 @@ class OdometerSpace:
         self.bases = bases
         self.depth = depth
         self.moduli = tuple(p**depth for p in bases)
-        # Integer rows of each matrix validated for this space, keyed by entries.
-        self._actions: dict = {}
 
     @property
     def dimension(self) -> int:
@@ -97,10 +95,7 @@ class OdometerSpace:
         return DigitPoint((0,) * self.dimension, self)
 
     def point_count(self) -> int:
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
+        return math.prod(self.moduli)
 
     def sweep_count(self) -> int:
         """The number of depth-N points; refuses spaces over ``SWEEP_BUDGET``."""
@@ -206,6 +201,16 @@ def _check_serializable(p: int) -> None:
 def _prefix_value(digits: Sequence[int], p: int) -> int:
     """The value of a least-significant-first digit string."""
     return sum(d * p**k for k, d in enumerate(digits))
+
+
+def class_code(residues, moduli):
+    """The mixed-radix code of the residue class mod ``moduli`` (last
+    coordinate fastest), for one tuple of residues or for every column of
+    an array."""
+    code = 0
+    for r, q in zip(residues, moduli):
+        code = code * q + r % q
+    return code
 
 
 @dataclass(frozen=True)
@@ -370,30 +375,21 @@ def refine_common(partitions: Sequence[Sequence[ClopenSet]], space: OdometerSpac
     return atoms
 
 
-def _integer_rows(matrix, space: OdometerSpace) -> tuple[tuple[int, ...], ...]:
-    """The rows of a det +-1 integer matrix acting on ``space``.
-
-    The matrix is validated once per (matrix, space) pair: equal bases,
-    dimension, integer entries and determinant.  The rows are cached on the
-    space under the matrix entries, so a matrix that fails is rejected on
-    every call before any point is acted on.
-    """
-    key = tuple(map(tuple, matrix))
-    rows = space._actions.get(key)
-    if rows is None:
-        mat = linalg.as_matrix(key)
-        if len(set(space.bases)) != 1:
-            raise ValueError("matrix action needs equal bases in all coordinates")
-        if len(mat) != space.dimension:
-            raise ValueError("matrix dimension mismatch")
-        if not linalg.is_integral(mat):
-            raise ValueError("matrix must have integer entries")
-        determinant = linalg.det(mat)
-        if abs(determinant) != 1:
-            raise ValueError(f"matrix determinant {determinant} is not +-1")
-        rows = tuple(tuple(int(v) for v in row) for row in mat)
-        space._actions[key] = rows
-    return rows
+def unimodular_rows(matrix, space: OdometerSpace) -> tuple[tuple[int, ...], ...]:
+    """The rows of a det +-1 integer matrix acting on ``space``, validated on
+    every call before any point is acted on: equal bases, dimension,
+    integer entries and determinant."""
+    mat = linalg.as_matrix(matrix)
+    if len(set(space.bases)) != 1:
+        raise ValueError("matrix action needs equal bases in all coordinates")
+    if len(mat) != space.dimension:
+        raise ValueError("matrix dimension mismatch")
+    if not linalg.is_integral(mat):
+        raise ValueError("matrix must have integer entries")
+    determinant = linalg.det(mat)
+    if abs(determinant) != 1:
+        raise ValueError(f"matrix determinant {determinant} is not +-1")
+    return tuple(tuple(int(v) for v in row) for row in mat)
 
 
 def matrix_act(matrix, x: DigitPoint, space: OdometerSpace) -> DigitPoint:
@@ -401,7 +397,7 @@ def matrix_act(matrix, x: DigitPoint, space: OdometerSpace) -> DigitPoint:
 
     Requires a single base across coordinates, since the matrix mixes them.
     """
-    rows = _integer_rows(matrix, space)
+    rows = unimodular_rows(matrix, space)
     space.validate_point(x)
     modulus = space.moduli[0]
     residues = x.residues
@@ -414,7 +410,7 @@ def matrix_act_array(matrix, residues: np.ndarray, space: OdometerSpace) -> np.n
     """``matrix_act`` on every column of a residue array from ``all_residues``
     or ``residue_array``: the validated rows, reduced mod p^N, times the
     array, mod p^N, in the array's dtype."""
-    rows = _integer_rows(matrix, space)
+    rows = unimodular_rows(matrix, space)
     modulus = space.moduli[0]
     reduced = np.array([[a % modulus for a in row] for row in rows], dtype=residues.dtype)
     return (reduced @ residues) % modulus
@@ -437,14 +433,11 @@ def bijectivity_check_at_depth(matrix, space: OdometerSpace) -> CheckResult:
     That point (or the first one) and its earlier partner are acted on again
     by ``matrix_act``.
     """
-    _integer_rows(matrix, space)  # a bad matrix is refused before the budget
+    unimodular_rows(matrix, space)  # a bad matrix is refused before the budget
     residues = space.all_residues()
     images = matrix_act_array(matrix, residues, space)
     count = residues.shape[1]
-    modulus = space.moduli[0]
-    codes = np.zeros(count, dtype=np.int64)
-    for row in images:
-        codes = codes * modulus + row
+    codes = class_code(images, space.moduli)
     # A stable sort keeps equal images in point order; the first repeat is
     # the least index that follows an equal code.
     order = np.argsort(codes, kind="stable")
@@ -485,9 +478,7 @@ def minimality_witness(space: OdometerSpace, k: int) -> CheckResult:
             notes="depth 0 has a single cylinder",
         )
     ranges = [p**k for p in space.bases]
-    total = 1
-    for r in ranges:
-        total *= r
+    total = math.prod(ranges)
     if total > SWEEP_BUDGET:
         raise ValueError(f"sweep needs {total} cylinders, over budget {SWEEP_BUDGET}")
     zero = space.zero()
@@ -596,25 +587,20 @@ def haar_invariance_check(space: OdometerSpace, radius: int, k: int, rng) -> Che
 
 
 def wandering_check(clopen: ClopenSet, radius: int, space: OdometerSpace):
-    """Search the L1 ball for g != 0 with (U + g) meeting U.
+    """Search the L1 ball B(radius) of Z^d, in (L1 norm, coordinates) order,
+    for g != 0 with (U + g) meeting U.
 
     Returns the witness vector, or None when no witness exists within the
     radius (the report is honest about its bounded search).  For nonempty U a
-    witness always exists once the radius reaches max p_i^N.
+    witness always exists once the radius reaches max p_i^N.  The ball
+    refuses a negative radius and one past ``BALL_BUDGET``.
     """
     clopen.validate(space)
     if clopen.is_empty():
         raise ValueError("wandering check expects a nonempty clopen set")
-    d = space.dimension
-    candidates = sorted(
-        (
-            coords
-            for coords in itertools.product(range(-radius, radius + 1), repeat=d)
-            if 0 < sum(abs(c) for c in coords) <= radius
-        ),
-        key=lambda c: (sum(abs(x) for x in c), c),
-    )
-    for coords in candidates:
+    ball = LatticeGroup(space.dimension).standard_generators().ball(radius)
+    candidates = sorted((g.coords for g in ball), key=lambda c: (sum(map(abs, c)), c))
+    for coords in candidates[1:]:
         if clopen.translate(coords, space).overlaps(clopen):
             return coords
     return None

@@ -154,7 +154,7 @@ def test_criterion_3_translate_space_battery():
     closure = check_lipschitz_closure(space)
     assert closure.passed and closure.checked == len(space.members)
 
-    table = orbit_morphism(space, 4)
+    table = orbit_morphism(space)
     identity = check_cocycle_identity(space, table, 2)
     assert identity.passed
     assert identity.checked == len(space.source_gens.ball(2)) ** 2 * len(space.slice_members)
@@ -166,7 +166,7 @@ def test_criterion_3_translate_space_battery():
         orbit = check_orbit_equality(space, psi, 2)
         assert orbit.passed
 
-    eta = orbit_morphism(space, radius=2)
+    eta = orbit_morphism(space)
     inverse = check_inverse_identities(eta, eta.inverse(), 2)
     assert inverse.passed and inverse.checked > 0
 
@@ -317,7 +317,7 @@ def test_criterion_8_negative_controls():
     floor_map = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
     space = build_translate_space(FloorMapSeed(floor_map), 4, 3, offset_radius=1)
 
-    table = orbit_morphism(space, 4)
+    table = orbit_morphism(space)
     psi = space.slice_members[0]
     corrupted = table.with_override(Z2.element((1, 0)), psi, Z2.element((9, 9)))
     identity_check = check_cocycle_identity(space, corrupted, 2)

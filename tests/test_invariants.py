@@ -160,7 +160,7 @@ def realized_table(matrix, radius=2, translate_radius=2, cert_radius=50):
     space = build_translate_space(
         FloorMapSeed(floor_map), radius, translate_radius, offset_radius=0
     )
-    table = orbit_morphism(space, radius, cert.constant)
+    table = orbit_morphism(space, cert.constant)
     return table, cert, floor_map
 
 

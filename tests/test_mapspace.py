@@ -293,7 +293,7 @@ class TestCocycles:
                 assert gap <= 2
 
     def test_global_matches_table_form(self, shear_space):
-        table = orbit_morphism(shear_space, 4)
+        table = orbit_morphism(shear_space)
         for psi in shear_space.slice_members:
             for g in shear_space.source_gens.ball(3):
                 assert table.evaluate(g, psi) == shear_space.global_forward_cocycle(g, psi)
@@ -335,18 +335,13 @@ class TestBattery:
         assert check_action_law(shear_space, 2).passed
 
     def test_cocycle_identity(self, shear_space):
-        table = orbit_morphism(shear_space, 4)
+        table = orbit_morphism(shear_space)
         result = check_cocycle_identity(shear_space, table, 2)
         assert result.passed
         assert result.checked == 13 * 13 * len(shear_space.slice_members)
 
-    def test_cocycle_identity_coverage_guard(self, shear_space):
-        table = orbit_morphism(shear_space, 2)
-        with pytest.raises(TruncationError, match="identity sweep"):
-            check_cocycle_identity(shear_space, table, 2)
-
     def test_corrupted_table_fails_with_witness(self, shear_space):
-        table = orbit_morphism(shear_space, 4)
+        table = orbit_morphism(shear_space)
         psi = shear_space.slice_members[0]
         g = Z2.element((1, 0))
         bad = table.with_override(g, psi, Z2.element((9, 9)))
@@ -643,7 +638,7 @@ class TestFreeness:
 
 class TestBackwardTable:
     def test_backward_acts_consistently(self, shear_space):
-        backward = orbit_morphism(shear_space, 4).inverse()
+        backward = orbit_morphism(shear_space).inverse()
         psi = shear_space.slice_members[0]
         for g in shear_space.source_gens.ball(2):
             lam = shear_space.forward_cocycle(g, psi)
@@ -685,7 +680,7 @@ class TestNonAbelianSeed:
         space, _ = nielsen_space
         assert check_lipschitz_closure(space).passed
         assert check_action_law(space, 1).passed
-        table = orbit_morphism(space, 2)
+        table = orbit_morphism(space)
         assert check_cocycle_identity(space, table, 1).passed
         assert check_fundamental_domain(space, 1).passed
         for psi in space.slice_members:
@@ -695,6 +690,6 @@ class TestNonAbelianSeed:
         from orbitlab.morphisms import check_equivariance, check_inverse_identities
 
         space, _ = nielsen_space
-        eta = orbit_morphism(space, radius=1)
+        eta = orbit_morphism(space)
         assert check_equivariance(eta, 1).passed
         assert check_inverse_identities(eta, eta.inverse(), 1).passed

@@ -34,7 +34,7 @@ def shear_orbit():
     f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
     cert = bounded_distance_constant(f, f.target, 50)
     space = build_translate_space(FloorMapSeed(f), 6, 4, offset_radius=0)
-    return orbit_morphism(space, radius=2, constant=cert.constant)
+    return orbit_morphism(space, constant=cert.constant)
 
 
 class TestMatrixMorphism:
@@ -83,7 +83,7 @@ class TestOrbitMorphism:
         Z2 = LatticeGroup(2)
         f = realize_bilipschitz(linalg.parse_matrix("1 0.5; 0 1"), Fraction("1e-9"))
         space = build_translate_space(FloorMapSeed(f), 4, 3, offset_radius=1)
-        eta = orbit_morphism(space, radius=2)
+        eta = orbit_morphism(space)
         g, psi = Z2.element((1, 0)), space.slice_members[0]
         assert check_equivariance(eta, 1).passed
         result = check_equivariance(eta.with_override(g, psi, Z2.element((9, 9))), 1)
@@ -185,4 +185,4 @@ def _quarter_shear_twins():
         for g0 in (Z2.element((0, -1)), Z2.element((0, -2)))
     ]
     assert germs[0].key() == germs[1].key()
-    return orbit_morphism(space, radius=2), germs, Z2.element((0, 2))
+    return orbit_morphism(space), germs, Z2.element((0, 2))

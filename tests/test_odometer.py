@@ -247,7 +247,7 @@ class TestDepthBijectivity:
     def test_collision_fails_with_witness(self, monkeypatch):
         # det +-1 integer matrices always permute, so a singular action is
         # injected under the validation
-        monkeypatch.setattr(odometer, "_integer_rows", lambda matrix, space: ((3, 0), (0, 1)))
+        monkeypatch.setattr(odometer, "unimodular_rows", lambda matrix, space: ((3, 0), (0, 1)))
         for check in (bijectivity_check_at_depth, ref_bijectivity_check_at_depth):
             result = check([[1, 0], [0, 1]], OdometerSpace((3, 3), 2))
             assert not result.passed
@@ -655,7 +655,7 @@ class TestResidueMatchesDigitReference:
 
 
 def ref_bijectivity_check_at_depth(matrix, space):
-    rows = odometer._integer_rows(matrix, space)
+    rows = odometer.unimodular_rows(matrix, space)
     count = space.point_count()
     if count > odometer.SWEEP_BUDGET:
         raise ValueError(f"depth sweep needs {count} points, over budget {odometer.SWEEP_BUDGET}")
@@ -838,7 +838,7 @@ class TestArrayMatchesScalarReference:
         # rows injected under the validation, singular ones included
         space = data.draw(sweep_spaces([(2,), (3,), (7,), (2, 2), (3, 3), (2, 2, 2)]))
         rows = tuple(map(tuple, data.draw(integer_rows(space.dimension, space.moduli[0]))))
-        with patch.object(odometer, "_integer_rows", lambda matrix, sp: rows):
+        with patch.object(odometer, "unimodular_rows", lambda matrix, sp: rows):
             same_check(bijectivity_check_at_depth(None, space),
                        ref_bijectivity_check_at_depth(None, space))
 

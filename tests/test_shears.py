@@ -484,7 +484,7 @@ class TestChainBound:
         S = Z2.standard_generators()
         f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
         space = build_translate_space(FloorMapSeed(f), 6, 2, offset_radius=0)
-        table = orbit_morphism(space, 6)
+        table = orbit_morphism(space)
         constant = 0
         for s in S.elements:
             for psi in space.slice_members:
@@ -528,7 +528,7 @@ class TestExtract:
     def test_translate_space_cocycle_tracks_seed(self):
         f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
         space = build_translate_space(FloorMapSeed(f), 5, 2, offset_radius=0)
-        table = orbit_morphism(space, 5)
+        table = orbit_morphism(space)
         # deduplication may register the seed's own germ under another
         # translate, so locate it by its table
         basepoint = next(
