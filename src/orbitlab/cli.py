@@ -68,6 +68,11 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _given(name: str) -> bool:
+    """Whether an option was set explicitly rather than left at its default."""
+    return click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT
+
+
 @click.group()
 def main():
     """Verification experiments for orbit equivalence at desk scale."""
@@ -170,21 +175,22 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
     fundamental domain, orbit equality, inverse identities, forced freeness."""
     _require(window >= 0, "window must be >= 0")
     _require(window <= radius, f"window {window} exceeds the germ radius {radius}")
+    # The corruption overrides the cocycle at the first g != e of B(W).
+    _require(not inject_corruption or window >= 1, "--inject-corruption needs --window >= 1")
     _require(
         radius + translate_radius <= BALL_BUDGET,
         f"radius + translate radius = {radius + translate_radius} exceeds the ball budget {BALL_BUDGET}",
     )
-    source = click.get_current_context().get_parameter_source
     a = None if matrix is None else linalg.parse_matrix(matrix)
     if a is None:
         # --tol is the realization tolerance of a matrix seed; the identity
         # seed reads none.
-        _require(source("tol") is ParameterSource.DEFAULT, "--tol is read only with --matrix")
+        _require(not _given("tol"), "--tol is read only with --matrix")
     else:
         # --dimension sizes the identity seed; given next to a matrix it
         # must agree with it.
         _require(
-            source("dimension") is ParameterSource.DEFAULT or dimension == len(a),
+            not _given("dimension") or dimension == len(a),
             f"--dimension {dimension} does not match the {len(a)}x{len(a)} matrix",
         )
         dimension = len(a)
@@ -310,9 +316,10 @@ def _first_coordinate_shuffle(space, rng):
 def functoriality(matrices, p, depth, n, samples, tol, seed):
     """Invariant of a composite morphism vs the product of invariants.
 
-    Integer matrices run as constant odometer cocycles (exact); any
-    non-integer entry switches to floor-shear realizations with an error
-    budget.
+    Integer matrices run as constant odometer cocycles (exact), on sample
+    points drawn by ``--seed`` from the ``--p``, ``--depth`` odometer; any
+    non-integer entry switches to floor-shear realizations at ``--tol``
+    with an error budget.  An explicit option the route does not read exits 2.
     """
     _require(len(matrices) == 2, "give --matrix exactly twice")
     _require(samples >= 1, "samples must be >= 1")
@@ -326,6 +333,9 @@ def functoriality(matrices, p, depth, n, samples, tol, seed):
         and abs(linalg.det(first)) == 1
         and abs(linalg.det(second)) == 1
     )
+    route = "constant" if constant_mode else "realized"
+    for name in ("tol",) if constant_mode else ("seed", "p", "depth", "samples"):
+        _require(not _given(name), f"--{name} is not read by the {route} route")
     rng = random.Random(seed)
     if constant_mode:
         space = OdometerSpace((p,) * len(first), depth)
@@ -337,7 +347,7 @@ def functoriality(matrices, p, depth, n, samples, tol, seed):
         eta = realized_morphism(first, Fraction(tol), REALIZED_BOX_RADIUS)
         theta = realized_morphism(second, Fraction(tol), REALIZED_BOX_RADIUS)
 
-    return [functoriality_check(eta, theta, n)], {"mode": "constant" if constant_mode else "realized"}
+    return [functoriality_check(eta, theta, n)], {"mode": route}
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ SWEEP_BLOCK = 4096
 
 # Integers below this bound in magnitude are stored as int64: the sum or
 # difference of two of them still fits.
-_INT64_SAFE = 1 << 62
+INT64_SAFE = 1 << 62
 
 
 class BudgetExceeded(RuntimeError):
@@ -509,7 +509,7 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
     rows = [v.coords for v in images]
     # cap exceeds every target distance, so every key is below cap * total.
     cap = 2 * target.group.dimension * max((abs(c) for row in rows for c in row), default=0) + 1
-    dtype = np.int64 if cap * (total + 1) < _INT64_SAFE else object
+    dtype = np.int64 if cap * (total + 1) < INT64_SAFE else object
     values = np.array(rows, dtype=dtype).reshape(n, -1)
     size = 2 * radius + 1
     least = np.full(size, cap * total, dtype=dtype)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .checks import CheckResult
 from .groups import (
-    _INT64_SAFE,
     BALL_BUDGET,
+    INT64_SAFE,
     GeneratingSet,
     LatticeElement,
     LatticeGroup,
@@ -124,16 +124,16 @@ def _as_rows(group, values: list) -> np.ndarray:
         rows[:] = values
         return rows
     coords = [v.coords for v in values]
-    fits = all(-_INT64_SAFE < c < _INT64_SAFE for row in coords for c in row)
+    fits = all(-INT64_SAFE < c < INT64_SAFE for row in coords for c in row)
     return np.array(coords, dtype=np.int64 if fits else object).reshape(len(coords), -1)
 
 
 def _offset(rows: np.ndarray, shift: tuple) -> np.ndarray:
     """rows + shift, exactly.  Two int64 terms below 2^62 cannot overflow,
     and a sum that leaves that bound is redone on Python integers."""
-    if rows.dtype != object and all(-_INT64_SAFE < c < _INT64_SAFE for c in shift):
+    if rows.dtype != object and all(-INT64_SAFE < c < INT64_SAFE for c in shift):
         out = rows + np.array(shift, dtype=np.int64)
-        if np.abs(out).max(initial=0) < _INT64_SAFE:
+        if np.abs(out).max(initial=0) < INT64_SAFE:
             return out
     return rows.astype(object) + np.array(shift, dtype=object)
 
@@ -378,7 +378,7 @@ class TruncatedMapSpace:
         rows = germ.table
         if rows.ndim == 1:
             hits = np.flatnonzero(rows == target_value)
-        elif rows.dtype == object or all(-_INT64_SAFE < c < _INT64_SAFE for c in target_value.coords):
+        elif rows.dtype == object or all(-INT64_SAFE < c < INT64_SAFE for c in target_value.coords):
             hits = np.flatnonzero((rows == np.array(target_value.coords, dtype=rows.dtype)).all(axis=1))
         else:
             hits = ()  # no int64 row holds a value that large
@@ -719,6 +719,12 @@ def force_freeness(space: TruncatedMapSpace, odometer: OdometerSpace, window: in
     on the odometer side, which destroys every finite-window fixed point.
     Every non-identity g of the window ball moves every (slice member,
     odometer zero) pair.
+
+    A witness needs g to fix the odometer zero.  On the base-2 odometer of
+    depth N with 2^N > W that the CLI builds (N = max(3, W.bit_length())), every
+    g != e of B(W) has a coordinate 0 < |g_i| < 2^N and moves the zero, so
+    the check passes whatever the germs are; only a too-shallow odometer
+    makes it fail.
     """
     src = space.source_gens.group
     tgt = space.target_gens.group

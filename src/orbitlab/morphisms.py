@@ -316,7 +316,12 @@ def check_equivariance(morphism: Morphism, radius: int) -> CheckResult:
 
 
 def check_inverse_equivariance(morphism: Morphism, radius: int) -> CheckResult:
-    """point_map(g^-1 . x) == cocycle(g, g^-1 x)^-1 . point_map(x)."""
+    """point_map(g^-1 . x) == cocycle(g, g^-1 x)^-1 . point_map(x).
+
+    It reads the cocycle only at (g, g^-1 . x), never at (g, x), so a
+    ``with_override`` at a sampled pair (g, x) never reaches it;
+    ``check_equivariance`` is the check that sees such an override.
+    """
     checked = 0
     witnesses = []
     for x in morphism.source.points:

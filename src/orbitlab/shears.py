@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .checks import CheckResult
-from .groups import _INT64_SAFE, is_bilipschitz_on_ball
+from .groups import INT64_SAFE, is_bilipschitz_on_ball
 from .odometer import SWEEP_BUDGET
 
 _PIVOT_FLOOR = Fraction(1, 10**12)
@@ -218,7 +218,7 @@ class FloorMap:
             if isinstance(op, Shear):
                 p, q = abs(op.coeff.numerator), op.coeff.denominator
                 bounds[op.i] += (p * bounds[op.j]) // q + 1
-                if max(p * bounds[op.j], q, bounds[op.i]) >= _INT64_SAFE:
+                if max(p * bounds[op.j], q, bounds[op.i]) >= INT64_SAFE:
                     return False
         return True
 
@@ -365,7 +365,7 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     common_den = math.lcm(*(x.denominator for row in a for x in row))
     int_a = [[int(x * common_den) for x in row] for row in a]
     max_entry = max(abs(e) for row in int_a for e in row)
-    coords_fit = max_entry * max(radius, 1) * d < _INT64_SAFE
+    coords_fit = max_entry * max(radius, 1) * d < INT64_SAFE
 
     side = 2 * radius + 1
     gap_inf = np.zeros(side**d, dtype=np.int64)
@@ -375,7 +375,7 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
         fast = (
             coords_fit
             and images.dtype == np.int64
-            and common_den * max(_row_bound(row) for row in images) < _INT64_SAFE
+            and common_den * max(_row_bound(row) for row in images) < INT64_SAFE
         )
         dtype = np.int64 if fast else object
         if not fast and gap_inf.dtype == np.int64:

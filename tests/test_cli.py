@@ -350,6 +350,20 @@ class TestFunctoriality:
             "B(20) in Z^3 has 11521 points, 66360960 pairs per sweep, over budget 4194304",
         ),
         (["gromov-check", "--tol", "1e-9"], "--tol is read only with --matrix"),
+        (
+            ["gromov-check", "--radius", "2", "--translate-radius", "2", "--window", "0",
+             "--inject-corruption"],
+            "--inject-corruption needs --window >= 1",
+        ),
+        *(
+            (["functoriality", "--matrix", "1 0.5; 0 1", "--matrix", "1 0; 0.25 1", option, value],
+             f"{option} is not read by the realized route")
+            for option, value in (("--seed", "3"), ("--p", "2"), ("--depth", "3"), ("--samples", "4"))
+        ),
+        (
+            ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1", "--tol", "1e-6"],
+            "--tol is not read by the constant route",
+        ),
     ],
 )
 def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, argv, message):
@@ -470,11 +484,18 @@ class TestReportContract:
         assert "No such option" in result.stderr
 
     def test_functoriality_takes_seed_and_tol(self, runner):
-        result = runner.invoke(
+        # each route takes its own option: --seed the constant, --tol the realized
+        constant = runner.invoke(
             main,
             ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1",
-             "--p", "2", "--depth", "3", "--n", "64", "--seed", "3", "--tol", "1e-6", "--json"],
+             "--p", "2", "--depth", "3", "--n", "64", "--seed", "3", "--json"],
         )
-        assert result.exit_code == 0, result.output
-        config = json.loads(result.output)["config"]
-        assert (config["seed"], config["tol"]) == (3, "1e-6")
+        realized = runner.invoke(
+            main,
+            ["functoriality", "--matrix", "1 0.5; 0 1", "--matrix", "1 0; 0.25 1",
+             "--tol", "1e-6", "--json"],
+        )
+        assert constant.exit_code == 0, constant.output
+        assert realized.exit_code == 0, realized.output
+        assert json.loads(constant.output)["config"]["seed"] == 3
+        assert json.loads(realized.output)["config"]["tol"] == "1e-6"

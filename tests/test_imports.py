@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and so is
-every private name it defines at its top level.
+every private name it defines at its top level.  No module imports a
+private name from another orbitlab module: what two modules share is public.
 
 ``__init__.py`` only re-exports, so it is left out.  A name counts as used
 when it is read as a bare name anywhere in the module, the root of an
@@ -110,3 +111,31 @@ def test_the_guard_sees_an_unused_private_name():
     )
     unused = {n for n in private_definitions(tree) if n not in used_names(tree)}
     assert unused == {"_SPARE", "_left", "_Shape"}
+
+
+def private_imports(tree: ast.Module) -> dict[str, int]:
+    """Each private name imported from an orbitlab module (a relative import
+    or one from ``orbitlab``), with its line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "orbitlab"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    names[alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert private_imports(tree) == {}, f"{path.name} imports private names: {private_imports(tree)}"
+
+
+def test_the_guard_sees_a_private_import():
+    tree = ast.parse(
+        "from .groups import _LIMIT, ball\nfrom orbitlab.odometer import _helper\n"
+        "from . import _shared, linalg\nfrom typing import _Final\n"
+    )
+    assert set(private_imports(tree)) == {"_LIMIT", "_helper", "_shared"}

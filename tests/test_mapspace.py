@@ -339,6 +339,8 @@ class TestBattery:
         result = check_cocycle_identity(shear_space, table, 2)
         assert result.passed
         assert result.checked == 13 * 13 * len(shear_space.slice_members)
+        # table_radius is the reach 2 radius of the products g h
+        assert result.coverage == {"R": 2, "table_radius": 4}
 
     def test_corrupted_table_fails_with_witness(self, shear_space):
         table = orbit_morphism(shear_space)

@@ -16,7 +16,7 @@ from orbitlab.morphisms import (
     orbit_morphism,
     realized_morphism,
 )
-from orbitlab.odometer import OdometerSpace
+from orbitlab.odometer import OdometerSpace, matrix_act
 from orbitlab.shears import bounded_distance_constant, realize_bilipschitz
 
 SHEAR = [[1, 1], [0, 1]]
@@ -53,6 +53,18 @@ class TestMatrixMorphism:
         space, points = odometer_points
         eta = matrix_morphism(ROTATION, space, points)
         assert check_inverse_equivariance(eta, 3).passed
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [([["1", "0.5"], ["0", "1"]], "matrix must have integer entries"),
+         ([[2, 0], [0, 1]], r"matrix determinant 2 is not \+-1")],
+    )
+    def test_refuses_what_matrix_act_refuses(self, odometer_points, matrix, message):
+        space, points = odometer_points
+        with pytest.raises(ValueError, match=message):
+            matrix_morphism(matrix, space, points)
+        with pytest.raises(ValueError, match=message):
+            matrix_act(matrix, points[0], space)
 
     def test_mismatched_inverse_fails(self, odometer_points):
         # pairing the shear with the rotation's inverse must produce witnesses

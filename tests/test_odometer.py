@@ -18,7 +18,7 @@ from orbitlab.fullgroup import (
     conjugate_by_translation,
     spatial_realization_gap,
 )
-from orbitlab.groups import LatticeGroup
+from orbitlab.groups import BALL_BUDGET, BudgetExceeded, LatticeGroup
 from orbitlab.odometer import (
     ClopenSet,
     Cylinder,
@@ -398,6 +398,9 @@ class TestWandering:
         U = ClopenSet((Cylinder(((0,),)),))
         witness = wandering_check(U, 3, sp)
         assert witness in ((2,), (-2,))
+        # in 2-D the first witness in (L1, coordinates) order is (-2, 0)
+        sp2 = OdometerSpace((2, 2), 3)
+        assert wandering_check(ClopenSet((Cylinder(((0,), (0,))),)), 3, sp2) == (-2, 0)
 
     def test_bounded_search_is_honest(self):
         sp = OdometerSpace((2,), 4)
@@ -409,6 +412,14 @@ class TestWandering:
         sp = OdometerSpace((2,), 3)
         with pytest.raises(ValueError, match="nonempty"):
             wandering_check(ClopenSet(()), 2, sp)
+
+    def test_radius_refused_by_the_ball(self):
+        # the search is the standard L1 ball, with its budget and radius check
+        sp = OdometerSpace((2,), 3)
+        with pytest.raises(BudgetExceeded):
+            wandering_check(sp.whole_space(), BALL_BUDGET + 1, sp)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            wandering_check(sp.whole_space(), -1, sp)
 
 
 # ---------------------------------------------------------------------------
