@@ -2,9 +2,9 @@
 every private name it defines at its top level.  No module imports a
 private name from another orbitlab module: what two modules share is public.
 
-``__init__.py`` only re-exports, so it is left out.  A name counts as used
-when it is read as a bare name anywhere in the module, the root of an
-attribute chain included, or inside a quoted annotation.  A private name
+``__init__.py`` only re-exports, so the two usage guards leave it out.  A
+name counts as used when it is read as a bare name anywhere in the module,
+the root of an attribute chain included, or inside a quoted annotation.  A private name
 (``_helper``, ``_CONSTANT``) that its own module never reads is left over.
 """
 import ast
