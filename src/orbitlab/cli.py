@@ -143,9 +143,8 @@ def realize(matrix, n, samples, radius, tol):
     a = linalg.parse_matrix(matrix)
     d = len(a)
     check_box_budget(radius, d)
-    eta = realized_morphism(a, Fraction(tol), radius)
-    cert = eta.meta["certificate"]
-    points = eta.meta["space"].slice_members[:samples]
+    eta, cert = realized_morphism(a, Fraction(tol), radius)
+    points = eta.space.slice_members[:samples]
     invariant = recover_invariant_matrix(eta, n, points)
 
     det_tol = Fraction(10 * d) * cert.constant / n
@@ -155,7 +154,7 @@ def realize(matrix, n, samples, radius, tol):
         multiplicativity_check(invariant),
     ]
     return checks, {
-        "decomposition": [op.to_json() for op in eta.meta["floor_map"].ops],
+        "decomposition": [op.to_json() for op in eta.space.seed.floor_map.ops],
         "certificate": cert.to_json(),
         "invariant": invariant.to_json(),
     }
@@ -344,8 +343,8 @@ def functoriality(matrices, p, depth, n, samples, tol, seed):
         theta = matrix_morphism(second, space, points)
     else:
         check_box_budget(REALIZED_BOX_RADIUS, len(first))
-        eta = realized_morphism(first, Fraction(tol), REALIZED_BOX_RADIUS)
-        theta = realized_morphism(second, Fraction(tol), REALIZED_BOX_RADIUS)
+        eta, _ = realized_morphism(first, Fraction(tol), REALIZED_BOX_RADIUS)
+        theta, _ = realized_morphism(second, Fraction(tol), REALIZED_BOX_RADIUS)
 
     return [functoriality_check(eta, theta, n)], {"mode": route}
 

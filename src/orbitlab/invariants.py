@@ -3,9 +3,10 @@
 The graded algebra realizes the cohomology of the lattice: degree-one is
 R^d, a matrix acts on degree k through its k-th exterior power, and the top
 degree is scaled by the determinant.  The invariant matrix of a cocycle is
-recovered from its large-scale growth: column i is the averaged cocycle
-value at n e_i divided by n, exact over the rationals, with an O(C/n) error
-bound when the cocycle stays within distance C of a linear map.
+recovered from its large-scale growth: column i is the averaged inverse of
+the cocycle value at (n e_i)^-1 divided by n, exact over the rationals, with
+an O(C/n) error bound when the cocycle stays within distance C of a linear
+map.
 """
 from __future__ import annotations
 
@@ -184,10 +185,12 @@ def recover_invariant_matrix(
     """Recover the linear part of a morphism's cocycle from its growth at scale n.
 
     Column i is the average over sample points x of
-    cocycle(n e_i, (n e_i)^-1 . x) / n, computed in exact rational
-    arithmetic.  When the cocycle stays within sup-distance C of a linear
-    map, every entry is within C/n of that map; the attached error bound is
-    C/n with C the constant the morphism records in ``meta["constant"]``.
+    cocycle((n e_i)^-1, x)^-1 / n, computed in exact rational arithmetic.
+    By the cocycle identity this is cocycle(n e_i, (n e_i)^-1 . x) / n, read
+    without moving x: recovery evaluates the cocycle and never acts.  When
+    the cocycle stays within sup-distance C of a linear map, every entry is
+    within C/n of that map; the attached error bound is C/n with C the
+    morphism's ``constant``.
     """
     if n < 1:
         raise ValueError("growth scale n must be >= 1")
@@ -198,15 +201,14 @@ def recover_invariant_matrix(
     samples = tuple(samples) if samples is not None else morphism.source.points
     if not samples:
         raise ValueError("need at least one sample point")
-    constant = morphism.meta.get("constant")
+    constant = morphism.constant
 
     columns = []
     for i in range(d):
-        step = group.basis_vector(i, n)
+        back = group.basis_vector(i, -n)
         total = [Fraction(0)] * d
         for x in samples:
-            moved = morphism.source.act(step.inverse(), x)
-            value = morphism.evaluate(step, moved)
+            value = morphism.evaluate(back, x).inverse()
             for k, coord in enumerate(value.coords):
                 total[k] += Fraction(coord, n)
         columns.append([t / len(samples) for t in total])
@@ -324,8 +326,8 @@ def functoriality_check(eta: Morphism, theta: Morphism, n: int) -> CheckResult:
     product = linalg.mat_mul(m_eta.matrix, m_theta.matrix)
     gap = linalg.max_abs_diff(m_comp.matrix, product)
 
-    c_eta = linalg.as_scalar(eta.meta.get("constant") or 0)
-    c_theta = linalg.as_scalar(theta.meta.get("constant") or 0)
+    c_eta = linalg.as_scalar(eta.constant or 0)
+    c_theta = linalg.as_scalar(theta.constant or 0)
     if c_eta == 0 and c_theta == 0:
         budget = Fraction(0)
     else:

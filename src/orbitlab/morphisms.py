@@ -9,7 +9,8 @@ morphism to its inverse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
@@ -23,7 +24,7 @@ from .mapspace import (
     build_translate_space,
 )
 from .odometer import DigitPoint, OdometerSpace, matrix_act, odometer_add, unimodular_rows
-from .shears import FloorMap, bounded_distance_constant, realize_bilipschitz
+from .shears import DistanceCertificate, FloorMap, bounded_distance_constant, realize_bilipschitz
 
 
 def _points_agree(a, b) -> bool:
@@ -71,6 +72,12 @@ class Morphism:
     ``kind`` names the cocycle.  ``evaluator`` computes cocycle values
     exactly and ``evaluate`` is nothing but a call to it: no value is stored.
     ``with_override`` makes a corrupted copy for negative controls.
+
+    ``constant`` is the sup-distance C of the cocycle from a linear map, when
+    one is known (0 for the exact constant and trivial cocycles), and
+    invariant recovery reports C/n from it.  ``space`` is the translate space
+    of an orbit-forward morphism; its seed's floor map is what composition
+    composes.
     """
 
     kind: str
@@ -78,7 +85,8 @@ class Morphism:
     target: ActionSystem
     point_map: Callable
     evaluator: Callable
-    meta: dict = field(default_factory=dict)
+    constant: Fraction | int | None = None
+    space: TruncatedMapSpace | None = None
     _inverse: "Morphism | None" = None
 
     def inverse(self) -> "Morphism":
@@ -101,20 +109,11 @@ class Morphism:
                 return value
             return original(h, y)
 
-        return replace(
-            self,
-            kind=self.kind + "+corrupted",
-            evaluator=corrupted,
-            meta=dict(self.meta),
-            _inverse=None,
-        )
+        return replace(self, kind=self.kind + "+corrupted", evaluator=corrupted, _inverse=None)
 
 
 def identity_morphism(system: ActionSystem) -> Morphism:
-    meta = {"constant": 0}
-    if isinstance(system.group, LatticeGroup):
-        meta["matrix"] = linalg.identity(system.group.dimension)
-    morphism = Morphism("trivial", system, system, lambda x: x, lambda g, x: g, meta)
+    morphism = Morphism("trivial", system, system, lambda x: x, lambda g, x: g, constant=0)
     morphism._inverse = morphism
     return morphism
 
@@ -148,7 +147,7 @@ def matrix_morphism(matrix, space: OdometerSpace, points: Sequence) -> Morphism:
             system,
             lambda x: matrix_act(m, x, space),
             evaluate,
-            meta={"matrix": m, "constant": 0},
+            constant=0,
         )
 
     morphism = automorphism(mat)
@@ -204,37 +203,28 @@ def orbit_morphism(space: TruncatedMapSpace, constant=None) -> Morphism:
         act=act_target,
         points=space.slice_members,
     )
-    meta = {"space": space, "constant": constant}
-    if isinstance(space.seed, FloorMapSeed):
-        meta["matrix"] = space.seed.floor_map.target
-        meta["floor_map"] = space.seed.floor_map
     morphism = Morphism(
-        "orbit-forward", source_system, target_system, lambda x: x, forward, meta
+        "orbit-forward", source_system, target_system, lambda x: x, forward, constant, space
     )
     inverse = Morphism(
-        "orbit-backward",
-        target_system,
-        source_system,
-        lambda x: x,
-        backward,
-        {"space": space, "constant": constant},
+        "orbit-backward", target_system, source_system, lambda x: x, backward, constant
     )
     morphism._inverse = inverse
     inverse._inverse = morphism
     return morphism
 
 
-def realized_morphism(matrix, tol=1e-9, box_radius: int = 50) -> Morphism:
+def realized_morphism(
+    matrix, tol=1e-9, box_radius: int = 50
+) -> tuple[Morphism, DistanceCertificate]:
     """The orbit morphism of the matrix's floor-shear realization (translate
-    space at R = R_t = 2 with no offsets), carrying
-    the exact constant of its distance certificate on the box of radius
-    ``box_radius``; ``meta["certificate"]`` holds the certificate."""
+    space at R = R_t = 2 with no offsets), carrying the exact constant of its
+    distance certificate on the box of radius ``box_radius``, and that
+    certificate."""
     floor_map = realize_bilipschitz(matrix, tol)
     cert = bounded_distance_constant(floor_map, floor_map.target, box_radius)
     space = build_translate_space(FloorMapSeed(floor_map), 2, 2, offset_radius=0)
-    morphism = orbit_morphism(space, constant=cert.constant)
-    morphism.meta["certificate"] = cert
-    return morphism
+    return orbit_morphism(space, constant=cert.constant), cert
 
 
 def compose_morphisms(eta: Morphism, theta: Morphism) -> Morphism:
@@ -258,23 +248,21 @@ def compose_morphisms(eta: Morphism, theta: Morphism) -> Morphism:
             eta.target,
             lambda x: eta.point_map(theta.point_map(x)),
             evaluate,
-            _composed_meta(eta, theta),
         )
 
-    eta_map = eta.meta.get("floor_map")
-    theta_map = theta.meta.get("floor_map")
-    if eta_map is not None and theta_map is not None:
+    seeds = [None if m.space is None else m.space.seed for m in (eta, theta)]
+    if all(isinstance(seed, FloorMapSeed) for seed in seeds):
+        eta_map, theta_map = (seed.floor_map for seed in seeds)
         composite = FloorMap(
             tuple(eta_map.ops) + tuple(theta_map.ops),
             eta_map.dimension,
             target=linalg.mat_mul(eta_map.target, theta_map.target),
         )
-        template = eta.meta["space"]
         new_space = build_translate_space(
             FloorMapSeed(composite),
-            template.radius,
-            template.translate_radius,
-            offset_radius=template.offset_radius,
+            eta.space.radius,
+            eta.space.translate_radius,
+            offset_radius=eta.space.offset_radius,
         )
         composed = orbit_morphism(new_space)
         composed.kind = "composed-seed"
@@ -282,18 +270,6 @@ def compose_morphisms(eta: Morphism, theta: Morphism) -> Morphism:
     raise ValueError(
         f"cannot compose {eta.kind} after {theta.kind}: systems do not match"
     )
-
-
-def _composed_meta(eta: Morphism, theta: Morphism) -> dict:
-    meta = {}
-    if "matrix" in eta.meta and "matrix" in theta.meta:
-        meta["matrix"] = linalg.mat_mul(eta.meta["matrix"], theta.meta["matrix"])
-    c_eta = eta.meta.get("constant")
-    c_theta = theta.meta.get("constant")
-    if c_eta is not None and c_theta is not None and "matrix" in eta.meta:
-        norm = linalg.row_sum_norm(eta.meta["matrix"])
-        meta["constant"] = c_eta + norm * c_theta
-    return meta
 
 
 def check_equivariance(morphism: Morphism, radius: int) -> CheckResult:

@@ -100,8 +100,8 @@ def test_criterion_1_realization_recovery():
     start = time.time()
     for a in MATRICES:
         d = len(a)
-        table = realized_morphism(a)
-        constant = table.meta["certificate"].constant
+        table, cert = realized_morphism(a)
+        constant = cert.constant
         invariant = recover_invariant_matrix(table, N_SCALE)
         recovery = recovery_check(invariant, a, constant / N_SCALE)
         assert recovery.passed, (a, recovery.coverage)
@@ -298,8 +298,8 @@ def test_criterion_7_functoriality():
     assert exact.passed and exact.coverage["gap"] == 0
 
     realized_result = functoriality_check(
-        realized_morphism([["1", "0"], ["0.25", "1"]]),
-        realized_morphism([["1", "0.5"], ["0", "1"]]),
+        realized_morphism([["1", "0"], ["0.25", "1"]])[0],
+        realized_morphism([["1", "0.5"], ["0", "1"]])[0],
         N_SCALE,
     )
     assert realized_result.passed, realized_result.coverage

@@ -283,7 +283,7 @@ class TestFunctoriality:
         assert result.coverage["budget"] == 0
 
     def test_realized_shears_within_budget(self):
-        eta = realized_morphism([["1", "0"], ["0.25", "1"]])
-        theta = realized_morphism([["1", "0.5"], ["0", "1"]])
+        eta, _ = realized_morphism([["1", "0"], ["0.25", "1"]])
+        theta, _ = realized_morphism([["1", "0.5"], ["0", "1"]])
         result = functoriality_check(eta, theta, 1024)
         assert result.passed

@@ -114,13 +114,13 @@ class TestOrbitMorphism:
         # cocycle value must come from its own provenance
         eta, germs, g = _quarter_shear_twins()
         values = [eta.evaluate(g, germ) for germ in germs]
-        assert values == [eta.meta["space"].global_forward_cocycle(g, germ) for germ in germs]
+        assert values == [eta.space.global_forward_cocycle(g, germ) for germ in germs]
         assert values[0] != values[1]
 
 
 class TestOverride:
     def test_with_override_leaves_the_original_unchanged(self):
-        eta = realized_morphism([["1", "0.5"], ["0", "1"]], box_radius=25)
+        eta, _ = realized_morphism([["1", "0.5"], ["0", "1"]], box_radius=25)
         evaluator = eta.evaluator
         x = eta.source.points[0]
         g, h = eta.source.gens.elements[:2]
@@ -172,12 +172,12 @@ class TestComposition:
             composed.inverse()
 
     def test_seed_composition_for_distinct_slices(self):
-        eta = realized_morphism([["1", "0"], ["0.25", "1"]], box_radius=25)
-        theta = realized_morphism([["1", "0.5"], ["0", "1"]], box_radius=25)
+        eta, _ = realized_morphism([["1", "0"], ["0.25", "1"]], box_radius=25)
+        theta, _ = realized_morphism([["1", "0.5"], ["0", "1"]], box_radius=25)
         composed = compose_morphisms(eta, theta)
         assert composed.kind == "composed-seed"
-        expected = linalg.mat_mul(eta.meta["matrix"], theta.meta["matrix"])
-        assert composed.meta["space"].seed.floor_map.target == expected
+        targets = [m.space.seed.floor_map.target for m in (eta, theta)]
+        assert composed.space.seed.floor_map.target == linalg.mat_mul(*targets)
 
     def test_unrelated_systems_rejected(self, odometer_points, shear_orbit):
         space, points = odometer_points
