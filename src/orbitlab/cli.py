@@ -55,12 +55,12 @@ from .odometer import (
     matrix_equivariance_check,
     minimality_witness,
 )
-from .shears import check_box_budget, realize_bilipschitz
+from .shears import CERTIFICATE_RADIUS, check_box_budget, realize_bilipschitz
 
 SCHEMA = "orbitlab-report/2"
 
-# The certificate box of the realized functoriality route.
-REALIZED_BOX_RADIUS = 50
+# The most cases the gromov-check battery may be bounded by before it runs.
+BATTERY_BUDGET = 2**22
 
 
 def _require(condition: bool, message: str) -> None:
@@ -133,7 +133,8 @@ _seed_option = click.option("--seed", type=int, default=0, show_default=True, he
 @click.option("--matrix", required=True, help='rows split by ";", entries by spaces, e.g. "1 0.5; 0 1"')
 @click.option("--n", type=int, default=1024, show_default=True, help="growth scale for the invariant")
 @click.option("--samples", type=int, default=8, show_default=True, help="max sample points")
-@click.option("--radius", type=int, default=50, show_default=True, help="box radius for the distance certificate")
+@click.option("--radius", type=int, default=CERTIFICATE_RADIUS, show_default=True,
+              help="box radius for the distance certificate")
 @_tol_option
 @_reported
 def realize(matrix, n, samples, radius, tol):
@@ -203,6 +204,15 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
         f"B({reach}) in Z^{dimension} has {points} points, {pairs} pairs per sweep, "
         f"over budget {PAIR_BUDGET}",
     )
+    # The action law and the cocycle identity compare every pair of B(W) at
+    # every slice member, and the slice has at most one member per g0 in
+    # B(R_t).
+    cases = lattice_ball_size(dimension, translate_radius) * lattice_ball_size(dimension, window) ** 2
+    _require(
+        cases <= BATTERY_BUDGET,
+        f"the battery may check |B({translate_radius})| |B({window})|^2 = {cases} cases "
+        f"in Z^{dimension}, over budget {BATTERY_BUDGET}",
+    )
     if a is None:
         seed_map = IdentitySeed(LatticeGroup(dimension))
     else:
@@ -255,10 +265,7 @@ def odometer_cmd(matrix, p, depth, samples, window, seed):
     a = linalg.parse_matrix(matrix)
     d = len(a)
     space = OdometerSpace((p,) * d, depth)
-    _require(
-        linalg.is_integral(a) and abs(linalg.det(a)) == 1,
-        "odometer automorphisms need an integer matrix with det +-1",
-    )
+    _require(linalg.is_unimodular(a), "odometer automorphisms need an integer matrix with det +-1")
     count = space.point_count()
     _require(
         count <= SWEEP_BUDGET,
@@ -326,12 +333,7 @@ def functoriality(matrices, p, depth, n, samples, tol, seed):
     first = linalg.parse_matrix(matrices[0])
     second = linalg.parse_matrix(matrices[1])
     _require(len(first) == len(second), "matrices must share a dimension")
-    constant_mode = (
-        linalg.is_integral(first)
-        and linalg.is_integral(second)
-        and abs(linalg.det(first)) == 1
-        and abs(linalg.det(second)) == 1
-    )
+    constant_mode = linalg.is_unimodular(first) and linalg.is_unimodular(second)
     route = "constant" if constant_mode else "realized"
     for name in ("tol",) if constant_mode else ("seed", "p", "depth", "samples"):
         _require(not _given(name), f"--{name} is not read by the {route} route")
@@ -342,9 +344,9 @@ def functoriality(matrices, p, depth, n, samples, tol, seed):
         eta = matrix_morphism(first, space, points)
         theta = matrix_morphism(second, space, points)
     else:
-        check_box_budget(REALIZED_BOX_RADIUS, len(first))
-        eta, _ = realized_morphism(first, Fraction(tol), REALIZED_BOX_RADIUS)
-        theta, _ = realized_morphism(second, Fraction(tol), REALIZED_BOX_RADIUS)
+        check_box_budget(CERTIFICATE_RADIUS, len(first))
+        eta, _ = realized_morphism(first, Fraction(tol))
+        theta, _ = realized_morphism(second, Fraction(tol))
 
     return [functoriality_check(eta, theta, n)], {"mode": route}
 

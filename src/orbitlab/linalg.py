@@ -120,6 +120,11 @@ def is_integral(a: Matrix) -> bool:
     return all(x.denominator == 1 for row in a for x in row)
 
 
+def is_unimodular(a: Matrix) -> bool:
+    """An integer matrix with determinant +-1: an automorphism of Z^d."""
+    return is_integral(a) and abs(det(a)) == 1
+
+
 def scalar_to_str(x: Fraction) -> str:
     """Render exactly: finite decimal when the denominator is 2^a 5^b, else "p/q"."""
     den = x.denominator

@@ -24,7 +24,13 @@ from .mapspace import (
     build_translate_space,
 )
 from .odometer import DigitPoint, OdometerSpace, matrix_act, odometer_add, unimodular_rows
-from .shears import DistanceCertificate, FloorMap, bounded_distance_constant, realize_bilipschitz
+from .shears import (
+    CERTIFICATE_RADIUS,
+    DistanceCertificate,
+    FloorMap,
+    bounded_distance_constant,
+    realize_bilipschitz,
+)
 
 
 def _points_agree(a, b) -> bool:
@@ -215,7 +221,7 @@ def orbit_morphism(space: TruncatedMapSpace, constant=None) -> Morphism:
 
 
 def realized_morphism(
-    matrix, tol=1e-9, box_radius: int = 50
+    matrix, tol=1e-9, box_radius: int = CERTIFICATE_RADIUS
 ) -> tuple[Morphism, DistanceCertificate]:
     """The orbit morphism of the matrix's floor-shear realization (translate
     space at R = R_t = 2 with no offsets), carrying the exact constant of its
@@ -294,9 +300,10 @@ def check_equivariance(morphism: Morphism, radius: int) -> CheckResult:
 def check_inverse_equivariance(morphism: Morphism, radius: int) -> CheckResult:
     """point_map(g^-1 . x) == cocycle(g, g^-1 x)^-1 . point_map(x).
 
-    It reads the cocycle only at (g, g^-1 . x), never at (g, x), so a
-    ``with_override`` at a sampled pair (g, x) never reaches it;
-    ``check_equivariance`` is the check that sees such an override.
+    It reads the cocycle only at (g, g^-1 . x), never at (g, x).  A
+    ``with_override`` at (g, g^-1 . x) fails it with the witness (g, x); an
+    override at a sampled pair (g, x) never reaches it, and
+    ``check_equivariance`` is the check that sees that one.
     """
     checked = 0
     witnesses = []

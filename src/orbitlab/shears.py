@@ -31,6 +31,10 @@ _PIVOT_FLOOR = Fraction(1, 10**12)
 # reports the maximum distance.
 DISTANCE_PROBES = (10, 25, 50)
 
+# The default certificate box radius of ``realize`` and of every realized
+# morphism.
+CERTIFICATE_RADIUS = 50
+
 
 @dataclass(frozen=True)
 class Shear:
@@ -440,26 +444,14 @@ def injectivity_check_on_box(f, radius: int, dimension: int | None = None) -> Ch
     )
 
 
-@dataclass(frozen=True)
-class ExtractedMap:
-    """A map recovered from an orbit cocycle, with its Lipschitz certificate."""
-
-    mapping: dict
-    constant: int
-    report: CheckResult
-
-    def __call__(self, g):
-        return self.mapping[g]
-
-
-def extract_bilipschitz_from_cocycle(morphism, basepoint, radius: int) -> ExtractedMap:
+def extract_bilipschitz_from_cocycle(morphism, basepoint, radius: int) -> tuple[dict, CheckResult]:
     """Recover g -> cocycle(g^-1, basepoint)^-1 on a ball and certify it.
 
     The cocycle is that of ``morphism``, on the generating sets of its two
     systems.  The certificate constant is the longest target word the
     cocycle assigns to a source generator anywhere on the morphism's source
-    points; the returned report is a two-sided Lipschitz sweep with that
-    constant.
+    points.  Returns the map, as a dict on the ball, and the two-sided
+    Lipschitz sweep with that constant, whose coverage records it.
     """
     source = morphism.source.gens
     target = morphism.target.gens
@@ -470,4 +462,4 @@ def extract_bilipschitz_from_cocycle(morphism, basepoint, radius: int) -> Extrac
             constant = max(constant, target.word_length(morphism.evaluate(s, x)))
     constant = max(constant, 1)
     report = is_bilipschitz_on_ball(mapping.__getitem__, radius, constant, source, target)
-    return ExtractedMap(mapping=mapping, constant=constant, report=report)
+    return mapping, report

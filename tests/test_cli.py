@@ -364,6 +364,16 @@ class TestFunctoriality:
             ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1", "--tol", "1e-6"],
             "--tol is not read by the constant route",
         ),
+        (
+            ["gromov-check", "--matrix", "-0.5 0 1; 0.5625 -1 -1.625; 0.75 0 0.5",
+             "--radius", "6", "--translate-radius", "6", "--window", "6"],
+            "the battery may check |B(6)| |B(6)|^2 = 53582633 cases in Z^3, over budget 4194304",
+        ),
+        (
+            ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "16", "--translate-radius", "16",
+             "--window", "16"],
+            "the battery may check |B(16)| |B(16)|^2 = 161878625 cases in Z^2, over budget 4194304",
+        ),
     ],
 )
 def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, argv, message):

@@ -101,6 +101,21 @@ class TestOrbitMorphism:
         result = check_equivariance(eta.with_override(g, psi, Z2.element((9, 9))), 1)
         assert result.witnesses == [(g, psi)] and result.checked == 10
 
+    def test_corrupted_cocycle_fails_inverse_equivariance(self):
+        # inverse-equivariance reads the cocycle at (g, g^-1 . x): an
+        # override there is its one witness (g, x), and equivariance, which
+        # reads only sampled points, does not see it
+        Z2 = LatticeGroup(2)
+        f = realize_bilipschitz(linalg.parse_matrix("1 0.5; 0 1"), Fraction("1e-9"))
+        space = build_translate_space(FloorMapSeed(f), 4, 3, offset_radius=1)
+        eta = orbit_morphism(space)
+        g, psi = Z2.element((1, 0)), space.slice_members[0]
+        assert check_inverse_equivariance(eta, 1).passed
+        bad = eta.with_override(g, eta.source.act(g.inverse(), psi), Z2.element((9, 9)))
+        result = check_inverse_equivariance(bad, 1)
+        assert result.witnesses == [(g, psi)] and result.checked == 10
+        assert check_equivariance(bad, 1).passed
+
     def test_composition_with_inverse_is_trivial(self, shear_orbit):
         roundtrip = compose_morphisms(shear_orbit.inverse(), shear_orbit)
         gens = roundtrip.source.gens

@@ -1,0 +1,238 @@
+"""Every check id a report carries has a control that makes it fail with a
+witness.
+
+``CONTROLS`` maps each check id of the golden fixtures (every
+``orbit-equality[i]`` counted as one id) to the tests, as
+``file::Class::test`` paths under ``tests/``, that make that check fail with
+a witness.  The guards refuse a fixture id with no entry, an entry for an id
+no fixture carries, and an entry naming a test that does not exist.
+
+The controls below cover the ids that had none.  ``action-law``,
+``orbit-equality``, ``haar-invariance`` and ``functoriality`` fail on a
+patched implementation; ``constant-invariant-exact`` fails on a corrupted
+cocycle read through the ``odometer`` command.
+"""
+import ast
+import json
+import re
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from orbitlab import cli, invariants
+from orbitlab.groups import LatticeGroup
+from orbitlab.invariants import functoriality_check
+from orbitlab.mapspace import (
+    FloorMapSeed,
+    TruncatedMapSpace,
+    build_translate_space,
+    check_action_law,
+    check_orbit_equality,
+)
+from orbitlab.morphisms import compose_morphisms, matrix_morphism
+from orbitlab.odometer import Cylinder, OdometerSpace, haar_invariance_check
+from orbitlab.shears import realize_bilipschitz
+
+TESTS = Path(__file__).parent
+
+CONTROLS = {
+    "action-law": (
+        "test_negative_controls.py::test_action_law_fails_when_one_element_acts_trivially",
+    ),
+    "ad-realization": (
+        "test_fullgroup.py::TestAdRealization"
+        "::test_corrupted_conjugate_fails_the_check_with_witness",
+    ),
+    "cocycle-identity": (
+        "test_mapspace.py::TestBattery::test_corrupted_table_fails_with_witness",
+    ),
+    "constant-invariant-exact": (
+        "test_negative_controls.py::test_constant_invariant_fails_on_a_corrupted_cocycle",
+    ),
+    "depth-bijectivity": (
+        "test_odometer.py::TestDepthBijectivity::test_collision_fails_with_witness",
+    ),
+    "det-pm1": (
+        "test_invariants.py::TestDetCheck::test_diag_two_fails",
+    ),
+    "equivariance": (
+        "test_morphisms.py::TestOrbitMorphism::test_corrupted_cocycle_fails_equivariance",
+        "test_odometer.py::TestEquivariance::test_off_by_one_action_fails_on_the_array_path",
+    ),
+    "forced-freeness": (
+        "test_mapspace.py::TestFreeness::test_too_shallow_odometer_fails_at_window_8",
+    ),
+    "functoriality": (
+        "test_negative_controls.py::test_functoriality_fails_when_composition_swaps_its_factors",
+    ),
+    "fundamental-domain": (
+        "test_mapspace.py::TestFundamentalDomainPastTheTranslates"
+        "::test_corrupted_boundary_member_fails_with_a_witness",
+    ),
+    "haar-invariance": (
+        "test_negative_controls.py::test_haar_invariance_fails_when_a_translate_loses_a_digit",
+    ),
+    "inverse-equivariance": (
+        "test_morphisms.py::TestOrbitMorphism::test_corrupted_cocycle_fails_inverse_equivariance",
+    ),
+    "inverse-identities": (
+        "test_morphisms.py::TestMatrixMorphism::test_mismatched_inverse_fails",
+    ),
+    "lipschitz-closure": (
+        "test_mapspace.py::TestClosureInheritance"
+        "::test_corrupted_entry_fails_with_the_full_sweep_witness",
+    ),
+    "matrix-recovery": (
+        "test_invariants.py::TestRecovery::test_recovery_check_wrong_matrix_fails_with_witness",
+    ),
+    "minimality": (
+        "test_odometer.py::TestMinimality::test_stuck_orbit_fails_with_witness",
+    ),
+    "multiplicativity": (
+        "test_invariants.py::TestMultiplicativity::test_corrupted_blade_table_fails",
+    ),
+    "orbit-equality": (
+        "test_negative_controls.py::test_orbit_equality_fails_on_a_wrong_backward_cocycle",
+    ),
+}
+
+
+def fixture_ids() -> set:
+    ids = set()
+    for path in (TESTS / "fixtures").glob("*.json"):
+        for check in json.loads(path.read_text())["checks"]:
+            ids.add(re.sub(r"\[\d+\]$", "", check["id"]))
+    return ids
+
+
+def defined_tests(filename: str) -> set:
+    """``test`` and ``Class::test`` for every test the file defines."""
+    tree = ast.parse((TESTS / filename).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            methods = (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+            names.update(f"{node.name}::{name}" for name in methods)
+    return names
+
+
+def test_every_fixture_check_id_has_a_control():
+    ids = fixture_ids()
+    assert len(ids) == 18
+    assert sorted(ids - set(CONTROLS)) == []
+    assert sorted(set(CONTROLS) - ids) == []
+
+
+def test_every_control_names_an_existing_test():
+    missing = []
+    for check_id, tests in CONTROLS.items():
+        assert tests, check_id
+        for path in tests:
+            filename, _, name = path.partition("::")
+            if not (TESTS / filename).is_file() or name not in defined_tests(filename):
+                missing.append((check_id, path))
+    assert missing == []
+
+
+Z2 = LatticeGroup(2)
+# Under the half shear (1, 0) fixes every slice germ, so the patches below
+# single out (0, 1).
+G_STAR = Z2.element((0, 1))
+
+
+@pytest.fixture(scope="module")
+def half_shear_space():
+    """The half shear as ``gromov-check`` builds it at 4/3/1."""
+    f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
+    return build_translate_space(FloorMapSeed(f), 4, 3, offset_radius=1)
+
+
+def test_action_law_fails_when_one_element_acts_trivially(monkeypatch, half_shear_space):
+    space = half_shear_space
+    assert check_action_law(space, 1).passed
+    honest = TruncatedMapSpace.act_source
+
+    def patched(self, g, psi):
+        return psi if g == G_STAR else honest(self, g, psi)
+
+    monkeypatch.setattr(TruncatedMapSpace, "act_source", patched)
+    result = check_action_law(space, 1)
+    assert not result.passed
+    # every failing pair moves by G_STAR on one of its two sides
+    assert all(G_STAR in (g, h, g * h) for g, h, _ in result.witnesses)
+
+
+def test_orbit_equality_fails_on_a_wrong_backward_cocycle(monkeypatch, half_shear_space):
+    space = half_shear_space
+    psi = space.slice_members[0]
+    assert check_orbit_equality(space, psi, 1).passed
+    honest = TruncatedMapSpace.backward_cocycle
+
+    def patched(self, lam, germ):
+        back = honest(self, lam, germ)
+        return back * G_STAR if back == G_STAR else back
+
+    monkeypatch.setattr(TruncatedMapSpace, "backward_cocycle", patched)
+    result = check_orbit_equality(space, psi, 1)
+    assert not result.passed
+    tag, g, lam, back = result.witnesses[0]
+    assert (tag, g, back) == ("cocycle-roundtrip", G_STAR, G_STAR * G_STAR)
+    assert lam == space.forward_cocycle(G_STAR, psi)
+
+
+def test_haar_invariance_fails_when_a_translate_loses_a_digit(monkeypatch):
+    # 16 depth-2 cylinders: few enough that every one is swept, no draws
+    space = OdometerSpace((2, 2), 3)
+    assert haar_invariance_check(space, 1, 2, None).passed
+    honest = Cylinder.translate
+
+    def patched(self, vector, space):
+        moved = honest(self, vector, space)
+        if tuple(vector) != G_STAR.coords:
+            return moved
+        return Cylinder((moved.prefixes[0][:-1], *moved.prefixes[1:]))
+
+    monkeypatch.setattr(Cylinder, "translate", patched)
+    result = haar_invariance_check(space, 1, 2, None)
+    assert not result.passed
+    # each depth-2 cylinder, under G_STAR alone
+    assert len(result.witnesses) == 16
+    assert {g for g, _ in result.witnesses} == {G_STAR}
+
+
+def test_functoriality_fails_when_composition_swaps_its_factors(monkeypatch):
+    space = OdometerSpace((3, 3), 3)
+    sample = [space.zero(), space.point_from_values((4, 22))]
+    eta = matrix_morphism([[0, -1], [1, 0]], space, sample)
+    theta = matrix_morphism([[1, 1], [0, 1]], space, sample)
+    assert functoriality_check(eta, theta, 64).passed
+    monkeypatch.setattr(invariants, "compose_morphisms", lambda eta, theta: compose_morphisms(theta, eta))
+    result = functoriality_check(eta, theta, 64)
+    # theta eta = [[1, -1], [1, 0]] against eta theta = [[0, -1], [1, 1]]
+    assert result.witnesses == [1.0]
+    assert result.coverage == {"n": 64, "budget": 0.0, "gap": 1.0}
+
+
+def test_constant_invariant_fails_on_a_corrupted_cocycle(monkeypatch):
+    # the odometer command recovers the invariant at n = 81 from 8 samples;
+    # one cocycle value at (-81 e_1, first sample) moved by 8 e_2 moves
+    # entry (1, 0) of the average by -8 / (8 * 81)
+    honest = cli.matrix_morphism
+
+    def corrupted(matrix, space, points):
+        eta = honest(matrix, space, points)
+        back = Z2.basis_vector(0, -81)
+        wrong = eta.evaluate(back, points[0]) * Z2.basis_vector(1, 8)
+        return eta.with_override(back, points[0], wrong)
+
+    argv = ["odometer", "--p", "2", "--depth", "3", "--samples", "20", "--seed", "5", "--json"]
+    assert CliRunner().invoke(cli.main, argv).exit_code == 0
+    monkeypatch.setattr(cli, "matrix_morphism", corrupted)
+    result = CliRunner().invoke(cli.main, argv)
+    assert result.exit_code == 1
+    checks = {c["id"]: c for c in json.loads(result.output)["checks"]}
+    assert [i for i, c in checks.items() if not c["pass"]] == ["constant-invariant-exact"]
+    assert checks["constant-invariant-exact"]["witnesses"] == ["((1, 0), '-1/81', '0')"]

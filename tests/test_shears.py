@@ -507,11 +507,11 @@ class TestExtract:
         S = Z2.standard_generators()
         table = identity_morphism(ActionSystem("point", S, lambda g, x: x, ("point",)))
         basepoint = table.source.points[0]
-        extracted = extract_bilipschitz_from_cocycle(table, basepoint, 3)
-        assert extracted.constant == 1
-        assert extracted.report.passed
+        mapping, report = extract_bilipschitz_from_cocycle(table, basepoint, 3)
+        assert report.coverage["constant"] == 1
+        assert report.passed
         for g in S.ball(3):
-            assert extracted(g) == g
+            assert mapping[g] == g
 
     def test_constant_matrix_cocycle_gives_matrix(self):
         from orbitlab.odometer import OdometerSpace
@@ -519,11 +519,11 @@ class TestExtract:
         sp = OdometerSpace((3, 3), 4)
         a = [[1, 1], [0, 1]]
         table = matrix_morphism(a, sp, [sp.zero()])
-        extracted = extract_bilipschitz_from_cocycle(table, sp.zero(), 3)
+        mapping, _ = extract_bilipschitz_from_cocycle(table, sp.zero(), 3)
         Z2 = LatticeGroup(2)
         for g in Z2.standard_generators().ball(3):
             expected = [int(v) for v in linalg.mat_vec(linalg.as_matrix(a), g.coords)]
-            assert extracted(g).coords == tuple(expected)
+            assert mapping[g].coords == tuple(expected)
 
     def test_translate_space_cocycle_tracks_seed(self):
         f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
@@ -536,7 +536,7 @@ class TestExtract:
             for psi in space.slice_members
             if all(psi.value(g).coords == f(g.coords) for g in space.source_gens.ball(5))
         )
-        extracted = extract_bilipschitz_from_cocycle(table, basepoint, 4)
+        mapping, _ = extract_bilipschitz_from_cocycle(table, basepoint, 4)
         # phi(g) = cocycle(g^-1, base)^-1 = psi(g) here, i.e. the seed itself
         for g in space.source_gens.ball(4):
-            assert extracted(g).coords == f(g.coords)
+            assert mapping[g].coords == f(g.coords)
