@@ -59,7 +59,7 @@ from .shears import CERTIFICATE_RADIUS, check_box_budget, realize_bilipschitz
 
 SCHEMA = "orbitlab-report/2"
 
-# The most cases the gromov-check battery may be bounded by before it runs.
+# gromov-check refuses a battery whose case bound |B(R_t)| |B(W)|^2 is larger.
 BATTERY_BUDGET = 2**22
 
 
