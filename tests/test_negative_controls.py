@@ -101,6 +101,8 @@ CONTROLS = {
 def fixture_ids() -> set:
     ids = set()
     for path in (TESTS / "fixtures").glob("*.json"):
+        if path.name == "report_digests.json":  # digests, not a report
+            continue
         for check in json.loads(path.read_text())["checks"]:
             ids.add(re.sub(r"\[\d+\]$", "", check["id"]))
     return ids
