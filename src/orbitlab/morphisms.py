@@ -26,6 +26,7 @@ from .mapspace import (
 from .odometer import DigitPoint, OdometerSpace, matrix_act, odometer_add, unimodular_rows
 from .shears import (
     CERTIFICATE_RADIUS,
+    DEFAULT_TOL,
     DistanceCertificate,
     FloorMap,
     bounded_distance_constant,
@@ -221,7 +222,7 @@ def orbit_morphism(space: TruncatedMapSpace, constant=None) -> Morphism:
 
 
 def realized_morphism(
-    matrix, tol=1e-9, box_radius: int = CERTIFICATE_RADIUS
+    matrix, tol=DEFAULT_TOL, box_radius: int = CERTIFICATE_RADIUS
 ) -> tuple[Morphism, DistanceCertificate]:
     """The orbit morphism of the matrix's floor-shear realization (translate
     space at R = R_t = 2 with no offsets), carrying the exact constant of its

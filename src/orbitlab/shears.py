@@ -25,7 +25,9 @@ from .checks import CheckResult
 from .groups import INT64_SAFE, is_bilipschitz_on_ball
 from .odometer import SWEEP_BUDGET
 
-_PIVOT_FLOOR = Fraction(1, 10**12)
+# The default tolerance of a decomposition: exactly the 1/10^9 that the
+# CLI's "1e-9" parses to.
+DEFAULT_TOL = Fraction(1, 10**9)
 
 # The box radii below the certificate's own at which the certificate also
 # reports the maximum distance.
@@ -110,7 +112,7 @@ def product_matrix(ops: Sequence[ElementaryOp], d: int) -> linalg.Matrix:
     return out
 
 
-def decompose_unimodular(matrix, tol=1e-9) -> list[ElementaryOp]:
+def decompose_unimodular(matrix, tol=DEFAULT_TOL) -> list[ElementaryOp]:
     """Write a |det| = 1 matrix as shears and sign flips, in product order.
 
     Gaussian elimination with partial pivoting; pivot-driven row swaps are
@@ -150,8 +152,10 @@ def decompose_unimodular(matrix, tol=1e-9) -> list[ElementaryOp]:
 
     for c in range(d):
         pivot_row = max(range(c, d), key=lambda r: abs(rows[r][c]))
-        if abs(rows[pivot_row][c]) < _PIVOT_FLOOR:
-            raise ValueError("degenerate pivot; input is numerically singular")
+        # Exact pivots: with |det| within tol < 1 of 1 the matrix is
+        # invertible and no pivot is zero, so only tol >= 1 reaches this.
+        if rows[pivot_row][c] == 0:
+            raise ValueError("zero pivot; the matrix is singular")
         if pivot_row != c:
             swap_rows(c, pivot_row)
         for r in range(c + 1, d):
@@ -258,7 +262,7 @@ def _row_bound(row: np.ndarray) -> int:
     return max(-int(row.min(initial=0)), int(row.max(initial=0)), 1)
 
 
-def realize_bilipschitz(matrix, tol=1e-9) -> FloorMap:
+def realize_bilipschitz(matrix, tol=DEFAULT_TOL) -> FloorMap:
     """Floor-shear realization of a |det| = 1 matrix as a lattice bijection."""
     a = linalg.as_matrix(matrix)
     ops = decompose_unimodular(a, tol)

@@ -156,6 +156,18 @@ class TestRealize:
         result = runner.invoke(main, ["realize", "--matrix", "1 0.5; 0"])
         assert result.exit_code == 2
 
+    def test_tiny_exact_pivot_is_realized(self, runner):
+        # det is exactly 1; an exact pivot of 10^-13 is not zero
+        result = runner.invoke(main, ["realize", "--matrix", "0.0000000000001 0; 0 10000000000000", "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["pass"] is True
+
+    def test_zero_pivot_is_config_error(self, runner):
+        # |det| = 0 is within --tol 1 of 1, so only the zero pivot refuses it
+        result = runner.invoke(main, ["realize", "--matrix", "0 0; 0 1", "--tol", "1"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: zero pivot; the matrix is singular\n"
+
 
 class TestGromovCheck:
     def test_identity_seed_small(self, runner):
