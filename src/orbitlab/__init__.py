@@ -26,8 +26,6 @@ from .odometer import (
     matrix_act,
     minimality_witness,
     odometer_add,
-    refine_common,
-    wandering_check,
 )
 from .fullgroup import FullGroupElement, ad_realization_check, compose
 from .shears import (
@@ -36,8 +34,6 @@ from .shears import (
     SignFlip,
     bounded_distance_constant,
     decompose_unimodular,
-    extract_bilipschitz_from_cocycle,
-    injectivity_check_on_box,
     realize_bilipschitz,
 )
 from .mapspace import (

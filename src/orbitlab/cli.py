@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -18,49 +17,21 @@ import click
 from click.core import ParameterSource
 
 from . import linalg
-from .fullgroup import FullGroupElement, ad_realization_check
-from .groups import BALL_BUDGET, PAIR_BUDGET, BudgetExceeded, LatticeGroup, lattice_ball_size
-from .invariants import (
-    check_det_pm1,
-    functoriality_check,
-    multiplicativity_check,
-    recover_invariant_matrix,
-    recovery_check,
+from .batteries import (
+    check_gromov_budget,
+    corrupted_cocycle,
+    functoriality_battery,
+    functoriality_route,
+    odometer_battery,
+    realize_battery,
+    translate_battery,
 )
-from .mapspace import (
-    FloorMapSeed,
-    IdentitySeed,
-    build_translate_space,
-    check_action_law,
-    check_cocycle_identity,
-    check_fundamental_domain,
-    check_lipschitz_closure,
-    check_orbit_equality,
-    force_freeness,
-)
-from .morphisms import (
-    check_equivariance,
-    check_inverse_equivariance,
-    check_inverse_identities,
-    matrix_morphism,
-    orbit_morphism,
-    realized_morphism,
-)
-from .odometer import (
-    SWEEP_BUDGET,
-    Cylinder,
-    OdometerSpace,
-    bijectivity_check_at_depth,
-    haar_invariance_check,
-    matrix_equivariance_check,
-    minimality_witness,
-)
+from .groups import BALL_BUDGET, BudgetExceeded, LatticeGroup
+from .mapspace import FloorMapSeed, IdentitySeed, build_translate_space
+from .odometer import SWEEP_BUDGET, OdometerSpace
 from .shears import CERTIFICATE_RADIUS, check_box_budget, realize_bilipschitz
 
 SCHEMA = "orbitlab-report/2"
-
-# gromov-check refuses a battery whose case bound |B(R_t)| |B(W)|^2 is larger.
-BATTERY_BUDGET = 2**22
 
 
 def _require(condition: bool, message: str) -> None:
@@ -142,23 +113,8 @@ def realize(matrix, n, samples, radius, tol):
     _require(samples >= 1, "samples must be >= 1")
     _require(n >= 1, "growth scale n must be >= 1")
     a = linalg.parse_matrix(matrix)
-    d = len(a)
-    check_box_budget(radius, d)
-    eta, cert = realized_morphism(a, Fraction(tol), radius)
-    points = eta.space.slice_members[:samples]
-    invariant = recover_invariant_matrix(eta, n, points)
-
-    det_tol = Fraction(10 * d) * cert.constant / n
-    checks = [
-        recovery_check(invariant, a, cert.constant / n),
-        check_det_pm1(invariant, det_tol if det_tol > 0 else Fraction(tol)),
-        multiplicativity_check(invariant),
-    ]
-    return checks, {
-        "decomposition": [op.to_json() for op in eta.space.seed.floor_map.ops],
-        "certificate": cert.to_json(),
-        "invariant": invariant.to_json(),
-    }
+    check_box_budget(radius, len(a))
+    return realize_battery(a, n, samples, radius, Fraction(tol))
 
 
 @main.command(name="gromov-check")
@@ -194,59 +150,14 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
             f"--dimension {dimension} does not match the {len(a)}x{len(a)} matrix",
         )
         dimension = len(a)
-    # The Lipschitz constant and the closure certificate each compare every
-    # pair of B(R + R_t).
-    reach = radius + translate_radius
-    points = lattice_ball_size(dimension, reach)
-    pairs = points * (points - 1) // 2
-    _require(
-        pairs <= PAIR_BUDGET,
-        f"B({reach}) in Z^{dimension} has {points} points, {pairs} pairs per sweep, "
-        f"over budget {PAIR_BUDGET}",
-    )
-    # The action law and the cocycle identity compare every pair of B(W) at
-    # every slice member, and the slice has at most one member per g0 in
-    # B(R_t).
-    cases = lattice_ball_size(dimension, translate_radius) * lattice_ball_size(dimension, window) ** 2
-    _require(
-        cases <= BATTERY_BUDGET,
-        f"the battery may check |B({translate_radius})| |B({window})|^2 = {cases} cases "
-        f"in Z^{dimension}, over budget {BATTERY_BUDGET}",
-    )
+    check_gromov_budget(dimension, radius, translate_radius, window)
     if a is None:
         seed_map = IdentitySeed(LatticeGroup(dimension))
     else:
         seed_map = FloorMapSeed(realize_bilipschitz(a, Fraction(tol)))
-    space = build_translate_space(
-        seed_map, radius, translate_radius, offset_radius=window
-    )
-    eta = orbit_morphism(space)
-    cocycle = eta
-    if inject_corruption:
-        corrupt_g = next(g for g in space.source_gens.ball(window) if not g.is_identity())
-        psi = space.slice_members[0]
-        wrong = space.forward_cocycle(corrupt_g, psi) * space.target_gens.elements[0]
-        cocycle = eta.with_override(corrupt_g, psi, wrong)
-
-    checks = [
-        check_lipschitz_closure(space),
-        check_action_law(space, window),
-        check_cocycle_identity(space, cocycle, window),
-        check_fundamental_domain(space, window),
-    ]
-    for index, psi in enumerate(space.slice_members):
-        result = check_orbit_equality(space, psi, window)
-        result.name = f"orbit-equality[{index}]"
-        checks.append(result)
-    checks.append(check_inverse_identities(eta, eta.inverse(), window))
-    checks.append(check_equivariance(eta, window))
-    checks.append(check_inverse_equivariance(eta, window))
-    # Every g != e in B(W) has a coordinate with 0 < |g_i| <= W < 2^N, so it
-    # moves the odometer zero; W <= 3 keeps N = 3.
-    depth = max(3, window.bit_length())
-    odo = OdometerSpace((2,) * (2 * space.source_gens.group.dimension), depth)
-    checks.append(force_freeness(space, odo, window))
-    return checks, {"space": space.to_json()}
+    space = build_translate_space(seed_map, radius, translate_radius, offset_radius=window)
+    cocycle = corrupted_cocycle(space, window) if inject_corruption else None
+    return translate_battery(space, window, cocycle)
 
 
 @main.command(name="odometer")
@@ -271,42 +182,7 @@ def odometer_cmd(matrix, p, depth, samples, window, seed):
         count <= SWEEP_BUDGET,
         f"depth sweeps need {p}^({depth}*{d}) = {count} points, over budget {SWEEP_BUDGET}",
     )
-
-    # The golden reports pin the seeded stream, drawn in this order: sample
-    # points, Haar cylinders, full-group elements.
-    rng = random.Random(seed)
-    points = [space.random_point(rng) for _ in range(samples)]
-    k = min(2, depth)
-    checks = [
-        bijectivity_check_at_depth(a, space),
-        matrix_equivariance_check(a, points, window, space),
-        minimality_witness(space, k),
-        haar_invariance_check(space, window, k, rng),
-    ]
-    elements = [_first_coordinate_shuffle(space, rng) for _ in range(6)]
-    group = LatticeGroup(d)
-    ad_vectors = [group.basis_vector(i, s) for i in range(d) for s in (1, -1)][:4]
-    checks.append(ad_realization_check(ad_vectors, elements, space))
-
-    invariant = recover_invariant_matrix(matrix_morphism(a, space, points[:8]), 81)
-    exact = recovery_check(invariant, a)
-    exact.name = "constant-invariant-exact"
-    checks.append(exact)
-    return checks, {"invariant": invariant.to_json()}
-
-
-def _first_coordinate_shuffle(space, rng):
-    """A full-group element permuting the depth-1 cylinders of coordinate 1."""
-    p = space.bases[0]
-    image = list(range(p))
-    rng.shuffle(image)
-    pieces = []
-    for digit in range(p):
-        shift = [0] * space.dimension
-        shift[0] = image[digit] - digit + p * rng.randint(-1, 1)
-        prefix = ((digit,),) + ((),) * (space.dimension - 1)
-        pieces.append((Cylinder(prefix), tuple(shift)))
-    return FullGroupElement.make(space, pieces)
+    return odometer_battery(a, space, samples, window, seed)
 
 
 @main.command(name="functoriality")
@@ -333,22 +209,12 @@ def functoriality(matrices, p, depth, n, samples, tol, seed):
     first = linalg.parse_matrix(matrices[0])
     second = linalg.parse_matrix(matrices[1])
     _require(len(first) == len(second), "matrices must share a dimension")
-    constant_mode = linalg.is_unimodular(first) and linalg.is_unimodular(second)
-    route = "constant" if constant_mode else "realized"
-    for name in ("tol",) if constant_mode else ("seed", "p", "depth", "samples"):
+    route = functoriality_route(first, second)
+    for name in ("tol",) if route == "constant" else ("seed", "p", "depth", "samples"):
         _require(not _given(name), f"--{name} is not read by the {route} route")
-    rng = random.Random(seed)
-    if constant_mode:
-        space = OdometerSpace((p,) * len(first), depth)
-        points = [space.random_point(rng) for _ in range(samples)]
-        eta = matrix_morphism(first, space, points)
-        theta = matrix_morphism(second, space, points)
-    else:
+    if route == "realized":
         check_box_budget(CERTIFICATE_RADIUS, len(first))
-        eta, _ = realized_morphism(first, Fraction(tol))
-        theta, _ = realized_morphism(second, Fraction(tol))
-
-    return [functoriality_check(eta, theta, n)], {"mode": route}
+    return functoriality_battery(first, second, p, depth, n, samples, Fraction(tol), seed)
 
 
 if __name__ == "__main__":

@@ -344,37 +344,6 @@ def odometer_add_array(
     return np.stack([(row + int(g) % m) % m for row, g, m in zip(residues, vector, moduli)])
 
 
-def _check_partition(parts: Sequence[ClopenSet], space: OdometerSpace) -> None:
-    total = Fraction(0)
-    for part in parts:
-        part.validate(space)
-        total += part.measure(space)
-    for a, b in itertools.combinations(parts, 2):
-        if a.overlaps(b):
-            raise ValueError("partition members overlap")
-    if total != 1:
-        raise ValueError(f"partition measures sum to {total}, not 1")
-
-
-def refine_common(partitions: Sequence[Sequence[ClopenSet]], space: OdometerSpace) -> list[ClopenSet]:
-    """Coarsest common refinement of several clopen partitions of the space.
-
-    Atoms are the nonempty intersections of one member from each input;
-    inputs are validated as genuine partitions first.
-    """
-    for partition in partitions:
-        _check_partition(partition, space)
-    atoms = [space.whole_space()]
-    for partition in partitions:
-        atoms = [
-            piece
-            for atom in atoms
-            for member in partition
-            if not (piece := atom.intersect(member)).is_empty()
-        ]
-    return atoms
-
-
 def unimodular_rows(matrix, space: OdometerSpace) -> tuple[tuple[int, ...], ...]:
     """The rows of a det +-1 integer matrix acting on ``space``, validated on
     every call before any point is acted on: equal bases, dimension,
@@ -585,22 +554,3 @@ def haar_invariance_check(space: OdometerSpace, radius: int, k: int, rng) -> Che
         coverage={"W": radius, "k": k},
     )
 
-
-def wandering_check(clopen: ClopenSet, radius: int, space: OdometerSpace):
-    """Search the L1 ball B(radius) of Z^d, in (L1 norm, coordinates) order,
-    for g != 0 with (U + g) meeting U.
-
-    Returns the witness vector, or None when no witness exists within the
-    radius (the report is honest about its bounded search).  For nonempty U a
-    witness always exists once the radius reaches max p_i^N.  The ball
-    refuses a negative radius and one past ``BALL_BUDGET``.
-    """
-    clopen.validate(space)
-    if clopen.is_empty():
-        raise ValueError("wandering check expects a nonempty clopen set")
-    ball = LatticeGroup(space.dimension).standard_generators().ball(radius)
-    candidates = sorted((g.coords for g in ball), key=lambda c: (sum(map(abs, c)), c))
-    for coords in candidates[1:]:
-        if clopen.translate(coords, space).overlaps(clopen):
-            return coords
-    return None

@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .checks import CheckResult
-from .groups import INT64_SAFE, is_bilipschitz_on_ball
+from .groups import INT64_SAFE
 from .odometer import SWEEP_BUDGET
 
 # The default tolerance of a decomposition: exactly the 1/10^9 that the
@@ -283,9 +282,9 @@ def check_box_budget(radius: int, dimension: int) -> None:
 
 def box_points(radius: int, dimension: int) -> np.ndarray:
     """All integer points of the sup-norm ball [-radius, radius]^d, shape
-    (M, d), last coordinate fastest: the whole box at once, for
-    ``injectivity_check_on_box`` (``bounded_distance_constant`` sweeps the
-    same points in blocks instead).
+    (M, d), last coordinate fastest: the whole box at once, the reference
+    order of the box (``bounded_distance_constant`` sweeps the same points
+    in blocks instead).
 
     The array is the transposed view of one contiguous int64 row per
     coordinate, shape (d, M): ``box_points(r, d).T`` is that row layout."""
@@ -415,55 +414,3 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
         witness=tuple(int(c) - radius for c in best),
     )
 
-
-def injectivity_check_on_box(f, radius: int, dimension: int | None = None) -> CheckResult:
-    """Exhaustively check injectivity of an integer map on [-R, R]^d.
-
-    Accepts a FloorMap or any callable on integer tuples (the falsifiable
-    route; FloorMaps are bijective by construction).  ``checked`` counts the
-    points swept; a collision stops the sweep, and its witness is the pair
-    of points with one image.
-    """
-    if dimension is None:
-        if not isinstance(f, FloorMap):
-            raise ValueError("dimension is required for a bare callable")
-        dimension = f.dimension
-    points = box_points(radius, dimension)
-    if isinstance(f, FloorMap):
-        images = [tuple(int(c) for c in row) for row in f.apply_array(points)]
-    else:
-        images = [tuple(int(c) for c in f(tuple(row))) for row in points.tolist()]
-    seen: dict[tuple, tuple] = {}
-    witnesses = []
-    for row, image in zip(points.tolist(), images):
-        if image in seen:
-            witnesses.append((seen[image], tuple(row)))
-            break
-        seen[image] = tuple(row)
-    return CheckResult(
-        name="injectivity",
-        checked=len(seen) + len(witnesses),
-        witnesses=witnesses,
-        coverage={"R": radius, "dimension": dimension},
-    )
-
-
-def extract_bilipschitz_from_cocycle(morphism, basepoint, radius: int) -> tuple[dict, CheckResult]:
-    """Recover g -> cocycle(g^-1, basepoint)^-1 on a ball and certify it.
-
-    The cocycle is that of ``morphism``, on the generating sets of its two
-    systems.  The certificate constant is the longest target word the
-    cocycle assigns to a source generator anywhere on the morphism's source
-    points.  Returns the map, as a dict on the ball, and the two-sided
-    Lipschitz sweep with that constant, whose coverage records it.
-    """
-    source = morphism.source.gens
-    target = morphism.target.gens
-    mapping = {g: morphism.evaluate(g.inverse(), basepoint).inverse() for g in source.ball(radius)}
-    constant = 0
-    for s in source.elements:
-        for x in morphism.source.points:
-            constant = max(constant, target.word_length(morphism.evaluate(s, x)))
-    constant = max(constant, 1)
-    report = is_bilipschitz_on_ball(mapping.__getitem__, radius, constant, source, target)
-    return mapping, report

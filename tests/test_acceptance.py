@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from orbitlab import linalg
+from orbitlab.batteries import (
+    functoriality_battery,
+    odometer_battery,
+    realize_battery,
+    translate_battery,
+)
 from orbitlab.fullgroup import FullGroupElement, ad_realization_check, compose
 from orbitlab.groups import FreeGroup, LatticeGroup
-from orbitlab.invariants import (
-    InducedAlgebraMap,
-    check_det_pm1,
-    functoriality_check,
-    multiplicativity_check,
-    recover_invariant_matrix,
-    recovery_check,
-)
+from orbitlab.invariants import InducedAlgebraMap, check_det_pm1, multiplicativity_check
 from orbitlab.mapspace import (
     FloorMapSeed,
     MapGerm,
@@ -30,27 +29,16 @@ from orbitlab.mapspace import (
     check_cocycle_identity,
     check_fundamental_domain,
     check_lipschitz_closure,
-    check_orbit_equality,
 )
-from orbitlab.morphisms import (
-    check_inverse_identities,
-    matrix_morphism,
-    orbit_morphism,
-    realized_morphism,
-)
-from orbitlab.odometer import (
-    Cylinder,
-    OdometerSpace,
-    bijectivity_check_at_depth,
-    matrix_equivariance_check,
-    minimality_witness,
-)
+from orbitlab.morphisms import orbit_morphism
+from orbitlab.odometer import Cylinder, OdometerSpace, bijectivity_check_at_depth
 from orbitlab.shears import (
+    CERTIFICATE_RADIUS,
+    DEFAULT_TOL,
     Shear,
     SignFlip,
     box_points,
     decompose_unimodular,
-    injectivity_check_on_box,
     product_matrix,
     realize_bilipschitz,
 )
@@ -94,18 +82,21 @@ def report(number, detail, elapsed):
     print(f"[criterion {number}] PASS — {detail} ({elapsed:.1f}s)")
 
 
+def by_id(checks) -> dict:
+    return {check.name: check for check in checks}
+
+
 def test_criterion_1_realization_recovery():
     """Recovery of each pinned matrix from its realized cocycle at n = 2^10,
-    within C/n entrywise and 10 C d / n on the determinant."""
+    within C/n entrywise and 10 C d / n on the determinant: the ``realize``
+    battery at its default samples, radius and tolerance."""
     start = time.time()
     for a in MATRICES:
-        d = len(a)
-        table, cert = realized_morphism(a)
-        constant = cert.constant
-        invariant = recover_invariant_matrix(table, N_SCALE)
-        recovery = recovery_check(invariant, a, constant / N_SCALE)
+        checks, _ = realize_battery(a, N_SCALE, 8, CERTIFICATE_RADIUS, DEFAULT_TOL)
+        checks = by_id(checks)
+        recovery = checks["matrix-recovery"]
         assert recovery.passed, (a, recovery.coverage)
-        det_check = check_det_pm1(invariant, Fraction(10 * d) * constant / N_SCALE)
+        det_check = checks["det-pm1"]
         assert det_check.passed, (a, det_check.notes)
     elapsed = time.time() - start
     assert elapsed <= 120
@@ -150,24 +141,22 @@ def test_criterion_3_translate_space_battery():
     start = time.time()
     floor_map = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
     space = build_translate_space(FloorMapSeed(floor_map), 6, 6, offset_radius=2)
+    checks = by_id(translate_battery(space, 2)[0])
 
-    closure = check_lipschitz_closure(space)
+    closure = checks["lipschitz-closure"]
     assert closure.passed and closure.checked == len(space.members)
 
-    table = orbit_morphism(space)
-    identity = check_cocycle_identity(space, table, 2)
+    identity = checks["cocycle-identity"]
     assert identity.passed
     assert identity.checked == len(space.source_gens.ball(2)) ** 2 * len(space.slice_members)
 
-    domain = check_fundamental_domain(space, 2)
+    domain = checks["fundamental-domain"]
     assert domain.passed and domain.coverage["interior"] > 0
 
-    for psi in space.slice_members:
-        orbit = check_orbit_equality(space, psi, 2)
-        assert orbit.passed
+    for index in range(len(space.slice_members)):
+        assert checks[f"orbit-equality[{index}]"].passed
 
-    eta = orbit_morphism(space)
-    inverse = check_inverse_identities(eta, eta.inverse(), 2)
+    inverse = checks["inverse-identities"]
     assert inverse.passed and inverse.checked > 0
 
     elapsed = time.time() - start
@@ -185,24 +174,21 @@ def test_criterion_4_odometer_example():
     equivariance, minimality, exact constant-cocycle invariant."""
     start = time.time()
     space = OdometerSpace((3, 3), 4)
-    matrices = ([[1, 1], [0, 1]], [[0, -1], [1, 0]])
-    for a in matrices:
-        assert bijectivity_check_at_depth(a, space).passed
+    for a in ([[1, 1], [0, 1]], [[0, -1], [1, 0]]):
+        # the odometer battery on 1000 points seeded 404, over the ball B(3)
+        checks, extra = odometer_battery(linalg.as_matrix(a), space, 1000, 3, 404)
+        checks = by_id(checks)
+        assert checks["depth-bijectivity"].passed
 
-    rng = random.Random(404)
-    points = [space.random_point(rng) for _ in range(1000)]
-    for a in matrices:
-        equivariance = matrix_equivariance_check(a, points, 3, space)
+        equivariance = checks["equivariance"]
         assert equivariance.passed, equivariance.witnesses
         assert equivariance.checked == 25 * 1000
 
-    assert minimality_witness(space, 2).passed
+        assert checks["minimality"].passed
+        assert checks["minimality"].coverage["k"] == 2
 
-    sample = [space.zero(), space.point_from_values((17, 64))]
-    for a in matrices:
-        morphism = matrix_morphism(a, space, sample)
-        invariant = recover_invariant_matrix(morphism, N_SCALE)
-        assert invariant.matrix == linalg.as_matrix(a)
+        assert checks["constant-invariant-exact"].passed
+        assert extra["invariant"]["matrix"] == [[str(x) for x in row] for row in a]
 
     elapsed = time.time() - start
     assert elapsed <= 30
@@ -290,18 +276,18 @@ def test_criterion_7_functoriality():
     """Composite invariants: exact products for constant integer cocycles,
     budgeted agreement for realized shears at n = 2^10."""
     start = time.time()
-    space = OdometerSpace((3, 3), 3)
-    sample = [space.zero(), space.point_from_values((4, 22))]
-    eta = matrix_morphism([[0, -1], [1, 0]], space, sample)
-    theta = matrix_morphism([[1, 1], [0, 1]], space, sample)
-    exact = functoriality_check(eta, theta, 256)
+    rotation, shear = linalg.as_matrix([[0, -1], [1, 0]]), linalg.as_matrix([[1, 1], [0, 1]])
+    # base 3, depth 3, two sample points seeded 0
+    checks, extra = functoriality_battery(rotation, shear, 3, 3, 256, 2, DEFAULT_TOL, 0)
+    (exact,) = checks
+    assert extra["mode"] == "constant"
     assert exact.passed and exact.coverage["gap"] == 0
 
-    realized_result = functoriality_check(
-        realized_morphism([["1", "0"], ["0.25", "1"]])[0],
-        realized_morphism([["1", "0.5"], ["0", "1"]])[0],
-        N_SCALE,
-    )
+    first = linalg.as_matrix([["1", "0"], ["0.25", "1"]])
+    second = linalg.as_matrix([["1", "0.5"], ["0", "1"]])
+    checks, extra = functoriality_battery(first, second, 3, 3, N_SCALE, 2, DEFAULT_TOL, 0)
+    (realized_result,) = checks
+    assert extra["mode"] == "realized"
     assert realized_result.passed, realized_result.coverage
 
     elapsed = time.time() - start
@@ -335,12 +321,6 @@ def test_criterion_8_negative_controls():
 
     with pytest.raises(ValueError, match="not \\+-1"):
         bijectivity_check_at_depth([[2, 0], [0, 1]], OdometerSpace((2, 2), 3))
-    import math
-
-    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
-    rounding = lambda v: (round(c * v[0] - s * v[1]), round(s * v[0] + c * v[1]))
-    injectivity = injectivity_check_on_box(rounding, 5, dimension=2)
-    assert not injectivity.passed and injectivity.witnesses
 
     det_check = check_det_pm1([[2, 0], [0, 1]], 1e-6)
     assert not det_check.passed and det_check.witnesses

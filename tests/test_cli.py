@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from orbitlab import cli
+from orbitlab import batteries, cli
 from orbitlab.cli import main
 from orbitlab.groups import BudgetExceeded
 from orbitlab.mapspace import TruncationError
@@ -123,8 +123,8 @@ def invoke_refused(runner, monkeypatch, argv):
         raise AssertionError("work started before the preconditions were checked")
 
     for name in (
-        "bijectivity_check_at_depth", "build_translate_space", "matrix_morphism",
-        "realize_bilipschitz", "realized_morphism",
+        "build_translate_space", "realize_bilipschitz", "realize_battery",
+        "odometer_battery", "functoriality_battery", "translate_battery",
     ):
         monkeypatch.setattr(cli, name, work_started)
     return runner.invoke(main, argv)
@@ -402,7 +402,7 @@ def test_error_raised_mid_run_exits_2(runner, monkeypatch, error):
     def refuse(*_args, **_kwargs):
         raise error("refused mid-run")
 
-    monkeypatch.setattr(cli, "check_fundamental_domain", refuse)
+    monkeypatch.setattr(batteries, "check_fundamental_domain", refuse)
     result = runner.invoke(
         main,
         ["gromov-check", "--radius", "1", "--translate-radius", "1", "--window", "1"],

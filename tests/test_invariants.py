@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orbitlab import linalg
+from orbitlab.batteries import det_budget
 from orbitlab.groups import LatticeGroup
 from orbitlab.invariants import (
     ExteriorElement,
@@ -236,7 +237,7 @@ class TestRecovery:
         n = 1024
         inv = recover_invariant_matrix(table, n)
         d = 2
-        assert check_det_pm1(inv, Fraction(10 * d) * cert.constant / n + Fraction(1, 10**12)).passed
+        assert check_det_pm1(inv, det_budget(d, cert.constant, n) + Fraction(1, 10**12)).passed
 
     def test_cohomology_side_is_transpose(self):
         table, cert, _ = realized_table(HALF_SHEAR)

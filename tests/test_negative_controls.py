@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from orbitlab import cli, invariants
+from orbitlab import batteries, cli, invariants
 from orbitlab.groups import LatticeGroup
 from orbitlab.invariants import functoriality_check
 from orbitlab.mapspace import (
@@ -222,7 +222,7 @@ def test_constant_invariant_fails_on_a_corrupted_cocycle(monkeypatch):
     # the odometer command recovers the invariant at n = 81 from 8 samples;
     # one cocycle value at (-81 e_1, first sample) moved by 8 e_2 moves
     # entry (1, 0) of the average by -8 / (8 * 81)
-    honest = cli.matrix_morphism
+    honest = batteries.matrix_morphism
 
     def corrupted(matrix, space, points):
         eta = honest(matrix, space, points)
@@ -232,7 +232,7 @@ def test_constant_invariant_fails_on_a_corrupted_cocycle(monkeypatch):
 
     argv = ["odometer", "--p", "2", "--depth", "3", "--samples", "20", "--seed", "5", "--json"]
     assert CliRunner().invoke(cli.main, argv).exit_code == 0
-    monkeypatch.setattr(cli, "matrix_morphism", corrupted)
+    monkeypatch.setattr(batteries, "matrix_morphism", corrupted)
     result = CliRunner().invoke(cli.main, argv)
     assert result.exit_code == 1
     checks = {c["id"]: c for c in json.loads(result.output)["checks"]}

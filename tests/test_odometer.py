@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from orbitlab import cli, fullgroup, linalg, odometer
+from orbitlab import batteries, cli, fullgroup, linalg, odometer
 from orbitlab.checks import CheckResult
 from orbitlab.fullgroup import (
     FullGroupElement,
@@ -18,7 +18,7 @@ from orbitlab.fullgroup import (
     conjugate_by_translation,
     spatial_realization_gap,
 )
-from orbitlab.groups import BALL_BUDGET, BudgetExceeded, LatticeGroup
+from orbitlab.groups import LatticeGroup
 from orbitlab.odometer import (
     ClopenSet,
     Cylinder,
@@ -30,8 +30,6 @@ from orbitlab.odometer import (
     matrix_equivariance_check,
     minimality_witness,
     odometer_add,
-    refine_common,
-    wandering_check,
 )
 
 
@@ -151,33 +149,6 @@ class TestMeasure:
             cyl = sp.depth_cylinder(x, k)
             g = (rng.randint(-9, 9), rng.randint(-9, 9))
             assert cyl.translate(g, sp).measure(sp) == cyl.measure(sp)
-
-
-class TestRefine:
-    def test_whole_with_whole(self):
-        sp = OdometerSpace((2, 2), 3)
-        whole = [sp.whole_space()]
-        assert refine_common([whole, whole], sp) == whole
-
-    def test_two_coordinate_splits(self):
-        sp = OdometerSpace((2, 2), 3)
-        split1 = [ClopenSet((Cylinder(((d,), ())),)) for d in range(2)]
-        split2 = [ClopenSet((Cylinder(((), (d,))),)) for d in range(2)]
-        atoms = refine_common([split1, split2], sp)
-        assert len(atoms) == 4
-        assert all(a.measure(sp) == Fraction(1, 4) for a in atoms)
-
-    def test_idempotence(self):
-        sp = OdometerSpace((2,), 3)
-        split = [ClopenSet((Cylinder(((d,),)),)) for d in range(2)]
-        atoms = refine_common([split, split], sp)
-        assert set(atoms) == set(split)
-
-    def test_non_partition_rejected(self):
-        sp = OdometerSpace((2,), 3)
-        short = [ClopenSet((Cylinder(((0,),)),))]  # measure 1/2, not a partition
-        with pytest.raises(ValueError, match="sum"):
-            refine_common([short], sp)
 
 
 class TestMatrixAction:
@@ -384,42 +355,6 @@ class TestMinimality:
         assert result.checked == 81
         assert result.witnesses[0] == (0, 1) and len(result.witnesses) == 80
         assert result.notes == "only 1 of 81 depth-2 cylinders visited"
-
-
-class TestWandering:
-    def test_whole_space_immediate(self):
-        sp = OdometerSpace((2,), 3)
-        witness = wandering_check(sp.whole_space(), 1, sp)
-        assert witness is not None and sum(abs(c) for c in witness) == 1
-
-    def test_parity_cylinder(self):
-        # adding +-2 preserves the least binary digit
-        sp = OdometerSpace((2,), 3)
-        U = ClopenSet((Cylinder(((0,),)),))
-        witness = wandering_check(U, 3, sp)
-        assert witness in ((2,), (-2,))
-        # in 2-D the first witness in (L1, coordinates) order is (-2, 0)
-        sp2 = OdometerSpace((2, 2), 3)
-        assert wandering_check(ClopenSet((Cylinder(((0,), (0,))),)), 3, sp2) == (-2, 0)
-
-    def test_bounded_search_is_honest(self):
-        sp = OdometerSpace((2,), 4)
-        deep = ClopenSet((Cylinder(((0, 0, 0, 0),)),))
-        assert wandering_check(deep, 3, sp) is None
-        assert wandering_check(deep, 16, sp) is not None
-
-    def test_empty_rejected(self):
-        sp = OdometerSpace((2,), 3)
-        with pytest.raises(ValueError, match="nonempty"):
-            wandering_check(ClopenSet(()), 2, sp)
-
-    def test_radius_refused_by_the_ball(self):
-        # the search is the standard L1 ball, with its budget and radius check
-        sp = OdometerSpace((2,), 3)
-        with pytest.raises(BudgetExceeded):
-            wandering_check(sp.whole_space(), BALL_BUDGET + 1, sp)
-        with pytest.raises(ValueError, match="radius must be >= 0"):
-            wandering_check(sp.whole_space(), -1, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -912,8 +847,8 @@ def run_odometer(argv):
 )
 def test_odometer_report_is_the_same_on_the_scalar_path(monkeypatch, argv):
     fast = run_odometer(argv)
-    monkeypatch.setattr(cli, "bijectivity_check_at_depth", ref_bijectivity_check_at_depth)
-    monkeypatch.setattr(cli, "matrix_equivariance_check", ref_matrix_equivariance_check)
+    monkeypatch.setattr(batteries, "bijectivity_check_at_depth", ref_bijectivity_check_at_depth)
+    monkeypatch.setattr(batteries, "matrix_equivariance_check", ref_matrix_equivariance_check)
     monkeypatch.setattr(fullgroup, "spatial_realization_gap", ref_spatial_realization_gap)
     assert fast == run_odometer(argv)
     assert fast[0] == 0

@@ -10,7 +10,7 @@ import pytest
 from orbitlab import linalg, shears
 from orbitlab.groups import LatticeGroup, is_bilipschitz_on_ball
 from orbitlab.mapspace import FloorMapSeed, build_translate_space
-from orbitlab.morphisms import ActionSystem, identity_morphism, matrix_morphism, orbit_morphism
+from orbitlab.morphisms import orbit_morphism
 from orbitlab.shears import (
     DISTANCE_PROBES,
     FloorMap,
@@ -20,8 +20,6 @@ from orbitlab.shears import (
     box_points,
     check_box_budget,
     decompose_unimodular,
-    extract_bilipschitz_from_cocycle,
-    injectivity_check_on_box,
     product_matrix,
     realize_bilipschitz,
 )
@@ -442,39 +440,13 @@ class TestBox:
         "sweep",
         [
             lambda f: box_points(-1, 2),
-            lambda f: injectivity_check_on_box(f, -1),
             lambda f: bounded_distance_constant(f, linalg.identity(2), -1),
         ],
-        ids=["box_points", "injectivity_check_on_box", "bounded_distance_constant"],
+        ids=["box_points", "bounded_distance_constant"],
     )
     def test_negative_radius_refused(self, sweep):
         with pytest.raises(ValueError, match="radius must be >= 0"):
             sweep(realize_bilipschitz(linalg.identity(2)))
-
-
-class TestInjectivity:
-    def test_identity(self):
-        assert injectivity_check_on_box(realize_bilipschitz(linalg.identity(2)), 10).passed
-
-    def test_random_shears_pass(self):
-        rng = random.Random(14)
-        f = realize_bilipschitz(random_unimodular(rng, 2))
-        assert injectivity_check_on_box(f, 20).passed
-
-    def test_rounding_rotation_fails_with_witness(self):
-        # rounding both coordinates of a 30-degree rotation collapses points
-        import math
-
-        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
-
-        def rounded_rotation(v):
-            x, y = v
-            return (round(c * x - s * y), round(s * x + c * y))
-
-        report = injectivity_check_on_box(rounded_rotation, 5, dimension=2)
-        assert not report.passed
-        a, b = report.witnesses[0]
-        assert a != b and rounded_rotation(a) == rounded_rotation(b)
 
 
 class TestChainBound:
@@ -499,44 +471,3 @@ class TestChainBound:
             psi = rng.choice(space.slice_members)
             value = table.evaluate(g, psi)
             assert S.word_length(value) <= constant * n
-
-
-class TestExtract:
-    def test_trivial_cocycle_gives_identity(self):
-        Z2 = LatticeGroup(2)
-        S = Z2.standard_generators()
-        table = identity_morphism(ActionSystem("point", S, lambda g, x: x, ("point",)))
-        basepoint = table.source.points[0]
-        mapping, report = extract_bilipschitz_from_cocycle(table, basepoint, 3)
-        assert report.coverage["constant"] == 1
-        assert report.passed
-        for g in S.ball(3):
-            assert mapping[g] == g
-
-    def test_constant_matrix_cocycle_gives_matrix(self):
-        from orbitlab.odometer import OdometerSpace
-
-        sp = OdometerSpace((3, 3), 4)
-        a = [[1, 1], [0, 1]]
-        table = matrix_morphism(a, sp, [sp.zero()])
-        mapping, _ = extract_bilipschitz_from_cocycle(table, sp.zero(), 3)
-        Z2 = LatticeGroup(2)
-        for g in Z2.standard_generators().ball(3):
-            expected = [int(v) for v in linalg.mat_vec(linalg.as_matrix(a), g.coords)]
-            assert mapping[g].coords == tuple(expected)
-
-    def test_translate_space_cocycle_tracks_seed(self):
-        f = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
-        space = build_translate_space(FloorMapSeed(f), 5, 2, offset_radius=0)
-        table = orbit_morphism(space)
-        # deduplication may register the seed's own germ under another
-        # translate, so locate it by its table
-        basepoint = next(
-            psi
-            for psi in space.slice_members
-            if all(psi.value(g).coords == f(g.coords) for g in space.source_gens.ball(5))
-        )
-        mapping, _ = extract_bilipschitz_from_cocycle(table, basepoint, 4)
-        # phi(g) = cocycle(g^-1, base)^-1 = psi(g) here, i.e. the seed itself
-        for g in space.source_gens.ball(4):
-            assert mapping[g].coords == f(g.coords)
