@@ -2,10 +2,14 @@
 every private name it defines at its top level.  No module imports a
 private name from another orbitlab module: what two modules share is public.
 
-``__init__.py`` only re-exports, so the two usage guards leave it out.  A
+``__init__.py`` only re-exports, so the usage and reach guards leave it out.  A
 name counts as used when it is read as a bare name anywhere in the module,
 the root of an attribute chain included, or inside a quoted annotation.  A private name
 (``_helper``, ``_CONSTANT``) that its own module never reads is left over.
+
+Every public top-level function or class is read by some library module,
+or it is named in ``TEST_REFERENCES`` with the reason the tests need it: a
+checker that no command can reach runs in no report.
 """
 import ast
 from pathlib import Path
@@ -139,3 +143,71 @@ def test_the_guard_sees_a_private_import():
         "from . import _shared, linalg\nfrom typing import _Final\n"
     )
     assert set(private_imports(tree)) == {"_LIMIT", "_helper", "_shared"}
+
+
+# Public library names that only the tests read, each with its reason.
+TEST_REFERENCES = {
+    "box_points": "the reference order of the certificate box, which the distance sweep walks in blocks",
+    "TableSeed": "a seed given by a finite table: free-group and hand-made translate spaces in the tests",
+    "identity_morphism": "the trivial cocycle: a fake system for invariant and composition tests",
+}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each public top-level function or class, with its line number; a
+    function registered as a click command is reached through its group."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            registered = any(
+                isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+                for d in node.decorator_list
+            )
+            if not node.name.startswith("_") and not registered:
+                names[node.name] = node.lineno
+    return names
+
+
+def module_reads(tree: ast.Module, modules: set) -> set[str]:
+    """The names a module reads: bare names, and attributes of a package
+    module bound under its own name (``linalg.det``)."""
+    reads = used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            reads.add(node.attr)
+    return reads
+
+
+def unreached(sources: dict[str, str]) -> dict[str, str]:
+    """Each public definition of ``sources`` (module name -> text) that no
+    module reads and that ``TEST_REFERENCES`` does not name, as
+    ``module:line``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = set().union(*(module_reads(tree, set(trees)) for tree in trees.values()))
+    return {
+        name: f"{module}:{line}"
+        for module, tree in trees.items()
+        for name, line in public_definitions(tree).items()
+        if name not in reads and name not in TEST_REFERENCES
+    }
+
+
+def test_every_public_name_is_read_by_the_library():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreached(sources) == {}
+
+
+def test_every_test_reference_exists():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    defined = set().union(*(public_definitions(ast.parse(text)) for text in sources.values()))
+    assert set(TEST_REFERENCES) <= defined
+
+
+def test_the_guard_sees_an_unread_public_name():
+    sources = {
+        "alpha": "import click\n\ndef helper():\n    return 1\n\ndef spare():\n    return 2\n\n"
+                 "class Shape:\n    pass\n\n@click.group()\ndef main():\n    pass\n\n"
+                 "@main.command()\ndef run():\n    return helper()\n",
+        "beta": "from . import alpha\n\ndef box_points():\n    return alpha.Shape\n\ndef left():\n    return 0\n",
+    }
+    assert unreached(sources) == {"spare": "alpha:6", "left": "beta:6"}
