@@ -312,12 +312,13 @@ def test_criterion_8_negative_controls():
     germ = space.members[0]
     bad_table = {g: germ.value(g) for g in germ.gens.ball(germ.radius)}
     bad_table[list(bad_table)[3]] = Z2.element((25, -25))
-    space.members = space.members + (
-        MapGerm.from_dict(germ.gens, germ.radius, bad_table, germ.provenance),
-    )
+    bad = MapGerm.from_dict(germ.gens, germ.radius, bad_table, germ.provenance)
+    space.members = space.members + (bad,)
+    # each check fails on the corrupted member alone, with one witness
     domain_check = check_fundamental_domain(space, 1)
+    assert domain_check.witnesses == [("target-hit-not-in-slice", Z2.element((-1, 0)), bad)]
     closure_check = check_lipschitz_closure(space)
-    assert not (domain_check.passed and closure_check.passed)
+    assert closure_check.witnesses == [(bad, (Z2.element((-4, 0)), Z2.element((-3, 1))))]
 
     with pytest.raises(ValueError, match="not \\+-1"):
         bijectivity_check_at_depth([[2, 0], [0, 1]], OdometerSpace((2, 2), 3))

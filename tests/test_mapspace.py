@@ -373,9 +373,11 @@ class TestBattery:
         f = realize_bilipschitz(HALF_SHEAR)
         other = build_translate_space(FloorMapSeed(f), 6, 6, offset_radius=2)
         other.members = other.members + (bad,)
+        # each check fails on the corrupted member alone, with one witness
         lips = check_lipschitz_closure(other)
+        assert lips.witnesses == [(bad, (Z2.element((-6, 0)), Z2.element((-4, -1))))]
         domain = check_fundamental_domain(other, 2)
-        assert not (lips.passed and domain.passed)
+        assert domain.witnesses == [("target-hit-not-in-slice", Z2.element((-2, 0)), bad)]
 
     def test_orbit_equality_all_slice_points(self, shear_space):
         for psi in shear_space.slice_members:
