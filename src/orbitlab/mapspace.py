@@ -539,7 +539,15 @@ def _is_named_translate(space: TruncatedMapSpace, germ: MapGerm) -> bool:
 
 
 def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
-    """(g h) . psi == g . (h . psi) wherever both sides are defined."""
+    """(g h) . psi == g . (h . psi) wherever both sides are defined.
+
+    The law holds for every function psi inside the radius, not only for
+    translates of a bi-Lipschitz seed: with (g . psi)(k) =
+    psi(g^-1)^-1 psi(g^-1 k), both sides give psi(h^-1 g^-1)^-1
+    psi(h^-1 g^-1 k) at k, in any group.  So no input can make it fail; it
+    tests the implementation (the gathers, the truncation radii and the
+    provenance path of ``act_source``), not the input.
+    """
     checked = 0
     witnesses = []
     ball = space.source_gens.ball(window)
@@ -562,6 +570,13 @@ def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
 
 def check_cocycle_identity(space: TruncatedMapSpace, cocycle, radius: int) -> CheckResult:
     """cocycle(g h, psi) == cocycle(g, h . psi) * cocycle(h, psi), exhaustively.
+
+    For the orbit cocycle the identity holds for every function psi inside
+    the radius: with cocycle(g, psi) = psi(g^-1)^-1, the right side is
+    psi(h^-1 g^-1)^-1 psi(h^-1) psi(h^-1)^-1 = psi((g h)^-1)^-1.  So it
+    tests the implementation (the gathers, the truncation radii, the
+    override of ``--inject-corruption`` and the provenance path past a
+    germ's radius), not the input.
 
     ``cocycle`` is an orbit morphism of the space (anything with
     ``evaluate``), exact at every g for a global seed; for a table seed
