@@ -8,9 +8,6 @@ from pathlib import Path
 import pytest
 
 from orbitlab import batteries, cli
-from orbitlab.linalg import as_matrix
-from orbitlab.mapspace import FloorMapSeed, build_translate_space
-from orbitlab.shears import realize_bilipschitz
 
 CLI_SOURCE = Path(cli.__file__).read_text()
 
@@ -52,39 +49,3 @@ def test_gromov_budget_admits(config):
 def test_det_budget_is_ten_d_c_over_n():
     assert batteries.det_budget(3, Fraction(19, 20), 1024) == Fraction(30 * 19, 20 * 1024)
     assert batteries.det_budget(2, 0, 1024) == 0
-
-
-@pytest.fixture(scope="module")
-def small_space():
-    floor_map = realize_bilipschitz([["1", "0.5"], ["0", "1"]])
-    return build_translate_space(FloorMapSeed(floor_map), 4, 3, offset_radius=1)
-
-
-def test_translate_battery_lists_its_checks_in_report_order(small_space):
-    checks, extra = batteries.translate_battery(small_space, 1)
-    orbit = [f"orbit-equality[{i}]" for i in range(len(small_space.slice_members))]
-    assert [c.name for c in checks] == [
-        "lipschitz-closure", "action-law", "cocycle-identity", "fundamental-domain", *orbit,
-        "inverse-identities", "equivariance", "inverse-equivariance", "forced-freeness",
-    ]
-    assert all(c.passed for c in checks)
-    assert extra == {"space": small_space.to_json()}
-
-
-def test_corrupted_cocycle_fails_only_the_cocycle_identity(small_space):
-    checks, _ = batteries.translate_battery(small_space, 1, batteries.corrupted_cocycle(small_space, 1))
-    failed = [c for c in checks if not c.passed]
-    assert [c.name for c in failed] == ["cocycle-identity"]
-    assert failed[0].witnesses
-
-
-@pytest.mark.parametrize(
-    "first, second, route",
-    [
-        ([[0, -1], [1, 0]], [[1, 1], [0, 1]], "constant"),
-        ([[1, 1], [0, 1]], [["1", "0.5"], ["0", "1"]], "realized"),
-        ([[2, 1], [1, 1]], [[2, 0], [0, 1]], "realized"),
-    ],
-)
-def test_functoriality_route(first, second, route):
-    assert batteries.functoriality_route(as_matrix(first), as_matrix(second)) == route
