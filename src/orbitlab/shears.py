@@ -216,18 +216,24 @@ class FloorMap:
             out = op.unapply_int(out)
         return out
 
-    def _fits_int64(self, rows: np.ndarray) -> bool:
-        """Whether every denominator, coefficient product and intermediate
-        coordinate of the evaluation on ``rows``, one row per coordinate
-        (shape (d, M)), provably stays below 2^62."""
-        bounds = [_row_bound(row) for row in rows]
+    def _bound_chain(self, bounds: Sequence[int]) -> tuple[type, list[int]]:
+        """The narrowest sweep dtype for an evaluation whose coordinate k has
+        magnitude at most ``bounds[k]`` (each at least 1), and a bound on each
+        image coordinate, in one pass over the ops, rightmost first.
+
+        A shear v_i += floor(p v_j / q) grows bound i by |p| b_j // q + 1;
+        a sign flip keeps every bound.  The dtype is the first rung of
+        ``_rung`` that holds every input bound, product |p| b_j (which
+        bounds the multiplier p), divisor q and updated bound on the way."""
+        bounds = list(bounds)
+        peak = max(bounds)
         for op in reversed(self.ops):
             if isinstance(op, Shear):
                 p, q = abs(op.coeff.numerator), op.coeff.denominator
-                bounds[op.i] += (p * bounds[op.j]) // q + 1
-                if max(p * bounds[op.j], q, bounds[op.i]) >= INT64_SAFE:
-                    return False
-        return True
+                product = p * bounds[op.j]
+                bounds[op.i] += product // q + 1
+                peak = max(peak, product, q, bounds[op.i])
+        return _rung(peak), bounds
 
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (M, d) integer array; returns (M, d).
@@ -235,13 +241,13 @@ class FloorMap:
         The points are copied once into one contiguous row per coordinate,
         shape (d, M), and each op updates one row in place, through one
         scratch row for the product and floor; the result is the (M, d)
-        transposed view of those rows.  One op loop: on int64 when
-        ``_fits_int64`` proves it safe, otherwise on exact Python integers
-        (dtype=object).
+        transposed view of those rows.  One op loop, on the dtype that
+        ``_bound_chain`` proves from the input's row bounds: int32, else
+        int64, else exact Python integers (dtype=object).
         """
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError("vector has wrong dimension")
-        dtype = np.int64 if self._fits_int64(points.T) else object
+        dtype, _ = self._bound_chain([_row_bound(row) for row in points.T])
         rows = np.array(points.T, dtype=dtype, order="C")
         step = np.empty(rows.shape[1], dtype=dtype)
         for op in reversed(self.ops):
@@ -259,6 +265,19 @@ class FloorMap:
 def _row_bound(row: np.ndarray) -> int:
     """max(|x| for x in row), at least 1, read off the row's min and max."""
     return max(-int(row.min(initial=0)), int(row.max(initial=0)), 1)
+
+
+# The machine-integer sweep dtypes, narrowest first, each with the bound that
+# every value it holds stays below: a sum or difference of two such values,
+# and the negation of one, still fits.
+_RUNGS = ((np.int32, 1 << 30), (np.int64, INT64_SAFE))
+_WIDTH = (np.int32, np.int64, object)
+
+
+def _rung(peak: int) -> type:
+    """The narrowest dtype whose rung holds magnitudes up to ``peak``: int32,
+    int64, or exact Python integers (dtype=object) past both."""
+    return next((dtype for dtype, limit in _RUNGS if peak < limit), object)
 
 
 def realize_bilipschitz(matrix, tol=DEFAULT_TOL) -> FloorMap:
@@ -300,9 +319,11 @@ def box_points(radius: int, dimension: int) -> np.ndarray:
 _SWEEP_BLOCK = 32768
 
 
-def _box_blocks(radius: int, dimension: int):
+def _box_blocks(radius: int, dimension: int, dtype):
     """The points of ``box_points(radius, dimension)``, in its order, as
-    consecutive (d, M) int64 row blocks of at most ``_SWEEP_BLOCK`` points.
+    consecutive (d, M) row blocks of ``dtype`` of at most ``_SWEEP_BLOCK``
+    points; the flat indices and coordinates below stay within
+    ``SWEEP_BUDGET``, so any rung of ``_rung`` holds them.
 
     Every block is a view of one buffer that the next block overwrites.  The
     first coordinate of flat index n is n // slab - radius, where a slab is
@@ -313,13 +334,13 @@ def _box_blocks(radius: int, dimension: int):
     slab = side ** (dimension - 1)
     total = side * slab
     block = min(_SWEEP_BLOCK, total)
-    tail = np.indices((side,) * (dimension - 1), dtype=np.int64).reshape(dimension - 1, slab) - radius
+    tail = np.indices((side,) * (dimension - 1), dtype=dtype).reshape(dimension - 1, slab) - radius
     tail = np.tile(tail, -(-(block + slab - 1) // slab))
-    buffer = np.empty((dimension, block), dtype=np.int64)
+    buffer = np.empty((dimension, block), dtype=dtype)
     for start in range(0, total, block):
         stop = min(start + block, total)
         rows = buffer[:, : stop - start]
-        np.floor_divide(np.arange(start, stop, dtype=np.int64), slab, out=rows[0])
+        np.floor_divide(np.arange(start, stop, dtype=dtype), slab, out=rows[0])
         rows[0] -= radius
         offset = start % slab
         rows[1:] = tail[:, offset : offset + stop - start]
@@ -357,38 +378,34 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     of Z^d.  ``by_radius`` also holds the maximum over each smaller box in
     ``DISTANCE_PROBES``; the witness is the first point attaining the maximum.
 
-    The box is refused by ``check_box_budget`` before anything is built, then
-    swept in blocks of ``_SWEEP_BLOCK`` points in ``box_points`` order, each
-    one (d, M) row block through ``FloorMap.apply_array``.  Per block the
-    scaled gap common_den * f_r(v) - sum_k a_rk v_k is formed one coordinate
-    row r at a time, on int64 when a static bound proves it safe for the
-    block and on exact Python integers otherwise, and its absolute value is
-    folded into that block's slice of one running maximum over the box
-    (int64 until a block needs exact integers).  Each probe maximum is read
-    off a slice of that maximum viewed as the (2R+1)^d grid."""
+    The box is refused by ``check_box_budget`` before anything is built.
+    One static bound then picks the sweep dtype: ``FloorMap._bound_chain`` at
+    coordinate bound max(R, 1) gives the map's rung and image bounds b_r, and
+    the scaled gap common_den * f_r(v) - sum_k a_rk v_k of row r stays below
+    common_den * b_r + max(R, 1) * sum_k |a_rk| on the way; the sweep runs on
+    the wider of the two rungs (int32, int64, or exact Python integers).
+    The box is swept in blocks of ``_SWEEP_BLOCK`` points in ``box_points``
+    order, built in that dtype, each one (d, M) row block through
+    ``FloorMap.apply_array``; per block the scaled gap is formed one
+    coordinate row at a time and its absolute value folded into that
+    block's slice of one running maximum over the box, held in the same
+    dtype.  Each probe maximum is read off a slice of that maximum viewed as
+    the (2R+1)^d grid."""
     a = linalg.as_matrix(matrix)
     d = len(a)
     check_box_budget(radius, d)
     common_den = math.lcm(*(x.denominator for row in a for x in row))
     int_a = [[int(x * common_den) for x in row] for row in a]
-    max_entry = max(abs(e) for row in int_a for e in row)
-    coords_fit = max_entry * max(radius, 1) * d < INT64_SAFE
+    coord = max(radius, 1)
+    rung, image_bounds = floor_map._bound_chain([coord] * floor_map.dimension)
+    gap_bound = max(common_den * b + coord * sum(map(abs, row)) for b, row in zip(image_bounds, int_a))
+    dtype = max(rung, _rung(gap_bound), key=_WIDTH.index)
 
     side = 2 * radius + 1
-    gap_inf = np.zeros(side**d, dtype=np.int64)
+    gap_inf = np.zeros(side**d, dtype=dtype)
     start = 0
-    for block in _box_blocks(radius, d):
-        images = floor_map.apply_array(block.T).T
-        fast = (
-            coords_fit
-            and images.dtype == np.int64
-            and common_den * max(_row_bound(row) for row in images) < INT64_SAFE
-        )
-        dtype = np.int64 if fast else object
-        if not fast and gap_inf.dtype == np.int64:
-            gap_inf = gap_inf.astype(object)
-        coords = block.astype(dtype, copy=False)
-        images = images.astype(dtype, copy=False)
+    for block in _box_blocks(radius, d, dtype):
+        images = floor_map.apply_array(block.T).T.astype(dtype, copy=False)
         stop = start + block.shape[1]
         block_max = gap_inf[start:stop]
         gap = np.empty(block.shape[1], dtype=dtype)
@@ -397,7 +414,7 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
             np.multiply(images[r], common_den, out=gap)
             for k, e in enumerate(int_a[r]):
                 if e:
-                    gap -= np.multiply(coords[k], e, out=term)
+                    gap -= np.multiply(block[k], e, out=term)
             np.maximum(block_max, np.abs(gap, out=gap), out=block_max)
         start = stop
 
@@ -413,4 +430,3 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
         by_radius=by_radius,
         witness=tuple(int(c) - radius for c in best),
     )
-

@@ -37,6 +37,7 @@ from orbitlab.shears import (
     DEFAULT_TOL,
     Shear,
     SignFlip,
+    bounded_distance_constant,
     box_points,
     decompose_unimodular,
     product_matrix,
@@ -103,13 +104,25 @@ def test_criterion_1_realization_recovery():
     report(1, f"20 matrices recovered at n=2^10 within C/n", elapsed)
 
 
-def test_pinned_box_sweeps_run_on_int64():
-    """The radius-50 box sweep of every pinned matrix stays on the int64
-    path.  The object path is exact as well, so an over-cautious static
-    bound would fail no other test; it would only make every sweep slower."""
-    boxes = {d: box_points(50, d) for d in (2, 3)}
+def test_pinned_box_sweeps_run_on_int32():
+    """The radius-50 box sweep of every pinned matrix, and the distance
+    certificate's sweep of the same box, run on int32.  The int64 and object
+    rungs are exact as well, so an over-cautious static bound would fail no
+    other test; it would only make every sweep slower."""
+    boxes = {d: box_points(CERTIFICATE_RADIUS, d) for d in (2, 3)}
     for a in MATRICES:
-        assert realize_bilipschitz(a).apply_array(boxes[len(a)]).dtype == np.int64, a
+        f = realize_bilipschitz(a)
+        assert f.apply_array(boxes[len(a)]).dtype == np.int32, a
+        swept = set()
+        honest = f.apply_array
+
+        def spy(points):
+            swept.add(points.dtype)
+            return honest(points)
+
+        f.apply_array = spy
+        bounded_distance_constant(f, a, CERTIFICATE_RADIUS)
+        assert swept == {np.dtype(np.int32)}, a
 
 
 def test_criterion_2_decomposition_reconstruction():

@@ -49,7 +49,7 @@ SWEEP_GOLDEN = [
         "functoriality_realized_half_quarter_n1024.json",
         ["functoriality", "--matrix", "1 0.5; 0 1", "--matrix", "1 0; 0.25 1"],
     ),
-    # the first 3x3 acceptance matrix at the default radius: an int64 sweep
+    # the first 3x3 acceptance matrix at the default radius: an int32 sweep
     # of 101^3 points
     (
         "realize_acceptance_3x3_r50.json",

@@ -182,6 +182,17 @@ class TestFloorMap:
         for row, img in zip(pts.tolist(), images.tolist()):
             assert f(tuple(row)) == tuple(int(c) for c in img)
 
+    @pytest.mark.parametrize("peak, dtype", [(2**30 - 1, np.int32), (2**30, np.int64)], ids=["int32", "int64"])
+    def test_apply_array_int32_boundary_is_exact(self, peak, dtype):
+        # on the radius-1 box, v_0 += p v_1 grows the bound of v_0 from 1 to
+        # 1 + p + 1, so p = peak - 2 puts the worst intermediate at ``peak``
+        f = FloorMap([Shear(0, 1, Fraction(peak - 2))], 2)
+        assert f._bound_chain([1, 1]) == (dtype, [peak, 1])
+        pts = box_points(1, 2)
+        images = f.apply_array(pts)
+        assert images.dtype == dtype
+        assert images.tolist() == reference_apply_array(f, pts).tolist()
+
     def test_distance_constant_huge_denominators(self):
         # float-origin coefficients have 2^52-scale denominators; the exact
         # slow path must still produce the certificate
@@ -238,12 +249,33 @@ def reference_certificate(f, matrix, radius):
     return exact, tuple(points[gaps.index(max(gaps))])
 
 
-def assert_certificate_matches_reference(f, matrix, radius):
+def swept_certificate(f, matrix, radius):
+    """The certificate of ``f``, and the dtypes of the blocks that its sweep
+    passed to ``apply_array``."""
+    swept = set()
+    honest = f.apply_array
+
+    def spy(points):
+        swept.add(points.dtype)
+        return honest(points)
+
+    f.apply_array = spy
+    try:
+        return bounded_distance_constant(f, matrix, radius), swept
+    finally:
+        del f.apply_array
+
+
+def assert_certificate_matches_reference(f, matrix, radius, dtype=None):
+    """The certificate equals the exact reference, witness included; with a
+    ``dtype``, its sweep also ran on that dtype alone."""
     exact, witness = reference_certificate(f, matrix, radius)
-    cert = bounded_distance_constant(f, matrix, radius)
+    cert, swept = swept_certificate(f, matrix, radius)
     assert cert.by_radius == exact
     assert cert.constant == exact[radius]
     assert cert.witness == witness
+    if dtype is not None:
+        assert swept == {np.dtype(dtype)}
 
 
 def assert_matches_reference(f, matrix, radius, dtype):
@@ -251,37 +283,56 @@ def assert_matches_reference(f, matrix, radius, dtype):
     images = f.apply_array(points)
     assert images.dtype == dtype
     assert images.tolist() == reference_apply_array(f, points).tolist()
-    assert_certificate_matches_reference(f, matrix, radius)
+    assert_certificate_matches_reference(f, matrix, radius, dtype)
 
 
-def force_object_path(monkeypatch):
-    # no static bound holds: both sweeps take the exact path
-    monkeypatch.setattr(FloorMap, "_fits_int64", lambda self, rows: False)
+# The three sweep dtypes, narrowest first.
+WIDTH = (np.int32, np.int64, object)
+RUNGS = pytest.mark.parametrize("dtype", WIDTH, ids=["int32", "int64", "object"])
+PROVEN = FloorMap._bound_chain
+
+
+def force_rung(monkeypatch, dtype):
+    """Run both sweeps no narrower than ``dtype``: the bound chain names the
+    wider of ``dtype`` and the rung it proves, and keeps its image bounds.
+    A sweep wider than the proven rung is always exact."""
+
+    def widened(self, bounds):
+        rung, images = PROVEN(self, bounds)
+        return max(rung, dtype, key=WIDTH.index), images
+
+    monkeypatch.setattr(FloorMap, "_bound_chain", widened)
+
+
+def sweep_rung(f, radius, dtype):
+    """The dtype of a box sweep of ``f`` forced to ``dtype``: the wider of
+    ``dtype`` and the rung the bound chain proves for the box."""
+    return max(PROVEN(f, [max(radius, 1)] * f.dimension)[0], dtype, key=WIDTH.index)
 
 
 class TestVectorisedSweepMatchesPerRow:
-    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @RUNGS
     def test_random_unimodular(self, monkeypatch, dtype):
-        if dtype is object:
-            force_object_path(monkeypatch)
+        force_rung(monkeypatch, dtype)
         rng = random.Random(17)
         for d, radius in ((2, 12), (3, 5)):
             for quarter_grid in (True, False):
                 for _ in range(4):
                     m = random_unimodular(rng, d, quarter_grid=quarter_grid)
+                    # every one of these maps fits int32 on its own bound
                     assert_matches_reference(realize_bilipschitz(m), m, radius, dtype)
 
-    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @RUNGS
     @pytest.mark.parametrize("d, radius", [(2, 0), (2, 7), (2, 30), (3, 3)])
     def test_radii_around_the_probes(self, monkeypatch, dtype, d, radius):
         # radius 0 and 7 lie below every probe, 30 between two, and 3 in 3D
         # below all of them; the nested maxima come from slices of the grid
-        if dtype is object:
-            force_object_path(monkeypatch)
+        force_rung(monkeypatch, dtype)
         rng = random.Random(100 * d + radius)
         for _ in range(3):
             m = random_unimodular(rng, d, quarter_grid=False)
-            assert_matches_reference(realize_bilipschitz(m), m, radius, dtype)
+            f = realize_bilipschitz(m)
+            assert_matches_reference(f, m, radius, sweep_rung(f, radius, dtype))
 
     @pytest.mark.parametrize(
         "matrix",
@@ -307,11 +358,10 @@ class TestVectorisedSweepMatchesPerRow:
         assert cert.constant == exact[radius]
         assert cert.witness == witness
 
-    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @RUNGS
     @pytest.mark.parametrize("layout", ["c-ordered", "box-view", "int32", "strided"])
     def test_apply_array_input_layouts(self, monkeypatch, dtype, layout):
-        if dtype is object:
-            force_object_path(monkeypatch)
+        force_rung(monkeypatch, dtype)
         f = realize_bilipschitz(random_unimodular(random.Random(18), 3, quarter_grid=False))
         box = box_points(4, 3)
         points = {
@@ -354,11 +404,10 @@ def last_point_witness(d, radius):
 class TestSweepBlocks:
     """The certificate does not depend on where the sweep's blocks end."""
 
-    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @RUNGS
     @pytest.mark.parametrize("d, radius", [(1, 0), (1, 9), (2, 0), (2, 6), (3, 0), (3, 3)])
     def test_random_maps(self, monkeypatch, dtype, d, radius):
-        if dtype is object:
-            force_object_path(monkeypatch)
+        force_rung(monkeypatch, dtype)
         rng = random.Random(1000 * d + radius)
         if d == 1:
             matrices = [[["1"]], [["-1"]]]
@@ -368,33 +417,33 @@ class TestSweepBlocks:
             monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
             for m in matrices:
                 f = realize_bilipschitz(m)
-                assert f.apply_array(box_points(radius, d)).dtype == dtype
-                assert_certificate_matches_reference(f, m, radius)
+                rung = sweep_rung(f, radius, dtype)
+                assert f.apply_array(box_points(radius, d)).dtype == rung
+                assert_certificate_matches_reference(f, m, radius, rung)
 
-    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @RUNGS
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_identity_witness_is_the_first_point(self, monkeypatch, dtype, d):
         # every gap ties at 0, so the witness is the box's first point
-        if dtype is object:
-            force_object_path(monkeypatch)
+        force_rung(monkeypatch, dtype)
         radius = 4
         identity = linalg.identity(d)
         for block in block_sizes(radius, d):
             monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
-            cert = bounded_distance_constant(realize_bilipschitz(identity), identity, radius)
+            cert, swept = swept_certificate(realize_bilipschitz(identity), identity, radius)
+            assert swept == {np.dtype(dtype)}
             assert cert.constant == 0 and set(cert.by_radius.values()) == {0}
             assert cert.witness == (-radius,) * d
 
-    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    @RUNGS
     @pytest.mark.parametrize("d", [2, 3])
     def test_witness_in_the_last_block(self, monkeypatch, dtype, d):
-        if dtype is object:
-            force_object_path(monkeypatch)
+        force_rung(monkeypatch, dtype)
         radius = 3
         f, matrix = last_point_witness(d, radius)
         for block in block_sizes(radius, d):
             monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
-            assert_certificate_matches_reference(f, matrix, radius)
+            assert_certificate_matches_reference(f, matrix, radius, dtype)
             assert bounded_distance_constant(f, matrix, radius).witness == (radius,) * d
 
     @pytest.mark.parametrize(
@@ -407,6 +456,18 @@ class TestSweepBlocks:
             monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
             assert_certificate_matches_reference(realize_bilipschitz(m), m, radius)
 
+    def test_gap_past_int32_with_images_inside(self, monkeypatch):
+        # the half shear's images on the radius-3 box fit int32, but the
+        # matrix's denominator 2^30 scales the gaps (up to 8 unscaled) past
+        # 2^31: the sweep runs on int64 and still equals the exact reference
+        f = FloorMap([Shear(0, 1, Fraction(1, 2))], 2)
+        matrix = [[1, 3 + Fraction(1, 2**30)], [0, 1]]
+        radius = 3
+        assert f.apply_array(box_points(radius, 2)).dtype == np.int32
+        for block in block_sizes(radius, 2):
+            monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
+            assert_certificate_matches_reference(f, matrix, radius, np.int64)
+
     def test_one_dimensional_box_across_default_blocks(self):
         # 80,001 points: the default block size cuts this box three times
         radius = 40000
@@ -416,7 +477,7 @@ class TestSweepBlocks:
 
     def test_memory_stays_at_the_block_scale(self):
         # the whole 101^3 box as int64 rows is 24 MB; the sweep holds one
-        # int64 maximum per point (8 MB) and a few blocks
+        # int32 maximum per point (4 MB) and a few blocks
         m = [["-0.5", "0", "1"], ["0.5625", "-1", "-1.625"], ["0.75", "0", "0.5"]]
         f = realize_bilipschitz(m)
         tracemalloc.start()
@@ -425,7 +486,7 @@ class TestSweepBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, peak
+        assert peak < 8 * 2**20, peak
 
 
 class TestBox:
