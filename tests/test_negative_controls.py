@@ -9,7 +9,8 @@ no fixture carries, and an entry naming a test that does not exist.
 
 The controls below cover the ids that had none.  ``action-law``,
 ``orbit-equality``, ``haar-invariance`` and ``functoriality`` fail on a
-patched implementation; ``constant-invariant-exact`` fails on a corrupted
+patched implementation; ``orbit-equality`` also fails on an input, a
+non-injective slice germ; ``constant-invariant-exact`` fails on a corrupted
 cocycle read through the ``odometer`` command.
 """
 import ast
@@ -25,6 +26,7 @@ from orbitlab.groups import LatticeGroup
 from orbitlab.invariants import functoriality_check
 from orbitlab.mapspace import (
     FloorMapSeed,
+    MapGerm,
     TruncatedMapSpace,
     build_translate_space,
     check_action_law,
@@ -94,6 +96,7 @@ CONTROLS = {
     ),
     "orbit-equality": (
         "test_negative_controls.py::test_orbit_equality_fails_on_a_wrong_backward_cocycle",
+        "test_negative_controls.py::test_orbit_equality_fails_on_a_non_injective_germ",
     ),
 }
 
@@ -183,6 +186,29 @@ def test_orbit_equality_fails_on_a_wrong_backward_cocycle(monkeypatch, half_shea
     tag, g, lam, back = result.witnesses[0]
     assert (tag, g, back) == ("cocycle-roundtrip", G_STAR, G_STAR * G_STAR)
     assert lam == space.forward_cocycle(G_STAR, psi)
+
+
+def test_orbit_equality_fails_on_a_non_injective_germ(half_shear_space):
+    # the first slice member, with its value at the first word-length-1 ball
+    # point set to its value at the second: psi(-1, 0) = psi(0, -1)
+    space = half_shear_space
+    psi = space.slice_members[0]
+    gens = space.source_gens
+    ball = gens.ball(psi.radius)
+    values = {g: psi.value(g) for g in ball}
+    assert check_orbit_equality(space, MapGerm.from_dict(gens, psi.radius, values), 1).passed
+    first, second = [g for g in ball if gens.word_length(g) == 1][:2]
+    values[first] = values[second]
+    result = check_orbit_equality(space, MapGerm.from_dict(gens, psi.radius, values), 1)
+    assert not result.passed
+    # g = (0, 1) goes out to lam = psi(0, -1)^-1 = (1, 1) and comes back
+    # through the first ball point with value lam^-1, (-1, 0), as (1, 0)
+    assert result.witnesses[0] == ("cocycle-roundtrip", G_STAR, Z2.element((1, 1)), Z2.element((1, 0)))
+    # both points give lam = (1, 1), so the target orbit has 4 germs to 5
+    tag, source_set, target_set = result.witnesses[1]
+    assert (tag, len(result.witnesses)) == ("orbit-sets-differ", 2)
+    assert source_set == ["(-1, 0)", "(0, -1)", "(0, 0)", "(0, 1)", "(1, 0)"]
+    assert target_set == ["(-1, 0)", "(0, -1)", "(0, 0)", "(1, 1)"]
 
 
 def test_haar_invariance_fails_when_a_translate_loses_a_digit(monkeypatch):
