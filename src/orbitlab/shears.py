@@ -381,7 +381,7 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     The box is refused by ``check_box_budget`` before anything is built.
     One static bound then picks the sweep dtype: ``FloorMap._bound_chain`` at
     coordinate bound max(R, 1) gives the map's rung and image bounds b_r, and
-    the scaled gap common_den * f_r(v) - sum_k a_rk v_k of row r stays below
+    the scaled gap common_den * f_r(v) - sum_k a_rk v_k of row r stays within
     common_den * b_r + max(R, 1) * sum_k |a_rk| on the way; the sweep runs on
     the wider of the two rungs (int32, int64, or exact Python integers).
     The box is swept in blocks of ``_SWEEP_BLOCK`` points in ``box_points``
