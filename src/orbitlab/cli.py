@@ -39,6 +39,15 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _realizable(a: linalg.Matrix, tol: str) -> Fraction:
+    """The exact ``--tol`` of a matrix to realize; a realization reports floats,
+    so an entry or ``--tol`` past the float range is refused before any work."""
+    tol = linalg.as_scalar(tol)
+    for what, values in (("a matrix entry", [x for row in a for x in row]), ("--tol", [tol])):
+        _require(all(abs(x) <= sys.float_info.max for x in values), f"{what} is too large for a report float")
+    return tol
+
+
 def _given(name: str) -> bool:
     """Whether an option was set explicitly rather than left at its default."""
     return click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT
@@ -113,8 +122,9 @@ def realize(matrix, n, samples, radius, tol):
     _require(samples >= 1, "samples must be >= 1")
     _require(n >= 1, "growth scale n must be >= 1")
     a = linalg.parse_matrix(matrix)
+    tol = _realizable(a, tol)
     check_box_budget(radius, len(a))
-    return realize_battery(a, n, samples, radius, Fraction(tol))
+    return realize_battery(a, n, samples, radius, tol)
 
 
 @main.command(name="gromov-check")
@@ -150,11 +160,12 @@ def gromov_check(matrix, dimension, radius, translate_radius, window, inject_cor
             f"--dimension {dimension} does not match the {len(a)}x{len(a)} matrix",
         )
         dimension = len(a)
+        tol = _realizable(a, tol)
     check_gromov_budget(dimension, radius, translate_radius, window)
     if a is None:
         seed_map = IdentitySeed(LatticeGroup(dimension))
     else:
-        seed_map = FloorMapSeed(realize_bilipschitz(a, Fraction(tol)))
+        seed_map = FloorMapSeed(realize_bilipschitz(a, tol))
     space = build_translate_space(seed_map, radius, translate_radius, offset_radius=window)
     cocycle = corrupted_cocycle(space, window) if inject_corruption else None
     return translate_battery(space, window, cocycle)
@@ -213,8 +224,9 @@ def functoriality(matrices, p, depth, n, samples, tol, seed):
     for name in ("tol",) if route == "constant" else ("seed", "p", "depth", "samples"):
         _require(not _given(name), f"--{name} is not read by the {route} route")
     if route == "realized":
+        tol = _realizable(first + second, tol)
         check_box_budget(CERTIFICATE_RADIUS, len(first))
-    return functoriality_battery(first, second, p, depth, n, samples, Fraction(tol), seed)
+    return functoriality_battery(first, second, p, depth, n, samples, linalg.as_scalar(tol), seed)
 
 
 if __name__ == "__main__":

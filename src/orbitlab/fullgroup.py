@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import linalg
 from .checks import CheckResult
 from .odometer import (
     ClopenSet,
@@ -160,7 +161,7 @@ class FullGroupElement:
         piece = np.full(residues.shape[1], len(self.pieces), dtype=np.int64)
         for moduli, index in groups:
             np.minimum(piece, index[class_code(residues, moduli)], out=piece)
-        moduli = np.array(self.space.moduli, dtype=np.int64)[:, None]
+        moduli = np.array(self.space.moduli, dtype=labels.dtype)[:, None]
         return (residues + labels[:, piece]) % moduli, piece < len(self.pieces)
 
     def _residue_lookup(self):
@@ -227,10 +228,10 @@ def _label_lookup(pieces, space: OdometerSpace):
 def _dense_lookup(lookup, pieces, space: OdometerSpace):
     """``_label_lookup`` as arrays: per group, the piece index of every
     residue class, ``len(pieces)`` where no cylinder of the group holds it;
-    and the labels reduced mod p_i^N as a (d, pieces + 1) array whose last
-    column, zero, serves points in no piece.  A group has at most as many
-    classes as the space has points, so the space must be within the sweep
-    budget."""
+    and the labels reduced mod p_i^N as a (d, pieces + 1) array on the rung
+    of the largest residue, whose last column, zero, serves points in no
+    piece.  A group has at most as many classes as the space has points, so
+    the space must be within the sweep budget."""
     space.sweep_count()
     groups = []
     for moduli, table in lookup:
@@ -242,7 +243,7 @@ def _dense_lookup(lookup, pieces, space: OdometerSpace):
         raise ValueError("vector has wrong dimension")
     labels = [[int(g) % m for g, m in zip(label, space.moduli)] for _, label in pieces]
     labels.append([0] * space.dimension)
-    return tuple(groups), np.array(labels, dtype=np.int64).T
+    return tuple(groups), np.array(labels, dtype=linalg.rung(max(space.moduli) - 1)).T
 
 
 def _normalize(pieces, space: OdometerSpace):

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .checks import CheckResult
 
 _SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
@@ -32,10 +33,6 @@ PAIR_BUDGET = 2**22
 
 # The pairs a lattice pair sweep compares in one array step.
 SWEEP_BLOCK = 4096
-
-# Integers below this bound in magnitude are stored as int64: the sum or
-# difference of two of them still fits.
-INT64_SAFE = 1 << 62
 
 
 class BudgetExceeded(RuntimeError):
@@ -241,7 +238,7 @@ class GeneratingSet:
     :meth:`position` and :meth:`shifted` place elements in a ball's order,
     which is how germ tables store one value per ball element.  On a lattice
     an element is found by its coordinates: :meth:`ball_coords` keeps each
-    ball as one int64 array, so g^-1 B(r) is one subtraction from it,
+    ball as one integer array, so g^-1 B(r) is one subtraction from it,
     without a product.
     """
 
@@ -266,7 +263,7 @@ class GeneratingSet:
         self._balls: dict = {}  # radius -> sorted ball
         self._by_coords = isinstance(group, LatticeGroup)
         self._where: dict = {}  # radius -> {point: position in B(r)}
-        self._coords: dict = {}  # radius -> B(r) as an int64 coordinate array
+        self._coords: dict = {}  # radius -> B(r) as an integer coordinate array
         self._shifts: dict = {}  # (radius, r, point of g) -> positions of g^-1 B(r) in B(radius)
         # Guards the memo: a layer half grown by one thread must not be read
         # or grown again by another, and a kept ball is never recomputed.
@@ -347,12 +344,13 @@ class GeneratingSet:
         return self._positions(radius).get(self._point(g), -1)
 
     def ball_coords(self, radius: int) -> np.ndarray:
-        """B(radius) of a lattice as a read-only (n, d) int64 array of
-        coordinates, in ``ball(radius)`` order."""
+        """B(radius) of a lattice as a read-only (n, d) array of coordinates,
+        in ``ball(radius)`` order, on the rung of its largest coordinate."""
         coords = self._coords.get(radius)
         if coords is None:
-            ball = self.ball(radius)
-            coords = np.array([g.coords for g in ball], dtype=np.int64).reshape(len(ball), -1)
+            rows = [g.coords for g in self.ball(radius)]
+            dtype = linalg.rung(max(map(abs, itertools.chain(*rows))))
+            coords = np.array(rows, dtype=dtype).reshape(len(rows), -1)
             coords.flags.writeable = False
             self._coords[radius] = coords
         return coords
@@ -365,7 +363,7 @@ class GeneratingSet:
         if found is None:
             where = self._positions(radius)
             if self._by_coords:
-                points = self.ball_coords(r) - np.array(g.coords, dtype=np.int64)
+                points = self.ball_coords(r) - np.array(g.coords, dtype=linalg.rung(max(map(abs, g.coords))))
                 found = [where[p] for p in map(tuple, points.tolist())]
             else:
                 g_inv = g.inverse()
@@ -485,19 +483,18 @@ def _word_metric_sweep(source, target, radius, images, bounds) -> PairSweep:
 
 
 def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
-    """The pair sweep on coordinate arrays: int64 while every key below fits,
-    exact Python integers otherwise.
+    """The pair sweep on coordinate arrays, on the rung of its largest key.
 
-    The pairs go by in blocks of ``SWEEP_BLOCK`` in combinations order, and
-    each block takes its source and target L1 distances in one array step.
-    Per source distance s <= 2 radius the least and the greatest target
-    distance are kept, each with the first pair that attains it, as one key
-    d_tgt * pairs + pair index (+ pairs - 1 - pair index for the greatest).
-    The extreme ratios are then chosen among those at most 2 radius
-    candidates as exact Fractions.  A pair fails C = num / den exactly when
-    its target distance leaves [ceil(s den / num), floor(s num / den)]; the
-    thresholds are computed per s on Python integers, so the constant is
-    never multiplied in int64.
+    The pairs go by in blocks of ``SWEEP_BLOCK`` in combinations order, and each
+    block takes its source and target L1 distances in one array step.  Per
+    source distance s <= 2 radius the least and the greatest target distance
+    are kept, each with the first pair that attains it, as one key d_tgt *
+    pairs + pair index (+ pairs - 1 - pair index for the greatest), cast to
+    the sweep's rung so that ``ufunc.at`` keeps its fast, uncast loop.  The
+    extreme ratios are then chosen among those at most 2 radius candidates as
+    exact Fractions.  A pair fails C = num / den exactly when its target
+    distance leaves [ceil(s den / num), floor(s num / den)]; the thresholds
+    are computed per s on Python integers, so no array multiplies C.
 
     Each pair the result names is measured again with ``word_metric``, and a
     disagreement raises RuntimeError.
@@ -509,7 +506,7 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
     rows = [v.coords for v in images]
     # cap exceeds every target distance, so every key is below cap * total.
     cap = 2 * target.group.dimension * max((abs(c) for row in rows for c in row), default=0) + 1
-    dtype = np.int64 if cap * (total + 1) < INT64_SAFE else object
+    dtype = linalg.rung(cap * (total + 1))
     values = np.array(rows, dtype=dtype).reshape(n, -1)
     size = 2 * radius + 1
     least = np.full(size, cap * total, dtype=dtype)
@@ -526,10 +523,10 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
         pair = np.arange(start, min(start + SWEEP_BLOCK, total))
         i = np.searchsorted(starts, pair, side="right") - 1
         j = pair - starts[i] + i + 1
-        d_src = np.abs(points[i] - points[j]).sum(axis=1)
+        d_src = np.abs(points[i] - points[j]).sum(axis=1).astype(np.intp, copy=False)
         d_tgt = np.abs(values[i] - values[j]).sum(axis=1)
-        np.minimum.at(least, d_src, d_tgt * total + pair)
-        np.maximum.at(most, d_src, d_tgt * total + (total - 1 - pair))
+        np.minimum.at(least, d_src, (d_tgt * total + pair).astype(dtype, copy=False))
+        np.maximum.at(most, d_src, (d_tgt * total + (total - 1 - pair)).astype(dtype, copy=False))
         if bounds is not None and failed is None:
             bad = np.flatnonzero((d_tgt < low_ok[d_src]) | (d_tgt > high_ok[d_src]))
             if len(bad):

@@ -1,4 +1,4 @@
-"""Exact matrix arithmetic over rationals.
+"""Exact matrix arithmetic over rationals, and the one integer width ladder.
 
 Matrices are tuples of tuples of Fractions.  Floats are converted to the
 binary rational they already are, so every code path downstream is exact;
@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 
@@ -17,12 +19,13 @@ def as_scalar(value) -> Fraction:
     """Coerce ints, Fractions, decimal strings and floats to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    if isinstance(value, float):
-        return Fraction(value)
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 
@@ -148,3 +151,21 @@ def scalar_to_str(x: Fraction) -> str:
 
 def matrix_to_json(a: Matrix) -> list[list[str]]:
     return [[scalar_to_str(x) for x in row] for row in a]
+
+
+# The ladder every integer array takes its dtype from: int32 and int64, each
+# with the bound its values stay below, so that a sum or difference of two of
+# them, or a negation, still fits; then exact Python integers (dtype=object).
+RUNGS = ((np.int32, 1 << 30), (np.int64, 1 << 62))
+WIDTHS = (*(dtype for dtype, _ in RUNGS), object)
+
+
+def rung(peak: int) -> type:
+    """The narrowest dtype of the ladder that holds magnitudes up to ``peak``,
+    the largest an array op can produce, stated before the op computes."""
+    return next((dtype for dtype, limit in RUNGS if peak < limit), object)
+
+
+def array_bound(values: np.ndarray) -> int:
+    """max(|x| for x in values), at least 1, read off the array's min and max."""
+    return max(-int(values.min(initial=0)), int(values.max(initial=0)), 1)

@@ -16,8 +16,8 @@ every operation tracks the remaining reliable domain radius and raises
 
 Every germ stores its table as one row per element of B(radius), in the
 ball order of :mod:`groups` (:class:`MapGerm`).  A lattice value is a row
-of target coordinates, int64 while every entry is below 2^62 in magnitude
-and exact Python integers otherwise; any other value is the element itself.
+of target coordinates, on the dtype that ``linalg.rung`` gives for the
+largest entry; any other value is the element itself.
 Translating a germ is then one gather of rows through the ball positions
 plus one offset, and matching, keys and partial inverses compare rows.
 """
@@ -28,10 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .checks import CheckResult
 from .groups import (
     BALL_BUDGET,
-    INT64_SAFE,
     GeneratingSet,
     LatticeElement,
     LatticeGroup,
@@ -116,26 +116,21 @@ class TableSeed:
 
 def _as_rows(group, values: list) -> np.ndarray:
     """Target values as table rows.  On a lattice, an (n, d) array of
-    coordinates: int64 when every entry is below 2^62 in magnitude, exact
-    Python integers otherwise.  On any other group, the elements themselves
-    in a 1-D object array."""
+    coordinates on the rung of its largest entry.  On any other group, the
+    elements themselves in a 1-D object array."""
     if not isinstance(group, LatticeGroup):
         rows = np.empty(len(values), dtype=object)
         rows[:] = values
         return rows
     coords = [v.coords for v in values]
-    fits = all(-INT64_SAFE < c < INT64_SAFE for row in coords for c in row)
-    return np.array(coords, dtype=np.int64 if fits else object).reshape(len(coords), -1)
+    peak = max((abs(c) for row in coords for c in row), default=0)
+    return np.array(coords, dtype=linalg.rung(peak)).reshape(len(coords), -1)
 
 
 def _offset(rows: np.ndarray, shift: tuple) -> np.ndarray:
-    """rows + shift, exactly.  Two int64 terms below 2^62 cannot overflow,
-    and a sum that leaves that bound is redone on Python integers."""
-    if rows.dtype != object and all(-INT64_SAFE < c < INT64_SAFE for c in shift):
-        out = rows + np.array(shift, dtype=np.int64)
-        if np.abs(out).max(initial=0) < INT64_SAFE:
-            return out
-    return rows.astype(object) + np.array(shift, dtype=object)
+    """rows + shift, exactly, on the rung of the row bound plus the shift's."""
+    dtype = linalg.rung(linalg.array_bound(rows) + max(map(abs, shift)))
+    return rows.astype(dtype, copy=False) + np.array(shift, dtype=dtype)
 
 
 def _times(lam, rows: np.ndarray) -> np.ndarray:
@@ -376,12 +371,8 @@ class TruncatedMapSpace:
         """The unique ball element mapped to ``target_value`` by the germ (the
         first in ball order if a corrupted germ has several)."""
         rows = germ.table
-        if rows.ndim == 1:
-            hits = np.flatnonzero(rows == target_value)
-        elif rows.dtype == object or all(-INT64_SAFE < c < INT64_SAFE for c in target_value.coords):
-            hits = np.flatnonzero((rows == np.array(target_value.coords, dtype=rows.dtype)).all(axis=1))
-        else:
-            hits = ()  # no int64 row holds a value that large
+        match = rows == _as_rows(germ.group, [target_value])
+        hits = np.flatnonzero(match.reshape(len(rows), -1).all(axis=1))
         if not len(hits):
             raise TruncationError(f"{target_value!r} not in germ image at this truncation")
         return germ.gens.ball(germ.radius)[hits[0]]
@@ -573,10 +564,12 @@ def check_cocycle_identity(space: TruncatedMapSpace, cocycle, radius: int) -> Ch
 
     For the orbit cocycle the identity holds for every function psi inside
     the radius: with cocycle(g, psi) = psi(g^-1)^-1, the right side is
-    psi(h^-1 g^-1)^-1 psi(h^-1) psi(h^-1)^-1 = psi((g h)^-1)^-1.  So it
-    tests the implementation (the gathers, the truncation radii, the
-    override of ``--inject-corruption`` and the provenance path past a
-    germ's radius), not the input.
+    psi(h^-1 g^-1)^-1 psi(h^-1) psi(h^-1)^-1 = psi((g h)^-1)^-1.  Past a
+    germ's radius the cocycle reads its provenance instead, so a slice
+    member whose table is not the translate its provenance names fails
+    where g h, or g on h . psi, reaches past the radius.  Inside it
+    (2 ``radius`` <= R) the check tests the implementation only: the
+    gathers, the truncation radii and the ``--inject-corruption`` override.
 
     ``cocycle`` is an orbit morphism of the space (anything with
     ``evaluate``), exact at every g for a global seed; for a table seed

@@ -13,10 +13,11 @@ Sweeps work on residue arrays: ``all_residues`` holds every depth-N point as
 one column of a (d, M) array in ``all_points`` order, ``residue_array`` the
 sampled ones, and ``odometer_add_array`` and ``matrix_act_array`` act on all
 columns at once.  Vectors and matrix rows are reduced mod p^N first, and
-the arrays are int64 only while d (m - 1)^2 < 2^63, so no step can
-overflow; past that they hold exact Python integers.  Each array check
-evaluates the point it names again through the scalar ``odometer_add`` and
-``matrix_act`` and raises RuntimeError if the two paths disagree.
+each op takes its dtype from ``linalg.rung`` for the largest value it can
+produce: a residue below m, a sum of two, or d (m - 1)^2 for a matrix row
+times a column.  Each array check evaluates the point it names again
+through the scalar ``odometer_add`` and ``matrix_act`` and raises
+RuntimeError if the two paths disagree.
 
 Clopen sets are finite disjoint unions of cylinders (per-coordinate digit
 prefixes) and carry an exact rational Haar measure.  A point lies in a
@@ -111,25 +112,18 @@ class OdometerSpace:
             yield DigitPoint(values, self)
 
     def all_residues(self) -> np.ndarray:
-        """Every depth-N point as a column of a (d, M) int64 array, in
-        ``all_points`` order; refuses spaces over ``SWEEP_BUDGET`` before it
-        allocates.  Within the budget every modulus is at most 2^20 and d at
-        most 20, so the int64 guard of ``residue_array`` always holds."""
+        """Every depth-N point as a column of a (d, M) array on the rung of the
+        largest residue, in ``all_points`` order; refuses spaces over
+        ``SWEEP_BUDGET`` before it allocates."""
         self.sweep_count()
-        return np.indices(self.moduli, dtype=np.int64).reshape(self.dimension, -1)
+        return np.indices(self.moduli, dtype=linalg.rung(max(self.moduli) - 1)).reshape(self.dimension, -1)
 
     def residue_array(self, points: Sequence["DigitPoint"]) -> np.ndarray:
-        """The validated residues of ``points``, one column per point.
-
-        int64 when d (m - 1)^2 < 2^63 for the largest modulus m, so a row of
-        d products of reduced residues stays exact; Python integers
-        otherwise.
-        """
+        """The validated residues of ``points``, one column per point, on the
+        rung of the largest residue (m - 1 for the largest modulus m)."""
         for x in points:
             self.validate_point(x)
-        m = max(self.moduli)
-        dtype = np.int64 if self.dimension * (m - 1) ** 2 < 1 << 63 else object
-        rows = np.array([x.residues for x in points], dtype=dtype)
+        rows = np.array([x.residues for x in points], dtype=linalg.rung(max(self.moduli) - 1))
         return rows.reshape(len(points), self.dimension).T
 
     def random_point(self, rng) -> "DigitPoint":
@@ -337,10 +331,11 @@ def odometer_add_array(
     residues: np.ndarray, vector: Sequence[int], space: OdometerSpace
 ) -> np.ndarray:
     """``odometer_add`` on every column of a (d, M) residue array: one
-    (r + g) % m per row, with g reduced mod m first."""
+    (r + g) % m per row, g reduced mod m first, on the rung of 2 (m - 1)."""
     moduli = space.moduli
     if len(vector) != len(moduli):
         raise ValueError("vector has wrong dimension")
+    residues = residues.astype(linalg.rung(2 * (max(moduli) - 1)), copy=False)
     return np.stack([(row + int(g) % m) % m for row, g, m in zip(residues, vector, moduli)])
 
 
@@ -378,11 +373,12 @@ def matrix_act(matrix, x: DigitPoint, space: OdometerSpace) -> DigitPoint:
 def matrix_act_array(matrix, residues: np.ndarray, space: OdometerSpace) -> np.ndarray:
     """``matrix_act`` on every column of a residue array from ``all_residues``
     or ``residue_array``: the validated rows, reduced mod p^N, times the
-    array, mod p^N, in the array's dtype."""
+    array, mod p^N, on the rung of the largest row sum d (p^N - 1)^2."""
     rows = unimodular_rows(matrix, space)
     modulus = space.moduli[0]
-    reduced = np.array([[a % modulus for a in row] for row in rows], dtype=residues.dtype)
-    return (reduced @ residues) % modulus
+    dtype = linalg.rung(space.dimension * (modulus - 1) ** 2)
+    reduced = np.array([[a % modulus for a in row] for row in rows], dtype=dtype)
+    return (reduced @ residues.astype(dtype, copy=False)) % modulus
 
 
 def require_agreement(column: np.ndarray, point: DigitPoint, check: str) -> None:

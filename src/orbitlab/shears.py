@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .groups import INT64_SAFE
 from .odometer import SWEEP_BUDGET
 
 # The default tolerance of a decomposition: exactly the 1/10^9 that the
@@ -122,10 +121,11 @@ def decompose_unimodular(matrix, tol=DEFAULT_TOL) -> list[ElementaryOp]:
     """
     a = linalg.as_matrix(matrix)
     d = len(a)
-    tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
+    tol = linalg.as_scalar(tol)
     determinant = linalg.det(a)
     if abs(abs(determinant) - 1) > tol:
-        raise ValueError(f"matrix determinant {float(determinant)} is not +-1 within {float(tol)}")
+        det_text, tol_text = linalg.scalar_to_str(determinant), linalg.scalar_to_str(tol)
+        raise ValueError(f"matrix determinant {det_text} is not +-1 within {tol_text}")
 
     rows = [list(row) for row in a]
     record: list[ElementaryOp] = []
@@ -183,7 +183,7 @@ def decompose_unimodular(matrix, tol=DEFAULT_TOL) -> list[ElementaryOp]:
     reconstructed = product_matrix(emitted, d)
     gap = linalg.max_abs_diff(reconstructed, a)
     if gap > tol:
-        raise ValueError(f"reconstruction drift {float(gap)} exceeds tolerance")
+        raise ValueError(f"reconstruction drift {linalg.scalar_to_str(gap)} exceeds tolerance")
     return emitted
 
 
@@ -223,7 +223,7 @@ class FloorMap:
 
         A shear v_i += floor(p v_j / q) grows bound i by |p| b_j // q + 1;
         a sign flip keeps every bound.  The dtype is the first rung of
-        ``_rung`` that holds every input bound, product |p| b_j (which
+        ``linalg.rung`` that holds every input bound, product |p| b_j (which
         bounds the multiplier p), divisor q and updated bound on the way."""
         bounds = list(bounds)
         peak = max(bounds)
@@ -233,7 +233,7 @@ class FloorMap:
                 product = p * bounds[op.j]
                 bounds[op.i] += product // q + 1
                 peak = max(peak, product, q, bounds[op.i])
-        return _rung(peak), bounds
+        return linalg.rung(peak), bounds
 
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (M, d) integer array; returns (M, d).
@@ -241,13 +241,12 @@ class FloorMap:
         The points are copied once into one contiguous row per coordinate,
         shape (d, M), and each op updates one row in place, through one
         scratch row for the product and floor; the result is the (M, d)
-        transposed view of those rows.  One op loop, on the dtype that
-        ``_bound_chain`` proves from the input's row bounds: int32, else
-        int64, else exact Python integers (dtype=object).
+        transposed view of those rows.  One op loop, on the rung that
+        ``_bound_chain`` proves from the input's row bounds.
         """
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError("vector has wrong dimension")
-        dtype, _ = self._bound_chain([_row_bound(row) for row in points.T])
+        dtype, _ = self._bound_chain([linalg.array_bound(row) for row in points.T])
         rows = np.array(points.T, dtype=dtype, order="C")
         step = np.empty(rows.shape[1], dtype=dtype)
         for op in reversed(self.ops):
@@ -260,24 +259,6 @@ class FloorMap:
             else:
                 np.negative(rows[op.i], out=rows[op.i])
         return rows.T
-
-
-def _row_bound(row: np.ndarray) -> int:
-    """max(|x| for x in row), at least 1, read off the row's min and max."""
-    return max(-int(row.min(initial=0)), int(row.max(initial=0)), 1)
-
-
-# The machine-integer sweep dtypes, narrowest first, each with the bound that
-# every value it holds stays below: a sum or difference of two such values,
-# and the negation of one, still fits.
-_RUNGS = ((np.int32, 1 << 30), (np.int64, INT64_SAFE))
-_WIDTH = (np.int32, np.int64, object)
-
-
-def _rung(peak: int) -> type:
-    """The narrowest dtype whose rung holds magnitudes up to ``peak``: int32,
-    int64, or exact Python integers (dtype=object) past both."""
-    return next((dtype for dtype, limit in _RUNGS if peak < limit), object)
 
 
 def realize_bilipschitz(matrix, tol=DEFAULT_TOL) -> FloorMap:
@@ -323,7 +304,7 @@ def _box_blocks(radius: int, dimension: int, dtype):
     """The points of ``box_points(radius, dimension)``, in its order, as
     consecutive (d, M) row blocks of ``dtype`` of at most ``_SWEEP_BLOCK``
     points; the flat indices and coordinates below stay within
-    ``SWEEP_BUDGET``, so any rung of ``_rung`` holds them.
+    ``SWEEP_BUDGET``, so any rung of ``linalg.rung`` holds them.
 
     Every block is a view of one buffer that the next block overwrites.  The
     first coordinate of flat index n is n // slab - radius, where a slab is
@@ -383,14 +364,13 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     coordinate bound max(R, 1) gives the map's rung and image bounds b_r, and
     the scaled gap common_den * f_r(v) - sum_k a_rk v_k of row r stays within
     common_den * b_r + max(R, 1) * sum_k |a_rk| on the way; the sweep runs on
-    the wider of the two rungs (int32, int64, or exact Python integers).
-    The box is swept in blocks of ``_SWEEP_BLOCK`` points in ``box_points``
-    order, built in that dtype, each one (d, M) row block through
-    ``FloorMap.apply_array``; per block the scaled gap is formed one
-    coordinate row at a time and its absolute value folded into that
-    block's slice of one running maximum over the box, held in the same
-    dtype.  Each probe maximum is read off a slice of that maximum viewed as
-    the (2R+1)^d grid."""
+    the wider of the two rungs.  The box is swept in blocks of
+    ``_SWEEP_BLOCK`` points in ``box_points`` order, built in that dtype,
+    each one (d, M) row block through ``FloorMap.apply_array``; per block
+    the scaled gap is formed one coordinate row at a time and its absolute
+    value folded into that block's slice of one running maximum over the
+    box, held in the same dtype.  Each probe maximum is read off a slice of
+    that maximum viewed as the (2R+1)^d grid."""
     a = linalg.as_matrix(matrix)
     d = len(a)
     check_box_budget(radius, d)
@@ -399,7 +379,7 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     coord = max(radius, 1)
     rung, image_bounds = floor_map._bound_chain([coord] * floor_map.dimension)
     gap_bound = max(common_den * b + coord * sum(map(abs, row)) for b, row in zip(image_bounds, int_a))
-    dtype = max(rung, _rung(gap_bound), key=_WIDTH.index)
+    dtype = max(rung, linalg.rung(gap_bound), key=linalg.WIDTHS.index)
 
     side = 2 * radius + 1
     gap_inf = np.zeros(side**d, dtype=dtype)

@@ -316,6 +316,15 @@ class TestFunctoriality:
         result = runner.invoke(main, ["functoriality", "--matrix", "1 0; 0 1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["functoriality", "--matrix", "1 1e400; 0 1", "--matrix", "1 0; 0 1"],
+        ["odometer", "--matrix", "1 1e400; 0 1", "--samples", "20", "--window", "1"],
+    ], ids=["functoriality", "odometer"])
+    def test_exact_integer_routes_take_entries_past_the_float_range(self, runner, argv):
+        # only the realization route reports floats of the entries
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -388,6 +397,25 @@ class TestFunctoriality:
              "--window", "16"],
             "the battery may check |B(16)| |B(16)|^2 = 161878625 cases in Z^2, over budget 4194304",
         ),
+        # zero denominators, in a matrix entry or in --tol
+        (["realize", "--matrix", "1/0 0; 0 1"], "zero denominator in '1/0'"),
+        (["realize", "--matrix", "1 0; 0 1", "--tol", "1/0"], "zero denominator in '1/0'"),
+        (
+            ["gromov-check", "--matrix", "1 1/0; 0 1", "--radius", "2", "--translate-radius", "1",
+             "--window", "1"],
+            "zero denominator in '1/0'",
+        ),
+        (["functoriality", "--matrix", "1 0; 0 1", "--matrix", "1 0; 0 0/0"], "zero denominator in '0/0'"),
+        # an entry or --tol past the float range of a report, det +-1 or not
+        (["realize", "--matrix", "1e400 0; 0 1"], "a matrix entry is too large for a report float"),
+        (["realize", "--matrix", "1e400 0; 0 1e-400"], "a matrix entry is too large for a report float"),
+        (["gromov-check", "--matrix", "1e400 0; 0 1"], "a matrix entry is too large for a report float"),
+        (
+            ["functoriality", "--matrix", "1 1e400; 0 1", "--matrix", "1 0.5; 0 1"],
+            "a matrix entry is too large for a report float",
+        ),
+        (["realize", "--matrix", "1 0; 0 1", "--tol", "1e400"], "--tol is too large for a report float"),
+        (["gromov-check", "--matrix", "1 0.5; 0 1", "--tol", "1e400"], "--tol is too large for a report float"),
     ],
 )
 def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, argv, message):

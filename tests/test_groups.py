@@ -238,17 +238,36 @@ class TestBallIndex:
         assert S.position(3, (0, 0)) == -1
         assert F2.standard_generators().position(3, Z2.identity()) == -1
 
-    @pytest.mark.parametrize("name", ["z3", "rank11", "diagonal"])
+    # The standard generators of Z^2 and +-(k, 0), so B(1) reaches k: k on
+    # each side of the int32 and int64 rungs' bounds 2^30 and 2^62.
+    FAR = {f"far {k}": (k, dtype) for k, dtype in (
+        (2**30 - 1, np.int32), (2**30, np.int64), (2**62 - 1, np.int64), (2**62, object)
+    )}
+
+    @pytest.mark.parametrize("name", ["z3", "rank11", "diagonal", *FAR])
     def test_ball_coords_are_the_ball_in_order(self, name):
-        S = {
-            "z3": LatticeGroup(3).standard_generators(),
-            "rank11": LatticeGroup(11).standard_generators(),
-            "diagonal": GeneratingSet(DIAGONAL),
-        }[name]
-        coords = S.ball_coords(2)
-        assert coords.dtype == np.int64 and not coords.flags.writeable
-        assert coords.tolist() == [list(g.coords) for g in S.ball(2)]
-        assert S.ball_coords(2) is coords
+        if name in self.FAR:
+            k, dtype = self.FAR[name]
+            far = Z2.element((k, 0))
+            S = GeneratingSet([*Z2.standard_generators().elements, far, far.inverse()])
+            radius = 1
+        else:
+            S = {
+                "z3": LatticeGroup(3).standard_generators(),
+                "rank11": LatticeGroup(11).standard_generators(),
+                "diagonal": GeneratingSet(DIAGONAL),
+            }[name]
+            radius, dtype = 2, np.int32
+        coords = S.ball_coords(radius)
+        # the rung of the largest coordinate
+        assert coords.dtype == dtype and not coords.flags.writeable
+        assert coords.tolist() == [list(g.coords) for g in S.ball(radius)]
+        assert S.ball_coords(radius) is coords
+        # g^-1 B(0) is g^-1, found by coordinates on any rung
+        ball = S.ball(radius)
+        for g in ball:
+            if S.word_length(g) == radius:
+                assert [ball[i] for i in S.shifted(radius, 0, g)] == [g.inverse()]
 
     @pytest.mark.parametrize("name", ["rank11", "diagonal", "free"])
     def test_every_generating_set_has_positions(self, name):

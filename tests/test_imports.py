@@ -211,3 +211,69 @@ def test_the_guard_sees_an_unread_public_name():
         "beta": "from . import alpha\n\ndef box_points():\n    return alpha.Shape\n\ndef left():\n    return 0\n",
     }
     assert unreached(sources) == {"spare": "alpha:6", "left": "beta:6"}
+
+
+# The one module that may write an integer width limit: the home of the
+# ladder that every array layer reads its dtype from.
+LADDER_HOME = "linalg"
+WIDTH_EXPONENTS = {30, 62, 63}
+
+
+def is_width_limit(node: ast.AST) -> bool:
+    """``1 << k`` or ``2 ** k`` for a width exponent k, or an integer literal
+    of at least 2^30."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value >= 1 << 30
+    if not (isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant)):
+        return False
+    base = {ast.LShift: 1, ast.Pow: 2}.get(type(node.op))
+    return (
+        isinstance(node.left, ast.Constant) and node.left.value == base
+        and node.right.value in WIDTH_EXPONENTS
+    )
+
+
+def width_limits(sources: dict[str, str], home: str = LADDER_HOME) -> dict[str, list[int]]:
+    """The lines of each module but ``home`` (module name -> text) that write
+    a width limit or read a name that some module binds to an expression
+    holding one, bare or as an attribute (``groups.INT64_SAFE``)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    bound = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if any(is_width_limit(n) for n in ast.walk(node.value)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+    found = {}
+    for name, tree in trees.items():
+        if name == home:
+            continue
+        lines = sorted({
+            node.lineno
+            for node in ast.walk(tree)
+            if is_width_limit(node)
+            or (isinstance(node, ast.Name) and node.id in bound)
+            or (isinstance(node, ast.Attribute) and node.attr in bound)
+            or (isinstance(node, ast.alias) and node.name in bound)
+        })
+        if lines:
+            found[name] = lines
+    return found
+
+
+def test_only_the_ladder_home_writes_a_width_limit():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert LADDER_HOME in sources
+    assert width_limits(sources) == {}
+
+
+def test_the_guard_sees_a_width_limit():
+    sources = {
+        "linalg": "RUNGS = ((1, 1 << 30), (2, 1 << 62))\n",
+        "alpha": "LIMIT = 1 << 62\n\ndef fits(x):\n    return x < LIMIT\n",
+        "beta": "from .alpha import LIMIT\nfrom . import linalg\n\nBIG = 2**63\nSMALL = 2**22\n"
+                "ROWS = linalg.RUNGS\nPLAIN = 1073741824\nSHIFT = 1 << 20\n",
+        "gamma": "from . import alpha\n\ndef wide(x):\n    return x >= alpha.LIMIT\n",
+    }
+    assert width_limits(sources) == {"alpha": [1, 4], "beta": [1, 4, 6, 7], "gamma": [4]}

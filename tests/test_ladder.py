@@ -1,0 +1,216 @@
+"""Every integer array layer takes its dtype from one ladder, ``linalg.rung``:
+int32 below 2^30, int64 below 2^62, exact Python integers past both.
+
+A rung wider than the one an op proves never changes what the op computes.
+So each op that reads the ladder is run with it forced no narrower than
+int32, int64 and object in turn, and its values, witnesses and order are
+compared with the exact object path, at values on each side of both bounds.
+"""
+import random
+from fractions import Fraction
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+
+from orbitlab import groups, linalg, mapspace
+from orbitlab.groups import LatticeGroup, sweep_pairs
+from orbitlab.mapspace import IdentitySeed, MapGerm, TruncationError, build_translate_space
+from orbitlab.odometer import (
+    OdometerSpace,
+    matrix_act,
+    matrix_act_array,
+    matrix_equivariance_check,
+    odometer_add,
+    odometer_add_array,
+)
+
+Z1 = LatticeGroup(1)
+Z2 = LatticeGroup(2)
+HONEST = linalg.rung
+RUNGS = pytest.mark.parametrize("dtype", linalg.WIDTHS, ids=["int32", "int64", "object"])
+# Values on each side of both rung bounds.
+EDGES = (2**30 - 1, 2**30, 2**62 - 1, 2**62)
+
+
+def wider(*dtypes):
+    return max(dtypes, key=linalg.WIDTHS.index)
+
+
+@pytest.fixture
+def force(monkeypatch):
+    """``force(dtype)`` makes the ladder give the wider of ``dtype`` and the
+    rung it proves, and returns the list of the dtypes it gives."""
+
+    def forcing(dtype):
+        given = []
+
+        def rung(peak):
+            given.append(wider(HONEST(peak), dtype))
+            return given[-1]
+
+        monkeypatch.setattr(linalg, "rung", rung)
+        return given
+
+    return forcing
+
+
+def test_the_ladder_at_its_bounds():
+    assert [HONEST(v) for v in (0, *EDGES)] == [np.int32, np.int32, np.int64, np.int64, object]
+    # a sum or difference of two values below a rung's bound, and the
+    # negation of one, stays exact on that rung
+    for dtype, limit in linalg.RUNGS:
+        top = np.array([limit - 1, -(limit - 1)], dtype=dtype)
+        assert (top + top).tolist() == [2 * limit - 2, 2 - 2 * limit]
+        assert (top - top[::-1]).tolist() == [2 * limit - 2, 2 - 2 * limit]
+        assert (-top).tolist() == [1 - limit, limit - 1]
+
+
+def below(limit, cap_of, total):
+    """The largest M >= 0 with cap_of(M) * (total + 1) < limit."""
+    low, high = 0, limit
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if cap_of(mid) * (total + 1) < limit else (low, mid)
+    return low
+
+
+def lattice_cases():
+    """(images, constant) on B(2) of Z^1: images with the largest coordinate
+    M on each side of both key bounds cap (pairs + 1) = 2^30 and 2^62, and
+    images at each of ``EDGES``."""
+    members = Z1.standard_generators().ball(2)
+    total = len(members) * (len(members) - 1) // 2
+    tops = []
+    for limit in (2**30, 2**62):
+        top = below(limit, lambda m: 2 * m + 1, total)
+        tops += [top, top + 1]
+    cases = []
+    for top in (*tops, *EDGES):
+        # the order of the images puts the witness and both extremes mid-ball
+        images = [Z1.element((c,)) for c in (3, -top, 0, top, -1)]
+        cases += [(images, Fraction(3, 2)), (images, top + 1), (images, None)]
+    return cases
+
+
+def sweeps():
+    """Each case of ``lattice_cases`` swept on the ladder as ``force`` left
+    it, by a fresh generating set (a set keeps its ball coordinates)."""
+    S = Z1.standard_generators()
+    with patch.object(groups, "_word_metric_sweep", lambda *_: pytest.fail("not the lattice sweep")):
+        return [sweep_pairs(S, S, 2, images, constant) for images, constant in lattice_cases()]
+
+
+@RUNGS
+def test_lattice_sweep_agrees_across_rungs(force, dtype):
+    force(object)
+    exact = sweeps()
+    given = force(dtype)
+    assert sweeps() == exact
+    # the ball coordinates' rung, then one key rung per case, three cases per
+    # top coordinate: the first four tops sit just below and just past 2^30,
+    # then 2^62
+    assert given[0] == wider(np.int32, dtype)
+    assert given[1:13:3] == [wider(rung, dtype) for rung in (np.int32, np.int64, np.int64, object)]
+
+
+@RUNGS
+def test_rows_and_offsets_agree_across_rungs(force, dtype):
+    for edge in EDGES:
+        values = [Z2.element((edge, -3)), Z2.element((-edge, 7)), Z2.identity()]
+        force(object)
+        exact = mapspace._as_rows(Z2, values)
+        shifted = [mapspace._offset(exact, shift) for shift in ((1, 0), (-1, 1), (0, 2**70))]
+        force(dtype)
+        rows = mapspace._as_rows(Z2, values)
+        assert rows.dtype == wider(HONEST(edge), dtype)
+        assert rows.tolist() == exact.tolist() == [[edge, -3], [-edge, 7], [0, 0]]
+        for shift, expected in zip(((1, 0), (-1, 1), (0, 2**70)), shifted):
+            out = mapspace._offset(rows, shift)
+            assert out.dtype == wider(HONEST(edge + max(map(abs, shift))), dtype)
+            assert out.tolist() == expected.tolist()
+            assert out.tolist() == [[a + s for a, s in zip(row, shift)] for row in rows.tolist()]
+
+
+@pytest.fixture(scope="module")
+def tiny_space():
+    return build_translate_space(IdentitySeed(Z1), 1, 1)
+
+
+@RUNGS
+def test_partial_inverse_agrees_across_rungs(force, tiny_space, dtype):
+    gens = Z1.standard_generators()
+    ball = gens.ball(1)  # (-1,), (0,), (1,)
+    for edge in EDGES:
+        # two ball points share a value: the first in ball order is found
+        values = dict(zip(ball, [Z2.element((edge, 1)), Z2.identity(), Z2.element((edge, 1))]))
+        targets = [Z2.element(v) for v in ((edge, 1), (0, 0), (edge - 1, 1), (edge + 1, 1), (2**70, 1))]
+        found = {}
+        for forced in (object, dtype):
+            force(forced)
+            germ = MapGerm.from_dict(gens, 1, values)
+            for target in targets:
+                try:
+                    hit = tiny_space.partial_inverse(germ, target)
+                except TruncationError:
+                    hit = None
+                assert found.setdefault((edge, target), hit) == hit
+        assert [found[edge, t] for t in targets] == [ball[0], ball[1], None, None, None]
+
+
+def odometer_points(space, rng):
+    m = space.moduli[0]
+    edges = [space.point_from_values((v,) * space.dimension) for v in (0, 1, m - 2, m - 1)]
+    return edges + [space.random_point(rng) for _ in range(4)]
+
+
+@RUNGS
+@pytest.mark.parametrize("m", [2**30, 2**30 + 1, 2**62, 2**62 + 1], ids=["2^30", "2^30+1", "2^62", "2^62+1"])
+def test_residues_and_sums_agree_across_rungs(force, dtype, m):
+    # residues up to m - 1 on each side of 2^30 and 2^62, sums up to 2 (m - 1)
+    space = OdometerSpace((m,), 1)
+    points = odometer_points(space, random.Random(m))
+    vectors = [(m - 1,), (1,), (-1,), (2**70,)]
+    force(object)
+    exact = space.residue_array(points)
+    sums = [odometer_add_array(exact, g, space) for g in vectors]
+    force(dtype)
+    residues = space.residue_array(points)
+    assert residues.dtype == wider(HONEST(m - 1), dtype)
+    assert residues.tolist() == exact.tolist() == [[x.residues[0] for x in points]]
+    for g, expected in zip(vectors, sums):
+        out = odometer_add_array(residues, g, space)
+        assert out.tolist() == expected.tolist()
+        assert out.tolist() == [[odometer_add(x, g, space).residues[0] for x in points]]
+
+
+# A det -1 matrix whose first row reduces to m - 1 everywhere: at the point
+# with every residue m - 1 that row sums to d (m - 1)^2, the stated peak.
+FLIP = [[-1, -1, -1, -1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+SHEAR = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+
+
+@RUNGS
+@pytest.mark.parametrize("m, proven", [
+    # 4 (m - 1)^2 on each side of 2^30 and 2^62
+    (2**14, np.int32), (2**14 + 1, np.int64), (2**30, np.int64), (2**30 + 1, object),
+], ids=["2^14", "2^14+1", "2^30", "2^30+1"])
+def test_matrix_action_agrees_across_rungs(force, dtype, m, proven):
+    space = OdometerSpace((m,) * 4, 1)
+    points = odometer_points(space, random.Random(m))
+    force(object)
+    residues = space.residue_array(points)
+    exact = {str(a): matrix_act_array(a, residues, space) for a in (FLIP, SHEAR)}
+    checks = {str(a): matrix_equivariance_check(a, points, 1, space) for a in (FLIP, SHEAR)}
+    given = force(dtype)
+    residues = space.residue_array(points)
+    for a in (FLIP, SHEAR):
+        images = matrix_act_array(a, residues, space)
+        assert given[-1] == wider(proven, dtype)
+        assert images.tolist() == exact[str(a)].tolist()
+        assert images.T.tolist() == [list(matrix_act(a, x, space).residues) for x in points]
+        result = matrix_equivariance_check(a, points, 1, space)
+        assert result.passed and result.to_json() == checks[str(a)].to_json()
+    # the flip's first row at the top point is the peak itself, mod m
+    top = space.residue_array([points[3]])
+    assert matrix_act_array(FLIP, top, space)[0].tolist() == [4 * (m - 1) ** 2 % m]

@@ -17,6 +17,13 @@ class TestParsing:
         assert linalg.as_scalar(0.5) == Fraction(1, 2)
         assert linalg.as_scalar(0.1) == Fraction(0.1)
 
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " -3/0 "])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            linalg.as_scalar(text)
+        with pytest.raises(ValueError, match="zero denominator"):
+            linalg.parse_matrix(f"1 {text}; 0 1")
+
     def test_parse_matrix(self):
         m = linalg.parse_matrix("1 0.5; 0 1")
         assert m == ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1)))

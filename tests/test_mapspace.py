@@ -191,15 +191,17 @@ class TestBuildSurvivorsOnly:
 
 
 class TestExactRows:
-    def test_a_sum_that_leaves_int64_is_redone_exactly(self):
-        near = np.array([[2**62 - 1, -5], [3, 4]], dtype=np.int64)
-        assert mapspace._offset(near, (0, 1)).dtype == np.int64
-        for shift, expected in (
-            ((1, 0), [[2**62, -5], [4, 4]]),
-            ((2**70, 0), [[2**70 + 2**62 - 1, -5], [2**70 + 3, 4]]),
-        ):
-            out = mapspace._offset(near, shift)
-            assert out.dtype == object and out.tolist() == expected
+    def test_a_sum_that_leaves_a_rung_is_exact(self):
+        # the row bound plus the shift's picks the rung before the add: a
+        # peak of limit - 1 stays on the rung, a peak of limit takes the next
+        for limit, below, above in ((2**30, np.int32, np.int64), (2**62, np.int64, object)):
+            near = np.array([[limit - 2, -5], [3, 4]], dtype=np.int64)
+            for shift, dtype in (((0, 1), below), ((1, 1), below), ((2, 0), above), ((0, -2), above)):
+                out = mapspace._offset(near, shift)
+                expected = [[limit - 2 + shift[0], -5 + shift[1]], [3 + shift[0], 4 + shift[1]]]
+                assert out.dtype == dtype and out.tolist() == expected
+            out = mapspace._offset(near, (2**70, 0))
+            assert out.dtype == object and out.tolist() == [[2**70 + limit - 2, -5], [2**70 + 3, 4]]
 
     def test_rows_of_either_width_compare_by_value(self, shear_space):
         # a germ whose rows were widened to Python integers equals, matches

@@ -10,10 +10,14 @@ no fixture carries, and an entry naming a test that does not exist.
 The controls below cover the ids that had none.  ``action-law``,
 ``orbit-equality``, ``haar-invariance`` and ``functoriality`` fail on a
 patched implementation; ``orbit-equality`` also fails on an input, a
-non-injective slice germ; ``constant-invariant-exact`` fails on a corrupted
-cocycle read through the ``odometer`` command.
+non-injective slice germ, and ``cocycle-identity`` on a slice germ whose
+table is not the translate its provenance names, once g h reaches past its
+radius; ``constant-invariant-exact`` fails on a corrupted cocycle read
+through the ``odometer`` command.
 """
 import ast
+import copy
+import itertools
 import json
 import re
 from pathlib import Path
@@ -30,9 +34,10 @@ from orbitlab.mapspace import (
     TruncatedMapSpace,
     build_translate_space,
     check_action_law,
+    check_cocycle_identity,
     check_orbit_equality,
 )
-from orbitlab.morphisms import compose_morphisms, matrix_morphism
+from orbitlab.morphisms import compose_morphisms, matrix_morphism, orbit_morphism
 from orbitlab.odometer import Cylinder, OdometerSpace, haar_invariance_check
 from orbitlab.shears import realize_bilipschitz
 
@@ -48,6 +53,7 @@ CONTROLS = {
     ),
     "cocycle-identity": (
         "test_mapspace.py::TestBattery::test_corrupted_table_fails_with_witness",
+        "test_negative_controls.py::test_cocycle_identity_fails_past_the_radius_of_a_misnamed_germ",
     ),
     "constant-invariant-exact": (
         "test_negative_controls.py::test_constant_invariant_fails_on_a_corrupted_cocycle",
@@ -209,6 +215,37 @@ def test_orbit_equality_fails_on_a_non_injective_germ(half_shear_space):
     assert (tag, len(result.witnesses)) == ("orbit-sets-differ", 2)
     assert source_set == ["(-1, 0)", "(0, -1)", "(0, 0)", "(0, 1)", "(1, 0)"]
     assert target_set == ["(-1, 0)", "(0, -1)", "(0, 0)", "(1, 1)"]
+
+
+def test_cocycle_identity_fails_past_the_radius_of_a_misnamed_germ(half_shear_space):
+    # the only slice member: the first one, with its value at the first
+    # word-length-1 ball point c = (-1, 0) moved by (1, 0) and its
+    # provenance kept, so its table is not the translate the provenance names
+    space = copy.copy(half_shear_space)
+    psi = space.slice_members[0]
+    gens = space.source_gens
+    ball = gens.ball(psi.radius)
+    values = {g: psi.value(g) for g in ball}
+    c = next(g for g in ball if gens.word_length(g) == 1)
+    values[c] = values[c] * Z2.element((1, 0))
+    space.slice_members = (MapGerm.from_dict(gens, psi.radius, values, psi.provenance),)
+    cocycle = orbit_morphism(space)
+    # with 2 W <= R = 4 every value is read off the table, where the identity
+    # holds for any table
+    assert check_cocycle_identity(space, cocycle, 2).passed
+    result = check_cocycle_identity(space, cocycle, 3)
+    # at W = 3 it fails exactly where g h = c^-1 and |g| + |h| > R: the left
+    # side reads the moved value at (g h)^-1 = c off the table, while g
+    # reaches past the radius R - |h| of h . psi, so the right side reads the
+    # provenance
+    expected = [
+        (g, h)
+        for g, h in itertools.product(gens.ball(3), repeat=2)
+        if g * h == c.inverse() and gens.word_length(g) + gens.word_length(h) > 4
+    ]
+    assert len(expected) == 10 and expected[0] == (Z2.element((-2, 0)), Z2.element((3, 0)))
+    assert [(g, h) for g, h, _ in result.witnesses] == expected
+    assert all(germ is space.slice_members[0] for _, _, germ in result.witnesses)
 
 
 def test_haar_invariance_fails_when_a_translate_loses_a_digit(monkeypatch):

@@ -808,9 +808,15 @@ class TestPastInt64:
     SPACE = OdometerSpace((3, 3), 40)
 
     def test_residue_arrays_leave_int64_at_the_guard(self):
-        # 2 (3^19 - 1)^2 < 2^63 <= 2 (3^20 - 1)^2
-        assert OdometerSpace((3, 3), 19).residue_array([]).dtype == np.int64
-        assert OdometerSpace((3, 3), 20).residue_array([]).dtype == object
+        # a residue array sits on the rung of its largest residue m - 1:
+        # 3^39 - 1 < 2^62 <= 3^40 - 1, and m - 1 on each side of 2^30 and 2^62
+        assert OdometerSpace((3, 3), 39).residue_array([]).dtype == np.int64
+        assert OdometerSpace((3, 3), 40).residue_array([]).dtype == object
+        for m, dtype in ((2**30, np.int32), (2**30 + 1, np.int64), (2**62, np.int64), (2**62 + 1, object)):
+            space = OdometerSpace((m,), 1)
+            top = space.point_from_values((-1,))
+            assert space.residue_array([top]).dtype == dtype
+            assert space.residue_array([top]).tolist() == [[m - 1]]
         xs = [self.SPACE.random_point(random.Random(40)), self.SPACE.point_from_values((-1, 0))]
         residues = self.SPACE.residue_array(xs)
         assert residues.dtype == object and residues[0, 1] == 3**40 - 1

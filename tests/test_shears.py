@@ -95,6 +95,13 @@ class TestDecompose:
         with pytest.raises(ValueError, match="determinant"):
             decompose_unimodular([[2, 0], [0, 1]])
 
+    def test_refusal_names_any_exact_determinant(self):
+        # past the float range, and a tolerance no float spells exactly
+        with pytest.raises(ValueError, match=f"determinant {10**400} is not [+]-1 within 1/3$"):
+            decompose_unimodular([["1e400", 0], [0, 1]], Fraction(1, 3))
+        with pytest.raises(ValueError, match="determinant 0.5 is not [+]-1 within 0.000000001$"):
+            decompose_unimodular([["0.5", 0], [0, 1]])
+
     def test_det_minus_one_handled(self):
         m = linalg.as_matrix([["0.5", "0"], ["0", "-2"]])
         ops = decompose_unimodular(m)
