@@ -9,6 +9,7 @@ budgets that a refusal and a test both read live here too.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from .fullgroup import FullGroupElement, ad_realization_check
@@ -82,11 +83,21 @@ def check_gromov_budget(dimension: int, radius: int, translate_radius: int, wind
         )
 
 
+def check_report_floats(matrix, tol: Fraction) -> None:
+    """Refuse, with ``ValueError`` and before any work, a matrix entry or
+    tolerance past the float range: a realization reports floats of them."""
+    for what, values in (("a matrix entry", [x for row in matrix for x in row]), ("--tol", [tol])):
+        if any(abs(x) > sys.float_info.max for x in values):
+            raise ValueError(f"{what} is too large for a report float")
+
+
 def realize_battery(matrix, n: int, samples: int, radius: int, tol: Fraction):
     """Realize a det +-1 matrix, certify it on the box of ``radius``, and
     recover its invariant at scale n from the first ``samples`` slice
     members: recovery within C/n, the determinant within ``det_budget`` (or
-    ``tol`` when C = 0), multiplicativity."""
+    ``tol`` when C = 0), multiplicativity.  Entries past the float range
+    are refused first (:func:`check_report_floats`)."""
+    check_report_floats(matrix, tol)
     eta, cert = realized_morphism(matrix, tol, radius)
     invariant = recover_invariant_matrix(eta, n, eta.space.slice_members[:samples])
     det_tol = det_budget(len(matrix), cert.constant, n)

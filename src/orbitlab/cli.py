@@ -19,6 +19,7 @@ from click.core import ParameterSource
 from . import linalg
 from .batteries import (
     check_gromov_budget,
+    check_report_floats,
     corrupted_cocycle,
     functoriality_battery,
     functoriality_route,
@@ -43,8 +44,7 @@ def _realizable(a: linalg.Matrix, tol: str) -> Fraction:
     """The exact ``--tol`` of a matrix to realize; a realization reports floats,
     so an entry or ``--tol`` past the float range is refused before any work."""
     tol = linalg.as_scalar(tol)
-    for what, values in (("a matrix entry", [x for row in a for x in row]), ("--tol", [tol])):
-        _require(all(abs(x) <= sys.float_info.max for x in values), f"{what} is too large for a report float")
+    check_report_floats(a, tol)
     return tol
 
 

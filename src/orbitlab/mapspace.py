@@ -19,7 +19,10 @@ ball order of :mod:`groups` (:class:`MapGerm`).  A lattice value is a row
 of target coordinates, on the dtype that ``linalg.rung`` gives for the
 largest entry; any other value is the element itself.
 Translating a germ is then one gather of rows through the ball positions
-plus one offset, and matching, keys and partial inverses compare rows.
+plus one offset, and matching, keys and partial inverses compare rows.  The
+normalized source action works on a stack of such tables at once
+(:meth:`TruncatedMapSpace.act_source_rows`), which is how the battery acts
+on the whole slice.
 """
 from __future__ import annotations
 
@@ -350,11 +353,43 @@ class TruncatedMapSpace:
         """Normalized source action (g . psi)(h) = psi(g^-1)^-1 psi(g^-1 h).
 
         Shrinks the reliable domain by the word length of g; the result
-        fixes the identity, so the slice is closed under this action.
+        fixes the identity, so the slice is closed under this action.  The
+        one-member case of :meth:`act_source_rows`.
         """
-        if self.source_gens.word_length(g) > germ.radius:
+        _, rows = self.act_source_rows(g, germ.table[np.newaxis], germ.radius)
+        provenance = None
+        if germ.provenance is not None:
+            # g . psi takes the value psi(g^-1)^-1 psi(g^-1) = e at the identity.
+            provenance = (g * germ.provenance[0], self.target_gens.group.identity())
+        radius = germ.radius - self.source_gens.word_length(g)
+        return MapGerm(self.source_gens, radius, germ.group, rows[0], provenance)
+
+    def act_source_rows(self, g, rows: np.ndarray, radius: int) -> tuple:
+        """The normalized source action of g on a stack of tables of one radius.
+
+        ``rows`` stacks the tables of germs on B(radius): an array of shape
+        (germs, |B(radius)|, d) on a lattice target, of shape
+        (germs, |B(radius)|) holding the elements otherwise.  Returns the
+        forward cocycle psi(g^-1)^-1 of each germ, read at
+        ``position(radius, g^-1)``, and the rows of each g . psi on
+        B(radius - |g|): the rows at ``shifted(radius, radius - |g|, g)``,
+        each times its germ's cocycle.
+        """
+        gens = self.source_gens
+        step = gens.word_length(g)
+        if step > radius:
             raise TruncationError(f"domain exhausted acting by {g!r}")
-        return self.raw_translate(g, self.forward_cocycle(g, germ), germ)
+        position = gens.position(radius, g.inverse())
+        gathered = gens.shifted(radius, radius - step, g)
+        if rows.ndim == 2:
+            cocycle = _as_rows(self.target_gens.group, [v.inverse() for v in rows[:, position]])
+            return cocycle, np.stack([_times(lam, table) for lam, table in zip(cocycle, rows[:, gathered])])
+        # Every cocycle entry and every gathered entry is at most the stack's
+        # bound in magnitude, so every sum is at most twice it: one rung,
+        # proven once for the whole stack.
+        stack = rows.astype(linalg.rung(2 * linalg.array_bound(rows)), copy=False)
+        cocycle = -stack[:, position]
+        return cocycle, stack[:, gathered] + cocycle[:, np.newaxis]
 
     def act_target(self, lam, germ: MapGerm) -> MapGerm:
         """Normalized target action (lam . psi)(h) = lam psi(psi^-1(lam^-1) h)."""
@@ -529,6 +564,24 @@ def _is_named_translate(space: TruncatedMapSpace, germ: MapGerm) -> bool:
     return np.array_equal(germ.table, space.translate_table(g0, delta, germ.radius))
 
 
+def _stacks(germs) -> list:
+    """The germs grouped by radius, in order of first appearance: for each
+    radius, the positions of its germs in ``germs`` and their tables stacked
+    as :meth:`TruncatedMapSpace.act_source_rows` takes them."""
+    by_radius = {}
+    for index, germ in enumerate(germs):
+        by_radius.setdefault(germ.radius, []).append(index)
+    return [
+        (radius, indices, np.stack([germs[i].table for i in indices]))
+        for radius, indices in by_radius.items()
+    ]
+
+
+def _agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For two stacks of tables on one ball, whether each pair of tables is equal."""
+    return (a == b).reshape(len(a), -1).all(axis=1)
+
+
 def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
     """(g h) . psi == g . (h . psi) wherever both sides are defined.
 
@@ -536,25 +589,45 @@ def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
     translates of a bi-Lipschitz seed: with (g . psi)(k) =
     psi(g^-1)^-1 psi(g^-1 k), both sides give psi(h^-1 g^-1)^-1
     psi(h^-1 g^-1 k) at k, in any group.  So no input can make it fail; it
-    tests the implementation (the gathers, the truncation radii and the
-    provenance path of ``act_source``), not the input.
+    tests the implementation, not the input: the index chains of the
+    normalized action (the cocycle read at ``position(R, g^-1)`` and the
+    gather through ``shifted(R, R - |g|, g)``) and its truncation radii.
+
+    It works on the slice members stacked by radius
+    (:meth:`TruncatedMapSpace.act_source_rows`).  h . Psi is computed once
+    per h; for each pair, (g h) . Psi and g . (h . Psi) come from their own
+    index chains, the first is restricted to B(R - |g| - |h|) as
+    :meth:`MapGerm.matches` restricts it, and every member is compared at
+    once.  Witnesses come member by member, each member's in pair order.
     """
+    gens = space.source_gens
+    identity = gens.group.identity()
+    pairs = list(itertools.product(gens.ball(window), repeat=2))
     checked = 0
-    witnesses = []
-    ball = space.source_gens.ball(window)
-    for psi in space.slice_members:
-        for g, h in itertools.product(ball, repeat=2):
-            if space.source_gens.word_length(g) + space.source_gens.word_length(h) > psi.radius:
+    found = []  # (member position, pair position, witness)
+    for radius, indices, stack in _stacks(space.slice_members):
+        moved = {
+            h: space.act_source_rows(h, stack, radius)[1]
+            for h in gens.ball(window)
+            if gens.word_length(h) <= radius
+        }
+        for pair, (g, h) in enumerate(pairs):
+            reach = radius - gens.word_length(g) - gens.word_length(h)
+            if reach < 0:
                 continue
-            combined = space.act_source(g * h, psi)
-            stepwise = space.act_source(g, space.act_source(h, psi))
-            checked += 1
-            if not combined.matches(stepwise):
-                witnesses.append((g, h, psi))
+            gh = g * h
+            combined = space.act_source_rows(gh, stack, radius)[1]
+            combined = combined[:, gens.shifted(radius - gens.word_length(gh), reach, identity)]
+            stepwise = space.act_source_rows(g, moved[h], radius - gens.word_length(h))[1]
+            checked += len(indices)
+            for member in np.flatnonzero(~_agree(combined, stepwise)):
+                index = indices[member]
+                found.append((index, pair, (g, h, space.slice_members[index])))
+    found.sort(key=lambda entry: entry[:2])
     return CheckResult(
         name="action-law",
         checked=checked,
-        witnesses=witnesses,
+        witnesses=[witness for *_, witness in found],
         coverage={"W": window},
     )
 
@@ -573,21 +646,29 @@ def check_cocycle_identity(space: TruncatedMapSpace, cocycle, radius: int) -> Ch
 
     ``cocycle`` is an orbit morphism of the space (anything with
     ``evaluate``), exact at every g for a global seed; for a table seed
-    ``evaluate`` raises :class:`TruncationError` past a germ.  The coverage
-    key ``table_radius`` (2 ``radius``, the reach of g h) keeps its name
-    from when cocycles were stored tables, so reports keep their bytes.
+    ``evaluate`` raises :class:`TruncationError` past a germ.  Every value
+    is read through ``evaluate``, so an override, the provenance route past
+    the radius and free groups are honoured.  h . psi (one ``act_source``)
+    and cocycle(h, psi) are computed once per (psi, h), outside the loop
+    over g; witnesses come member by member, each member's in (g, h)
+    order.  The coverage key ``table_radius`` (2 ``radius``, the reach of
+    g h) keeps its name from when cocycles were stored tables, so reports
+    keep their bytes.
     """
     ball = space.source_gens.ball(radius)
     checked = 0
     witnesses = []
     for psi in space.slice_members:
-        for g, h in itertools.product(ball, repeat=2):
+        found = []  # (position of g, position of h, witness)
+        for j, h in enumerate(ball):
             acted = space.act_source(h, psi)
-            lhs = cocycle.evaluate(g * h, psi)
-            rhs = cocycle.evaluate(g, acted) * cocycle.evaluate(h, psi)
-            checked += 1
-            if lhs != rhs:
-                witnesses.append((g, h, psi))
+            right = cocycle.evaluate(h, psi)
+            for i, g in enumerate(ball):
+                checked += 1
+                if cocycle.evaluate(g * h, psi) != cocycle.evaluate(g, acted) * right:
+                    found.append((i, j, (g, h, psi)))
+        found.sort(key=lambda entry: entry[:2])
+        witnesses += [witness for *_, witness in found]
     return CheckResult(
         name="cocycle-identity",
         checked=checked,
@@ -726,7 +807,11 @@ def force_freeness(space: TruncatedMapSpace, odometer: OdometerSpace, window: in
     coordinate; the source group moves the germ and adds (g, cocycle value)
     on the odometer side, which destroys every finite-window fixed point.
     Every non-identity g of the window ball moves every (slice member,
-    odometer zero) pair.
+    odometer zero) pair.  The slice members are stacked by radius and each
+    g acts on the whole stack at once (one
+    :meth:`TruncatedMapSpace.act_source_rows` per g and radius, through the
+    same index chains as ``act_source``); witnesses come in (g, member)
+    order.
 
     A witness needs g to fix the odometer zero.  On the base-2 odometer of
     depth N with 2^N > W that the CLI builds (N = max(3, W.bit_length())), every
@@ -743,19 +828,24 @@ def force_freeness(space: TruncatedMapSpace, odometer: OdometerSpace, window: in
             f"odometer dimension {odometer.dimension} != "
             f"{src.dimension} + {tgt.dimension}"
         )
+    gens = space.source_gens
+    identity = gens.group.identity()
     zero = odometer.zero()
     checked = 0
-    witnesses = []
-    for g in space.source_gens.ball(window):
-        if g.is_identity():
-            continue
-        for psi in space.slice_members:
-            lam = space.forward_cocycle(g, psi)
-            moved_psi = space.act_source(g, psi)
-            moved = odometer_add(zero, tuple(g.coords) + tuple(lam.coords), odometer)
-            checked += 1
-            if moved == zero and moved_psi.matches(psi):
-                witnesses.append((g, psi, zero))
+    found = []  # (position of g, member position, witness)
+    for radius, indices, stack in _stacks(space.slice_members):
+        for k, g in enumerate(gens.ball(window)):
+            if g.is_identity():
+                continue
+            cocycle, moved = space.act_source_rows(g, stack, radius)
+            fixed = _agree(moved, stack[:, gens.shifted(radius, radius - gens.word_length(g), identity)])
+            for member, index in enumerate(indices):
+                lam = tuple(cocycle[member].tolist())
+                checked += 1
+                if odometer_add(zero, tuple(g.coords) + lam, odometer) == zero and fixed[member]:
+                    found.append((k, index, (g, space.slice_members[index], zero)))
+    found.sort(key=lambda entry: entry[:2])
+    witnesses = [witness for *_, witness in found]
     return CheckResult(
         name="forced-freeness",
         checked=checked,

@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import batteries, cli
+from orbitlab import batteries, cli, linalg
+from orbitlab.mapspace import (
+    FloorMapSeed,
+    TruncatedMapSpace,
+    build_translate_space,
+    check_action_law,
+    force_freeness,
+)
+from orbitlab.odometer import OdometerSpace
+from orbitlab.shears import realize_bilipschitz
 
 CLI_SOURCE = Path(cli.__file__).read_text()
 
@@ -49,3 +58,38 @@ def test_gromov_budget_admits(config):
 def test_det_budget_is_ten_d_c_over_n():
     assert batteries.det_budget(3, Fraction(19, 20), 1024) == Fraction(30 * 19, 20 * 1024)
     assert batteries.det_budget(2, 0, 1024) == 0
+
+
+def test_realize_battery_refuses_entries_past_the_float_range(monkeypatch):
+    # det exactly 1, but the report would take float(C / n) of a constant
+    # past the float range; refused before the matrix is realized
+    monkeypatch.setattr(batteries, "realized_morphism", lambda *_: pytest.fail("realized"))
+    matrix = linalg.as_matrix([["1e400", 0], [0, "1e-400"]])
+    with pytest.raises(ValueError, match="^a matrix entry is too large for a report float$"):
+        batteries.realize_battery(matrix, 1024, 8, 2, Fraction(1, 10**9))
+    with pytest.raises(ValueError, match="^--tol is too large for a report float$"):
+        batteries.realize_battery(linalg.identity(2), 1024, 8, 2, Fraction(10**400))
+
+
+def test_translate_battery_acts_once_per_member_and_element(monkeypatch):
+    # gromov-check 8/8/3 on the half shear: the cocycle identity and orbit
+    # equality each call act_source once per slice member and element of
+    # B(W); the action law and forced freeness act on the stacked slice
+    f = realize_bilipschitz(linalg.parse_matrix("1 0.5; 0 1"), Fraction("1e-9"))
+    space = build_translate_space(FloorMapSeed(f), 8, 8, offset_radius=3)
+    calls = []
+    honest = TruncatedMapSpace.act_source
+
+    def counting(self, g, germ):
+        calls.append(g)
+        return honest(self, g, germ)
+
+    monkeypatch.setattr(TruncatedMapSpace, "act_source", counting)
+    assert check_action_law(space, 3).passed
+    assert force_freeness(space, OdometerSpace((2,) * 4, 3), 3).passed
+    assert calls == []
+    checks, _ = batteries.translate_battery(space, 3)
+    assert all(check.passed for check in checks)
+    assert sum(check.checked for check in checks) == 2912
+    ball = space.source_gens.ball(3)
+    assert len(calls) <= 2 * len(space.slice_members) * len(ball) == 100

@@ -9,7 +9,9 @@ no fixture carries, and an entry naming a test that does not exist.
 
 The controls below cover the ids that had none.  ``action-law``,
 ``orbit-equality``, ``haar-invariance`` and ``functoriality`` fail on a
-patched implementation; ``orbit-equality`` also fails on an input, a
+patched implementation: ``action-law`` both in the stacked action the
+library's check runs on and in ``act_source`` under the scalar reference
+loop of ``battery_reference``; ``orbit-equality`` also fails on an input, a
 non-injective slice germ, and ``cocycle-identity`` on a slice germ whose
 table is not the translate its provenance names, once g h reaches past its
 radius; ``constant-invariant-exact`` fails on a corrupted cocycle read
@@ -23,6 +25,7 @@ import re
 from pathlib import Path
 
 import pytest
+from battery_reference import action_law
 from click.testing import CliRunner
 
 from orbitlab import batteries, cli, invariants
@@ -46,6 +49,7 @@ TESTS = Path(__file__).parent
 CONTROLS = {
     "action-law": (
         "test_negative_controls.py::test_action_law_fails_when_one_element_acts_trivially",
+        "test_negative_controls.py::test_action_law_fails_when_one_element_acts_trivially_on_the_stack",
     ),
     "ad-realization": (
         "test_fullgroup.py::TestAdRealization"
@@ -162,18 +166,42 @@ def half_shear_space():
 
 
 def test_action_law_fails_when_one_element_acts_trivially(monkeypatch, half_shear_space):
+    # the scalar reference loop, which acts through ``act_source`` pair by pair
     space = half_shear_space
-    assert check_action_law(space, 1).passed
+    assert action_law(space, 1).passed
     honest = TruncatedMapSpace.act_source
 
     def patched(self, g, psi):
         return psi if g == G_STAR else honest(self, g, psi)
 
     monkeypatch.setattr(TruncatedMapSpace, "act_source", patched)
-    result = check_action_law(space, 1)
-    assert not result.passed
+    result = action_law(space, 1)
+    assert not result.passed and len(result.witnesses) == 12
     # every failing pair moves by G_STAR on one of its two sides
     assert all(G_STAR in (g, h, g * h) for g, h, _ in result.witnesses)
+
+
+def test_action_law_fails_when_one_element_acts_trivially_on_the_stack(monkeypatch, half_shear_space):
+    # the library's check, which acts on the stacked slice: G_STAR leaves
+    # every table as it is, restricted to the radius its action leaves
+    space = half_shear_space
+    assert check_action_law(space, 1).passed
+    honest = TruncatedMapSpace.act_source_rows
+    identity = Z2.identity()
+
+    def patched(self, g, rows, radius):
+        if g != G_STAR:
+            return honest(self, g, rows, radius)
+        cocycle, moved = honest(self, identity, rows, radius)
+        return cocycle, moved[:, self.source_gens.shifted(radius, radius - 1, identity)]
+
+    monkeypatch.setattr(TruncatedMapSpace, "act_source_rows", patched)
+    result = check_action_law(space, 1)
+    # the 12 witnesses of the scalar control above, in the order the scalar
+    # loop finds them through ``act_source``, the one-member case of the patch
+    assert not result.passed and len(result.witnesses) == 12
+    assert all(G_STAR in (g, h, g * h) for g, h, _ in result.witnesses)
+    assert result.witnesses == action_law(space, 1).witnesses
 
 
 def test_orbit_equality_fails_on_a_wrong_backward_cocycle(monkeypatch, half_shear_space):
