@@ -265,6 +265,7 @@ class GeneratingSet:
         self._where: dict = {}  # radius -> {point: position in B(r)}
         self._coords: dict = {}  # radius -> B(r) as an integer coordinate array
         self._shifts: dict = {}  # (radius, r, point of g) -> positions of g^-1 B(r) in B(radius)
+        self._below: dict = {}  # radius -> the prefix counts of _ranks
         # Guards the memo: a layer half grown by one thread must not be read
         # or grown again by another, and a kept ball is never recomputed.
         self._lock = threading.RLock()
@@ -357,19 +358,57 @@ class GeneratingSet:
 
     def shifted(self, radius: int, r: int, g) -> np.ndarray:
         """The positions in B(radius) of g^-1 h for h in B(r), in ``ball(r)``
-        order; r + |g| <= radius.  At the identity: B(r) inside B(radius)."""
+        order; r + |g| <= radius, and a larger r + |g| is refused with
+        ValueError.  At the identity: B(r) inside B(radius).
+
+        On the standard generators of Z^d each position is the point's
+        lexicographic rank in the L1 ball (:meth:`_ranks`); any other
+        generating set looks each point up in the ball's positions."""
         key = (radius, r, self._point(g))
         found = self._shifts.get(key)
         if found is None:
-            where = self._positions(radius)
+            if r + self.word_length(g) > radius:
+                raise ValueError(f"{g!r}^-1 B({r}) is not inside B({radius})")
             if self._by_coords:
                 points = self.ball_coords(r) - np.array(g.coords, dtype=linalg.rung(max(map(abs, g.coords))))
-                found = [where[p] for p in map(tuple, points.tolist())]
+                if self._is_standard:
+                    found = self._ranks(radius, points)
+                else:
+                    where = self._positions(radius)
+                    found = [where[p] for p in map(tuple, points.tolist())]
             else:
+                where = self._positions(radius)
                 g_inv = g.inverse()
                 found = [where[g_inv * h] for h in self.ball(r)]
             found = self._shifts[key] = np.array(found, dtype=np.intp)
         return found
+
+    def _ranks(self, radius: int, points: np.ndarray) -> np.ndarray:
+        """The positions in B(radius) of the rows of ``points``, all inside
+        it, on the standard generators of Z^d: their lexicographic ranks.
+
+        The points of B(radius) before p are, for each k, those that agree
+        with p on the first k coordinates and are smaller at k.  With t the
+        norm left after those k coordinates, a value v < p_k leaves t - |v|
+        for the d - k - 1 coordinates after it: ``lattice_ball_size(d - k -
+        1, t - |v|)`` points.  ``below[m, t, radius + p]`` holds that count
+        summed over v < p for m trailing coordinates, so a rank is a sum of
+        d table reads."""
+        below = self._below.get(radius)
+        d = self.group.dimension
+        if below is None:
+            t = np.arange(radius + 1)[:, np.newaxis]
+            left = t - np.abs(np.arange(-radius, radius + 1))
+            sizes = np.array(
+                [[lattice_ball_size(m, u) for u in range(radius + 1)] for m in range(d)], dtype=np.intp
+            )
+            counts = np.where(left >= 0, sizes[:, np.maximum(left, 0)], 0)
+            below = self._below[radius] = np.cumsum(counts, axis=2) - counts
+        points = points.astype(np.intp)
+        # the norm left for coordinate k: radius minus the norm of those before it
+        before = np.cumsum(np.abs(points), axis=1) - np.abs(points)
+        trailing = np.arange(d - 1, -1, -1)
+        return below[trailing, radius - before, radius + points].sum(axis=1)
 
     def bfs_word_length(self, g) -> int:
         """Word length by pure BFS, ignoring closed forms (budget applies)."""
@@ -485,8 +524,11 @@ def _word_metric_sweep(source, target, radius, images, bounds) -> PairSweep:
 def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
     """The pair sweep on coordinate arrays, on the rung of its largest key.
 
-    The pairs go by in blocks of ``SWEEP_BLOCK`` in combinations order, and each
-    block takes its source and target L1 distances in one array step.  Per
+    The pairs go by in blocks of ``SWEEP_BLOCK`` in combinations order.  The
+    points and their images are held as (d, n) arrays, one row per
+    coordinate, the layout of ``shears.bounded_distance_constant``; a
+    block's L1 distances are sums of one gather per coordinate row
+    (:func:`_column_l1`), on the sweep's rung for the images.  Per
     source distance s <= 2 radius the least and the greatest target distance
     are kept, each with the first pair that attains it, as one key d_tgt *
     pairs + pair index (+ pairs - 1 - pair index for the greatest), cast to
@@ -500,14 +542,14 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
     disagreement raises RuntimeError.
     """
     members = source.ball(radius)
-    points = source.ball_coords(radius)
     n = len(members)
     total = n * (n - 1) // 2
     rows = [v.coords for v in images]
     # cap exceeds every target distance, so every key is below cap * total.
     cap = 2 * target.group.dimension * max((abs(c) for row in rows for c in row), default=0) + 1
     dtype = linalg.rung(cap * (total + 1))
-    values = np.array(rows, dtype=dtype).reshape(n, -1)
+    points = np.ascontiguousarray(source.ball_coords(radius).T)
+    values = np.array(rows, dtype=dtype).reshape(n, -1).T.copy()
     size = 2 * radius + 1
     least = np.full(size, cap * total, dtype=dtype)
     most = np.full(size, -1, dtype=dtype)
@@ -523,8 +565,8 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
         pair = np.arange(start, min(start + SWEEP_BLOCK, total))
         i = np.searchsorted(starts, pair, side="right") - 1
         j = pair - starts[i] + i + 1
-        d_src = np.abs(points[i] - points[j]).sum(axis=1).astype(np.intp, copy=False)
-        d_tgt = np.abs(values[i] - values[j]).sum(axis=1)
+        d_src = _column_l1(points, i, j).astype(np.intp, copy=False)
+        d_tgt = _column_l1(values, i, j)
         np.minimum.at(least, d_src, (d_tgt * total + pair).astype(dtype, copy=False))
         np.maximum.at(most, d_src, (d_tgt * total + (total - 1 - pair)).astype(dtype, copy=False))
         if bounds is not None and failed is None:
@@ -556,6 +598,15 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
     if failed is not None:
         witness = remeasured(failed, lambda d_src, d_tgt: not _within(d_src, d_tgt, bounds))[2:]
     return PairSweep(total, lower, upper, witness)
+
+
+def _column_l1(columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The L1 distances of points i and j, with the points stored as one row
+    per coordinate, summed on the rows' own dtype."""
+    total = np.abs(columns[0][i] - columns[0][j])
+    for column in columns[1:]:
+        total += np.abs(column[i] - column[j])
+    return total
 
 
 def _ratio(extreme: tuple | None) -> float | None:

@@ -422,6 +422,13 @@ class TruncatedMapSpace:
         """Target-to-source cocycle: (psi^-1(lam^-1))^-1."""
         return self.partial_inverse(germ, lam.inverse()).inverse()
 
+    def orbit_cocycle(self, g, germ: MapGerm):
+        """The forward orbit cocycle: read off the germ's table within its
+        radius, and through its recorded translate past it."""
+        if self.source_gens.word_length(g) <= germ.radius:
+            return self.forward_cocycle(g, germ)
+        return self.global_forward_cocycle(g, germ)
+
     def global_forward_cocycle(self, g, germ: MapGerm):
         """Forward cocycle through the recorded translate, exact at any g."""
         if germ.provenance is None or not self.seed.is_global:
@@ -595,10 +602,11 @@ def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
 
     It works on the slice members stacked by radius
     (:meth:`TruncatedMapSpace.act_source_rows`).  h . Psi is computed once
-    per h; for each pair, (g h) . Psi and g . (h . Psi) come from their own
-    index chains, the first is restricted to B(R - |g| - |h|) as
-    :meth:`MapGerm.matches` restricts it, and every member is compared at
-    once.  Witnesses come member by member, each member's in pair order.
+    per h, and (g h) . Psi once per distinct product g h; for each pair,
+    (g h) . Psi and g . (h . Psi) come from their own index chains, the
+    first is restricted to B(R - |g| - |h|) as :meth:`MapGerm.matches`
+    restricts it, and every member is compared at once.  Witnesses come
+    member by member, each member's in pair order.
     """
     gens = space.source_gens
     identity = gens.group.identity()
@@ -611,12 +619,15 @@ def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
             for h in gens.ball(window)
             if gens.word_length(h) <= radius
         }
+        products = {}  # g h -> (g h) . Psi
         for pair, (g, h) in enumerate(pairs):
             reach = radius - gens.word_length(g) - gens.word_length(h)
             if reach < 0:
                 continue
             gh = g * h
-            combined = space.act_source_rows(gh, stack, radius)[1]
+            combined = products.get(gh)
+            if combined is None:
+                combined = products[gh] = space.act_source_rows(gh, stack, radius)[1]
             combined = combined[:, gens.shifted(radius - gens.word_length(gh), reach, identity)]
             stepwise = space.act_source_rows(g, moved[h], radius - gens.word_length(h))[1]
             checked += len(indices)
@@ -644,37 +655,100 @@ def check_cocycle_identity(space: TruncatedMapSpace, cocycle, radius: int) -> Ch
     (2 ``radius`` <= R) the check tests the implementation only: the
     gathers, the truncation radii and the ``--inject-corruption`` override.
 
-    ``cocycle`` is an orbit morphism of the space (anything with
-    ``evaluate``), exact at every g for a global seed; for a table seed
-    ``evaluate`` raises :class:`TruncationError` past a germ.  Every value
-    is read through ``evaluate``, so an override, the provenance route past
-    the radius and free groups are honoured.  h . psi (one ``act_source``)
-    and cocycle(h, psi) are computed once per (psi, h), outside the loop
-    over g; witnesses come member by member, each member's in (g, h)
-    order.  The coverage key ``table_radius`` (2 ``radius``, the reach of
-    g h) keeps its name from when cocycles were stored tables, so reports
-    keep their bytes.
+    ``cocycle`` is anything with ``evaluate``; for the space's orbit
+    morphism it is exact at every g for a global seed, and for a table seed
+    ``evaluate`` raises :class:`TruncationError` past a germ.  When it reads
+    the space's orbit cocycle (:func:`_orbit_overrides`) and the target is a
+    lattice, the slice is stacked by radius and each h makes one
+    :meth:`TruncatedMapSpace.act_source_rows`: cocycle(h, psi) is its
+    cocycle row, cocycle(g h, psi) the negated table row at
+    ``position(R, (g h)^-1)`` and cocycle(g, h . psi) the negated acted row
+    at ``position(R - |h|, g^-1)``, every member compared at once for every
+    g with |g| + |h| <= R.  The other cases -- past the radius, or with g,
+    h or g h the element of an override -- and every case of any other
+    cocycle or target go through ``evaluate``, with h . psi (one
+    ``act_source``) and cocycle(h, psi) computed once per (psi, h).
+    Witnesses come member by member, each member's in (g, h) order.  The
+    coverage key ``table_radius`` (2 ``radius``, the reach of g h) keeps its
+    name from when cocycles were stored tables, so reports keep their bytes.
     """
     ball = space.source_gens.ball(radius)
-    checked = 0
+    overridden = _orbit_overrides(space, cocycle)
+    every_case = [(i, j) for j in range(len(ball)) for i in range(len(ball))]
+    found = {}  # member position -> [(position of g, position of h)]
+    for stack_radius, indices, stack in _stacks(space.slice_members):
+        if overridden is None or stack.ndim != 3:
+            for index in indices:
+                psi = space.slice_members[index]
+                found[index] = _identity_by_evaluate(space, cocycle, ball, psi, every_case)
+            continue
+        failed, scalar = _identity_on_rows(space, ball, stack_radius, stack, overridden)
+        for member, index in enumerate(indices):
+            psi = space.slice_members[index]
+            found[index] = failed[member] + _identity_by_evaluate(space, cocycle, ball, psi, scalar)
     witnesses = []
-    for psi in space.slice_members:
-        found = []  # (position of g, position of h, witness)
-        for j, h in enumerate(ball):
-            acted = space.act_source(h, psi)
-            right = cocycle.evaluate(h, psi)
-            for i, g in enumerate(ball):
-                checked += 1
-                if cocycle.evaluate(g * h, psi) != cocycle.evaluate(g, acted) * right:
-                    found.append((i, j, (g, h, psi)))
-        found.sort(key=lambda entry: entry[:2])
-        witnesses += [witness for *_, witness in found]
+    for index, psi in enumerate(space.slice_members):
+        witnesses += [(ball[i], ball[j], psi) for i, j in sorted(found[index])]
     return CheckResult(
         name="cocycle-identity",
-        checked=checked,
+        checked=len(space.slice_members) * len(ball) ** 2,
         witnesses=witnesses,
         coverage={"R": radius, "table_radius": 2 * radius},
     )
+
+
+def _orbit_overrides(space: TruncatedMapSpace, cocycle) -> set | None:
+    """The elements of the overrides of ``cocycle`` when it reads
+    ``space.orbit_cocycle`` outside them, or None for any other cocycle."""
+    if getattr(cocycle, "evaluator", None) != space.orbit_cocycle:
+        return None
+    return {g for g, *_ in cocycle.overrides}
+
+
+def _identity_on_rows(space, ball, radius, stack, overridden) -> tuple:
+    """The cocycle identity of the orbit cocycle on a stack of tables on
+    B(radius): per member, the (g, h) positions found failing on the rows;
+    and the cases left to ``evaluate``, ordered by h."""
+    gens = space.source_gens
+    lengths = [gens.word_length(g) for g in ball]
+    # Every table entry is at most the stack's bound b in magnitude, and
+    # every acted entry at most 2b, so both sides stay within 3b.
+    wide = linalg.rung(3 * linalg.array_bound(stack))
+    table = stack.astype(wide, copy=False)
+    failed = [[] for _ in stack]
+    scalar = []
+    for j, h in enumerate(ball):
+        right, moved = space.act_source_rows(h, stack, radius)
+        reach = radius - lengths[j]
+        rows = []
+        for i, g in enumerate(ball):
+            if lengths[i] > reach or (overridden and {g, h, g * h} & overridden):
+                scalar.append((i, j))
+            else:
+                rows.append(i)
+        if not rows:
+            continue
+        left = -table[:, [gens.position(radius, (ball[i] * h).inverse()) for i in rows]]
+        middle = -moved.astype(wide, copy=False)[:, [gens.position(reach, ball[i].inverse()) for i in rows]]
+        agree = (left == middle + right.astype(wide, copy=False)[:, np.newaxis]).all(axis=2)
+        for member, row in zip(*np.nonzero(~agree)):
+            failed[member].append((rows[row], j))
+    return failed, scalar
+
+
+def _identity_by_evaluate(space, cocycle, ball, psi, cases) -> list:
+    """The (g, h) positions among ``cases`` (ordered by h) where the
+    identity fails at psi, every value read through ``evaluate``."""
+    failed = []
+    for j, group in itertools.groupby(cases, key=lambda case: case[1]):
+        h = ball[j]
+        acted = space.act_source(h, psi)
+        right = cocycle.evaluate(h, psi)
+        for i, _ in group:
+            g = ball[i]
+            if cocycle.evaluate(g * h, psi) != cocycle.evaluate(g, acted) * right:
+                failed.append((i, j))
+    return failed
 
 
 def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResult:

@@ -44,8 +44,8 @@ def _point_key(x):
     """The key an override is stored under: a germ by its table and its
     provenance, an odometer point by its residues, any other point by itself.
 
-    Only ``Morphism.with_override`` uses it, and only once the element
-    matches.  A germ's table names its global translate only up to its
+    ``Morphism.with_override`` stores it with each override, and
+    ``Morphism.evaluate`` computes it only once the element matches.  A germ's table names its global translate only up to its
     radius.  Past the radius the orbit cocycle answers through the recorded
     provenance (``global_forward_cocycle``), so two germs with equal tables
     from different translates are different points; an override at one
@@ -77,8 +77,9 @@ class Morphism:
     """A point map and the cocycle that intertwines the two actions.
 
     ``kind`` names the cocycle.  ``evaluator`` computes cocycle values
-    exactly and ``evaluate`` is nothing but a call to it: no value is stored.
-    ``with_override`` makes a corrupted copy for negative controls.
+    exactly.  ``overrides`` lists the (g, point key, value) entries that
+    ``with_override`` records for negative controls; ``evaluate`` reads them
+    first, the latest first, and calls ``evaluator`` everywhere else.
 
     ``constant`` is the sup-distance C of the cocycle from a linear map, when
     one is known (0 for the exact constant and trivial cocycles), and
@@ -94,6 +95,7 @@ class Morphism:
     evaluator: Callable
     constant: Fraction | int | None = None
     space: TruncatedMapSpace | None = None
+    overrides: tuple = ()
     _inverse: "Morphism | None" = None
 
     def inverse(self) -> "Morphism":
@@ -102,21 +104,20 @@ class Morphism:
         return self._inverse
 
     def evaluate(self, g, x):
+        # A point is matched by its ``_point_key``, computed only when the
+        # element is an override's.
+        for h, key, value in reversed(self.overrides):
+            if h == g and _point_key(x) == key:
+                return value
         return self.evaluator(g, x)
 
     def with_override(self, g, x, value) -> "Morphism":
         """A copy whose cocycle reads ``value`` at (g, x) and the original's
-        value everywhere else; the copy records no inverse.  A point is
-        matched by its ``_point_key``, computed only when the element is g."""
-        key = _point_key(x)
-        original = self.evaluator
-
-        def corrupted(h, y):
-            if h == g and _point_key(y) == key:
-                return value
-            return original(h, y)
-
-        return replace(self, kind=self.kind + "+corrupted", evaluator=corrupted, _inverse=None)
+        value everywhere else; the copy records no inverse.  A copy of a
+        copy keeps both overrides, and the later one wins at the same
+        (g, x)."""
+        overrides = (*self.overrides, (g, _point_key(x), value))
+        return replace(self, kind=self.kind + "+corrupted", overrides=overrides, _inverse=None)
 
 
 def identity_morphism(system: ActionSystem) -> Morphism:
@@ -169,9 +170,9 @@ def orbit_morphism(space: TruncatedMapSpace, constant=None) -> Morphism:
     source action to the target action on the slice; the point map is the
     identity of the slice and the cocycle carries the translation data.
 
-    The forward cocycle reads a germ's table within its radius and is
-    extended exactly through translate provenance beyond it; its inverse
-    carries the backward cocycle.
+    The forward cocycle (``TruncatedMapSpace.orbit_cocycle``) reads a germ's
+    table within its radius and is extended exactly through translate
+    provenance beyond it; its inverse carries the backward cocycle.
     """
 
     def act_source(g, germ):
@@ -182,11 +183,6 @@ def orbit_morphism(space: TruncatedMapSpace, constant=None) -> Morphism:
         moved = space.act_source(g, germ)
         match = space.find_slice_match(moved)
         return match if match is not None else moved
-
-    def forward(g, germ):
-        if space.source_gens.word_length(g) <= germ.radius:
-            return space.forward_cocycle(g, germ)
-        return space.global_forward_cocycle(g, germ)
 
     def backward(lam, germ):
         try:
@@ -211,7 +207,7 @@ def orbit_morphism(space: TruncatedMapSpace, constant=None) -> Morphism:
         points=space.slice_members,
     )
     morphism = Morphism(
-        "orbit-forward", source_system, target_system, lambda x: x, forward, constant, space
+        "orbit-forward", source_system, target_system, lambda x: x, space.orbit_cocycle, constant, space
     )
     inverse = Morphism(
         "orbit-backward", target_system, source_system, lambda x: x, backward, constant

@@ -72,24 +72,32 @@ def test_realize_battery_refuses_entries_past_the_float_range(monkeypatch):
 
 
 def test_translate_battery_acts_once_per_member_and_element(monkeypatch):
-    # gromov-check 8/8/3 on the half shear: the cocycle identity and orbit
-    # equality each call act_source once per slice member and element of
-    # B(W); the action law and forced freeness act on the stacked slice
+    # gromov-check 8/8/3 on the half shear: orbit equality calls act_source
+    # once per slice member and element of B(W); the action law, the
+    # cocycle identity and forced freeness act on the stacked slice.  The
+    # action law makes one stacked act per h, one per distinct product g h
+    # (the 85 points of B(6)) and one per pair: 25 + 85 + 625
     f = realize_bilipschitz(linalg.parse_matrix("1 0.5; 0 1"), Fraction("1e-9"))
     space = build_translate_space(FloorMapSeed(f), 8, 8, offset_radius=3)
-    calls = []
-    honest = TruncatedMapSpace.act_source
+    calls, stacked = [], []
+    honest, honest_rows = TruncatedMapSpace.act_source, TruncatedMapSpace.act_source_rows
 
     def counting(self, g, germ):
         calls.append(g)
         return honest(self, g, germ)
 
+    def counting_rows(self, g, rows, radius):
+        stacked.append(g)
+        return honest_rows(self, g, rows, radius)
+
     monkeypatch.setattr(TruncatedMapSpace, "act_source", counting)
+    monkeypatch.setattr(TruncatedMapSpace, "act_source_rows", counting_rows)
     assert check_action_law(space, 3).passed
+    assert len(stacked) == 25 + 85 + 625 == 735
     assert force_freeness(space, OdometerSpace((2,) * 4, 3), 3).passed
     assert calls == []
     checks, _ = batteries.translate_battery(space, 3)
     assert all(check.passed for check in checks)
     assert sum(check.checked for check in checks) == 2912
     ball = space.source_gens.ball(3)
-    assert len(calls) <= 2 * len(space.slice_members) * len(ball) == 100
+    assert len(calls) == len(space.slice_members) * len(ball) == 50

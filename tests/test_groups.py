@@ -285,6 +285,40 @@ class TestBallIndex:
             assert S.shifted(3, 2, g).tolist() == [where[g.inverse() * h] for h in ball]
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_shifted_ranks_are_the_ball_positions(self, d):
+        # on standard lattice generators a shifted point's position is its
+        # rank in the L1 ball, found without the ball's dict of positions;
+        # every radius <= 6, every r and every g with r + |g| <= radius
+        S = LatticeGroup(d).standard_generators()
+        for radius in range(7):
+            expected = {
+                (r, g): [S.position(radius, g.inverse() * h) for h in S.ball(r)]
+                for r in range(radius + 1)
+                for g in S.ball(radius - r)
+            }
+            with patch.object(GeneratingSet, "_positions", refuse):
+                for (r, g), positions in expected.items():
+                    assert S.shifted(radius, r, g).tolist() == positions
+
+    @pytest.mark.parametrize("name", ["z1", "z3", "diagonal", "free"])
+    def test_shifted_refuses_a_translate_past_the_ball(self, name):
+        # a rank outside the ball would be a wrong position, not an error,
+        # so r + |g| > radius is refused before any point is placed
+        S = {
+            "z1": Z1.standard_generators(),
+            "z3": LatticeGroup(3).standard_generators(),
+            "diagonal": GeneratingSet(DIAGONAL),
+            "free": F2.standard_generators(),
+        }[name]
+        for radius in range(4):
+            for r in range(radius + 1):
+                for g in S.ball(radius - r + 1):
+                    if S.word_length(g) == radius - r + 1:
+                        with pytest.raises(ValueError, match="is not inside"):
+                            S.shifted(radius, r, g)
+
+
 class TestLatticeBallSize:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_counts_the_enumerated_ball(self, d):
@@ -476,7 +510,7 @@ def reference_sweep(source, target, radius, images, constant):
 
 
 def refuse(*_args):
-    raise AssertionError("the lattice sweep was expected here")
+    raise AssertionError("the array path was expected here")
 
 
 # constants just off a small ratio, by less than any float can show

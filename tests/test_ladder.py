@@ -332,6 +332,30 @@ def battery_space(request):
     return request.param, build(), window
 
 
+def overridden(space, cocycle, window):
+    """The orbit cocycle with overrides: at (g, psi) on the first slice
+    member, at (g, h . psi) on the smaller-radius germ h . psi, at (e, psi),
+    and two stacked at (g, psi), the later one read."""
+    gens = space.source_gens
+    g, h = [k for k in gens.ball(window) if not k.is_identity()][:2]
+    e = gens.group.identity()
+    psi = space.slice_members[0]
+    acted = space.act_source(h, psi)
+
+    def wrong(k, x, times=1):
+        value = cocycle.evaluate(k, x)
+        for _ in range(times):
+            value = value * space.target_gens.elements[0]
+        return value
+
+    return [
+        cocycle.with_override(g, psi, wrong(g, psi)),
+        cocycle.with_override(g, acted, wrong(g, acted)),
+        cocycle.with_override(e, psi, wrong(e, psi)),
+        cocycle.with_override(g, psi, wrong(g, psi)).with_override(g, psi, wrong(g, psi, 2)),
+    ]
+
+
 def outcomes(result):
     return result.passed, result.checked, result.witnesses, result.to_json()
 
@@ -345,6 +369,11 @@ def test_the_stacked_battery_agrees_with_the_scalar_loops(force, battery_space, 
     cocycle = orbit_morphism(space)
     identity = check_cocycle_identity(space, cocycle, window)
     assert outcomes(identity) == outcomes(cocycle_identity(space, cocycle, window))
+    # the overrides reach the rows' cases through ``evaluate``
+    for bad in overridden(space, cocycle, window):
+        result = check_cocycle_identity(space, bad, window)
+        assert not result.passed
+        assert outcomes(result) == outcomes(cocycle_identity(space, bad, window))
     # the law holds for every table; the misnamed member fails the identity
     # where g h reaches past its radius
     assert law.passed and identity.passed == (name != "misnamed")

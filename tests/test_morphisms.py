@@ -149,6 +149,26 @@ class TestOverride:
         assert eta.evaluate(g, x) == value
         assert eta.evaluator is evaluator
 
+    def test_overrides_are_data_and_the_later_one_wins(self):
+        # each override is one (g, point key, value) entry; the evaluator is
+        # kept, a copy of a copy keeps both entries, and at the same (g, x)
+        # the later value is read, as a chain of wrapped evaluators read it
+        eta, _ = realized_morphism([["1", "0.5"], ["0", "1"]], box_radius=25)
+        x, y = eta.source.points[:2]
+        g, h = eta.source.gens.elements[:2]
+        shift = eta.target.group.element((9, 9))
+        first = eta.evaluate(g, x) * shift
+        second = first * shift
+        third = eta.evaluate(h, y) * shift
+        bad = eta.with_override(g, x, first).with_override(h, y, third).with_override(g, x, second)
+        assert eta.overrides == ()
+        assert bad.evaluator is eta.evaluator == eta.space.orbit_cocycle
+        assert [entry[0] for entry in bad.overrides] == [g, h, g]
+        assert [entry[2] for entry in bad.overrides] == [first, third, second]
+        assert bad.kind == "orbit-forward" + "+corrupted" * 3
+        assert bad.evaluate(g, x) == second and bad.evaluate(h, y) == third
+        assert bad.evaluate(g, y) == eta.evaluate(g, y) and bad.evaluate(h, x) == eta.evaluate(h, x)
+
     def test_override_at_one_equal_table_twin_leaves_the_other(self):
         # the twins share a table, not a provenance: they are two points
         eta, germs, g = _quarter_shear_twins()
