@@ -119,7 +119,7 @@ def corrupted_cocycle(space, window: int):
     target generator.  The negative control of ``--inject-corruption``."""
     corrupt_g = next(g for g in space.source_gens.ball(window) if not g.is_identity())
     psi = space.slice_members[0]
-    wrong = space.forward_cocycle(corrupt_g, psi) * space.target_gens.elements[0]
+    wrong = space.orbit_cocycle(corrupt_g, psi) * space.target_gens.elements[0]
     return orbit_morphism(space).with_override(corrupt_g, psi, wrong)
 
 

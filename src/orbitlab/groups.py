@@ -147,11 +147,6 @@ class FreeGroup:
     def identity(self) -> "FreeWord":
         return FreeWord(self, ())
 
-    def generator(self, i: int) -> "FreeWord":
-        if not 0 <= i < self.rank:
-            raise ValueError(f"generator index {i} out of range")
-        return FreeWord(self, (i + 1,))
-
     def word(self, text: str) -> "FreeWord":
         """Parse "abA": lowercase letters are generators, uppercase their inverses."""
         letters = []
@@ -236,10 +231,10 @@ class GeneratingSet:
     forms are cross-checked against it in the test suite.
 
     :meth:`position` and :meth:`shifted` place elements in a ball's order,
-    which is how germ tables store one value per ball element.  On a lattice
-    an element is found by its coordinates: :meth:`ball_coords` keeps each
-    ball as one integer array, so g^-1 B(r) is one subtraction from it,
-    without a product.
+    which is how germ tables store one value per ball element, through one
+    dict of positions per ball on every generating set.  On a lattice an
+    element is found by its coordinates: :meth:`ball_coords` keeps each ball
+    as one integer array, so g^-1 B(r) is one subtraction from it.
     """
 
     def __init__(self, elements):
@@ -265,7 +260,6 @@ class GeneratingSet:
         self._where: dict = {}  # radius -> {point: position in B(r)}
         self._coords: dict = {}  # radius -> B(r) as an integer coordinate array
         self._shifts: dict = {}  # (radius, r, point of g) -> positions of g^-1 B(r) in B(radius)
-        self._below: dict = {}  # radius -> the prefix counts of _ranks
         # Guards the memo: a layer half grown by one thread must not be read
         # or grown again by another, and a kept ball is never recomputed.
         self._lock = threading.RLock()
@@ -359,56 +353,22 @@ class GeneratingSet:
     def shifted(self, radius: int, r: int, g) -> np.ndarray:
         """The positions in B(radius) of g^-1 h for h in B(r), in ``ball(r)``
         order; r + |g| <= radius, and a larger r + |g| is refused with
-        ValueError.  At the identity: B(r) inside B(radius).
-
-        On the standard generators of Z^d each position is the point's
-        lexicographic rank in the L1 ball (:meth:`_ranks`); any other
-        generating set looks each point up in the ball's positions."""
+        ValueError.  At the identity: B(r) inside B(radius).  Every point is
+        looked up in the ball's positions, on any generating set."""
         key = (radius, r, self._point(g))
         found = self._shifts.get(key)
         if found is None:
             if r + self.word_length(g) > radius:
                 raise ValueError(f"{g!r}^-1 B({r}) is not inside B({radius})")
+            where = self._positions(radius)
             if self._by_coords:
                 points = self.ball_coords(r) - np.array(g.coords, dtype=linalg.rung(max(map(abs, g.coords))))
-                if self._is_standard:
-                    found = self._ranks(radius, points)
-                else:
-                    where = self._positions(radius)
-                    found = [where[p] for p in map(tuple, points.tolist())]
+                found = [where[p] for p in map(tuple, points.tolist())]
             else:
-                where = self._positions(radius)
                 g_inv = g.inverse()
                 found = [where[g_inv * h] for h in self.ball(r)]
             found = self._shifts[key] = np.array(found, dtype=np.intp)
         return found
-
-    def _ranks(self, radius: int, points: np.ndarray) -> np.ndarray:
-        """The positions in B(radius) of the rows of ``points``, all inside
-        it, on the standard generators of Z^d: their lexicographic ranks.
-
-        The points of B(radius) before p are, for each k, those that agree
-        with p on the first k coordinates and are smaller at k.  With t the
-        norm left after those k coordinates, a value v < p_k leaves t - |v|
-        for the d - k - 1 coordinates after it: ``lattice_ball_size(d - k -
-        1, t - |v|)`` points.  ``below[m, t, radius + p]`` holds that count
-        summed over v < p for m trailing coordinates, so a rank is a sum of
-        d table reads."""
-        below = self._below.get(radius)
-        d = self.group.dimension
-        if below is None:
-            t = np.arange(radius + 1)[:, np.newaxis]
-            left = t - np.abs(np.arange(-radius, radius + 1))
-            sizes = np.array(
-                [[lattice_ball_size(m, u) for u in range(radius + 1)] for m in range(d)], dtype=np.intp
-            )
-            counts = np.where(left >= 0, sizes[:, np.maximum(left, 0)], 0)
-            below = self._below[radius] = np.cumsum(counts, axis=2) - counts
-        points = points.astype(np.intp)
-        # the norm left for coordinate k: radius minus the norm of those before it
-        before = np.cumsum(np.abs(points), axis=1) - np.abs(points)
-        trailing = np.arange(d - 1, -1, -1)
-        return below[trailing, radius - before, radius + points].sum(axis=1)
 
     def bfs_word_length(self, g) -> int:
         """Word length by pure BFS, ignoring closed forms (budget applies)."""

@@ -7,20 +7,19 @@ seeds (g, lam) . seed over a translate ball of radius R_t, with the target
 offset lam parameterized around the normalizing value so that the slice of
 maps fixing the identity is explicit.
 
-Germs act under three actions: the raw translate action, the normalized
-source-group action (which preserves the slice), and the normalized
-target-group action.  The two orbit cocycles read off values of the germ
-tables, and each normalized action is the raw translate by a cocycle value;
-every operation tracks the remaining reliable domain radius and raises
-:class:`TruncationError` instead of extrapolating.
+Germs act under two normalized actions: the source-group action (which
+preserves the slice), and the target-group action, which is the source
+action at the backward cocycle.  The two orbit cocycles read off values of
+the germ tables; every operation tracks the remaining reliable domain
+radius and raises :class:`TruncationError` instead of extrapolating.
 
 Every germ stores its table as one row per element of B(radius), in the
 ball order of :mod:`groups` (:class:`MapGerm`).  A lattice value is a row
 of target coordinates, on the dtype that ``linalg.rung`` gives for the
 largest entry; any other value is the element itself.
-Translating a germ is then one gather of rows through the ball positions
+Acting on a germ is then one gather of rows through the ball positions
 plus one offset, and matching, keys and partial inverses compare rows.  The
-normalized source action works on a stack of such tables at once
+source action works on a stack of such tables at once
 (:meth:`TruncatedMapSpace.act_source_rows`), which is how the battery acts
 on the whole slice.
 """
@@ -207,15 +206,6 @@ class MapGerm:
             return self.table
         return self.table[self.gens.shifted(self.radius, r, self.gens.group.identity())]
 
-    def translated(self, g, lam, r: int) -> "MapGerm":
-        """h -> lam psi(g^-1 h) on B(r), r + |g| <= radius: one gather.  A
-        provenance (g0, delta) becomes (g g0, the new value at identity)."""
-        rows = _times(lam, self.table[self.gens.shifted(self.radius, r, g)])
-        provenance = None
-        if self.provenance is not None:
-            provenance = (g * self.provenance[0], lam * self.value(g.inverse()))
-        return MapGerm(self.gens, r, self.group, rows, provenance)
-
     def key(self):
         """Equal exactly for equal radius and table; ordered by radius, then
         by the values in ball order, each compared as its coordinates or
@@ -356,6 +346,11 @@ class TruncatedMapSpace:
         fixes the identity, so the slice is closed under this action.  The
         one-member case of :meth:`act_source_rows`.
         """
+        return self._act_one(g, germ)
+
+    def _act_one(self, g, germ: MapGerm) -> MapGerm:
+        # The body of act_source, which act_target and the fundamental
+        # domain's source hits share without counting as its calls.
         _, rows = self.act_source_rows(g, germ.table[np.newaxis], germ.radius)
         provenance = None
         if germ.provenance is not None:
@@ -392,15 +387,8 @@ class TruncatedMapSpace:
         return cocycle, stack[:, gathered] + cocycle[:, np.newaxis]
 
     def act_target(self, lam, germ: MapGerm) -> MapGerm:
-        """Normalized target action (lam . psi)(h) = lam psi(psi^-1(lam^-1) h)."""
-        return self.raw_translate(self.backward_cocycle(lam, germ), lam, germ)
-
-    def raw_translate(self, g, lam, germ: MapGerm) -> MapGerm:
-        """The raw translate action ((g, lam) psi)(h) = lam psi(g^-1 h)."""
-        step = self.source_gens.word_length(g)
-        if step > germ.radius:
-            raise TruncationError(f"domain exhausted translating by {g!r}")
-        return germ.translated(g, lam, germ.radius - step)
+        """Normalized target action lam psi(b^-1 h) = (b . psi)(h), b = psi^-1(lam^-1)^-1."""
+        return self._act_one(self.backward_cocycle(lam, germ), germ)
 
     def partial_inverse(self, germ: MapGerm, target_value):
         """The unique ball element mapped to ``target_value`` by the germ (the
@@ -414,19 +402,15 @@ class TruncatedMapSpace:
 
     # -- cocycles
 
-    def forward_cocycle(self, g, germ: MapGerm):
-        """Source-to-target cocycle: psi(g^-1)^-1."""
-        return germ.value(g.inverse()).inverse()
-
     def backward_cocycle(self, lam, germ: MapGerm):
         """Target-to-source cocycle: (psi^-1(lam^-1))^-1."""
         return self.partial_inverse(germ, lam.inverse()).inverse()
 
     def orbit_cocycle(self, g, germ: MapGerm):
-        """The forward orbit cocycle: read off the germ's table within its
-        radius, and through its recorded translate past it."""
+        """The forward orbit cocycle psi(g^-1)^-1: read off the germ's table
+        within its radius, and through its recorded translate past it."""
         if self.source_gens.word_length(g) <= germ.radius:
-            return self.forward_cocycle(g, germ)
+            return germ.value(g.inverse()).inverse()
         return self.global_forward_cocycle(g, germ)
 
     def global_forward_cocycle(self, g, germ: MapGerm):
@@ -781,10 +765,9 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
         hits = []
         for g in ball:
             if omega.value(g.inverse()) == identity_target:
-                translated = space.raw_translate(g, identity_target, omega)
-                if space.find_slice_match(translated) is None and not _is_named_translate(
-                    space, translated
-                ):
+                # omega(g^-1) = e, so the source action of g adds no offset
+                moved = space._act_one(g, omega)
+                if space.find_slice_match(moved) is None and not _is_named_translate(space, moved):
                     witnesses.append(("source-hit-not-in-slice", g, omega))
                 hits.append(g)
         checked += 1
@@ -801,9 +784,8 @@ def check_fundamental_domain(space: TruncatedMapSpace, window: int) -> CheckResu
         delta = omega.value_at_identity()
         if space.target_gens.word_length(delta) <= window:
             interior_checked += 1
-            normalized = space.raw_translate(
-                space.source_gens.group.identity(), delta.inverse(), omega
-            )
+            rows = _times(delta.inverse(), omega.table)
+            normalized = MapGerm(omega.gens, omega.radius, omega.group, rows)
             if space.find_slice_match(normalized) is None:
                 witnesses.append(("target-hit-not-in-slice", delta, omega))
     return CheckResult(
@@ -843,7 +825,7 @@ def check_orbit_equality(space: TruncatedMapSpace, psi: MapGerm, window: int) ->
     consistent = 0
     witnesses = []
     for g in space.source_gens.ball(window):
-        lam = space.forward_cocycle(g, psi)
+        lam = space.orbit_cocycle(g, psi)
         back = space.backward_cocycle(lam, psi)
         consistent += 1
         if back != g:

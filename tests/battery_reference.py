@@ -56,7 +56,7 @@ def freeness(space, odometer, window: int) -> CheckResult:
         if g.is_identity():
             continue
         for psi in space.slice_members:
-            lam = space.forward_cocycle(g, psi)
+            lam = space.orbit_cocycle(g, psi)
             moved_psi = space.act_source(g, psi)
             moved = odometer_add(zero, tuple(g.coords) + tuple(lam.coords), odometer)
             checked += 1

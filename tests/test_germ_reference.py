@@ -91,6 +91,8 @@ class RefSpace:
         return members, tuple(m for m in members if m.is_normalized())
 
     def raw_translate(self, g, lam, germ):
+        """((g, lam) psi)(h) = lam psi(g^-1 h): the reference that both
+        normalized actions of the package are compared through."""
         step = self.gens.word_length(g)
         if step > germ.radius:
             raise TruncationError(f"domain exhausted translating by {g!r}")
@@ -217,7 +219,6 @@ def test_actions_agree_over_the_window(spaces):
     ref_slice = ref.build()[1]
     target_ball = space.target_gens.ball(window)
     ball = space.source_gens.ball(window)
-    offsets = (space.target_gens.group.identity(), *space.target_gens.elements[:2])
     acted = []
     for germ in space.members:
         dict_germ = as_ref(germ)
@@ -232,10 +233,6 @@ def test_actions_agree_over_the_window(spaces):
                 match = space.find_slice_match(moved)
                 index = None if match is None else space.slice_members.index(match)
                 assert index == ref.find_slice_match(as_ref(moved), ref_slice)
-            for lam in offsets:
-                assert outcome(lambda: space.raw_translate(g, lam, germ)) == outcome(
-                    lambda: ref.raw_translate(g, lam, dict_germ)
-                )
             lam = outcome(lambda: germ.value(g).inverse())
             assert lam == outcome(lambda: dict_germ.value(g).inverse())
             if not isinstance(lam, tuple):

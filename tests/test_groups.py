@@ -286,25 +286,21 @@ class TestBallIndex:
 
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_shifted_ranks_are_the_ball_positions(self, d):
-        # on standard lattice generators a shifted point's position is its
-        # rank in the L1 ball, found without the ball's dict of positions;
-        # every radius <= 6, every r and every g with r + |g| <= radius
+    def test_shifted_points_are_the_ball_positions(self, d):
+        # on standard lattice generators each shifted point is at the
+        # position of g^-1 h in B(radius); every radius <= 6, every r and
+        # every g with r + |g| <= radius
         S = LatticeGroup(d).standard_generators()
         for radius in range(7):
-            expected = {
-                (r, g): [S.position(radius, g.inverse() * h) for h in S.ball(r)]
-                for r in range(radius + 1)
-                for g in S.ball(radius - r)
-            }
-            with patch.object(GeneratingSet, "_positions", refuse):
-                for (r, g), positions in expected.items():
+            for r in range(radius + 1):
+                for g in S.ball(radius - r):
+                    positions = [S.position(radius, g.inverse() * h) for h in S.ball(r)]
                     assert S.shifted(radius, r, g).tolist() == positions
 
     @pytest.mark.parametrize("name", ["z1", "z3", "diagonal", "free"])
     def test_shifted_refuses_a_translate_past_the_ball(self, name):
-        # a rank outside the ball would be a wrong position, not an error,
-        # so r + |g| > radius is refused before any point is placed
+        # a point outside the ball has no position, so r + |g| > radius is
+        # refused with ValueError before any point is placed
         S = {
             "z1": Z1.standard_generators(),
             "z3": LatticeGroup(3).standard_generators(),

@@ -9,7 +9,9 @@ the root of an attribute chain included, or inside a quoted annotation.  A priva
 
 Every public top-level function or class is read by some library module,
 or it is named in ``TEST_REFERENCES`` with the reason the tests need it: a
-checker that no command can reach runs in no report.
+checker that no command can reach runs in no report.  So is every public
+method of a library class: its name is read, bare or as an attribute, in
+some library module, or ``TEST_REFERENCES`` names it as ``Class.method``.
 """
 import ast
 from pathlib import Path
@@ -150,6 +152,11 @@ TEST_REFERENCES = {
     "box_points": "the reference order of the certificate box, which the distance sweep walks in blocks",
     "TableSeed": "a seed given by a finite table: free-group and hand-made translate spaces in the tests",
     "identity_morphism": "the trivial cocycle: a fake system for invariant and composition tests",
+    "FreeGroup.word": "a free word parsed from letters, for Nielsen seeds and hand-built words",
+    "ExteriorElement.coefficient": "one coefficient of an exterior element, read by the algebra tests",
+    "InducedAlgebraMap.corrupted": "an induced map with one wrong entry: the negative control of functoriality",
+    "MapGerm.from_dict": "a hand-made or corrupted germ from its values, for the germ and battery controls",
+    "OdometerSpace.all_points": "every point at the depth, the reference order of the residue arrays",
 }
 
 
@@ -192,14 +199,55 @@ def unreached(sources: dict[str, str]) -> dict[str, str]:
     }
 
 
+def public_methods(tree: ast.Module) -> dict[str, int]:
+    """Each public method of a top-level class, as ``Class.method``, with
+    its line number."""
+    return {
+        f"{node.name}.{item.name}": item.lineno
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    }
+
+
+def unread_methods(sources: dict[str, str]) -> dict[str, str]:
+    """Each public method of ``sources`` (module name -> text) whose name no
+    module reads, bare or as any attribute, and that ``TEST_REFERENCES``
+    does not name, as ``module:line``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = set()
+    for tree in trees.values():
+        reads |= used_names(tree)
+        reads |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    return {
+        name: f"{module}:{line}"
+        for module, tree in trees.items()
+        for name, line in public_methods(tree).items()
+        if name.split(".")[1] not in reads and name not in TEST_REFERENCES
+    }
+
+
 def test_every_public_name_is_read_by_the_library():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unreached(sources) == {}
 
 
+def test_every_public_method_is_read_by_the_library():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unread_methods(sources) == {}
+
+
 def test_every_test_reference_exists():
     sources = {path.stem: path.read_text() for path in MODULES}
-    defined = set().union(*(public_definitions(ast.parse(text)) for text in sources.values()))
+    defined = set()
+    for text in sources.values():
+        tree = ast.parse(text)
+        defined |= set(public_definitions(tree)) | set(public_methods(tree))
     assert set(TEST_REFERENCES) <= defined
 
 
@@ -211,6 +259,20 @@ def test_the_guard_sees_an_unread_public_name():
         "beta": "from . import alpha\n\ndef box_points():\n    return alpha.Shape\n\ndef left():\n    return 0\n",
     }
     assert unreached(sources) == {"spare": "alpha:6", "left": "beta:6"}
+
+
+def test_the_guard_sees_an_unread_method():
+    # ``area`` is read as an attribute, ``scale`` as a bare name and
+    # ``word`` is named in TEST_REFERENCES; ``spare`` and a method that is
+    # only assigned to (``self.grow = ...``) are unread
+    sources = {
+        "alpha": "class Shape:\n    def area(self):\n        return 1\n\n"
+                 "    def spare(self):\n        return 2\n\n    def _private(self):\n        return 3\n\n"
+                 "    def scale(self):\n        return 4\n\n    def grow(self):\n        self.grow = 5\n",
+        "beta": "from .alpha import Shape\n\nclass FreeGroup:\n    def word(self):\n        return 0\n\n"
+                "def total(shape, scale):\n    return shape.area() + scale\n",
+    }
+    assert unread_methods(sources) == {"Shape.spare": "alpha:5", "Shape.grow": "alpha:14"}
 
 
 # The one module that may write an integer width limit: the home of the

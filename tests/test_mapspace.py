@@ -216,6 +216,15 @@ class TestExactRows:
         assert shear_space.partial_inverse(twin, e) == shear_space.partial_inverse(germ, e)
 
 
+def acted(call):
+    """A germ's key, radius and provenance, or a TruncationError's message."""
+    try:
+        germ = call()
+    except TruncationError as exc:
+        return str(exc)
+    return germ.key(), germ.radius, germ.provenance
+
+
 class TestActions:
     def test_identity_element_acts_trivially(self, shear_space):
         psi = shear_space.slice_members[0]
@@ -243,27 +252,50 @@ class TestActions:
         with pytest.raises(TruncationError, match="image"):
             shear_space.act_target(Z2.element((50, 50)), psi)
 
-    def test_raw_translate_tracks_offset(self, shear_space):
-        psi = shear_space.slice_members[0]
-        lam = Z2.element((1, 0))
-        raw = shear_space.raw_translate(Z2.identity(), lam, psi)
-        assert raw.value_at_identity() == lam
-
     def test_target_action_by_cocycle_value_is_source_action(self, shear_space, nielsen_space):
-        # act_target(forward_cocycle(g, psi), psi) and act_source(g, psi) are
+        # act_target(orbit_cocycle(g, psi), psi) and act_source(g, psi) are
         # one germ with one radius; a global seed's exact action agrees too
         cases = 0
         for space, radius in ((shear_space, 2), (nielsen_space[0], 1)):
             for psi in space.slice_members:
                 for g in space.source_gens.ball(radius):
                     by_source = space.act_source(g, psi)
-                    by_target = space.act_target(space.forward_cocycle(g, psi), psi)
+                    by_target = space.act_target(space.orbit_cocycle(g, psi), psi)
                     assert by_target.key() == by_source.key()
                     assert by_target.provenance == by_source.provenance
                     if space.seed.is_global:
                         assert space.global_act_source(g, psi).matches(by_source)
                     cases += 1
         assert cases == 31
+        # lam . psi is b . psi at the backward cocycle b, as psi(b^-1) =
+        # lam^-1: for every lam of B(W) and every member, the offset ones
+        # (delta != e) and a non-injective germ included, both give one key,
+        # radius and provenance, or raise one TruncationError
+        germ = shear_space.members[-1]
+        values = {g: germ.value(g) for g in germ.gens.ball(germ.radius)}
+        points = list(values)
+        values[points[-1]] = values[points[1]]
+        non_injective = MapGerm.from_dict(germ.gens, germ.radius, values, germ.provenance)
+        refused = 0
+        for space, germs, window in (
+            (shear_space, shear_space.members, 2),
+            (nielsen_space[0], nielsen_space[0].members, 1),
+            (shear_space, [non_injective], 2),
+        ):
+            for psi in germs:
+                for lam in space.target_gens.ball(window):
+                    by_target = acted(lambda: space.act_target(lam, psi))
+                    by_source = acted(lambda: space.act_source(space.backward_cocycle(lam, psi), psi))
+                    assert by_target == by_source
+                    if isinstance(by_target, str):
+                        refused += 1
+                    else:
+                        back = space.backward_cocycle(lam, psi)
+                        assert psi.value(back.inverse()) == lam.inverse()
+                        cases += 1
+        # 26 shear members and 5 Nielsen members, 13 and 5 lam each; the
+        # Nielsen germs miss 8 lam of B(1) in their image
+        assert (cases, refused) == (31 + 26 * 13 + 5 * 5 - 8 + 13, 8)
 
     def test_global_action_matches_truncated(self, shear_space):
         psi = shear_space.slice_members[0]
@@ -279,17 +311,17 @@ class TestCocycles:
         space = build_translate_space(IdentitySeed(Z1), 3, 2)
         psi = space.slice_members[0]
         for g in space.source_gens.ball(3):
-            assert space.forward_cocycle(g, psi) == g
+            assert space.orbit_cocycle(g, psi) == g
 
     def test_cocycle_at_identity_is_identity(self, shear_space):
         for psi in shear_space.slice_members:
-            assert shear_space.forward_cocycle(Z2.identity(), psi).is_identity()
+            assert shear_space.orbit_cocycle(Z2.identity(), psi).is_identity()
 
     def test_forward_values_near_matrix(self, shear_space):
         # |cocycle(g, psi) - A g|_inf stays below twice the seed gap bound
         for psi in shear_space.slice_members:
             for g in shear_space.source_gens.ball(4):
-                value = shear_space.forward_cocycle(g, psi)
+                value = shear_space.orbit_cocycle(g, psi)
                 ax = (g.coords[0] + 0.5 * g.coords[1], g.coords[1])
                 gap = max(abs(a - b) for a, b in zip(value.coords, ax))
                 assert gap <= 2
@@ -303,7 +335,7 @@ class TestCocycles:
     def test_backward_roundtrip(self, shear_space):
         psi = shear_space.slice_members[0]
         for g in shear_space.source_gens.ball(3):
-            lam = shear_space.forward_cocycle(g, psi)
+            lam = shear_space.orbit_cocycle(g, psi)
             assert shear_space.backward_cocycle(lam, psi) == g
 
     def test_global_backward_matches_table_form(self, shear_space):
@@ -416,7 +448,7 @@ def unmatched_source_hits(space, window):
         for omega in space.members
         for g in space.source_gens.ball(window)
         if omega.value(g.inverse()) == e
-        and space.find_slice_match(space.raw_translate(g, e, omega)) is None
+        and space.find_slice_match(space.act_source(g, omega)) is None
     ]
 
 
@@ -647,7 +679,7 @@ class TestBackwardTable:
         backward = orbit_morphism(shear_space).inverse()
         psi = shear_space.slice_members[0]
         for g in shear_space.source_gens.ball(2):
-            lam = shear_space.forward_cocycle(g, psi)
+            lam = shear_space.orbit_cocycle(g, psi)
             assert backward.evaluate(lam, psi) == g
             acted = backward.source.act(lam, psi)
             assert acted.matches(shear_space.act_source(g, psi))
@@ -680,7 +712,7 @@ class TestNonAbelianSeed:
         psi = space.slice_members[0]
         for g in space.source_gens.ball(2):
             assert psi.value(g) == nielsen(g)
-            assert space.forward_cocycle(g, psi) == nielsen(g)
+            assert space.orbit_cocycle(g, psi) == nielsen(g)
 
     def test_battery_passes(self, nielsen_space):
         space, _ = nielsen_space

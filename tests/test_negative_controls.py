@@ -219,7 +219,7 @@ def test_orbit_equality_fails_on_a_wrong_backward_cocycle(monkeypatch, half_shea
     assert not result.passed
     tag, g, lam, back = result.witnesses[0]
     assert (tag, g, back) == ("cocycle-roundtrip", G_STAR, G_STAR * G_STAR)
-    assert lam == space.forward_cocycle(G_STAR, psi)
+    assert lam == space.orbit_cocycle(G_STAR, psi)
 
 
 def test_orbit_equality_fails_on_a_non_injective_germ(half_shear_space):
