@@ -13,6 +13,7 @@ reconstruction check compares matrices entrywise over the rationals.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,10 +105,16 @@ ElementaryOp = Shear | SignFlip
 
 
 def product_matrix(ops: Sequence[ElementaryOp], d: int) -> linalg.Matrix:
-    out = linalg.identity(d)
+    """The ops' linear parts multiplied left to right, by column operations
+    on the identity: multiplying on the right by a shear adds coeff times
+    column i into column j, and by a sign flip negates column i."""
+    columns = [list(column) for column in linalg.identity(d)]
     for op in ops:
-        out = linalg.mat_mul(out, op.matrix(d))
-    return out
+        if isinstance(op, Shear):
+            columns[op.j] = [x + op.coeff * y for x, y in zip(columns[op.j], columns[op.i])]
+        else:
+            columns[op.i] = [-x for x in columns[op.i]]
+    return tuple(zip(*columns))
 
 
 def decompose_unimodular(matrix, tol=DEFAULT_TOL) -> list[ElementaryOp]:
@@ -216,6 +223,27 @@ class FloorMap:
             out = op.unapply_int(out)
         return out
 
+    def period(self, k: int) -> tuple[int, tuple[Fraction, ...]]:
+        """A period N_k of the map along e_k, and column k of its linear part
+        B, the product of the ops: f(v + N_k e_k) = f(v) + N_k B e_k.
+
+        The shift u = e_k is carried through the linear parts of the ops,
+        rightmost first.  A shift by N u moves the floor argument of
+        v_i += floor(c v_j) by N c u_j, an integer when den(c u_j) divides
+        N, and moves coordinate i by that integer; N_k is the lcm of those
+        denominators over the shears, a divisor of the product of the
+        coefficients' denominators."""
+        u = [Fraction(int(r == k)) for r in range(self.dimension)]
+        n = 1
+        for op in reversed(self.ops):
+            if isinstance(op, Shear):
+                step = op.coeff * u[op.j]
+                n = math.lcm(n, step.denominator)
+                u[op.i] += step
+            else:
+                u[op.i] = -u[op.i]
+        return n, tuple(u)
+
     def _bound_chain(self, bounds: Sequence[int]) -> tuple[type, list[int]]:
         """The narrowest sweep dtype for an evaluation whose coordinate k has
         magnitude at most ``bounds[k]`` (each at least 1), and a bound on each
@@ -283,8 +311,8 @@ def check_box_budget(radius: int, dimension: int) -> None:
 def box_points(radius: int, dimension: int) -> np.ndarray:
     """All integer points of the sup-norm ball [-radius, radius]^d, shape
     (M, d), last coordinate fastest: the whole box at once, the reference
-    order of the box (``bounded_distance_constant`` sweeps the same points
-    in blocks instead).
+    order of the box (``bounded_distance_constant`` sweeps a sub-box of it,
+    in the same order, in blocks instead).
 
     The array is the transposed view of one contiguous int64 row per
     coordinate, shape (d, M): ``box_points(r, d).T`` is that row layout."""
@@ -300,24 +328,24 @@ def box_points(radius: int, dimension: int) -> np.ndarray:
 _SWEEP_BLOCK = 32768
 
 
-def _box_blocks(radius: int, dimension: int, dtype):
-    """The points of ``box_points(radius, dimension)``, in its order, as
-    consecutive (d, M) row blocks of ``dtype`` of at most ``_SWEEP_BLOCK``
-    points; the flat indices and coordinates below stay within
-    ``SWEEP_BUDGET``, so any rung of ``linalg.rung`` holds them.
+def _box_blocks(shape: Sequence[int], radius: int, dtype):
+    """The points of the sub-box prod_k [-radius, -radius + shape[k]) of the
+    box [-radius, radius]^d, in ``box_points`` order, as consecutive (d, M)
+    row blocks of ``dtype`` of at most ``_SWEEP_BLOCK`` points; each side
+    is at most 2 * radius + 1, so the flat indices and coordinates below stay
+    within ``SWEEP_BUDGET`` and any rung of ``linalg.rung`` holds them.
 
     Every block is a view of one buffer that the next block overwrites.  The
     first coordinate of flat index n is n // slab - radius, where a slab is
-    the side^(d-1) points sharing it; the trailing coordinates repeat with
-    period slab, so each block copies them out of one tiled run of slabs
-    (in dimension 1 there are none, and a slab is one point)."""
-    side = 2 * radius + 1
-    slab = side ** (dimension - 1)
-    total = side * slab
+    the prod(shape[1:]) points sharing it; the trailing coordinates repeat
+    with period slab, so each block copies them out of one tiled run of
+    slabs (in dimension 1 there are none, and a slab is one point)."""
+    slab = math.prod(shape[1:])
+    total = shape[0] * slab
     block = min(_SWEEP_BLOCK, total)
-    tail = np.indices((side,) * (dimension - 1), dtype=dtype).reshape(dimension - 1, slab) - radius
+    tail = np.indices(shape[1:], dtype=dtype).reshape(len(shape) - 1, slab) - radius
     tail = np.tile(tail, -(-(block + slab - 1) // slab))
-    buffer = np.empty((dimension, block), dtype=dtype)
+    buffer = np.empty((len(shape), block), dtype=dtype)
     for start in range(0, total, block):
         stop = min(start + block, total)
         rows = buffer[:, : stop - start]
@@ -328,15 +356,32 @@ def _box_blocks(radius: int, dimension: int, dtype):
         yield rows
 
 
+def _residue_slices(radius: int, r: int, period: int) -> tuple[slice, ...]:
+    """The offsets (x + radius) mod period of x in [-r, r], as one or two
+    slices of an axis of length ``period``: all of it, one run, or a run
+    that wraps past its end."""
+    if 2 * r + 1 >= period:
+        return (slice(None),)
+    start = (radius - r) % period
+    stop = start + 2 * r + 1
+    if stop <= period:
+        return (slice(start, stop),)
+    return slice(start, period), slice(0, stop - period)
+
+
 @dataclass(frozen=True)
 class DistanceCertificate:
     """Max sup-norm gap between the realized map and its matrix on boxes.
 
-    ``constant`` is the exact maximum over the swept box of radius
-    ``radius``: a sampled value, not a proven bound on all of Z^d.
-    ``by_radius`` holds the exact max on nested boxes; a stable value across
-    radii is the desk-scale evidence that the gap is uniformly bounded.
-    Only ``to_json`` converts them to floats.
+    ``constant`` is the exact maximum over the box of radius ``radius``: a
+    sampled value, not a proven bound on all of Z^d.  ``by_radius`` holds
+    the exact max on nested boxes; a stable value across radii is the
+    desk-scale evidence that the gap is uniformly bounded.  ``witness`` is
+    the first point of the box, in ``box_points`` order, attaining
+    ``constant``.  All three are those of the whole box even where the sweep
+    reads them off one period per coordinate (see
+    ``bounded_distance_constant``).  Only ``to_json`` converts them to
+    floats.
     """
 
     constant: Fraction
@@ -355,22 +400,35 @@ class DistanceCertificate:
 
 def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> DistanceCertificate:
     """max over the radius-R sup-norm box of |f(v) - A v|_inf, exactly: the
-    maximum over the swept box, a sampled value and not a proven bound on all
-    of Z^d.  ``by_radius`` also holds the maximum over each smaller box in
+    maximum over the box, a sampled value and not a proven bound on all of
+    Z^d.  ``by_radius`` also holds the maximum over each smaller box in
     ``DISTANCE_PROBES``; the witness is the first point attaining the maximum.
+
+    Periods.  ``FloorMap.period(k)`` gives N_k and column k of the ops'
+    product B with f(v + N_k e_k) = f(v) + N_k B e_k.  Where B e_k = A e_k
+    (for every k when B = A), the gap g(v) = f(v) - A v has period N_k along
+    e_k, so only P_k = min(N_k, 2R+1) values of coordinate k are swept;
+    elsewhere P_k = 2R+1.  The sweep covers the sub-box
+    prod_k [-R, -R + P_k), and box point v reads the gap of its
+    representative r_k = -R + (v_k + R) mod P_k.  Each probe maximum is the
+    maximum over the residues of [-r, r] mod P_k, one or two slices per
+    axis (views only).  Witness: r <= v coordinate by coordinate and r lies
+    in the box, so r comes no later than v in box order; the first
+    maximizer of the box is therefore its own representative, and is the
+    first maximizer of the sub-box, in the same order.
 
     The box is refused by ``check_box_budget`` before anything is built.
     One static bound then picks the sweep dtype: ``FloorMap._bound_chain`` at
     coordinate bound max(R, 1) gives the map's rung and image bounds b_r, and
     the scaled gap common_den * f_r(v) - sum_k a_rk v_k of row r stays within
     common_den * b_r + max(R, 1) * sum_k |a_rk| on the way; the sweep runs on
-    the wider of the two rungs.  The box is swept in blocks of
-    ``_SWEEP_BLOCK`` points in ``box_points`` order, built in that dtype,
-    each one (d, M) row block through ``FloorMap.apply_array``; per block
-    the scaled gap is formed one coordinate row at a time and its absolute
-    value folded into that block's slice of one running maximum over the
-    box, held in the same dtype.  Each probe maximum is read off a slice of
-    that maximum viewed as the (2R+1)^d grid."""
+    the wider of the two rungs (sub-box coordinates lie in [-R, R]).  The
+    sub-box is swept in blocks of ``_SWEEP_BLOCK`` points in ``box_points``
+    order, built in that dtype, each one (d, M) row block through
+    ``FloorMap.apply_array``; per block the scaled gap is formed one
+    coordinate row at a time and its absolute value folded into that
+    block's slice of one running maximum over the sub-box, held in the same
+    dtype."""
     a = linalg.as_matrix(matrix)
     d = len(a)
     check_box_budget(radius, d)
@@ -382,9 +440,13 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     dtype = max(rung, linalg.rung(gap_bound), key=linalg.WIDTHS.index)
 
     side = 2 * radius + 1
-    gap_inf = np.zeros(side**d, dtype=dtype)
+    shape = []
+    for k in range(d):
+        period, column = floor_map.period(k)
+        shape.append(min(period, side) if column == tuple(row[k] for row in a) else side)
+    gap_inf = np.zeros(math.prod(shape), dtype=dtype)
     start = 0
-    for block in _box_blocks(radius, d, dtype):
+    for block in _box_blocks(shape, radius, dtype):
         images = floor_map.apply_array(block.T).T.astype(dtype, copy=False)
         stop = start + block.shape[1]
         block_max = gap_inf[start:stop]
@@ -398,11 +460,12 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
             np.maximum(block_max, np.abs(gap, out=gap), out=block_max)
         start = stop
 
-    grid = gap_inf.reshape((side,) * d)
-    by_radius = {
-        r: Fraction(int(grid[(slice(radius - r, radius + r + 1),) * d].max()), common_den)
-        for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius})
-    }
+    grid = gap_inf.reshape(shape)
+    by_radius = {}
+    for r in sorted({p for p in DISTANCE_PROBES if p <= radius} | {radius}):
+        axes = [_residue_slices(radius, r, period) for period in shape]
+        peak = max(int(grid[view].max()) for view in itertools.product(*axes))
+        by_radius[r] = Fraction(peak, common_den)
     best = np.unravel_index(int(np.argmax(gap_inf)), grid.shape)
     return DistanceCertificate(
         constant=by_radius[radius],

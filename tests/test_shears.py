@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitlab import linalg, shears
 from orbitlab.groups import LatticeGroup, is_bilipschitz_on_ball
@@ -106,6 +107,38 @@ class TestDecompose:
         m = linalg.as_matrix([["0.5", "0"], ["0", "-2"]])
         ops = decompose_unimodular(m)
         assert linalg.max_abs_diff(product_matrix(ops, 2), m) == 0
+
+
+def reference_product_matrix(ops, d):
+    """The fold ``product_matrix`` replaced: one exact matrix product per op."""
+    out = linalg.identity(d)
+    for op in ops:
+        out = linalg.mat_mul(out, op.matrix(d))
+    return out
+
+
+@st.composite
+def op_lists(draw):
+    """A dimension and a list of shears (any nonzero rational coefficient)
+    and sign flips in it; in dimension 1 only flips."""
+    d = draw(st.integers(1, 4))
+    flip = st.builds(SignFlip, st.integers(0, d - 1))
+    if d == 1:
+        return d, draw(st.lists(flip, max_size=6))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=12).filter(bool)
+    pair = st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)
+    shear = st.builds(lambda ij, c: Shear(ij[0], ij[1], c), pair, coeff)
+    return d, draw(st.lists(st.one_of(shear, flip), max_size=16))
+
+
+class TestProductMatrix:
+    @settings(deadline=None, max_examples=200)
+    @given(op_lists())
+    def test_column_operations_match_the_matrix_fold(self, drawn):
+        d, ops = drawn
+        product = product_matrix(ops, d)
+        assert product == reference_product_matrix(ops, d)
+        assert all(isinstance(x, Fraction) for row in product for x in row)
 
 
 class TestFloorMap:
@@ -257,32 +290,37 @@ def reference_certificate(f, matrix, radius):
 
 
 def swept_certificate(f, matrix, radius):
-    """The certificate of ``f``, and the dtypes of the blocks that its sweep
-    passed to ``apply_array``."""
+    """The certificate of ``f``, the dtypes of the blocks that its sweep
+    passed to ``apply_array``, and the number of points in them."""
     swept = set()
+    count = [0]
     honest = f.apply_array
 
     def spy(points):
         swept.add(points.dtype)
+        count[0] += len(points)
         return honest(points)
 
     f.apply_array = spy
     try:
-        return bounded_distance_constant(f, matrix, radius), swept
+        return bounded_distance_constant(f, matrix, radius), swept, count[0]
     finally:
         del f.apply_array
 
 
-def assert_certificate_matches_reference(f, matrix, radius, dtype=None):
+def assert_certificate_matches_reference(f, matrix, radius, dtype=None, points=None):
     """The certificate equals the exact reference, witness included; with a
-    ``dtype``, its sweep also ran on that dtype alone."""
+    ``dtype``, its sweep also ran on that dtype alone, and with ``points``,
+    it swept exactly that many points."""
     exact, witness = reference_certificate(f, matrix, radius)
-    cert, swept = swept_certificate(f, matrix, radius)
+    cert, swept, count = swept_certificate(f, matrix, radius)
     assert cert.by_radius == exact
     assert cert.constant == exact[radius]
     assert cert.witness == witness
     if dtype is not None:
         assert swept == {np.dtype(dtype)}
+    if points is not None:
+        assert count == points
 
 
 def assert_matches_reference(f, matrix, radius, dtype):
@@ -437,7 +475,7 @@ class TestSweepBlocks:
         identity = linalg.identity(d)
         for block in block_sizes(radius, d):
             monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
-            cert, swept = swept_certificate(realize_bilipschitz(identity), identity, radius)
+            cert, swept, _ = swept_certificate(realize_bilipschitz(identity), identity, radius)
             assert swept == {np.dtype(dtype)}
             assert cert.constant == 0 and set(cert.by_radius.values()) == {0}
             assert cert.witness == (-radius,) * d
@@ -477,6 +515,8 @@ class TestSweepBlocks:
 
     def test_one_dimensional_box_across_default_blocks(self):
         # 80,001 points: the default block size cuts this box three times
+        # where the matrix is not the map's product (-1.5 against the flip);
+        # against -1 itself the gap has period 1 and one point is swept
         radius = 40000
         assert 2 * radius + 1 > 2 * shears._SWEEP_BLOCK
         for m in ([["-1"]], [["-1.5"]]):
@@ -494,6 +534,100 @@ class TestSweepBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+
+def exact_gap(f, a, v):
+    """f(v) - A v, exactly, for a lattice point v."""
+    return tuple(fv - sum(x * c for x, c in zip(row, v)) for fv, row in zip(f(v), a))
+
+
+def shifted(v, k, n):
+    return tuple(c + n * (i == k) for i, c in enumerate(v))
+
+
+def chain():
+    """v_1 += floor(v_0 / 2), then v_0 += floor(v_1 / 2): in product order
+    the second shear comes first.  Its periods are (4, 2)."""
+    return FloorMap([Shear(0, 1, Fraction(1, 2)), Shear(1, 0, Fraction(1, 2))], 2)
+
+
+def wrapped_shear():
+    return FloorMap([Shear(0, 1, Fraction(3, 28))], 2)
+
+
+def realized(text, radius, tol=shears.DEFAULT_TOL):
+    a = linalg.parse_matrix(text)
+    return realize_bilipschitz(a, tol), a, radius
+
+
+# (floor map, matrix, radius) and the sub-box the certificate sweeps: one
+# side of min(N_k, 2R+1) per coordinate k where column k of the ops' product
+# is column k of the matrix, and 2R+1 where it is not.
+PERIOD_CASES = {
+    # P_0 = 2R+1 = 3 (N_0 = 4), P_1 = 2 < 3
+    "chain-R1": (lambda: (chain(), chain().target, 1), (3, 2)),
+    # both periods below 2R+1 = 7
+    "chain-R3": (lambda: (chain(), chain().target, 3), (4, 2)),
+    "quarter-shear-R2": (lambda: realized("1 0.25; 0 1", 2), (1, 4)),
+    # v_0 += floor(3 v_1 / 28): at R = 26 the residues of [-10, 10] mod 28
+    # wrap, and the probe's maximum 27/28, at v_1 = 9 only, lies past the wrap
+    "wrapped-probe": (lambda: (wrapped_shear(), wrapped_shear().target, 26), (1, 28)),
+    # periods (2, 20): all of Z^2 is swept from R = 10 on
+    "periods-2-20-R12": (lambda: realized("1 0.3; 0.5 1.15", 12), (2, 20)),
+    "periods-2-20-R0": (lambda: realized("1 0.3; 0.5 1.15", 0), (1, 1)),
+    # the matrix differs from the ops' product in every column
+    "last-point-2d": (lambda: (*last_point_witness(2, 3), 3), (7, 7)),
+    "last-point-3d": (lambda: (*last_point_witness(3, 3), 3), (7, 7, 7)),
+    # a determinant within tol of 1: the product differs from the matrix in
+    # column 1 only, so column 0 keeps its period 2
+    "det-within-tol": (lambda: realized("1 0.3; 0.5 1.1500000001", 5, Fraction(1, 10**9)), (2, 11)),
+    "d1-flip": (lambda: (realize_bilipschitz([["-1"]]), [["-1"]], 9), (1,)),
+    "d1-not-the-product": (lambda: (realize_bilipschitz([["-1"]]), [["-1.5"]], 9), (19,)),
+    "random-3d-R0": (lambda: realized("-0.5 0 1; 0.5625 -1 -1.625; 0.75 0 0.5", 0), (1, 1, 1)),
+}
+
+
+class TestPeriods:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_gap_repeats_after_one_period(self, data):
+        d = data.draw(st.sampled_from([2, 3]))
+        m = random_unimodular(random.Random(data.draw(st.integers(0, 2**32))), d)
+        f = realize_bilipschitz(m)
+        a = linalg.as_matrix(m)
+        dens = math.prod(op.coeff.denominator for op in f.ops if isinstance(op, Shear))
+        v = tuple(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d)))
+        for k in range(d):
+            n, column = f.period(k)
+            assert dens % n == 0
+            assert column == tuple(row[k] for row in a)
+            assert f(shifted(v, k, n)) == tuple(x + n * c for x, c in zip(f(v), column))
+            assert exact_gap(f, a, shifted(v, k, n)) == exact_gap(f, a, v)
+
+    def test_coefficient_denominators_are_not_a_period(self):
+        # every coefficient has denominator 2, but the second shear reads
+        # v_1 after the first moved it by v_0 / 2: along e_0 the floor
+        # argument moves by 1/4 per step, so the period is 4, not 2
+        f = chain()
+        assert [f.period(k)[0] for k in range(2)] == [4, 2]
+        a = f.target
+        assert a == ((Fraction(5, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
+        witness = (0, 0)
+        assert exact_gap(f, a, witness) == (0, 0)
+        assert exact_gap(f, a, shifted(witness, 0, 2)) == (Fraction(-1, 2), 0)
+        assert exact_gap(f, a, shifted(witness, 0, 4)) == (0, 0)
+
+    @RUNGS
+    @pytest.mark.parametrize("case", PERIOD_CASES, ids=list(PERIOD_CASES))
+    def test_one_period_per_coordinate_is_the_whole_box(self, monkeypatch, dtype, case):
+        build, shape = PERIOD_CASES[case]
+        f, matrix, radius = build()
+        force_rung(monkeypatch, dtype)
+        total, slab = math.prod(shape), math.prod(shape[1:])
+        for block in sorted({1, 7, max(slab - 1, 1), slab + 1, total}):
+            monkeypatch.setattr(shears, "_SWEEP_BLOCK", block)
+            rung = sweep_rung(f, radius, dtype)
+            assert_certificate_matches_reference(f, matrix, radius, rung, points=total)
 
 
 class TestBox:

@@ -42,7 +42,7 @@ COMMANDS = {
     TRANSLATE: ["gromov-check", "--matrix", "1 0.5; 0 1", "--radius", "4",
                 "--translate-radius", "3", "--window", "1"],
     ODOMETER: ["odometer", "--p", "2", "--depth", "3", "--samples", "20"],
-    REALIZE: ["realize", "--matrix", "1 0.5; 0 1", "--radius", "10"],
+    REALIZE: ["realize", "--matrix", "1 0.25; 0 1", "--radius", "10"],
 }
 codes = {}
 idle = []
@@ -98,10 +98,12 @@ def test_every_traced_layer_is_called_on_its_workloads(exercised):
 
 
 def test_apply_array_points_count_box_points(exercised):
-    # ``realize --radius 10`` sweeps the 21^2 points of one box; the tracer
-    # counts ``len(points)``, so a (d, M) array passed to ``apply_array``
-    # would read 2 here and change what the benchmark's layer metric means
-    assert exercised["derived"]["realize-recovery"]["shears.apply_array.points"] == 21**2
+    # ``realize --radius 10`` on the quarter shear sweeps one period per
+    # coordinate of the 21^2 box: periods (1, 4), so min(1, 21) * min(4, 21)
+    # = 4 points.  The tracer counts ``len(points)``, so a (d, M) array
+    # passed to ``apply_array`` would read d = 2 here and change what the
+    # benchmark's layer metric means; the whole box would read 21^2
+    assert exercised["derived"]["realize-recovery"]["shears.apply_array.points"] == 1 * 4
 
 
 def test_germ_counters_keep_their_meaning(exercised):
