@@ -523,16 +523,19 @@ class TestSweepBlocks:
             assert_certificate_matches_reference(realize_bilipschitz([["-1"]]), m, radius)
 
     def test_memory_stays_at_the_block_scale(self):
-        # the whole 101^3 box as int64 rows is 24 MB; the sweep holds one
-        # int32 maximum per point (4 MB) and a few blocks
-        m = [["-0.5", "0", "1"], ["0.5625", "-1", "-1.625"], ["0.75", "0", "0.5"]]
-        f = realize_bilipschitz(m)
+        # the matrix differs from the ops' product in every column, so the
+        # whole 99^3 box is swept; as int64 rows it is 23 MB, and the sweep
+        # holds one int32 maximum per point (3.9 MB) and a few blocks
+        radius = 49
+        f, m = last_point_witness(3, radius)
         tracemalloc.start()
         try:
-            bounded_distance_constant(f, m, 50)
+            _, swept, count = swept_certificate(f, m, radius)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert swept == {np.dtype(np.int32)}
+        assert count == (2 * radius + 1) ** 3
         assert peak < 8 * 2**20, peak
 
 
