@@ -103,8 +103,8 @@ def realize_battery(matrix, n: int, samples: int, radius: int, tol: Fraction):
     det_tol = det_budget(len(matrix), cert.constant, n)
     checks = [
         recovery_check(invariant, matrix, cert.constant / n),
-        check_det_pm1(invariant, det_tol if det_tol > 0 else tol),
-        multiplicativity_check(invariant),
+        check_det_pm1(invariant.matrix, det_tol if det_tol > 0 else tol),
+        multiplicativity_check(invariant.induced()),
     ]
     return checks, {
         "decomposition": [op.to_json() for op in eta.space.seed.floor_map.ops],

@@ -41,9 +41,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _realizable(a: linalg.Matrix, tol: str) -> Fraction:
-    """The exact ``--tol`` of a matrix to realize; a realization reports floats,
-    so an entry or ``--tol`` past the float range is refused before any work."""
+    """The exact ``--tol`` of a matrix to realize.  A negative ``--tol``, and an
+    entry or ``--tol`` past the float range of a report, are refused before any work."""
     tol = linalg.as_scalar(tol)
+    _require(tol >= 0, "--tol must be >= 0")
     check_report_floats(a, tol)
     return tol
 
@@ -139,6 +140,8 @@ def realize(matrix, n, samples, radius, tol):
 def gromov_check(matrix, dimension, radius, translate_radius, window, inject_corruption, tol):
     """Run the translate-space battery: Lipschitz closure, cocycle identity,
     fundamental domain, orbit equality, inverse identities, forced freeness."""
+    _require(radius >= 0, "--radius must be >= 0")
+    _require(translate_radius >= 0, "--translate-radius must be >= 0")
     _require(window >= 0, "window must be >= 0")
     _require(window <= radius, f"window {window} exceeds the germ radius {radius}")
     # The corruption overrides the cocycle at the first g != e of B(W).

@@ -11,8 +11,9 @@ A point's label is the label of the first piece holding it.  ``apply``
 finds it with one dict probe per group of cylinders with equal prefix
 lengths; ``apply_array`` reads it for a whole (d, M) residue array from one
 dense array per such group, indexed by the mixed-radix code of each point's
-residue class.  ``spatial_realization_gap`` sweeps every depth-N point that
-way and evaluates the point it names again through ``apply``.
+residue class, and returns the images with a mask of the columns some piece
+holds.  ``spatial_realization_gap`` sweeps every depth-N point that way and
+evaluates the point it names again through ``apply``.
 """
 from __future__ import annotations
 
@@ -119,10 +120,6 @@ class FullGroupElement:
         return cls(space, _normalize(prepared, space))
 
     @classmethod
-    def identity(cls, space: OdometerSpace) -> "FullGroupElement":
-        return cls.make(space, [(space.whole_space(), (0,) * space.dimension)])
-
-    @classmethod
     def translation(cls, space: OdometerSpace, vector) -> "FullGroupElement":
         return cls.make(space, [(space.whole_space(), vector)])
 
@@ -142,18 +139,10 @@ class FullGroupElement:
             raise ValueError("point escaped the partition (corrupt element)")
         return best[1]
 
-    def apply_array(self, residues: np.ndarray) -> np.ndarray:
+    def apply_array(self, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``apply`` on every column of a (d, M) residue array of a space
-        within ``SWEEP_BUDGET``; raises ValueError as ``apply`` does if some
-        point lies in no piece."""
-        image, covered = self._apply_covered(residues)
-        if not covered.all():
-            raise ValueError("point escaped the partition (corrupt element)")
-        return image
-
-    def _apply_covered(self, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``apply_array`` without the raise: the images, and which columns a
-        piece holds (the image of any other column is its own residues)."""
+        within ``SWEEP_BUDGET``: the images, and which columns a piece holds
+        (the image of any other column is its own residues)."""
         dense = self._dense
         if dense is None:
             dense = self._dense = _dense_lookup(self._residue_lookup(), self.pieces, self.space)
@@ -192,13 +181,6 @@ class FullGroupElement:
     def __repr__(self):
         parts = ", ".join(f"{clopen!r}->{label}" for clopen, label in self.pieces)
         return f"FullGroupElement[{parts}]"
-
-    def to_json(self):
-        return [
-            {"cylinder": cyl.to_json(), "label": list(label)}
-            for clopen, label in self.pieces
-            for cyl in clopen.cylinders
-        ]
 
 
 def _label_lookup(pieces, space: OdometerSpace):
@@ -308,8 +290,8 @@ def spatial_realization_gap(
         raise ValueError("element lives on a different space")
     residues = space.all_residues()
     shifted = odometer_add_array(residues, vec, space)
-    lhs, lhs_covered = conjugated._apply_covered(shifted)
-    moved, rhs_covered = t._apply_covered(residues)
+    lhs, lhs_covered = conjugated.apply_array(shifted)
+    moved, rhs_covered = t.apply_array(residues)
     rhs = odometer_add_array(moved, vec, space)
     escaped = ~(lhs_covered & rhs_covered)
     failed = np.flatnonzero(escaped | (lhs != rhs).any(axis=0))

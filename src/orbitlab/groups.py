@@ -121,9 +121,6 @@ class LatticeElement:
     def __repr__(self):
         return f"({', '.join(map(str, self.coords))})"
 
-    def to_json(self):
-        return list(self.coords)
-
 
 class FreeGroup:
     """The free group on ``rank`` generators; elements are reduced words."""

@@ -152,10 +152,6 @@ class InvariantMatrix:
     error_bound: float | None
     provenance: dict
 
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
-
     def determinant(self) -> Fraction:
         return linalg.det(self.matrix)
 
@@ -259,12 +255,9 @@ def recovery_check(invariant: InvariantMatrix, matrix, bound=0) -> CheckResult:
     )
 
 
-def check_det_pm1(matrix_or_invariant, tol) -> CheckResult:
-    """||det| - 1| <= tol."""
-    if isinstance(matrix_or_invariant, InvariantMatrix):
-        determinant = matrix_or_invariant.determinant()
-    else:
-        determinant = linalg.det(linalg.as_matrix(matrix_or_invariant))
+def check_det_pm1(matrix, tol) -> CheckResult:
+    """||det matrix| - 1| <= tol, exactly."""
+    determinant = linalg.det(linalg.as_matrix(matrix))
     gap = abs(abs(determinant) - 1)
     tol = linalg.as_scalar(tol)
     return CheckResult(
@@ -276,15 +269,11 @@ def check_det_pm1(matrix_or_invariant, tol) -> CheckResult:
     )
 
 
-def multiplicativity_check(subject) -> CheckResult:
-    """The induced map is an algebra homomorphism on all basis blade pairs,
-    exactly: every coefficient is a ``Fraction``, compared with ``==``."""
-    if isinstance(subject, InvariantMatrix):
-        induced = subject.induced()
-    elif isinstance(subject, InducedAlgebraMap):
-        induced = subject
-    else:
-        induced = InducedAlgebraMap(subject)
+def multiplicativity_check(induced: InducedAlgebraMap) -> CheckResult:
+    """``induced`` is an algebra homomorphism on all basis blade pairs,
+    exactly: every coefficient is a ``Fraction``, compared with ``==``.  A
+    matrix's map is ``InducedAlgebraMap(matrix)``; ``corrupted`` gives the
+    negative control."""
     d = induced.dimension
     checked = 0
     witnesses = []

@@ -7,7 +7,7 @@ point is the cylinder of all its extensions.  Adding an integer vector and
 acting by a unimodular integer matrix are both well defined on truncations
 because they only depend on the value mod p^N, so each is integer
 arithmetic followed by one ``%`` per coordinate.  Digits are computed only
-where they are the data: cylinder prefixes and JSON.
+where they are the data: cylinder prefixes.
 
 Sweeps work on residue arrays: ``all_residues`` holds every depth-N point as
 one column of a (d, M) array in ``all_points`` order, ``residue_array`` the
@@ -40,8 +40,6 @@ from .groups import LatticeGroup
 
 # The most depth-N points (or depth-k cylinders) an exhaustive sweep visits.
 SWEEP_BUDGET = 1 << 20
-
-_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class OdometerSpace:
@@ -177,20 +175,6 @@ class DigitPoint:
     def __repr__(self):
         return f"DigitPoint(residues={self.residues}, moduli={self.space.moduli})"
 
-    def to_json(self):
-        """One string of N base-36 digits per coordinate, least-significant first."""
-        space = self.space
-        out = []
-        for coord, r in enumerate(self.residues):
-            _check_serializable(space.bases[coord])
-            out.append("".join(_DIGIT_CHARS[d] for d in space.digits_of(r, coord)))
-        return out
-
-
-def _check_serializable(p: int) -> None:
-    if p > len(_DIGIT_CHARS):
-        raise ValueError(f"digit serialization supports bases up to 36, not {p}")
-
 
 def _prefix_value(digits: Sequence[int], p: int) -> int:
     """The value of a least-significant-first digit string."""
@@ -212,10 +196,6 @@ class Cylinder:
     """Per-coordinate digit prefixes; an empty prefix leaves a coordinate free."""
 
     prefixes: tuple[tuple[int, ...], ...]
-
-    def contains(self, point: DigitPoint) -> bool:
-        moduli, values = self.residue_class(point.space)
-        return all(r % m == v for r, m, v in zip(point.residues, moduli, values))
 
     def residue_class(self, space: OdometerSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(moduli, values): the cylinder holds the points whose residue mod
@@ -262,9 +242,6 @@ class Cylinder:
     def sort_key(self):
         return tuple((len(p), p) for p in self.prefixes)
 
-    def to_json(self):
-        return [list(p) for p in self.prefixes]
-
 
 class ClopenSet:
     """A finite union of pairwise disjoint cylinders."""
@@ -280,9 +257,6 @@ class ClopenSet:
 
     def is_empty(self) -> bool:
         return not self.cylinders
-
-    def contains(self, point: DigitPoint) -> bool:
-        return any(c.contains(point) for c in self.cylinders)
 
     def measure(self, space: OdometerSpace) -> Fraction:
         return sum((c.measure(space) for c in self.cylinders), Fraction(0))

@@ -50,11 +50,6 @@ class Shear:
             raise ValueError("shear needs distinct coordinates")
         object.__setattr__(self, "coeff", linalg.as_scalar(self.coeff))
 
-    def matrix(self, d: int) -> linalg.Matrix:
-        rows = [list(row) for row in linalg.identity(d)]
-        rows[self.i][self.j] = self.coeff
-        return tuple(tuple(row) for row in rows)
-
     def apply_int(self, v: tuple[int, ...]) -> tuple[int, ...]:
         p, q = self.coeff.numerator, self.coeff.denominator
         out = list(v)
@@ -81,11 +76,6 @@ class SignFlip:
     """v[i] *= -1."""
 
     i: int
-
-    def matrix(self, d: int) -> linalg.Matrix:
-        rows = [list(row) for row in linalg.identity(d)]
-        rows[self.i][self.i] = Fraction(-1)
-        return tuple(tuple(row) for row in rows)
 
     def apply_int(self, v: tuple[int, ...]) -> tuple[int, ...]:
         out = list(v)

@@ -65,9 +65,10 @@ def acceptance_matrices():
             attempts += 1
             i, j = rng.sample(range(d), 2)
             coeff = Fraction(rng.choice([k for k in range(-8, 9) if k]), 4)
-            cand = linalg.mat_mul(m, Shear(i, j, coeff).matrix(d))
+            # product_matrix of one op is that op's elementary matrix
+            cand = linalg.mat_mul(m, product_matrix([Shear(i, j, coeff)], d))
             if rng.random() < 0.15:
-                cand = linalg.mat_mul(cand, SignFlip(rng.randrange(d)).matrix(d))
+                cand = linalg.mat_mul(cand, product_matrix([SignFlip(rng.randrange(d))], d))
             if linalg.max_abs(cand) <= 3:
                 m = cand
                 ops += 1
@@ -236,7 +237,7 @@ def test_criterion_5_full_group_algebra():
 
     rng = random.Random(55)
     elements = [random_full_group_element(rng, space) for _ in range(50)]
-    identity = FullGroupElement.identity(space)
+    identity = FullGroupElement.translation(space, (0,))
     for t in elements:
         assert compose(t, t.inverse()) == identity
         assert compose(t.inverse(), t) == identity

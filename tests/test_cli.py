@@ -416,6 +416,10 @@ class TestFunctoriality:
         ),
         (["realize", "--matrix", "1 0; 0 1", "--tol", "1e400"], "--tol is too large for a report float"),
         (["gromov-check", "--matrix", "1 0.5; 0 1", "--tol", "1e400"], "--tol is too large for a report float"),
+        # a negative radius or --tol is refused under its own name
+        (["gromov-check", "--radius", "-1"], "--radius must be >= 0"),
+        (["gromov-check", "--translate-radius", "-1"], "--translate-radius must be >= 0"),
+        (["realize", "--matrix", "1 0.5; 0 1", "--tol", "-1"], "--tol must be >= 0"),
     ],
 )
 def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, argv, message):

@@ -37,7 +37,7 @@ POINTS = list(SPACE.all_points())
 
 class TestMake:
     def test_identity_single_piece(self):
-        e = FullGroupElement.identity(SPACE)
+        e = FullGroupElement.translation(SPACE, (0,))
         assert all(e.apply(x) == x for x in POINTS)
 
     def test_depth1_swap(self):
@@ -78,7 +78,7 @@ class TestAlgebra:
         swap = FullGroupElement.make(
             sp, [(Cylinder(((0,),)), (1,)), (Cylinder(((1,),)), (-1,))]
         )
-        assert compose(swap, swap) == FullGroupElement.identity(sp)
+        assert compose(swap, swap) == FullGroupElement.translation(sp, (0,))
 
     def test_compose_matches_pointwise(self):
         rng = random.Random(5)
@@ -90,7 +90,7 @@ class TestAlgebra:
 
     def test_inverse_is_two_sided(self):
         rng = random.Random(6)
-        identity = FullGroupElement.identity(SPACE)
+        identity = FullGroupElement.translation(SPACE, (0,))
         for _ in range(10):
             t = random_residue_element(rng, SPACE)
             assert compose(t, t.inverse()) == identity
@@ -127,7 +127,7 @@ class TestAlgebra:
 
 class TestAdRealization:
     def test_identity_element_trivial(self):
-        result = ad_realization_check([(0,)], [FullGroupElement.identity(SPACE)], SPACE)
+        result = ad_realization_check([(0,)], [FullGroupElement.translation(SPACE, (0,))], SPACE)
         assert result.passed and not result.witnesses
 
     def test_swap_conjugated_by_one(self):
@@ -154,9 +154,9 @@ class TestAdRealization:
         assert spatial_realization_gap(corrupted, t, (1,), SPACE) is not None
 
     def test_elements_of_another_space_are_refused(self):
-        other = FullGroupElement.identity(OdometerSpace((2,), 4))
+        other = FullGroupElement.translation(OdometerSpace((2,), 4), (0,))
         with pytest.raises(ValueError, match="different space"):
-            spatial_realization_gap(other, FullGroupElement.identity(SPACE), (1,), SPACE)
+            spatial_realization_gap(other, FullGroupElement.translation(SPACE, (0,)), (1,), SPACE)
 
     def test_corrupted_conjugate_fails_the_check_with_witness(self, monkeypatch):
         rng = random.Random(12)
@@ -182,13 +182,3 @@ class TestAdRealization:
         ]
         assert [x for _, _, x in result.witnesses] == [POINTS[0]] * 6
 
-
-class TestSerialization:
-    def test_records_carry_cylinder_and_label(self):
-        sp = OdometerSpace((2,), 3)
-        swap = FullGroupElement.make(
-            sp, [(Cylinder(((0,),)), (1,)), (Cylinder(((1,),)), (-1,))]
-        )
-        data = swap.to_json()
-        assert {"cylinder": [[1]], "label": [-1]} in data
-        assert {"cylinder": [[0]], "label": [1]} in data

@@ -9,14 +9,23 @@ the root of an attribute chain included, or inside a quoted annotation.  A priva
 
 Every public top-level function or class is read by some library module,
 or it is named in ``TEST_REFERENCES`` with the reason the tests need it: a
-checker that no command can reach runs in no report.  So is every public
-method of a library class: its name is read, bare or as an attribute, in
-some library module, or ``TEST_REFERENCES`` names it as ``Class.method``.
+checker that no command can reach runs in no report.  Every public method of
+a library class runs: a call enters it while the CLI runs the golden-fixture
+invocations of ``test_cli`` in process, under a call-only ``sys.settrace``,
+or ``TEST_REFERENCES`` names it as ``Class.method`` or names its class.  A
+method counts by what runs, not by its name, so a method that shares its
+name with one the library calls is still seen.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from test_cli import CORRUPTED, GOLDEN, LINE_GOLDEN, SWEEP_GOLDEN, TRANSLATE_GOLDEN
+
+import orbitlab
+from orbitlab.cli import main
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orbitlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -147,12 +156,15 @@ def test_the_guard_sees_a_private_import():
     assert set(private_imports(tree)) == {"_LIMIT", "_helper", "_shared"}
 
 
-# Public library names that only the tests read, each with its reason.
+# Public library names, and public methods, that only the tests read or
+# run, each with its reason; a class entry covers all of its methods.
 TEST_REFERENCES = {
     "box_points": "the reference order of the certificate box, which the distance sweep walks in blocks",
     "TableSeed": "a seed given by a finite table: free-group and hand-made translate spaces in the tests",
     "identity_morphism": "the trivial cocycle: a fake system for invariant and composition tests",
-    "FreeGroup.word": "a free word parsed from letters, for Nielsen seeds and hand-built words",
+    "FreeGroup": "the free group of the Nielsen F2 translate space, the non-amenable case, which no command runs",
+    "FreeWord": "a reduced word of the Nielsen F2 space, parsed from letters for seeds and hand-built words",
+    "GeneratingSet.bfs_word_length": "the BFS word length that the closed-form word lengths are checked against",
     "ExteriorElement.coefficient": "one coefficient of an exterior element, read by the algebra tests",
     "InducedAlgebraMap.corrupted": "an induced map with one wrong entry: the negative control of functoriality",
     "MapGerm.from_dict": "a hand-made or corrupted germ from its values, for the germ and battery controls",
@@ -211,25 +223,51 @@ def public_methods(tree: ast.Module) -> dict[str, int]:
     }
 
 
-def unread_methods(sources: dict[str, str]) -> dict[str, str]:
-    """Each public method of ``sources`` (module name -> text) whose name no
-    module reads, bare or as any attribute, and that ``TEST_REFERENCES``
-    does not name, as ``module:line``."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
-    reads = set()
-    for tree in trees.values():
-        reads |= used_names(tree)
-        reads |= {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        }
+# Every golden-fixture invocation, with the exit code its report pins.
+INVOCATIONS = [
+    (args, 0) for _, args in GOLDEN + SWEEP_GOLDEN + TRANSLATE_GOLDEN + LINE_GOLDEN
+] + [(args, 1) for _, args in CORRUPTED]
+
+
+def executed(invocations) -> set[tuple[str, str]]:
+    """The (module, qualified name) of every package function that a call
+    enters while the CLI runs ``invocations`` (argv, exit code) in process.
+    The trace sees call events only: it returns no local trace function."""
+    codes = set()
+    runner = CliRunner()
+    previous = sys.gettrace()
+    # set.add returns None: no frame gets a local trace function
+    sys.settrace(lambda frame, event, arg: codes.add(frame.f_code))
+    try:
+        exits = [runner.invoke(main, args + ["--json"]).exit_code for args, _ in invocations]
+    finally:
+        sys.settrace(previous)
+    assert exits == [code for _, code in invocations]
+    root = Path(orbitlab.__file__).resolve().parent
+    return {
+        (Path(code.co_filename).stem, code.co_qualname)
+        for code in codes
+        if Path(code.co_filename).parent == root
+    }
+
+
+def unrun_methods(sources: dict[str, str], entered: set) -> dict[str, str]:
+    """Each public method of ``sources`` (module name -> text) that is not
+    in ``entered`` and that ``TEST_REFERENCES`` names neither as
+    ``Class.method`` nor by its class, as ``module:line``."""
     return {
         name: f"{module}:{line}"
-        for module, tree in trees.items()
-        for name, line in public_methods(tree).items()
-        if name.split(".")[1] not in reads and name not in TEST_REFERENCES
+        for module, text in sources.items()
+        for name, line in public_methods(ast.parse(text)).items()
+        if (module, name) not in entered
+        and name not in TEST_REFERENCES
+        and name.split(".")[0] not in TEST_REFERENCES
     }
+
+
+@pytest.fixture(scope="module")
+def golden_run() -> set:
+    return executed(INVOCATIONS)
 
 
 def test_every_public_name_is_read_by_the_library():
@@ -237,9 +275,9 @@ def test_every_public_name_is_read_by_the_library():
     assert unreached(sources) == {}
 
 
-def test_every_public_method_is_read_by_the_library():
+def test_every_public_method_runs_in_a_golden_invocation(golden_run):
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert unread_methods(sources) == {}
+    assert unrun_methods(sources, golden_run) == {}
 
 
 def test_every_test_reference_exists():
@@ -261,18 +299,11 @@ def test_the_guard_sees_an_unread_public_name():
     assert unreached(sources) == {"spare": "alpha:6", "left": "beta:6"}
 
 
-def test_the_guard_sees_an_unread_method():
-    # ``area`` is read as an attribute, ``scale`` as a bare name and
-    # ``word`` is named in TEST_REFERENCES; ``spare`` and a method that is
-    # only assigned to (``self.grow = ...``) are unread
-    sources = {
-        "alpha": "class Shape:\n    def area(self):\n        return 1\n\n"
-                 "    def spare(self):\n        return 2\n\n    def _private(self):\n        return 3\n\n"
-                 "    def scale(self):\n        return 4\n\n    def grow(self):\n        self.grow = 5\n",
-        "beta": "from .alpha import Shape\n\nclass FreeGroup:\n    def word(self):\n        return 0\n\n"
-                "def total(shape, scale):\n    return shape.area() + scale\n",
-    }
-    assert unread_methods(sources) == {"Shape.spare": "alpha:5", "Shape.grow": "alpha:14"}
+def test_the_guard_sees_an_unrun_method():
+    # the odometer battery builds no translate space, so no source action runs
+    odometer = [(args, 0) for _, args in GOLDEN if args[0] == "odometer"]
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert "TruncatedMapSpace.act_source" in unrun_methods(sources, executed(odometer))
 
 
 # The one module that may write an integer width limit: the home of the

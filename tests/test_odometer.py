@@ -66,30 +66,6 @@ class TestAdd:
         left = odometer_add(odometer_add(x, (u, u), sp), (v, v), sp)
         assert left == odometer_add(x, (u + v, u + v), sp)
 
-    def test_digit_serialization(self):
-        sp = OdometerSpace((3,), 4)
-        assert point(sp, ["2010"]).to_json() == ["2010"]
-
-    @pytest.mark.parametrize("p", [2, 3, 7, 11, 36])
-    def test_digit_serialization_round_trip(self, p):
-        space = OdometerSpace((p, p), 3)
-        rng = random.Random(p)
-        extremes = [space.zero(), space.point_from_values((-1, p**3 // 2))]
-        for x in extremes + [space.random_point(rng) for _ in range(20)]:
-            data = x.to_json()
-            assert [len(text) for text in data] == [3, 3]
-            values = [ref_value([int(ch, 36) for ch in text], p) for text in data]
-            assert space.point_from_values(values) == x
-
-    def test_digit_serialization_uses_base36_digits(self):
-        assert OdometerSpace((11,), 2).point_from_values((10,)).to_json() == ["a0"]
-        assert OdometerSpace((36,), 2).point_from_values((-1,)).to_json() == ["zz"]
-
-    def test_digit_serialization_rejects_bases_above_36(self):
-        space = OdometerSpace((37,), 1)
-        with pytest.raises(ValueError, match="up to 36"):
-            space.zero().to_json()
-
     def test_malformed_points_rejected_on_every_call(self):
         sp = OdometerSpace((2,), 3)
         for bad in (DigitPoint((8,), sp), DigitPoint((-1,), sp), DigitPoint((1, 1), sp),
@@ -242,7 +218,7 @@ OVER_BUDGET = OdometerSpace((2, 2), 11)
 def assert_refused_before_any_point(monkeypatch, sweep):
     """``sweep(space, t)`` raises the budget refusal on ``OVER_BUDGET``
     before it builds a single point."""
-    t = FullGroupElement.identity(OVER_BUDGET)
+    t = FullGroupElement.translation(OVER_BUDGET, (0, 0))
     built = []
     make_point = DigitPoint.__init__
 
@@ -525,10 +501,14 @@ class TestResidueMatchesDigitReference:
         space = data.draw(spaces())
         cyl = data.draw(cylinders(space))
         x = data.draw(points(space))
-        assert cyl.contains(x) == ref_contains(cyl.prefixes, as_digits(x, space))
-        # the cylinder of a point's own digits always holds it
+        # the cylinder holds x exactly when x's residues lie in its class
+        moduli, values = cyl.residue_class(space)
+        in_class = all(r % m == v for r, m, v in zip(x.residues, moduli, values))
+        assert in_class == ref_contains(cyl.prefixes, as_digits(x, space))
+        # the class of a point's own digits always holds it
         own = Cylinder(tuple(d[: len(p)] for d, p in zip(as_digits(x, space), cyl.prefixes)))
-        assert own.contains(x)
+        moduli, values = own.residue_class(space)
+        assert tuple(r % m for r, m in zip(x.residues, moduli)) == values
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -724,7 +704,8 @@ class TestArrayMatchesScalarReference:
         t, u = residue_shuffle(rng, space), residue_shuffle(rng, space)
         residues = space.all_residues()
         for element in (t, compose(t, u), compose(t, u).inverse()):
-            image = element.apply_array(residues)
+            image, covered = element.apply_array(residues)
+            assert covered.all()
             assert [tuple(c) for c in image.T.tolist()] == [
                 element.apply(x).residues for x in space.all_points()
             ]
@@ -733,22 +714,24 @@ class TestArrayMatchesScalarReference:
     @given(st.data())
     def test_unvalidated_pieces_apply_array(self, data):
         # pieces may overlap (the first wins) or leave points uncovered
-        # (the whole array is refused)
+        # (where ``apply`` raises, the column is not covered and keeps its
+        # residues)
         space = data.draw(sweep_spaces())
         pieces = tuple(
             (ClopenSet((data.draw(cylinders(space)),)), data.draw(vectors(space)))
             for _ in range(data.draw(st.integers(1, 4)))
         )
         element = FullGroupElement(space, pieces)
-        expected = [outcome(element.apply, x) for x in space.all_points()]
-        escaped = [e for e in expected if isinstance(e, tuple)]
-        if escaped:
-            assert escaped[0] == ("raises", "point escaped the partition (corrupt element)")
-            with pytest.raises(ValueError, match="escaped the partition"):
-                element.apply_array(space.all_residues())
-        else:
-            image = element.apply_array(space.all_residues())
-            assert [tuple(c) for c in image.T.tolist()] == [x.residues for x in expected]
+        points = list(space.all_points())
+        expected = [outcome(element.apply, x) for x in points]
+        image, covered = element.apply_array(space.all_residues())
+        assert covered.tolist() == [not isinstance(e, tuple) for e in expected]
+        assert {e for e in expected if isinstance(e, tuple)} <= {
+            ("raises", "point escaped the partition (corrupt element)")
+        }
+        assert [tuple(c) for c in image.T.tolist()] == [
+            x.residues if isinstance(e, tuple) else e.residues for x, e in zip(points, expected)
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

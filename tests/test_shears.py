@@ -26,6 +26,17 @@ from orbitlab.shears import (
 )
 
 
+def elementary_matrix(op, d):
+    """The d x d linear part of one op: the identity with the shear's
+    coefficient at (i, j), or with -1 at (i, i) for a sign flip."""
+    rows = [list(row) for row in linalg.identity(d)]
+    if isinstance(op, Shear):
+        rows[op.i][op.j] = op.coeff
+    else:
+        rows[op.i][op.i] = Fraction(-1)
+    return tuple(tuple(row) for row in rows)
+
+
 def random_unimodular(rng, d, max_shears=10, quarter_grid=True):
     """A product of <= max_shears floor-able shears and occasional sign flips."""
     m = linalg.identity(d)
@@ -33,9 +44,9 @@ def random_unimodular(rng, d, max_shears=10, quarter_grid=True):
         i, j = rng.sample(range(d), 2)
         num = rng.choice([k for k in range(-8, 9) if k != 0])
         lam = Fraction(num, 4) if quarter_grid else Fraction(num, rng.choice([1, 2, 3, 4, 5]))
-        m = linalg.mat_mul(m, Shear(i, j, lam).matrix(d))
+        m = linalg.mat_mul(m, elementary_matrix(Shear(i, j, lam), d))
         if rng.random() < 0.2:
-            m = linalg.mat_mul(m, SignFlip(rng.randrange(d)).matrix(d))
+            m = linalg.mat_mul(m, elementary_matrix(SignFlip(rng.randrange(d)), d))
     return m
 
 
@@ -113,7 +124,7 @@ def reference_product_matrix(ops, d):
     """The fold ``product_matrix`` replaced: one exact matrix product per op."""
     out = linalg.identity(d)
     for op in ops:
-        out = linalg.mat_mul(out, op.matrix(d))
+        out = linalg.mat_mul(out, elementary_matrix(op, d))
     return out
 
 
