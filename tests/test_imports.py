@@ -231,8 +231,8 @@ INVOCATIONS = [
 
 def executed(invocations) -> set[tuple[str, str]]:
     """The (module, qualified name) of every package function that a call
-    enters while the CLI runs ``invocations`` (argv, exit code) in process.
-    The trace sees call events only: it returns no local trace function."""
+    enters while the CLI runs ``invocations`` (argv, exit code) in process,
+    under a trace that sees call events only."""
     codes = set()
     runner = CliRunner()
     previous = sys.gettrace()
