@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .fullgroup import FullGroupElement, ad_realization_check
-from .groups import PAIR_BUDGET, LatticeGroup, lattice_ball_size
+from .groups import BALL_BUDGET, PAIR_BUDGET, LatticeGroup, lattice_ball_size
 from .invariants import (
     check_det_pm1,
     functoriality_check,
@@ -47,7 +47,8 @@ from .odometer import (
     minimality_witness,
 )
 
-# gromov-check refuses a battery whose case bound |B(R_t)| |B(W)|^2 is larger.
+# gromov-check refuses a battery whose case bound |B(R_t)| |B(W)|^2, or whose
+# seed rows' coordinate count, is larger; odometer refuses window sweeps past it.
 BATTERY_BUDGET = 2**22
 
 
@@ -65,7 +66,9 @@ def check_gromov_budget(dimension: int, radius: int, translate_radius: int, wind
     pair of B(R + R_t), up to ``PAIR_BUDGET`` pairs.  The action law and the
     cocycle identity compare every pair of B(W) at every slice member, and
     the slice has at most one member per g0 in B(R_t): at most
-    |B(R_t)| |B(W)|^2 cases, up to ``BATTERY_BUDGET``.
+    |B(R_t)| |B(W)|^2 cases, up to ``BATTERY_BUDGET``.  The source actions
+    read the seed's rows on balls up to B(min(2R + R_t, ``BALL_BUDGET``)):
+    d coordinates per point, up to ``BATTERY_BUDGET`` of them.
     """
     reach = radius + translate_radius
     points = lattice_ball_size(dimension, reach)
@@ -80,6 +83,13 @@ def check_gromov_budget(dimension: int, radius: int, translate_radius: int, wind
         raise ValueError(
             f"the battery may check |B({translate_radius})| |B({window})|^2 = {cases} cases "
             f"in Z^{dimension}, over budget {BATTERY_BUDGET}"
+        )
+    rows = min(2 * radius + translate_radius, BALL_BUDGET)
+    coordinates = dimension * lattice_ball_size(dimension, rows)
+    if coordinates > BATTERY_BUDGET:
+        raise ValueError(
+            f"the seed rows on B({rows}) in Z^{dimension} hold {coordinates} coordinates, "
+            f"over budget {BATTERY_BUDGET}"
         )
 
 

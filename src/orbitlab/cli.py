@@ -18,6 +18,7 @@ from click.core import ParameterSource
 
 from . import linalg
 from .batteries import (
+    BATTERY_BUDGET,
     check_gromov_budget,
     check_report_floats,
     corrupted_cocycle,
@@ -27,9 +28,9 @@ from .batteries import (
     realize_battery,
     translate_battery,
 )
-from .groups import BALL_BUDGET, BudgetExceeded, LatticeGroup
+from .groups import BALL_BUDGET, BudgetExceeded, LatticeGroup, lattice_ball_size
 from .mapspace import FloorMapSeed, IdentitySeed, build_translate_space
-from .odometer import SWEEP_BUDGET, OdometerSpace
+from .odometer import HAAR_SAMPLE, SWEEP_BUDGET, OdometerSpace
 from .shears import CERTIFICATE_RADIUS, check_box_budget, realize_bilipschitz
 
 SCHEMA = "orbitlab-report/2"
@@ -195,6 +196,13 @@ def odometer_cmd(matrix, p, depth, samples, window, seed):
     _require(
         count <= SWEEP_BUDGET,
         f"depth sweeps need {p}^({depth}*{d}) = {count} points, over budget {SWEEP_BUDGET}",
+    )
+    # Equivariance crosses B(W) with the samples, Haar invariance with its draws.
+    steps = lattice_ball_size(d, window) * (samples + HAAR_SAMPLE)
+    _require(
+        steps <= BATTERY_BUDGET,
+        f"window sweeps need |B({window})| (samples + {HAAR_SAMPLE}) = {steps} steps in Z^{d}, "
+        f"over budget {BATTERY_BUDGET}",
     )
     return odometer_battery(a, space, samples, window, seed)
 

@@ -1,10 +1,11 @@
 """Finitely generated groups as metric spaces.
 
 Two concrete families are supported: free abelian lattices Z^d (elements are
-integer vectors) and free groups F_k (elements are reduced words).  A
-``GeneratingSet`` turns a group into a metric space: it enumerates Cayley
-balls by breadth-first search and memoizes word lengths.  Exact sweeps over
-all pairs of a ball certify bi-Lipschitz behaviour of maps on those balls.
+integer vectors) and free groups F_k (elements are reduced words).  The
+``GeneratingSet`` of a group's standard generators turns it into a metric
+space: word lengths in closed form, Cayley balls by breadth-first search.
+Exact sweeps over all pairs of a ball certify bi-Lipschitz behaviour of maps
+on those balls.
 
 All values are immutable; the only mutable state is the per-generating-set
 BFS memo, with the balls, ball coordinates and ball positions it has served.
@@ -36,7 +37,7 @@ SWEEP_BLOCK = 4096
 
 
 class BudgetExceeded(RuntimeError):
-    """The BFS search budget ran out before the requested element was reached."""
+    """A ball past ``BALL_BUDGET`` was asked for."""
 
 
 class LatticeGroup:
@@ -70,8 +71,7 @@ class LatticeGroup:
         return LatticeElement(self, tuple(coords))
 
     def standard_generators(self) -> "GeneratingSet":
-        gens = [self.basis_vector(i, s) for i in range(self.dimension) for s in (1, -1)]
-        return GeneratingSet(gens)
+        return GeneratingSet(self)
 
 
 def _same_group(a, b) -> bool:
@@ -155,8 +155,7 @@ class FreeGroup:
         return FreeWord(self, _reduce(letters))
 
     def standard_generators(self) -> "GeneratingSet":
-        gens = [FreeWord(self, (s * (i + 1),)) for i in range(self.rank) for s in (1, -1)]
-        return GeneratingSet(gens)
+        return GeneratingSet(self)
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -215,40 +214,37 @@ class FreeWord:
 
 
 class GeneratingSet:
-    """A finite symmetric generating set with BFS word metrics.
+    """The standard generators of a group, and its word metric.
 
-    Word lengths are exact minimal factorization lengths.  The BFS memo grows
-    on demand up to ``BALL_BUDGET``; asking for an element beyond that radius
-    raises :class:`BudgetExceeded`.  Each ball is sorted once and kept, since
-    B(r) never changes once the memo has reached r.  For the standard
-    generators of Z^d (resp. F_k) a closed form is used: the L1 norm (resp.
-    the reduced word length).  On Z^d it also serves :meth:`word_metric`, which takes the L1
-    distance of the two coordinate tuples without building g^-1 h.  The BFS
-    route stays available through :meth:`bfs_word_length` and the closed
-    forms are cross-checked against it in the test suite.
+    On Z^d these are the +-e_i, on F_k the letters a, ..., and their
+    inverses; ``elements`` lists them in ``sort_key`` order.  Word metrics
+    from any two finite generating sets of a group are bi-Lipschitz
+    equivalent, so no quasi-isometry verdict depends on this choice.
+
+    Word lengths take closed forms: the L1 norm on Z^d and the reduced word
+    length on F_k.  On Z^d :meth:`word_metric` takes the L1 distance of the
+    two coordinate tuples without building g^-1 h.  Balls are enumerated by
+    breadth-first search; the BFS memo grows on demand up to
+    ``BALL_BUDGET``, and a larger radius raises :class:`BudgetExceeded`.
+    Each ball is sorted once and kept, since B(r) never changes once the
+    memo has reached r.
 
     :meth:`position` and :meth:`shifted` place elements in a ball's order,
     which is how germ tables store one value per ball element, through one
-    dict of positions per ball on every generating set.  On a lattice an
-    element is found by its coordinates: :meth:`ball_coords` keeps each ball
-    as one integer array, so g^-1 B(r) is one subtraction from it.
+    dict of positions per ball.  On a lattice an element is found by its
+    coordinates: :meth:`ball_coords` keeps each ball as one integer array,
+    so g^-1 B(r) is one subtraction from it.
     """
 
-    def __init__(self, elements):
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("generating set must be nonempty")
-        group = elements[0].group
-        if any(e.group != group for e in elements):
-            raise ValueError("generators must belong to one group")
-        if any(e.is_identity() for e in elements):
-            raise ValueError("generating set must not contain the identity")
-        pool = set(elements)
-        if {e.inverse() for e in elements} != pool:
-            raise ValueError("generating set must be symmetric")
+    def __init__(self, group):
+        if isinstance(group, LatticeGroup):
+            gens = [group.basis_vector(i, s) for i in range(group.dimension) for s in (1, -1)]
+        elif isinstance(group, FreeGroup):
+            gens = [FreeWord(group, (s * (i + 1),)) for i in range(group.rank) for s in (1, -1)]
+        else:
+            raise TypeError(f"no standard generators for {group!r}")
         self.group = group
-        self.elements = tuple(sorted(pool, key=lambda e: e.sort_key()))
-        self._is_standard = self._detect_standard()
+        self.elements = tuple(sorted(gens, key=lambda e: e.sort_key()))
         self._lengths: dict = {group.identity(): 0}
         self._frontier: list = [group.identity()]
         self._explored = 0
@@ -260,34 +256,6 @@ class GeneratingSet:
         # Guards the memo: a layer half grown by one thread must not be read
         # or grown again by another, and a kept ball is never recomputed.
         self._lock = threading.RLock()
-        self._check_generates()
-
-    def _detect_standard(self) -> bool:
-        if isinstance(self.group, LatticeGroup):
-            expected = {
-                self.group.basis_vector(i, s)
-                for i in range(self.group.dimension)
-                for s in (1, -1)
-            }
-            return set(self.elements) == expected
-        expected = {
-            FreeWord(self.group, (s * (i + 1),))
-            for i in range(self.group.rank)
-            for s in (1, -1)
-        }
-        return set(self.elements) == expected
-
-    def _check_generates(self) -> None:
-        # Generation is only certified at ball scale: for lattices the BFS
-        # ball must reach every vector of L1 norm <= 2.  Standard sets are
-        # exempt (they generate by construction).
-        if self._is_standard or not isinstance(self.group, LatticeGroup):
-            return
-        radius = 2
-        reached = set(self._expand(min(radius * 4, BALL_BUDGET)))
-        for g in self.group.standard_generators().ball(radius):
-            if g not in reached:
-                raise ValueError(f"set does not generate at ball scale: {g.coords} unreached")
 
     def _expand(self, radius: int):
         """Grow the BFS memo to the given radius; returns the memo dict."""
@@ -305,7 +273,7 @@ class GeneratingSet:
         return self._lengths
 
     def ball(self, radius: int) -> tuple:
-        """All elements of word length <= radius, in deterministic (lexicographic) order."""
+        """All elements of word length <= radius, in ``sort_key`` order."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if radius > BALL_BUDGET:
@@ -351,7 +319,7 @@ class GeneratingSet:
         """The positions in B(radius) of g^-1 h for h in B(r), in ``ball(r)``
         order; r + |g| <= radius, and a larger r + |g| is refused with
         ValueError.  At the identity: B(r) inside B(radius).  Every point is
-        looked up in the ball's positions, on any generating set."""
+        looked up in the ball's positions."""
         key = (radius, r, self._point(g))
         found = self._shifts.get(key)
         if found is None:
@@ -367,33 +335,15 @@ class GeneratingSet:
             found = self._shifts[key] = np.array(found, dtype=np.intp)
         return found
 
-    def bfs_word_length(self, g) -> int:
-        """Word length by pure BFS, ignoring closed forms (budget applies)."""
-        if not _same_group(g.group, self.group):
-            raise ValueError("element belongs to a different group")
-        lengths = self._lengths
-        if g in lengths:
-            return lengths[g]
-        radius = self._explored
-        while radius < BALL_BUDGET:
-            radius += 1
-            lengths = self._expand(radius)
-            if g in lengths:
-                return lengths[g]
-        raise BudgetExceeded(f"{g!r} not reached within radius {BALL_BUDGET}")
-
     def word_length(self, g) -> int:
+        """The L1 norm on Z^d, the reduced word length on F_k."""
         if not _same_group(g.group, self.group):
             raise ValueError("element belongs to a different group")
-        if self._is_standard:
-            if isinstance(g, LatticeElement):
-                return g.l1_norm()
-            return len(g.letters)
-        return self.bfs_word_length(g)
+        return g.l1_norm() if self._by_coords else len(g.letters)
 
     def word_metric(self, g, h) -> int:
         """Left-invariant distance: the length of g^-1 h."""
-        if self._is_standard and isinstance(self.group, LatticeGroup):
+        if self._by_coords:
             if not (_same_group(g.group, self.group) and _same_group(h.group, self.group)):
                 raise ValueError("element belongs to a different group")
             return sum(map(abs, map(operator.sub, h.coords, g.coords)))
@@ -435,22 +385,18 @@ def sweep_pairs(
     constant by its binary value), so both sides are integer
     cross-multiplications.
 
-    On the standard generators of two lattices, with every image in the
-    target lattice, both word metrics are L1 distances of coordinates and
-    :func:`_lattice_sweep` compares the pairs as arrays.  Anywhere else each
-    pair takes two :meth:`GeneratingSet.word_metric` calls.  Both give the
-    same sweep.
+    Between two lattices, with every image in the target lattice, both word
+    metrics are L1 distances of coordinates and :func:`_lattice_sweep`
+    compares the pairs as arrays.  Where a free group takes part each pair
+    takes two :meth:`GeneratingSet.word_metric` calls.  Both give the same
+    sweep.
     """
     bounds = None if constant is None else Fraction(constant).as_integer_ratio()
-    if _is_l1(source) and _is_l1(target) and all(
+    if source._by_coords and target._by_coords and all(
         _same_group(getattr(v, "group", None), target.group) for v in images
     ):
         return _lattice_sweep(source, target, radius, images, bounds)
     return _word_metric_sweep(source, target, radius, images, bounds)
-
-
-def _is_l1(gens: GeneratingSet) -> bool:
-    return gens._is_standard and gens._by_coords
 
 
 def _within(d_src: int, d_tgt: int, bounds: tuple) -> bool:
@@ -580,8 +526,7 @@ def is_bilipschitz_on_ball(
     target: GeneratingSet,
 ) -> CheckResult:
     """Check C^-1 d(g,h) <= d(f g, f h) <= C d(g,h) for all pairs in the ball,
-    by one :func:`sweep_pairs` over B(radius) (on arrays for standard
-    lattice generators).
+    by one :func:`sweep_pairs` over B(radius) (on arrays between lattices).
 
     ``checked`` counts the pairs of distinct ball elements.  The first pair
     violating one of the two inequalities is the witness.  ``coverage``

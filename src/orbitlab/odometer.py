@@ -487,7 +487,7 @@ def matrix_equivariance_check(
 
 
 # Depth-k cylinders drawn per group element when there are more than this.
-_HAAR_SAMPLE = 40
+HAAR_SAMPLE = 40
 
 
 def haar_invariance_check(space: OdometerSpace, radius: int, k: int, rng) -> CheckResult:
@@ -495,7 +495,7 @@ def haar_invariance_check(space: OdometerSpace, radius: int, k: int, rng) -> Che
     in the radius ball of the standard generators of Z^d.
 
     Each g sweeps every depth-k cylinder when there are at most
-    ``_HAAR_SAMPLE`` of them, and otherwise that many drawn from ``rng``.
+    ``HAAR_SAMPLE`` of them, and otherwise that many drawn from ``rng``.
 
     No input can make it fail: a translate of a depth-k cylinder is a
     depth-k cylinder, so its measure cannot change.  It is a
@@ -506,10 +506,10 @@ def haar_invariance_check(space: OdometerSpace, radius: int, k: int, rng) -> Che
     checked = 0
     witnesses = []
     for g in LatticeGroup(space.dimension).standard_generators().ball(radius):
-        if full <= _HAAR_SAMPLE:
+        if full <= HAAR_SAMPLE:
             reps = itertools.product(*(range(p**k) for p in space.bases))
         else:
-            reps = [tuple(rng.randrange(p**k) for p in space.bases) for _ in range(_HAAR_SAMPLE)]
+            reps = [tuple(rng.randrange(p**k) for p in space.bases) for _ in range(HAAR_SAMPLE)]
         for values in reps:
             cyl = space.depth_cylinder(space.point_from_values(values), k)
             before = cyl.measure(space)

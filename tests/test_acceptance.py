@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_groups import bfs_ball_oracle
 
 from orbitlab import linalg
 from orbitlab.batteries import (
@@ -260,13 +261,17 @@ def test_criterion_5_full_group_algebra():
 
 
 def test_criterion_6_word_metrics():
-    """BFS equals the L1 norm on the radius-6 planar ball; free-group spheres
-    grow as 4 * 3^(k-1); triangle inequality and symmetry exhaustively."""
+    """BFS equals the L1 norm on the radius-6 planar ball (an independent
+    layer-by-layer BFS, against the ball and word length of the library);
+    free-group spheres grow as 4 * 3^(k-1); triangle inequality and symmetry
+    exhaustively."""
     start = time.time()
     Z2 = LatticeGroup(2)
     S = Z2.standard_generators()
+    layer = bfs_ball_oracle(Z2, 6)
+    assert set(S.ball(6)) == set(layer)
     for g in S.ball(6):
-        assert S.bfs_word_length(g) == g.l1_norm()
+        assert S.word_length(g) == g.l1_norm() == layer[g]
 
     F2 = FreeGroup(2)
     SF = F2.standard_generators()

@@ -42,6 +42,7 @@ def test_cli_imports_no_check():
     [
         ((3, 10, 10, 1), "B(20) in Z^3 has 11521 points, 66360960 pairs per sweep, over budget 4194304"),
         ((3, 6, 6, 6), "the battery may check |B(6)| |B(6)|^2 = 53582633 cases in Z^3, over budget 4194304"),
+        ((700, 1, 0, 1), "the seed rows on B(2) in Z^700 hold 686980700 coordinates, over budget 4194304"),
     ],
 )
 def test_gromov_budget_refuses(config, message):
@@ -50,7 +51,7 @@ def test_gromov_budget_refuses(config, message):
     assert str(refused.value) == message
 
 
-@pytest.mark.parametrize("config", [(2, 8, 8, 3), (2, 8, 8, 8), (3, 5, 4, 2), (1, 16, 16, 16)])
+@pytest.mark.parametrize("config", [(2, 8, 8, 3), (2, 8, 8, 8), (3, 5, 4, 2), (1, 16, 16, 16), (11, 1, 1, 1)])
 def test_gromov_budget_admits(config):
     assert batteries.check_gromov_budget(*config) is None
 

@@ -285,6 +285,13 @@ class TestOdometer:
             (["--matrix", "2 0; 0 1"], "integer matrix with det +-1"),
             (["--samples", "0"], "samples must be >= 1"),
             (["--window", "-1"], "window must lie in [0, 32]"),
+            # 2^20 points pass the depth budget; B(32) of Z^4 crossed with the
+            # samples and the Haar draws does not pass the window budget
+            (
+                ["--matrix", "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1", "--p", "2", "--depth", "5",
+                 "--window", "32"],
+                "window sweeps need |B(32)| (samples + 40) = 776090640 steps in Z^4, over budget 4194304",
+            ),
         ],
     )
     def test_invalid_configuration_exits_2_before_any_sweep(self, runner, monkeypatch, args, message):
@@ -420,6 +427,13 @@ class TestFunctoriality:
         (["gromov-check", "--radius", "-1"], "--radius must be >= 0"),
         (["gromov-check", "--translate-radius", "-1"], "--translate-radius must be >= 0"),
         (["realize", "--matrix", "1 0.5; 0 1", "--tol", "-1"], "--tol must be >= 0"),
+        # B(1) and its pairs pass; the seed rows on B(2R + R_t) would hold
+        # 981,401 points of 700 coordinates
+        (
+            ["gromov-check", "--dimension", "700", "--radius", "1", "--translate-radius", "0",
+             "--window", "1"],
+            "the seed rows on B(2) in Z^700 hold 686980700 coordinates, over budget 4194304",
+        ),
     ],
 )
 def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, argv, message):
