@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .fullgroup import FullGroupElement, ad_realization_check
-from .groups import BALL_BUDGET, PAIR_BUDGET, LatticeGroup, lattice_ball_size
+from .groups import PAIR_BUDGET, LatticeGroup, lattice_ball_size
 from .invariants import (
     check_det_pm1,
     functoriality_check,
@@ -29,6 +29,7 @@ from .mapspace import (
     check_lipschitz_closure,
     check_orbit_equality,
     force_freeness,
+    seed_rows_radius,
 )
 from .morphisms import (
     check_equivariance,
@@ -66,9 +67,10 @@ def check_gromov_budget(dimension: int, radius: int, translate_radius: int, wind
     pair of B(R + R_t), up to ``PAIR_BUDGET`` pairs.  The action law and the
     cocycle identity compare every pair of B(W) at every slice member, and
     the slice has at most one member per g0 in B(R_t): at most
-    |B(R_t)| |B(W)|^2 cases, up to ``BATTERY_BUDGET``.  The source actions
-    read the seed's rows on balls up to B(min(2R + R_t, ``BALL_BUDGET``)):
-    d coordinates per point, up to ``BATTERY_BUDGET`` of them.
+    |B(R_t)| |B(W)|^2 cases, up to ``BATTERY_BUDGET``.  The space keeps the
+    seed's rows on balls up to B(:func:`seed_rows_radius`), with the window
+    as its offset radius: d coordinates per point, up to ``BATTERY_BUDGET``
+    of them.
     """
     reach = radius + translate_radius
     points = lattice_ball_size(dimension, reach)
@@ -84,7 +86,7 @@ def check_gromov_budget(dimension: int, radius: int, translate_radius: int, wind
             f"the battery may check |B({translate_radius})| |B({window})|^2 = {cases} cases "
             f"in Z^{dimension}, over budget {BATTERY_BUDGET}"
         )
-    rows = min(2 * radius + translate_radius, BALL_BUDGET)
+    rows = seed_rows_radius(radius, translate_radius, window)
     coordinates = dimension * lattice_ball_size(dimension, rows)
     if coordinates > BATTERY_BUDGET:
         raise ValueError(

@@ -237,6 +237,13 @@ def functoriality(matrices, p, depth, n, samples, tol, seed):
     if route == "realized":
         tol = _realizable(first + second, tol)
         check_box_budget(CERTIFICATE_RADIUS, len(first))
+    else:
+        # Recovery reads d cocycle values per sample for eta, theta and the composite.
+        values = 3 * len(first) * samples
+        _require(
+            values <= BATTERY_BUDGET,
+            f"the constant route recovers 3 d samples = {values} cocycle values, over budget {BATTERY_BUDGET}",
+        )
     return functoriality_battery(first, second, p, depth, n, samples, linalg.as_scalar(tol), seed)
 
 

@@ -32,7 +32,7 @@ BALL_BUDGET = 32
 # The most pairs of points one sweep over a ball may compare.
 PAIR_BUDGET = 2**22
 
-# The pairs a lattice pair sweep compares in one array step.
+# The pairs a pair sweep compares in one array step.
 SWEEP_BLOCK = 4096
 
 
@@ -379,80 +379,36 @@ def sweep_pairs(
     source: GeneratingSet, target: GeneratingSet, radius: int, images: list, constant=None
 ) -> PairSweep:
     """Compare each pair a, b of B(radius) under ``source`` with its images
-    under ``target``; ``images`` lists f(g) in ``ball(radius)`` order.  With
-    a ``constant`` C, the pair fails unless
-    C^-1 d(a, b) <= d(f a, f b) <= C d(a, b).  C = num / den exactly (a float
-    constant by its binary value), so both sides are integer
-    cross-multiplications.
+    under ``target``; ``images`` lists f(g) in ``ball(radius)`` order, and an
+    image outside the target group is refused with ValueError.  With a
+    ``constant`` C, the pair fails unless C^-1 d(a, b) <= d(f a, f b) <= C d(a, b).
+    C = num / den exactly (a float constant by its binary value), so both
+    sides are integer cross-multiplications.
 
-    Between two lattices, with every image in the target lattice, both word
-    metrics are L1 distances of coordinates and :func:`_lattice_sweep`
-    compares the pairs as arrays.  Where a free group takes part each pair
-    takes two :meth:`GeneratingSet.word_metric` calls.  Both give the same
-    sweep.
-    """
-    bounds = None if constant is None else Fraction(constant).as_integer_ratio()
-    if source._by_coords and target._by_coords and all(
-        _same_group(getattr(v, "group", None), target.group) for v in images
-    ):
-        return _lattice_sweep(source, target, radius, images, bounds)
-    return _word_metric_sweep(source, target, radius, images, bounds)
-
-
-def _within(d_src: int, d_tgt: int, bounds: tuple) -> bool:
-    num, den = bounds
-    return d_src * den <= num * d_tgt and d_tgt * den <= num * d_src
-
-
-def _word_metric_sweep(source, target, radius, images, bounds) -> PairSweep:
-    # The extremes as exact (d_tgt, d_src) pairs, compared by
-    # cross-multiplication (every d_src is positive).
-    lower = upper = witness = None
-    checked = 0
-    for (a, fa), (b, fb) in itertools.combinations(zip(source.ball(radius), images), 2):
-        d_src = source.word_metric(a, b)
-        d_tgt = target.word_metric(fa, fb)
-        if lower is None:
-            lower = upper = (d_tgt, d_src, a, b)
-        elif d_tgt * lower[1] < lower[0] * d_src:
-            lower = (d_tgt, d_src, a, b)
-        elif d_tgt * upper[1] > upper[0] * d_src:
-            upper = (d_tgt, d_src, a, b)
-        checked += 1
-        if witness is None and bounds is not None and not _within(d_src, d_tgt, bounds):
-            witness = (a, b)
-    return PairSweep(checked, lower, upper, witness)
-
-
-def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
-    """The pair sweep on coordinate arrays, on the rung of its largest key.
-
-    The pairs go by in blocks of ``SWEEP_BLOCK`` in combinations order.  The
-    points and their images are held as (d, n) arrays, one row per
-    coordinate, the layout of ``shears.bounded_distance_constant``; a
-    block's L1 distances are sums of one gather per coordinate row
-    (:func:`_column_l1`), on the sweep's rung for the images.  Per
+    One sweep serves every pair of groups.  The pairs go by in blocks of
+    ``SWEEP_BLOCK`` in combinations order, and each side's distances come
+    from :func:`_distances`, on the rung of the sweep's largest key.  Per
     source distance s <= 2 radius the least and the greatest target distance
     are kept, each with the first pair that attains it, as one key d_tgt *
-    pairs + pair index (+ pairs - 1 - pair index for the greatest), cast to
-    the sweep's rung so that ``ufunc.at`` keeps its fast, uncast loop.  The
-    extreme ratios are then chosen among those at most 2 radius candidates as
-    exact Fractions.  A pair fails C = num / den exactly when its target
-    distance leaves [ceil(s den / num), floor(s num / den)]; the thresholds
-    are computed per s on Python integers, so no array multiplies C.
+    pairs + pair index (+ pairs - 1 - pair index for the greatest), so that
+    ``ufunc.at`` keeps its fast, uncast loop.  The extreme ratios are then
+    chosen among those at most 2 radius candidates as exact Fractions.  A
+    pair fails C exactly when its target distance leaves
+    [ceil(s den / num), floor(s num / den)]; the thresholds are computed per
+    s on Python integers, so no array multiplies C.
 
     Each pair the result names is measured again with ``word_metric``, and a
     disagreement raises RuntimeError.
     """
+    bounds = None if constant is None else Fraction(constant).as_integer_ratio()
     members = source.ball(radius)
     n = len(members)
     total = n * (n - 1) // 2
-    rows = [v.coords for v in images]
     # cap exceeds every target distance, so every key is below cap * total.
-    cap = 2 * target.group.dimension * max((abs(c) for row in rows for c in row), default=0) + 1
+    cap = 2 * max(map(target.word_length, images), default=0) + 1
     dtype = linalg.rung(cap * (total + 1))
-    points = np.ascontiguousarray(source.ball_coords(radius).T)
-    values = np.array(rows, dtype=dtype).reshape(n, -1).T.copy()
+    source_distances = _distances(source, members, dtype)
+    target_distances = _distances(target, images, dtype)
     size = 2 * radius + 1
     least = np.full(size, cap * total, dtype=dtype)
     most = np.full(size, -1, dtype=dtype)
@@ -468,8 +424,8 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
         pair = np.arange(start, min(start + SWEEP_BLOCK, total))
         i = np.searchsorted(starts, pair, side="right") - 1
         j = pair - starts[i] + i + 1
-        d_src = _column_l1(points, i, j).astype(np.intp, copy=False)
-        d_tgt = _column_l1(values, i, j)
+        d_src = source_distances(i, j).astype(np.intp, copy=False)
+        d_tgt = target_distances(i, j)
         np.minimum.at(least, d_src, (d_tgt * total + pair).astype(dtype, copy=False))
         np.maximum.at(most, d_src, (d_tgt * total + (total - 1 - pair)).astype(dtype, copy=False))
         if bounds is not None and failed is None:
@@ -485,7 +441,7 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
         d_src = source.word_metric(a, b)
         d_tgt = target.word_metric(images[i], images[j])
         if not agrees(d_src, d_tgt):
-            raise RuntimeError(f"lattice pair sweep disagrees with word_metric at {a!r}, {b!r}")
+            raise RuntimeError(f"pair sweep disagrees with word_metric at {a!r}, {b!r}")
         return d_tgt, d_src, a, b
 
     lower = upper = witness = None
@@ -501,6 +457,31 @@ def _lattice_sweep(source, target, radius, images, bounds) -> PairSweep:
     if failed is not None:
         witness = remeasured(failed, lambda d_src, d_tgt: not _within(d_src, d_tgt, bounds))[2:]
     return PairSweep(total, lower, upper, witness)
+
+
+def _within(d_src: int, d_tgt: int, bounds: tuple) -> bool:
+    num, den = bounds
+    return d_src * den <= num * d_tgt and d_tgt * den <= num * d_src
+
+
+# The reduced length of a^-1 b, elementwise over two arrays of words.
+_word_distance = np.frompyfunc(lambda a, b: len((a.inverse() * b).letters), 2, 1)
+
+
+def _distances(gens: GeneratingSet, elements, dtype) -> Callable:
+    """The word distances of one side of a pair sweep: a function of two
+    index arrays i and j that gives d(elements[i], elements[j]) for each
+    pair, on ``dtype``, which must hold every such distance.  On a lattice
+    the L1 distance of coordinate rows, held one row per coordinate (the
+    layout of ``shears.bounded_distance_constant``, :func:`_column_l1`); on
+    a free group the reduced length of a^-1 b, through an object ufunc."""
+    if gens._by_coords:
+        rows = [v.coords for v in elements]
+        columns = np.array(rows, dtype=dtype).reshape(len(rows), -1).T.copy()
+        return lambda i, j: _column_l1(columns, i, j)
+    words = np.empty(len(elements), dtype=object)
+    words[:] = elements
+    return lambda i, j: _word_distance(words[i], words[j]).astype(dtype)
 
 
 def _column_l1(columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -526,13 +507,15 @@ def is_bilipschitz_on_ball(
     target: GeneratingSet,
 ) -> CheckResult:
     """Check C^-1 d(g,h) <= d(f g, f h) <= C d(g,h) for all pairs in the ball,
-    by one :func:`sweep_pairs` over B(radius) (on arrays between lattices).
+    by one :func:`sweep_pairs` over B(radius), the same array sweep on a
+    lattice or a free group on either side.
 
     ``checked`` counts the pairs of distinct ball elements.  The first pair
     violating one of the two inequalities is the witness.  ``coverage``
     holds the radius, the constant and the empirical distortion range:
     ``lower``/``upper`` are the min and max of d(f(g), f(h)) / d(g, h).
-    Raises ValueError if ``f`` is undefined on some ball element.
+    Raises ValueError if ``f`` is undefined on some ball element or takes
+    it outside the target group.
     """
     if constant <= 0:
         raise ValueError("Lipschitz constant must be positive")

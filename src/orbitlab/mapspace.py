@@ -142,6 +142,20 @@ def _times(lam, rows: np.ndarray) -> np.ndarray:
     return _as_rows(lam.group, [lam * v for v in rows])
 
 
+def _row_law(group, rows: np.ndarray, terms: int) -> tuple:
+    """The group law on table values, elementwise over stacked rows:
+    ``(invert, multiply)``.  On a lattice, coordinate rows negate and add on
+    the rung of ``terms`` times the bound of ``rows``, which holds every
+    value that is a product of at most ``terms`` of their entries; on any
+    other group, elements invert and multiply through object ufuncs."""
+    if not isinstance(group, LatticeGroup):
+        return np.frompyfunc(lambda v: v.inverse(), 1, 1), np.frompyfunc(lambda a, b: a * b, 2, 1)
+    dtype = linalg.rung(terms * linalg.array_bound(rows))
+    return (lambda a: -a.astype(dtype, copy=False)), (
+        lambda a, b: a.astype(dtype, copy=False) + b.astype(dtype, copy=False)
+    )
+
+
 def _flat(rows: np.ndarray) -> tuple:
     """Rows as one tuple, in ball order: a lattice table's rows as integers,
     row after row; any other table's values by their ``sort_key``."""
@@ -234,6 +248,13 @@ class MapGerm:
 # the truncated space
 
 
+def seed_rows_radius(radius: int, translate_radius: int, offset_radius: int) -> int:
+    """The largest ball B(R + R_t + W), W the offset radius, capped at
+    ``BALL_BUDGET``, on which a space keeps its seed's rows: an intact
+    battery reads a translate at g g0 on B(R), |g| <= W and |g0| <= R_t."""
+    return min(radius + translate_radius + offset_radius, BALL_BUDGET)
+
+
 class TruncatedMapSpace:
     def __init__(self, seed, radius, translate_radius, offset_radius, source_gens, target_gens):
         self.seed = seed
@@ -262,14 +283,14 @@ class TruncatedMapSpace:
         """The rows of the seed translate with provenance (g0, delta) on
         B(radius): psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), which takes the
         value delta at the identity.  A gather of the seed's rows, kept on
-        B(R + R_t) and grown on demand up to B(2R + R_t); a farther translate
-        reads the seed point by point, so a long g0 never enumerates the ball
-        it reaches (exponential in a free group)."""
+        B(R + R_t) and grown on demand up to :func:`seed_rows_radius`; a
+        farther translate reads the seed point by point, so a long g0 never
+        enumerates the ball it reaches (exponential in a free group)."""
         g0_inv = g0.inverse()
         prefix = delta * self._seed_value(g0_inv).inverse()
         group = self.target_gens.group
         reach = self.source_gens.word_length(g0) + radius
-        if reach <= min(2 * self.radius + self.translate_radius, BALL_BUDGET):
+        if reach <= seed_rows_radius(self.radius, self.translate_radius, self.offset_radius):
             seed_radius, seed_rows = self._seed_rows
             if seed_radius < reach:
                 seed_radius = max(reach, min(self.radius + self.translate_radius, BALL_BUDGET))
@@ -376,15 +397,11 @@ class TruncatedMapSpace:
             raise TruncationError(f"domain exhausted acting by {g!r}")
         position = gens.position(radius, g.inverse())
         gathered = gens.shifted(radius, radius - step, g)
-        if rows.ndim == 2:
-            cocycle = _as_rows(self.target_gens.group, [v.inverse() for v in rows[:, position]])
-            return cocycle, np.stack([_times(lam, table) for lam, table in zip(cocycle, rows[:, gathered])])
-        # Every cocycle entry and every gathered entry is at most the stack's
-        # bound in magnitude, so every sum is at most twice it: one rung,
-        # proven once for the whole stack.
-        stack = rows.astype(linalg.rung(2 * linalg.array_bound(rows)), copy=False)
-        cocycle = -stack[:, position]
-        return cocycle, stack[:, gathered] + cocycle[:, np.newaxis]
+        # Each value of g . psi is the product of two table entries: one
+        # rung, proven once for the whole stack.
+        invert, multiply = _row_law(self.target_gens.group, rows, 2)
+        cocycle = invert(rows[:, position])
+        return cocycle, multiply(cocycle[:, np.newaxis], rows[:, gathered])
 
     def act_target(self, lam, germ: MapGerm) -> MapGerm:
         """Normalized target action lam psi(b^-1 h) = (b . psi)(h), b = psi^-1(lam^-1)^-1."""
@@ -555,17 +572,14 @@ def _is_named_translate(space: TruncatedMapSpace, germ: MapGerm) -> bool:
     return np.array_equal(germ.table, space.translate_table(g0, delta, germ.radius))
 
 
-def _stacks(germs) -> list:
-    """The germs grouped by radius, in order of first appearance: for each
-    radius, the positions of its germs in ``germs`` and their tables stacked
-    as :meth:`TruncatedMapSpace.act_source_rows` takes them."""
-    by_radius = {}
-    for index, germ in enumerate(germs):
-        by_radius.setdefault(germ.radius, []).append(index)
-    return [
-        (radius, indices, np.stack([germs[i].table for i in indices]))
-        for radius, indices in by_radius.items()
-    ]
+def _slice_stack(space: TruncatedMapSpace) -> np.ndarray:
+    """The slice members' tables on B(R), stacked as
+    :meth:`TruncatedMapSpace.act_source_rows` takes them.  ``_build`` gives
+    every member radius R; a member of another radius is refused with
+    ValueError."""
+    if any(germ.radius != space.radius for germ in space.slice_members):
+        raise ValueError(f"a slice member's radius is not R = {space.radius}")
+    return np.stack([germ.table for germ in space.slice_members])
 
 
 def _agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -584,7 +598,7 @@ def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
     normalized action (the cocycle read at ``position(R, g^-1)`` and the
     gather through ``shifted(R, R - |g|, g)``) and its truncation radii.
 
-    It works on the slice members stacked by radius
+    It works on the slice stacked as one array of tables on B(R)
     (:meth:`TruncatedMapSpace.act_source_rows`).  h . Psi is computed once
     per h, and (g h) . Psi once per distinct product g h; for each pair,
     (g h) . Psi and g . (h . Psi) come from their own index chains, the
@@ -597,27 +611,26 @@ def check_action_law(space: TruncatedMapSpace, window: int) -> CheckResult:
     pairs = list(itertools.product(gens.ball(window), repeat=2))
     checked = 0
     found = []  # (member position, pair position, witness)
-    for radius, indices, stack in _stacks(space.slice_members):
-        moved = {
-            h: space.act_source_rows(h, stack, radius)[1]
-            for h in gens.ball(window)
-            if gens.word_length(h) <= radius
-        }
-        products = {}  # g h -> (g h) . Psi
-        for pair, (g, h) in enumerate(pairs):
-            reach = radius - gens.word_length(g) - gens.word_length(h)
-            if reach < 0:
-                continue
-            gh = g * h
-            combined = products.get(gh)
-            if combined is None:
-                combined = products[gh] = space.act_source_rows(gh, stack, radius)[1]
-            combined = combined[:, gens.shifted(radius - gens.word_length(gh), reach, identity)]
-            stepwise = space.act_source_rows(g, moved[h], radius - gens.word_length(h))[1]
-            checked += len(indices)
-            for member in np.flatnonzero(~_agree(combined, stepwise)):
-                index = indices[member]
-                found.append((index, pair, (g, h, space.slice_members[index])))
+    stack, radius = _slice_stack(space), space.radius
+    moved = {
+        h: space.act_source_rows(h, stack, radius)[1]
+        for h in gens.ball(window)
+        if gens.word_length(h) <= radius
+    }
+    products = {}  # g h -> (g h) . Psi
+    for pair, (g, h) in enumerate(pairs):
+        reach = radius - gens.word_length(g) - gens.word_length(h)
+        if reach < 0:
+            continue
+        gh = g * h
+        combined = products.get(gh)
+        if combined is None:
+            combined = products[gh] = space.act_source_rows(gh, stack, radius)[1]
+        combined = combined[:, gens.shifted(radius - gens.word_length(gh), reach, identity)]
+        stepwise = space.act_source_rows(g, moved[h], radius - gens.word_length(h))[1]
+        checked += len(stack)
+        for member in np.flatnonzero(~_agree(combined, stepwise)):
+            found.append((member, pair, (g, h, space.slice_members[member])))
     found.sort(key=lambda entry: entry[:2])
     return CheckResult(
         name="action-law",
@@ -639,40 +652,31 @@ def check_cocycle_identity(space: TruncatedMapSpace, cocycle, radius: int) -> Ch
     (2 ``radius`` <= R) the check tests the implementation only: the
     gathers, the truncation radii and the ``--inject-corruption`` override.
 
-    ``cocycle`` is anything with ``evaluate``; for the space's orbit
-    morphism it is exact at every g for a global seed, and for a table seed
-    ``evaluate`` raises :class:`TruncationError` past a germ.  When it reads
-    the space's orbit cocycle (:func:`_orbit_overrides`) and the target is a
-    lattice, the slice is stacked by radius and each h makes one
+    ``cocycle`` is the space's orbit morphism, overrides and all; any other
+    is refused with ValueError.  It is exact at every g for a global seed,
+    and for a table seed ``evaluate`` raises :class:`TruncationError` past
+    a germ.  The slice is one stack on B(R) and each h makes one
     :meth:`TruncatedMapSpace.act_source_rows`: cocycle(h, psi) is its
-    cocycle row, cocycle(g h, psi) the negated table row at
-    ``position(R, (g h)^-1)`` and cocycle(g, h . psi) the negated acted row
-    at ``position(R - |h|, g^-1)``, every member compared at once for every
-    g with |g| + |h| <= R.  The other cases -- past the radius, or with g,
-    h or g h the element of an override -- and every case of any other
-    cocycle or target go through ``evaluate``, with h . psi (one
-    ``act_source``) and cocycle(h, psi) computed once per (psi, h).
-    Witnesses come member by member, each member's in (g, h) order.  The
-    coverage key ``table_radius`` (2 ``radius``, the reach of g h) keeps its
-    name from when cocycles were stored tables, so reports keep their bytes.
+    cocycle row, cocycle(g h, psi) the inverted table row at
+    ``position(R, (g h)^-1)`` and cocycle(g, h . psi) the inverted acted
+    row at ``position(R - |h|, g^-1)``, by :func:`_row_law`, every member
+    compared at once for every g with |g| + |h| <= R.  Only the cases past
+    the radius, or with g, h or g h an override's element, go through
+    ``evaluate``, with h . psi (one ``act_source``) and cocycle(h, psi)
+    computed once per (psi, h).  Witnesses come member by member, each
+    member's in (g, h) order.  The coverage key ``table_radius`` (2
+    ``radius``, the reach of g h) keeps its name from when cocycles were
+    stored tables, so reports keep their bytes.
     """
+    if getattr(cocycle, "evaluator", None) != space.orbit_cocycle:
+        raise ValueError("the cocycle identity reads the space's own orbit morphism")
     ball = space.source_gens.ball(radius)
-    overridden = _orbit_overrides(space, cocycle)
-    every_case = [(i, j) for j in range(len(ball)) for i in range(len(ball))]
-    found = {}  # member position -> [(position of g, position of h)]
-    for stack_radius, indices, stack in _stacks(space.slice_members):
-        if overridden is None or stack.ndim != 3:
-            for index in indices:
-                psi = space.slice_members[index]
-                found[index] = _identity_by_evaluate(space, cocycle, ball, psi, every_case)
-            continue
-        failed, scalar = _identity_on_rows(space, ball, stack_radius, stack, overridden)
-        for member, index in enumerate(indices):
-            psi = space.slice_members[index]
-            found[index] = failed[member] + _identity_by_evaluate(space, cocycle, ball, psi, scalar)
+    overridden = {g for g, *_ in cocycle.overrides}
+    failed, scalar = _identity_on_rows(space, ball, _slice_stack(space), overridden)
     witnesses = []
-    for index, psi in enumerate(space.slice_members):
-        witnesses += [(ball[i], ball[j], psi) for i, j in sorted(found[index])]
+    for psi, found in zip(space.slice_members, failed):
+        found += _identity_by_evaluate(space, cocycle, ball, psi, scalar)
+        witnesses += [(ball[i], ball[j], psi) for i, j in sorted(found)]
     return CheckResult(
         name="cocycle-identity",
         checked=len(space.slice_members) * len(ball) ** 2,
@@ -681,24 +685,15 @@ def check_cocycle_identity(space: TruncatedMapSpace, cocycle, radius: int) -> Ch
     )
 
 
-def _orbit_overrides(space: TruncatedMapSpace, cocycle) -> set | None:
-    """The elements of the overrides of ``cocycle`` when it reads
-    ``space.orbit_cocycle`` outside them, or None for any other cocycle."""
-    if getattr(cocycle, "evaluator", None) != space.orbit_cocycle:
-        return None
-    return {g for g, *_ in cocycle.overrides}
-
-
-def _identity_on_rows(space, ball, radius, stack, overridden) -> tuple:
-    """The cocycle identity of the orbit cocycle on a stack of tables on
-    B(radius): per member, the (g, h) positions found failing on the rows;
-    and the cases left to ``evaluate``, ordered by h."""
+def _identity_on_rows(space, ball, stack, overridden) -> tuple:
+    """The cocycle identity of the orbit cocycle on the slice stack: per
+    member, the (g, h) positions found failing on the rows; and the cases
+    left to ``evaluate``, ordered by h."""
     gens = space.source_gens
+    radius = space.radius
     lengths = [gens.word_length(g) for g in ball]
-    # Every table entry is at most the stack's bound b in magnitude, and
-    # every acted entry at most 2b, so both sides stay within 3b.
-    wide = linalg.rung(3 * linalg.array_bound(stack))
-    table = stack.astype(wide, copy=False)
+    # Each side is a product of at most three table entries.
+    invert, multiply = _row_law(space.target_gens.group, stack, 3)
     failed = [[] for _ in stack]
     scalar = []
     for j, h in enumerate(ball):
@@ -712,10 +707,10 @@ def _identity_on_rows(space, ball, radius, stack, overridden) -> tuple:
                 rows.append(i)
         if not rows:
             continue
-        left = -table[:, [gens.position(radius, (ball[i] * h).inverse()) for i in rows]]
-        middle = -moved.astype(wide, copy=False)[:, [gens.position(reach, ball[i].inverse()) for i in rows]]
-        agree = (left == middle + right.astype(wide, copy=False)[:, np.newaxis]).all(axis=2)
-        for member, row in zip(*np.nonzero(~agree)):
+        left = invert(stack[:, [gens.position(radius, (ball[i] * h).inverse()) for i in rows]])
+        middle = invert(moved[:, [gens.position(reach, ball[i].inverse()) for i in rows]])
+        agree = (left == multiply(middle, right[:, np.newaxis])).reshape(len(stack), len(rows), -1)
+        for member, row in zip(*np.nonzero(~agree.all(axis=2))):
             failed[member].append((rows[row], j))
     return failed, scalar
 
@@ -863,11 +858,10 @@ def force_freeness(space: TruncatedMapSpace, odometer: OdometerSpace, window: in
     coordinate; the source group moves the germ and adds (g, cocycle value)
     on the odometer side, which destroys every finite-window fixed point.
     Every non-identity g of the window ball moves every (slice member,
-    odometer zero) pair.  The slice members are stacked by radius and each
+    odometer zero) pair.  The slice is one stack of tables on B(R) and each
     g acts on the whole stack at once (one
-    :meth:`TruncatedMapSpace.act_source_rows` per g and radius, through the
-    same index chains as ``act_source``); witnesses come in (g, member)
-    order.
+    :meth:`TruncatedMapSpace.act_source_rows` per g, through the same index
+    chains as ``act_source``); witnesses come in (g, member) order.
 
     A witness needs g to fix the odometer zero.  On the base-2 odometer of
     depth N with 2^N > W that the CLI builds (N = max(3, W.bit_length())), every
@@ -888,20 +882,18 @@ def force_freeness(space: TruncatedMapSpace, odometer: OdometerSpace, window: in
     identity = gens.group.identity()
     zero = odometer.zero()
     checked = 0
-    found = []  # (position of g, member position, witness)
-    for radius, indices, stack in _stacks(space.slice_members):
-        for k, g in enumerate(gens.ball(window)):
-            if g.is_identity():
-                continue
-            cocycle, moved = space.act_source_rows(g, stack, radius)
-            fixed = _agree(moved, stack[:, gens.shifted(radius, radius - gens.word_length(g), identity)])
-            for member, index in enumerate(indices):
-                lam = tuple(cocycle[member].tolist())
-                checked += 1
-                if odometer_add(zero, tuple(g.coords) + lam, odometer) == zero and fixed[member]:
-                    found.append((k, index, (g, space.slice_members[index], zero)))
-    found.sort(key=lambda entry: entry[:2])
-    witnesses = [witness for *_, witness in found]
+    witnesses = []
+    stack, radius = _slice_stack(space), space.radius
+    for g in gens.ball(window):
+        if g.is_identity():
+            continue
+        cocycle, moved = space.act_source_rows(g, stack, radius)
+        fixed = _agree(moved, stack[:, gens.shifted(radius, radius - gens.word_length(g), identity)])
+        for member, psi in enumerate(space.slice_members):
+            lam = tuple(cocycle[member].tolist())
+            checked += 1
+            if odometer_add(zero, tuple(g.coords) + lam, odometer) == zero and fixed[member]:
+                witnesses.append((g, psi, zero))
     return CheckResult(
         name="forced-freeness",
         checked=checked,

@@ -427,12 +427,17 @@ class TestFunctoriality:
         (["gromov-check", "--radius", "-1"], "--radius must be >= 0"),
         (["gromov-check", "--translate-radius", "-1"], "--translate-radius must be >= 0"),
         (["realize", "--matrix", "1 0.5; 0 1", "--tol", "-1"], "--tol must be >= 0"),
-        # B(1) and its pairs pass; the seed rows on B(2R + R_t) would hold
-        # 981,401 points of 700 coordinates
+        # B(1) and its pairs pass; the seed rows on B(R + R_t + W) = B(2)
+        # would hold 981,401 points of 700 coordinates
         (
             ["gromov-check", "--dimension", "700", "--radius", "1", "--translate-radius", "0",
              "--window", "1"],
             "the seed rows on B(2) in Z^700 hold 686980700 coordinates, over budget 4194304",
+        ),
+        # 699,050 samples recover 4,194,300 values in Z^2; one more is past the budget
+        (
+            ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1", "--samples", "699051"],
+            "the constant route recovers 3 d samples = 4194306 cocycle values, over budget 4194304",
         ),
     ],
 )
@@ -441,6 +446,24 @@ def test_invalid_configuration_exits_2_before_any_space(runner, monkeypatch, arg
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
     assert message in result.stderr
+
+
+def test_functoriality_admits_samples_up_to_the_budget(runner, monkeypatch):
+    result = invoke_refused(
+        runner, monkeypatch,
+        ["functoriality", "--matrix", "0 -1; 1 0", "--matrix", "1 1; 0 1", "--samples", "699050"],
+    )
+    assert "work started" in str(result.exception)
+
+
+def test_seed_rows_reach_only_what_the_battery_reads(runner):
+    # the battery reads rows on B(R + R_t + W) = B(1) of Z^128; rows on
+    # B(2R + R_t) = B(2) would hold 4,227,200 coordinates, past the budget
+    result = runner.invoke(
+        main,
+        ["gromov-check", "--dimension", "128", "--radius", "1", "--translate-radius", "0", "--window", "0"],
+    )
+    assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("error", [TruncationError, BudgetExceeded])

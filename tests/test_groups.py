@@ -505,10 +505,6 @@ def reference_sweep(source, target, radius, images, constant):
     return PairSweep(checked, lower, upper, witness), min(floats, default=None), max(floats, default=None)
 
 
-def refuse(*_args):
-    raise AssertionError("the array path was expected here")
-
-
 # constants just off a small ratio, by less than any float can show
 NEAR_RATIOS = st.builds(
     lambda q, k, sign: q + sign * Fraction(1, 10**k),
@@ -519,8 +515,8 @@ NEAR_RATIOS = st.builds(
 
 
 class TestLatticePairSweep:
-    """``sweep_pairs`` on standard lattice generators compares pairs as
-    arrays; it must give what the per-pair Fraction loop gives, in every
+    """``sweep_pairs`` compares pairs as arrays, on lattices and free groups
+    alike; it must give what the per-pair Fraction loop gives, in every
     field, for any block size."""
 
     @settings(deadline=None, max_examples=150)
@@ -553,9 +549,7 @@ class TestLatticePairSweep:
         # blocks of a few pairs end inside rows of the upper triangle
         block = data.draw(st.sampled_from([1, 2, 5, 7, 13, 4096]), label="block")
         expected, lower, upper = reference_sweep(S, T, radius, images, constant)
-        with patch.object(groups, "SWEEP_BLOCK", block), patch.object(
-            groups, "_word_metric_sweep", refuse
-        ):
+        with patch.object(groups, "SWEEP_BLOCK", block):
             assert sweep_pairs(S, T, radius, images, constant) == expected
             if constant is not None:
                 report = is_bilipschitz_on_ball(dict(zip(S.ball(radius), images)).__getitem__,
@@ -574,24 +568,36 @@ class TestLatticePairSweep:
         S = Z1.standard_generators()
         images = [Z1.element((10**20 * g.coords[0],)) for g in S.ball(2)]
         exact = Fraction(10**20)
-        with patch.object(groups, "_word_metric_sweep", refuse):
-            sweep = sweep_pairs(S, Z1.standard_generators(), 2, images, exact)
-            assert sweep.witness is None and sweep.lower[:2] == sweep.upper[:2] == (10**20, 1)
-            tight = sweep_pairs(S, Z1.standard_generators(), 2, images, exact - Fraction(1, 10**30))
+        sweep = sweep_pairs(S, Z1.standard_generators(), 2, images, exact)
+        assert sweep.witness is None and sweep.lower[:2] == sweep.upper[:2] == (10**20, 1)
+        tight = sweep_pairs(S, Z1.standard_generators(), 2, images, exact - Fraction(1, 10**30))
         assert tight.witness == (Z1.element((-2,)), Z1.element((-1,)))
 
-    def test_free_groups_and_other_generators_keep_the_word_metric_loop(self):
-        # a free group takes the word-metric loop as source or target
+    def test_free_groups_take_the_same_blocked_sweep(self):
+        # a free group as source, target or both: the one blocked sweep, with
+        # reduced lengths of a^-1 b in place of L1 distances, for any block size
         F = F2.standard_generators()
         Z = Z2.standard_generators()
-        for source, target, images in (
-            (F, F, list(F.ball(2))),
-            (F, Z, [Z2.element((len(w.letters), 0)) for w in F.ball(2)]),
-            (Z, F, [F2.word("a" * abs(sum(g.coords))) for g in Z.ball(2)]),
+        nielsen = {1: "a", -1: "A", 2: "ab", -2: "BA"}
+        for source, target, images, constant in (
+            (F, F, list(F.ball(2)), 4),
+            (F, F, [F2.word("".join(nielsen[x] for x in w.letters)) for w in F.ball(2)], 2),
+            (F, Z, [Z2.element((len(w.letters), 0)) for w in F.ball(2)], 4),
+            (Z, F, [F2.word("a" * abs(sum(g.coords))) for g in Z.ball(2)], 4),
         ):
-            with patch.object(groups, "_lattice_sweep", refuse):
-                sweep = sweep_pairs(source, target, 2, images, 4)
-            assert sweep == reference_sweep(source, target, 2, images, 4)[0]
+            expected = reference_sweep(source, target, 2, images, constant)[0]
+            for block in (1, 5, 13, 4096):
+                with patch.object(groups, "SWEEP_BLOCK", block):
+                    assert sweep_pairs(source, target, 2, images, constant) == expected
+                    assert sweep_pairs(source, target, 2, images) == expected._replace(witness=None)
+
+    def test_an_image_outside_the_target_group_is_refused(self):
+        F = F2.standard_generators()
+        Z = Z2.standard_generators()
+        with pytest.raises(ValueError, match="different group"):
+            sweep_pairs(Z, F, 1, list(Z.ball(1)))
+        with pytest.raises(ValueError, match="different group"):
+            sweep_pairs(F, Z, 1, list(F.ball(1)))
 
     def test_a_disagreement_with_word_metric_raises(self, monkeypatch):
         # every pair the result names is measured again by the group's own

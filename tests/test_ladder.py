@@ -28,7 +28,7 @@ from orbitlab.mapspace import (
     check_cocycle_identity,
     force_freeness,
 )
-from orbitlab.morphisms import orbit_morphism
+from orbitlab.morphisms import matrix_morphism, orbit_morphism
 from orbitlab.odometer import (
     OdometerSpace,
     matrix_act,
@@ -108,11 +108,9 @@ def lattice_cases():
 
 
 def sweeps():
-    """Each case of ``lattice_cases`` swept on the ladder as ``force`` left
-    it, by a fresh generating set (a set keeps its ball coordinates)."""
+    """Each case of ``lattice_cases`` swept on the ladder as ``force`` left it."""
     S = Z1.standard_generators()
-    with patch.object(groups, "_word_metric_sweep", lambda *_: pytest.fail("not the lattice sweep")):
-        return [sweep_pairs(S, S, 2, images, constant) for images, constant in lattice_cases()]
+    return [sweep_pairs(S, S, 2, images, constant) for images, constant in lattice_cases()]
 
 
 @RUNGS
@@ -121,11 +119,11 @@ def test_lattice_sweep_agrees_across_rungs(force, dtype):
     exact = sweeps()
     given = force(dtype)
     assert sweeps() == exact
-    # the ball coordinates' rung, then one key rung per case, three cases per
-    # top coordinate: the first four tops sit just below and just past 2^30,
-    # then 2^62
-    assert given[0] == wider(np.int32, dtype)
-    assert given[1:13:3] == [wider(rung, dtype) for rung in (np.int32, np.int64, np.int64, object)]
+    # one key rung per case, which both sides' distances share, three cases
+    # per top coordinate: the first four tops sit just below and just past
+    # 2^30, then 2^62
+    assert len(given) == len(lattice_cases())
+    assert given[0:12:3] == [wider(rung, dtype) for rung in (np.int32, np.int64, np.int64, object)]
 
 
 @RUNGS
@@ -322,7 +320,6 @@ BATTERY_SPACES = {
     "non-injective": (lambda: corrupted("non-injective"), 1),
     "misnamed": (lambda: corrupted("misnamed"), 3),
     "criterion-8": (lambda: corrupted("criterion-8"), 2),
-    "mixed-radii": (lambda: corrupted("mixed-radii"), 2),
 }
 
 
@@ -330,6 +327,37 @@ BATTERY_SPACES = {
 def battery_space(request):
     build, window = BATTERY_SPACES[request.param]
     return request.param, build(), window
+
+
+def test_a_slice_member_of_another_radius_is_refused():
+    # the slice is one stack of tables on B(R): with a member of radius 3
+    # beside the members of radius R = 4, every stacked check refuses it
+    space = corrupted("mixed-radii")
+    for check in (
+        lambda: check_action_law(space, 2),
+        lambda: check_cocycle_identity(space, orbit_morphism(space), 2),
+        lambda: force_freeness(space, OdometerSpace((2,) * 4, 3), 2),
+    ):
+        with pytest.raises(ValueError, match="radius is not R = 4"):
+            check()
+
+
+def test_a_foreign_cocycle_is_refused():
+    # the identity reads the space's own orbit morphism: another space's,
+    # with or without an override, or an odometer's constant cocycle is
+    # refused before any case is checked
+    space = matrix_space("1 0.5; 0 1", 4, 3, 1)
+    other = orbit_morphism(matrix_space("1 0.5; 0 1", 4, 3, 1))
+    odometer = OdometerSpace((3, 3), 2)
+    psi = space.slice_members[0]
+    for cocycle in (
+        other,
+        other.with_override(Z2.element((1, 0)), psi, Z2.element((9, 9))),
+        matrix_morphism([[1, 1], [0, 1]], odometer, [odometer.zero()]),
+    ):
+        with pytest.raises(ValueError, match="own orbit morphism"):
+            check_cocycle_identity(space, cocycle, 1)
+    assert check_cocycle_identity(space, orbit_morphism(space), 1).passed
 
 
 def overridden(space, cocycle, window):

@@ -21,7 +21,7 @@ from orbitlab.mapspace import (
     check_orbit_equality,
     force_freeness,
 )
-from orbitlab.morphisms import orbit_morphism
+from orbitlab.morphisms import Morphism, orbit_morphism
 from orbitlab.odometer import OdometerSpace
 from orbitlab.shears import realize_bilipschitz
 
@@ -723,6 +723,19 @@ class TestNonAbelianSeed:
         assert check_fundamental_domain(space, 1).passed
         for psi in space.slice_members:
             assert check_orbit_equality(space, psi, 1).passed
+
+    def test_cocycle_identity_reads_the_free_group_rows(self, nielsen_space, monkeypatch):
+        # every case at W = 1 stays inside R = 2, so the free-group slice
+        # takes the stacked row path of a lattice slice: no evaluate call
+        space, _ = nielsen_space
+        cocycle = orbit_morphism(space)
+
+        def evaluate(*_args):
+            raise AssertionError("the cocycle identity called evaluate")
+
+        monkeypatch.setattr(Morphism, "evaluate", evaluate)
+        result = check_cocycle_identity(space, cocycle, 1)
+        assert result.passed and result.checked == 5 * 5 * len(space.slice_members)
 
     def test_morphism_roundtrips(self, nielsen_space):
         from orbitlab.morphisms import check_equivariance, check_inverse_identities

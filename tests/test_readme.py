@@ -1,12 +1,17 @@
-"""The README's library example runs as written, and its module table names
-only code that exists."""
+"""The README's library example and every line of its CLI block run as
+written, and its module table names only code that exists."""
 import functools
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
 from orbitlab import linalg
+from orbitlab.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,6 +34,23 @@ def test_library_example_recovers_the_matrix_within_c_over_n(capsys):
     gap = linalg.max_abs_diff(invariant.matrix, linalg.as_matrix(namespace["matrix"]))
     assert gap <= cert.constant / 1024
     assert invariant.provenance["cocycle"] == "orbit-forward"
+
+
+def cli_lines() -> list:
+    """The ``orbitlab`` invocations of the README's CLI block, comments dropped."""
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("orbitlab ")]
+
+
+def test_the_cli_block_has_every_command():
+    assert sorted({argv[0] for argv in cli_lines()}) == ["functoriality", "gromov-check", "odometer", "realize"]
+
+
+@pytest.mark.parametrize("argv", cli_lines(), ids=" ".join)
+def test_cli_block_line_passes(argv):
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
 
 
 def code_names(contents: str) -> list:
