@@ -5,8 +5,9 @@ p-adic odometers with exact Haar measure (``odometer``), topological full
 group elements (``fullgroup``), floor-shear realizations of determinant +-1
 matrices (``shears``), truncated translate-closure map spaces with their
 orbit cocycles (``mapspace``), morphisms between systems (``morphisms``),
-and the exterior-algebra invariant recovered from cocycle growth
-(``invariants``).  The ``cli`` module drives batch verification runs.
+and the invariant matrix recovered from cocycle growth, with the checks on
+its exterior powers (``invariants``).  The ``cli`` module drives batch
+verification runs.
 """
 
 from .checks import CheckResult
@@ -55,14 +56,12 @@ from .morphisms import (
     realized_morphism,
 )
 from .invariants import (
-    ExteriorElement,
     InducedAlgebraMap,
     InvariantMatrix,
     check_det_pm1,
     functoriality_check,
     multiplicativity_check,
     recover_invariant_matrix,
-    wedge,
 )
 
 __version__ = "0.1.0"

@@ -1,12 +1,18 @@
-"""Exterior algebra over R^d and the invariant matrix of an orbit cocycle.
+"""The invariant matrix of an orbit cocycle, and the checks on it.
 
-The graded algebra realizes the cohomology of the lattice: degree-one is
-R^d, a matrix acts on degree k through its k-th exterior power, and the top
-degree is scaled by the determinant.  The invariant matrix of a cocycle is
-recovered from its large-scale growth: column i is the averaged inverse of
-the cocycle value at (n e_i)^-1 divided by n, exact over the rationals, with
-an O(C/n) error bound when the cocycle stays within distance C of a linear
-map.
+The invariant matrix of a cocycle is recovered from its large-scale growth:
+column i is the averaged inverse of the cocycle value at (n e_i)^-1 divided
+by n, exact over the rationals, with an O(C/n) error bound when the cocycle
+stays within distance C of a linear map.
+
+A matrix acts on the exterior algebra of R^d, degree k through its k-th
+exterior power, the top degree by the determinant; that graded action is
+the action on the cohomology of the lattice.  ``multiplicativity_check``
+tests that it is an algebra homomorphism on every pair of basis blades
+without building algebra elements: each blade image is read off the integer
+minors of L M, L the lcm of M's denominators, and both sides of the law at
+a blade pair (S, T) scale by the same L^(|S| + |T|).  The algebra elements
+and the wedge product themselves are the tests' reference.
 """
 from __future__ import annotations
 
@@ -22,80 +28,10 @@ from .morphisms import Morphism, compose_morphisms
 from .odometer import DigitPoint
 
 
-class ExteriorElement:
-    """A graded element: coefficients indexed by subsets of {0..d-1}."""
-
-    __slots__ = ("dimension", "coeffs")
-
-    def __init__(self, dimension: int, coeffs: dict | None = None):
-        self.dimension = dimension
-        self.coeffs = {
-            frozenset(k): linalg.as_scalar(v)
-            for k, v in (coeffs or {}).items()
-            if v != 0
-        }
-        for subset in self.coeffs:
-            if any(not 0 <= i < dimension for i in subset):
-                raise ValueError("index out of range for this dimension")
-
-    @classmethod
-    def basis_vector(cls, dimension: int, i: int) -> "ExteriorElement":
-        return cls(dimension, {frozenset([i]): 1})
-
-    @classmethod
-    def blade(cls, dimension: int, indices: Sequence[int]) -> "ExteriorElement":
-        element = cls(dimension, {frozenset(): 1})
-        for i in indices:
-            element = wedge(element, cls.basis_vector(dimension, i))
-        return element
-
-    def coefficient(self, indices) -> Fraction:
-        return self.coeffs.get(frozenset(indices), Fraction(0))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExteriorElement)
-            and other.dimension == self.dimension
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dimension, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for s in sorted(self.coeffs, key=lambda s: (len(s), sorted(s))):
-            blade = "^".join(f"e{i+1}" for i in sorted(s)) or "1"
-            terms.append(f"{self.coeffs[s]}*{blade}")
-        return " + ".join(terms)
-
-
 def _shuffle_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     """Sign of merging two disjoint sorted index tuples."""
     inversions = sum(1 for a in left for b in right if a > b)
     return -1 if inversions % 2 else 1
-
-
-def wedge(u: ExteriorElement, v: ExteriorElement) -> ExteriorElement:
-    """Graded antisymmetric product with shuffle signs."""
-    if u.dimension != v.dimension:
-        raise ValueError("dimension mismatch")
-    out: dict[frozenset, Fraction] = {}
-    for s, a in u.coeffs.items():
-        for t, b in v.coeffs.items():
-            if s & t:
-                continue
-            sign = _shuffle_sign(tuple(sorted(s)), tuple(sorted(t)))
-            key = s | t
-            out[key] = out.get(key, Fraction(0)) + sign * a * b
-    return ExteriorElement(u.dimension, out)
-
-
-def _minor(matrix: linalg.Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    sub = tuple(tuple(matrix[r][c] for c in cols) for r in rows)
-    return linalg.det(sub) if sub else Fraction(1)
 
 
 class InducedAlgebraMap:
@@ -103,40 +39,20 @@ class InducedAlgebraMap:
 
     Degree one is the matrix itself; a degree-k basis blade e_S maps to the
     sum over size-k subsets T of the (T, S) minor times e_T; the top degree
-    is multiplication by the determinant.
+    is multiplication by the determinant.  ``overrides`` holds the entries
+    that :meth:`corrupted` set instead: (S, T) -> the coefficient of e_T in
+    the image of e_S.
     """
 
     def __init__(self, matrix):
         self.matrix = linalg.as_matrix(matrix)
         self.dimension = len(self.matrix)
-        self._blade_images: dict[frozenset, dict[frozenset, Fraction]] = {}
-
-    def _image_of_blade(self, subset: frozenset) -> dict[frozenset, Fraction]:
-        if subset not in self._blade_images:
-            cols = sorted(subset)
-            images = {}
-            for rows in itertools.combinations(range(self.dimension), len(cols)):
-                value = _minor(self.matrix, rows, cols)
-                if value != 0:
-                    images[frozenset(rows)] = value
-            self._blade_images[subset] = images
-        return self._blade_images[subset]
-
-    def apply(self, element: ExteriorElement) -> ExteriorElement:
-        if element.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        out: dict[frozenset, Fraction] = {}
-        for subset, coeff in element.coeffs.items():
-            for target, value in self._image_of_blade(subset).items():
-                out[target] = out.get(target, Fraction(0)) + coeff * value
-        return ExteriorElement(self.dimension, out)
+        self.overrides: dict[tuple[frozenset, frozenset], Fraction] = {}
 
     def corrupted(self, subset, target, value) -> "InducedAlgebraMap":
         """A copy with one blade-image entry overridden (negative control)."""
         clone = InducedAlgebraMap(self.matrix)
-        images = dict(self._image_of_blade(frozenset(subset)))
-        images[frozenset(target)] = linalg.as_scalar(value)
-        clone._blade_images[frozenset(subset)] = images
+        clone.overrides = {**self.overrides, (frozenset(subset), frozenset(target)): linalg.as_scalar(value)}
         return clone
 
 
@@ -181,7 +97,9 @@ def recover_invariant_matrix(
     """Recover the linear part of a morphism's cocycle from its growth at scale n.
 
     Column i is the average over sample points x of
-    cocycle((n e_i)^-1, x)^-1 / n, computed in exact rational arithmetic.
+    cocycle((n e_i)^-1, x)^-1 / n, computed exactly: the coordinates are
+    summed as integers, and each entry is one Fraction, the sum over n
+    times the number of samples.
     By the cocycle identity this is cocycle(n e_i, (n e_i)^-1 . x) / n, read
     without moving x: recovery evaluates the cocycle and never acts.  When
     the cocycle stays within sup-distance C of a linear map, every entry is
@@ -202,12 +120,11 @@ def recover_invariant_matrix(
     columns = []
     for i in range(d):
         back = group.basis_vector(i, -n)
-        total = [Fraction(0)] * d
+        total = [0] * d
         for x in samples:
-            value = morphism.evaluate(back, x).inverse()
-            for k, coord in enumerate(value.coords):
-                total[k] += Fraction(coord, n)
-        columns.append([t / len(samples) for t in total])
+            for k, coord in enumerate(morphism.evaluate(back, x).inverse().coords):
+                total[k] += coord
+        columns.append([Fraction(t, n) / len(samples) for t in total])
     matrix = tuple(tuple(columns[j][i] for j in range(d)) for i in range(d))
     bound = None if constant is None else float(linalg.as_scalar(constant) / n)
     # The measure behind the average is a reporting field: odometer points
@@ -269,26 +186,56 @@ def check_det_pm1(matrix, tol) -> CheckResult:
     )
 
 
+def _scaled_images(induced: InducedAlgebraMap) -> dict[tuple, dict[tuple, Fraction]]:
+    """L^|S| times the image of each basis blade e_S, L the lcm of the
+    matrix's denominators: S (a sorted tuple) -> {T: coefficient of e_T},
+    zeros left out.  The (T, S) minor of L M is L^|S| times that of M, an
+    integer, one Bareiss determinant each; an entry that ``corrupted`` set
+    is read as given and scaled by L^|S|."""
+    d = induced.dimension
+    scale, rows = linalg.clear_denominators(induced.matrix)
+    images = {
+        cols: {
+            picked: linalg.det([[rows[r][c] for c in cols] for r in picked]).numerator
+            for picked in itertools.combinations(range(d), size)
+        }
+        for size in range(d + 1)
+        for cols in itertools.combinations(range(d), size)
+    }
+    for (subset, target), value in induced.overrides.items():
+        images[tuple(sorted(subset))][tuple(sorted(target))] = value * scale ** len(subset)
+    return {cols: {t: v for t, v in image.items() if v} for cols, image in images.items()}
+
+
 def multiplicativity_check(induced: InducedAlgebraMap) -> CheckResult:
     """``induced`` is an algebra homomorphism on all basis blade pairs,
-    exactly: every coefficient is a ``Fraction``, compared with ``==``.  A
-    matrix's map is ``InducedAlgebraMap(matrix)``; ``corrupted`` gives the
-    negative control."""
+    exactly: Lambda(e_S ^ e_T) == Lambda(e_S) ^ Lambda(e_T) for every
+    disjoint (S, T), every coefficient compared with ``==``.  A matrix's map
+    is ``InducedAlgebraMap(matrix)``; ``corrupted`` gives the negative
+    control.
+
+    Each blade image is computed once, scaled by L^|S| (:func:`_scaled_images`),
+    so its coefficients are the integer minors of L M.  Both sides at (S, T)
+    are homogeneous of degree |S| + |T| in L, so the scaled sides are equal
+    exactly when the true ones are.  Witnesses come in pair order."""
     d = induced.dimension
+    images = _scaled_images(induced)
+    subsets = list(images)
     checked = 0
     witnesses = []
-    subsets = [
-        tuple(s)
-        for size in range(d + 1)
-        for s in itertools.combinations(range(d), size)
-    ]
     for left, right in itertools.product(subsets, repeat=2):
         if set(left) & set(right):
             continue
-        u = ExteriorElement.blade(d, left)
-        v = ExteriorElement.blade(d, right)
         checked += 1
-        if induced.apply(wedge(u, v)) != wedge(induced.apply(u), induced.apply(v)):
+        sign = _shuffle_sign(left, right)
+        whole = {t: sign * v for t, v in images[tuple(sorted(left + right))].items()}
+        product: dict[tuple, Fraction] = {}
+        for a, x in images[left].items():
+            for b, y in images[right].items():
+                if not set(a) & set(b):
+                    key = tuple(sorted(a + b))
+                    product[key] = product.get(key, 0) + _shuffle_sign(a, b) * x * y
+        if whole != {t: v for t, v in product.items() if v}:
             witnesses.append((left, right))
     return CheckResult(
         name="multiplicativity",

@@ -6,6 +6,7 @@ decimal strings ("0.5") parse to the rational they denote.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -66,26 +67,38 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-free Gaussian elimination."""
+def clear_denominators(a) -> tuple[int, list[list[int]]]:
+    """L, the lcm of the denominators of a's entries (1 when there are
+    none), and the integer rows of L a."""
+    scale = math.lcm(*(x.denominator for row in a for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in a]
+
+
+def det(a) -> Fraction:
+    """Exact determinant, fraction-free: Bareiss elimination on L a, with L
+    the lcm of the entries' denominators (1 on an integer matrix), and one
+    Fraction det(L a) / L^d at the end.
+
+    Bareiss keeps every entry an integer: after pivot step c each remaining
+    entry is a (c + 2)-minor of L a, and the division by the previous pivot
+    is exact.  The empty matrix has determinant 1."""
     d = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    result = Fraction(1)
-    for c in range(d):
-        pivot_row = next((r for r in range(c, d) if m[r][c] != 0), None)
+    scale, m = clear_denominators(a)
+    sign, previous = 1, 1
+    for c in range(d - 1):
+        pivot_row = next((r for r in range(c, d) if m[r][c]), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
             sign = -sign
         pivot = m[c][c]
-        result *= pivot
         for r in range(c + 1, d):
-            factor = m[r][c] / pivot
-            for k in range(c, d):
-                m[r][k] -= factor * m[c][k]
-    return sign * result
+            row, lead = m[r], m[r][c]
+            for k in range(c + 1, d):
+                row[k] = (row[k] * pivot - lead * m[c][k]) // previous
+        previous = pivot
+    return Fraction(sign * m[-1][-1] if d else 1, scale**d)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -21,7 +21,10 @@ Acting on a germ is then one gather of rows through the ball positions
 plus one offset, and matching, keys and partial inverses compare rows.  The
 source action works on a stack of such tables at once
 (:meth:`TruncatedMapSpace.act_source_rows`), which is how the battery acts
-on the whole slice.
+on the whole slice.  The space is built the same way: one gather of the
+seed's rows forms the base table of every translate g0, the distinct bases
+are kept by value, their offsets broadcast over them, and the members are
+ordered by one sort of the stacked tables.
 """
 from __future__ import annotations
 
@@ -142,15 +145,16 @@ def _times(lam, rows: np.ndarray) -> np.ndarray:
     return _as_rows(lam.group, [lam * v for v in rows])
 
 
-def _row_law(group, rows: np.ndarray, terms: int) -> tuple:
+def _row_law(group, terms: int, *stacks: np.ndarray) -> tuple:
     """The group law on table values, elementwise over stacked rows:
     ``(invert, multiply)``.  On a lattice, coordinate rows negate and add on
-    the rung of ``terms`` times the bound of ``rows``, which holds every
-    value that is a product of at most ``terms`` of their entries; on any
-    other group, elements invert and multiply through object ufuncs."""
+    the rung of ``terms`` times the largest bound of the ``stacks``, which
+    holds every value that is a product of at most ``terms`` of their
+    entries; on any other group, elements invert and multiply through object
+    ufuncs."""
     if not isinstance(group, LatticeGroup):
         return np.frompyfunc(lambda v: v.inverse(), 1, 1), np.frompyfunc(lambda a, b: a * b, 2, 1)
-    dtype = linalg.rung(terms * linalg.array_bound(rows))
+    dtype = linalg.rung(terms * max(map(linalg.array_bound, stacks)))
     return (lambda a: -a.astype(dtype, copy=False)), (
         lambda a, b: a.astype(dtype, copy=False) + b.astype(dtype, copy=False)
     )
@@ -279,6 +283,17 @@ class TruncatedMapSpace:
             self._seed_values[g] = self.seed.value(g)
         return self._seed_values[g]
 
+    def _seed_rows_on(self, reach: int) -> tuple:
+        """(r, the seed's rows on B(r)) for some r >= reach: kept from
+        B(R + R_t) on, and grown on demand."""
+        seed_radius, seed_rows = self._seed_rows
+        if seed_radius < reach:
+            seed_radius = max(reach, min(self.radius + self.translate_radius, BALL_BUDGET))
+            ball = self.source_gens.ball(seed_radius)
+            seed_rows = _as_rows(self.target_gens.group, [self._seed_value(g) for g in ball])
+            self._seed_rows = (seed_radius, seed_rows)
+        return seed_radius, seed_rows
+
     def translate_table(self, g0, delta, radius) -> np.ndarray:
         """The rows of the seed translate with provenance (g0, delta) on
         B(radius): psi(h) = delta s(g0^-1)^-1 s(g0^-1 h), which takes the
@@ -288,19 +303,13 @@ class TruncatedMapSpace:
         enumerates the ball it reaches (exponential in a free group)."""
         g0_inv = g0.inverse()
         prefix = delta * self._seed_value(g0_inv).inverse()
-        group = self.target_gens.group
         reach = self.source_gens.word_length(g0) + radius
         if reach <= seed_rows_radius(self.radius, self.translate_radius, self.offset_radius):
-            seed_radius, seed_rows = self._seed_rows
-            if seed_radius < reach:
-                seed_radius = max(reach, min(self.radius + self.translate_radius, BALL_BUDGET))
-                ball = self.source_gens.ball(seed_radius)
-                seed_rows = _as_rows(group, [self._seed_value(g) for g in ball])
-                self._seed_rows = (seed_radius, seed_rows)
+            seed_radius, seed_rows = self._seed_rows_on(reach)
             values = seed_rows[self.source_gens.shifted(seed_radius, radius, g0)]
         else:
             ball = self.source_gens.ball(radius)
-            values = _as_rows(group, [self._seed_value(g0_inv * h) for h in ball])
+            values = _as_rows(self.target_gens.group, [self._seed_value(g0_inv * h) for h in ball])
         return _times(prefix, values)
 
     def _build(self):
@@ -313,24 +322,37 @@ class TruncatedMapSpace:
         # one of the first (g0, delta) germ with a given table, so the
         # provenance equals what building every (g0, delta) germ and keeping
         # the first of each table would record.
-        bases = {}
-        group = self.target_gens.group
-        identity_target = group.identity()
-        for g0 in self.source_gens.ball(self.translate_radius):
-            base = self.translate_table(g0, identity_target, self.radius)
-            # Every base lists the same ball in the same order.
-            bases.setdefault(_flat(base), (g0, base))
-        members = []
-        for g0, base in bases.values():
-            for delta in self.target_gens.ball(self.offset_radius):
-                if delta == identity_target:
-                    table = base
-                else:
-                    table = self.translate_table(g0, delta, self.radius)
-                members.append(
-                    MapGerm(self.source_gens, self.radius, group, table, provenance=(g0, delta))
-                )
-        self.members = tuple(sorted(members, key=MapGerm.key))
+        #
+        # One gather builds every base from the seed's rows on B(R + R_t):
+        # row g0 is s(g0^-1)^-1 times the rows at shifted(., R, g0).  The
+        # offsets then broadcast over the distinct bases.  Every value is a
+        # product of three entries: delta, a seed value inverted, a seed value.
+        gens, group = self.source_gens, self.target_gens.group
+        seed_radius, seed_rows = self._seed_rows_on(self.radius + self.translate_radius)
+        starts = gens.ball(self.translate_radius)
+        deltas = self.target_gens.ball(self.offset_radius)
+        offsets = _as_rows(group, list(deltas))
+        invert, multiply = _row_law(group, 3, seed_rows, offsets)
+        inverted = invert(seed_rows[[gens.position(seed_radius, g0.inverse()) for g0 in starts]])
+        gathered = seed_rows[np.stack([gens.shifted(seed_radius, self.radius, g0) for g0 in starts])]
+        bases = multiply(inverted[:, np.newaxis], gathered)
+        first = {}  # distinct by value (``_flat``), as ``MapGerm.key`` compares tables
+        for k, base in enumerate(bases):
+            first.setdefault(_flat(base), k)
+        kept = list(first.values())
+        tables = multiply(offsets[np.newaxis, :, np.newaxis], bases[kept][:, np.newaxis])
+        tables = tables.reshape(-1, *bases.shape[1:])
+        provenance = [(starts[k], delta) for k in kept for delta in deltas]
+        members = [
+            MapGerm(gens, self.radius, group, table, provenance=prov) for table, prov in zip(tables, provenance)
+        ]
+        # In ``MapGerm.key`` order: on integer rows one lexsort of the flat
+        # tables, first entry first; on object rows the key sort.
+        if tables.dtype == object:
+            members.sort(key=MapGerm.key)
+        else:
+            members = [members[i] for i in np.lexsort(tables.reshape(len(tables), -1).T[::-1])]
+        self.members = tuple(members)
         self.slice_members = tuple(m for m in self.members if m.is_normalized())
         if not self.slice_members:
             raise ValueError("slice is empty; seed does not normalize")
@@ -399,7 +421,7 @@ class TruncatedMapSpace:
         gathered = gens.shifted(radius, radius - step, g)
         # Each value of g . psi is the product of two table entries: one
         # rung, proven once for the whole stack.
-        invert, multiply = _row_law(self.target_gens.group, rows, 2)
+        invert, multiply = _row_law(self.target_gens.group, 2, rows)
         cocycle = invert(rows[:, position])
         return cocycle, multiply(cocycle[:, np.newaxis], rows[:, gathered])
 
@@ -693,7 +715,7 @@ def _identity_on_rows(space, ball, stack, overridden) -> tuple:
     radius = space.radius
     lengths = [gens.word_length(g) for g in ball]
     # Each side is a product of at most three table entries.
-    invert, multiply = _row_law(space.target_gens.group, stack, 3)
+    invert, multiply = _row_law(space.target_gens.group, 3, stack)
     failed = [[] for _ in stack]
     scalar = []
     for j, h in enumerate(ball):

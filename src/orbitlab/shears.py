@@ -9,7 +9,10 @@ bounded distance from the matrix.
 
 Arithmetic is exact: coefficients are Fractions (floats convert to the
 binary rational they are), floors are integer floor divisions, and the
-reconstruction check compares matrices entrywise over the rationals.
+reconstruction check compares matrices entrywise over the rationals.  A
+``FloorMap`` compiles its ops once into one integer program of
+(i, j, p, q) shears and sign flips, which a point, its inverse and a whole
+array of points run alike.
 """
 from __future__ import annotations
 
@@ -50,20 +53,6 @@ class Shear:
             raise ValueError("shear needs distinct coordinates")
         object.__setattr__(self, "coeff", linalg.as_scalar(self.coeff))
 
-    def apply_int(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        p, q = self.coeff.numerator, self.coeff.denominator
-        out = list(v)
-        out[self.i] += (p * v[self.j]) // q
-        return tuple(out)
-
-    def unapply_int(self, w: tuple[int, ...]) -> tuple[int, ...]:
-        # Exact inverse: coordinate j is untouched by the shear, so the same
-        # floor can be subtracted back.
-        p, q = self.coeff.numerator, self.coeff.denominator
-        out = list(w)
-        out[self.i] -= (p * w[self.j]) // q
-        return tuple(out)
-
     def inverse_op(self) -> "Shear":
         return Shear(self.i, self.j, -self.coeff)
 
@@ -76,13 +65,6 @@ class SignFlip:
     """v[i] *= -1."""
 
     i: int
-
-    def apply_int(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        out = list(v)
-        out[self.i] = -out[self.i]
-        return tuple(out)
-
-    unapply_int = apply_int
 
     def inverse_op(self) -> "SignFlip":
         return self
@@ -189,29 +171,42 @@ class FloorMap:
 
     ``ops`` are in product order: the linear parts multiply left to right to
     the target matrix, and evaluation applies the rightmost op first.  The
-    inverse reverses the sequence and undoes each floor exactly.
+    ops are compiled once into one integer program, in evaluation order:
+    (i, j, p, q) for the shear v_i += floor(p v_j / q) with coefficient p/q
+    in lowest terms, (i, i, -1, 0) for the sign flip v_i = -v_i (q = 0 marks
+    it).  A point, its inverse and an array of points all run that program.
+    The inverse runs it backwards and undoes each floor exactly.
     """
 
     def __init__(self, ops: Sequence[ElementaryOp], dimension: int, target=None):
         self.ops = tuple(ops)
         self.dimension = dimension
         self.target = product_matrix(self.ops, dimension) if target is None else linalg.as_matrix(target)
+        self._program = tuple(
+            (op.i, op.j, op.coeff.numerator, op.coeff.denominator) if isinstance(op, Shear)
+            else (op.i, op.i, -1, 0)
+            for op in reversed(self.ops)
+        )
+
+    def _point(self, v: Sequence[int]) -> list[int]:
+        out = [int(c) for c in v]
+        if len(out) != self.dimension:
+            raise ValueError("vector has wrong dimension")
+        return out
 
     def __call__(self, v: Sequence[int]) -> tuple[int, ...]:
-        out = tuple(int(c) for c in v)
-        if len(out) != self.dimension:
-            raise ValueError("vector has wrong dimension")
-        for op in reversed(self.ops):
-            out = op.apply_int(out)
-        return out
+        out = self._point(v)
+        for i, j, p, q in self._program:
+            out[i] = out[i] + p * out[j] // q if q else -out[i]
+        return tuple(out)
 
     def inverse(self, w: Sequence[int]) -> tuple[int, ...]:
-        out = tuple(int(c) for c in w)
-        if len(out) != self.dimension:
-            raise ValueError("vector has wrong dimension")
-        for op in self.ops:
-            out = op.unapply_int(out)
-        return out
+        # A shear leaves coordinate j as it is, so the same floor is
+        # subtracted back.
+        out = self._point(w)
+        for i, j, p, q in reversed(self._program):
+            out[i] = out[i] - p * out[j] // q if q else -out[i]
+        return tuple(out)
 
     def period(self, k: int) -> tuple[int, tuple[Fraction, ...]]:
         """A period N_k of the map along e_k, and column k of its linear part
@@ -225,19 +220,19 @@ class FloorMap:
         coefficients' denominators."""
         u = [Fraction(int(r == k)) for r in range(self.dimension)]
         n = 1
-        for op in reversed(self.ops):
-            if isinstance(op, Shear):
-                step = op.coeff * u[op.j]
+        for i, j, p, q in self._program:
+            if q:
+                step = Fraction(p, q) * u[j]
                 n = math.lcm(n, step.denominator)
-                u[op.i] += step
+                u[i] += step
             else:
-                u[op.i] = -u[op.i]
+                u[i] = -u[i]
         return n, tuple(u)
 
     def _bound_chain(self, bounds: Sequence[int]) -> tuple[type, list[int]]:
         """The narrowest sweep dtype for an evaluation whose coordinate k has
         magnitude at most ``bounds[k]`` (each at least 1), and a bound on each
-        image coordinate, in one pass over the ops, rightmost first.
+        image coordinate, in one pass over the program.
 
         A shear v_i += floor(p v_j / q) grows bound i by |p| b_j // q + 1;
         a sign flip keeps every bound.  The dtype is the first rung of
@@ -245,37 +240,35 @@ class FloorMap:
         bounds the multiplier p), divisor q and updated bound on the way."""
         bounds = list(bounds)
         peak = max(bounds)
-        for op in reversed(self.ops):
-            if isinstance(op, Shear):
-                p, q = abs(op.coeff.numerator), op.coeff.denominator
-                product = p * bounds[op.j]
-                bounds[op.i] += product // q + 1
-                peak = max(peak, product, q, bounds[op.i])
+        for i, j, p, q in self._program:
+            if q:
+                product = abs(p) * bounds[j]
+                bounds[i] += product // q + 1
+                peak = max(peak, product, q, bounds[i])
         return linalg.rung(peak), bounds
 
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (M, d) integer array; returns (M, d).
 
         The points are copied once into one contiguous row per coordinate,
-        shape (d, M), and each op updates one row in place, through one
-        scratch row for the product and floor; the result is the (M, d)
-        transposed view of those rows.  One op loop, on the rung that
-        ``_bound_chain`` proves from the input's row bounds.
+        shape (d, M), and each op of the program updates one row in place,
+        through one scratch row for the product and floor; the result is the
+        (M, d) transposed view of those rows.  One program run, on the rung
+        that ``_bound_chain`` proves from the input's row bounds.
         """
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError("vector has wrong dimension")
         dtype, _ = self._bound_chain([linalg.array_bound(row) for row in points.T])
         rows = np.array(points.T, dtype=dtype, order="C")
         step = np.empty(rows.shape[1], dtype=dtype)
-        for op in reversed(self.ops):
-            if isinstance(op, Shear):
-                p, q = op.coeff.numerator, op.coeff.denominator
-                np.multiply(rows[op.j], p, out=step)
+        for i, j, p, q in self._program:
+            if q:
+                np.multiply(rows[j], p, out=step)
                 if q != 1:
                     np.floor_divide(step, q, out=step)
-                rows[op.i] += step
+                rows[i] += step
             else:
-                np.negative(rows[op.i], out=rows[op.i])
+                np.negative(rows[i], out=rows[i])
         return rows.T
 
 
@@ -422,8 +415,7 @@ def bounded_distance_constant(floor_map: FloorMap, matrix, radius: int) -> Dista
     a = linalg.as_matrix(matrix)
     d = len(a)
     check_box_budget(radius, d)
-    common_den = math.lcm(*(x.denominator for row in a for x in row))
-    int_a = [[int(x * common_den) for x in row] for row in a]
+    common_den, int_a = linalg.clear_denominators(a)
     coord = max(radius, 1)
     rung, image_bounds = floor_map._bound_chain([coord] * floor_map.dimension)
     gap_bound = max(common_den * b + coord * sum(map(abs, row)) for b, row in zip(image_bounds, int_a))

@@ -164,7 +164,6 @@ TEST_REFERENCES = {
     "identity_morphism": "the trivial cocycle: a fake system for invariant and composition tests",
     "FreeGroup": "the free group of the Nielsen F2 translate space, the non-amenable case, which no command runs",
     "FreeWord": "a reduced word of the Nielsen F2 space, parsed from letters for seeds and hand-built words",
-    "ExteriorElement.coefficient": "one coefficient of an exterior element, read by the algebra tests",
     "InducedAlgebraMap.corrupted": "an induced map with one wrong entry: the negative control of functoriality",
     "MapGerm.from_dict": "a hand-made or corrupted germ from its values, for the germ and battery controls",
     "OdometerSpace.all_points": "every point at the depth, the reference order of the residue arrays",

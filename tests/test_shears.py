@@ -51,23 +51,24 @@ def random_unimodular(rng, d, max_shears=10, quarter_grid=True):
 
 
 class TestFloorShear:
+    # Each op on its own, as a one-op map.
     def test_integer_coefficient_exact(self):
-        assert Shear(1, 0, 1).apply_int((3, 4)) == (3, 7)
+        assert FloorMap([Shear(1, 0, 1)], 2)((3, 4)) == (3, 7)
 
     def test_half_coefficient_floors(self):
-        assert Shear(1, 0, Fraction(1, 2)).apply_int((3, 4)) == (3, 5)
+        assert FloorMap([Shear(1, 0, Fraction(1, 2))], 2)((3, 4)) == (3, 5)
 
     def test_negative_coefficient_floors_toward_minus_infinity(self):
-        assert Shear(1, 0, Fraction(-1, 2)).apply_int((-3, 0)) == (-3, 1)
+        assert FloorMap([Shear(1, 0, Fraction(-1, 2))], 2)((-3, 0)) == (-3, 1)
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             Shear(1, 1, Fraction(1, 2))
 
     def test_unapply_undoes(self):
-        sh = Shear(0, 1, Fraction(-7, 3))
+        sh = FloorMap([Shear(0, 1, Fraction(-7, 3))], 2)
         for v in [(-5, 9), (0, 0), (13, -4)]:
-            assert sh.unapply_int(sh.apply_int(v)) == v
+            assert sh.inverse(sh(v)) == v
 
     def test_json_is_one_based(self):
         assert Shear(0, 1, Fraction(1, 2)).to_json() == {"shear": [1, 2, "0.5"]}
