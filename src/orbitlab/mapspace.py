@@ -346,12 +346,7 @@ class TruncatedMapSpace:
         members = [
             MapGerm(gens, self.radius, group, table, provenance=prov) for table, prov in zip(tables, provenance)
         ]
-        # In ``MapGerm.key`` order: on integer rows one lexsort of the flat
-        # tables, first entry first; on object rows the key sort.
-        if tables.dtype == object:
-            members.sort(key=MapGerm.key)
-        else:
-            members = [members[i] for i in np.lexsort(tables.reshape(len(tables), -1).T[::-1])]
+        members.sort(key=MapGerm.key)
         self.members = tuple(members)
         self.slice_members = tuple(m for m in self.members if m.is_normalized())
         if not self.slice_members:
